@@ -39,6 +39,17 @@ impl EdgeList {
         Self { num_vertices, edges: Vec::with_capacity(cap) }
     }
 
+    /// Wraps edges that are already normalised, sorted and unique, without
+    /// copying them.
+    pub(crate) fn from_sorted_unique(
+        num_vertices: usize,
+        edges: Vec<(VertexId, VertexId)>,
+    ) -> Self {
+        debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "edges must be sorted and unique");
+        debug_assert!(edges.iter().all(|&(u, v)| u < v && (v as usize) < num_vertices));
+        Self { num_vertices, edges }
+    }
+
     /// Number of vertices in the underlying vertex set.
     pub fn num_vertices(&self) -> usize {
         self.num_vertices

@@ -100,25 +100,9 @@ impl AliasTable {
 pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> CsrGraph {
     assert!(m == 0 || n >= 2, "need at least two vertices to place edges");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut el = EdgeList::with_capacity(n, m);
-    // Sample with replacement then dedup; top up until the target is met or
-    // the graph saturates.
     let max_possible = n.saturating_mul(n.saturating_sub(1)) / 2;
-    let target = m.min(max_possible);
-    let mut guard = 0;
-    while el.len() < target && guard < 100 {
-        let need = target - el.len();
-        for _ in 0..need + need / 4 + 1 {
-            let u = rng.random_range(0..n) as VertexId;
-            let v = rng.random_range(0..n) as VertexId;
-            if u != v {
-                el.push(u, v);
-            }
-        }
-        el.dedup();
-        guard += 1;
-    }
-    truncate_to(el, target)
+    let plan = TopUp { max_rounds: 100, overdraw: 4, widen_after: None };
+    top_up(n, m.min(max_possible), plan, &mut rng, |rng| rng.random_range(0..n) as VertexId)
 }
 
 /// Chung–Lu power-law graph: `m` edges whose endpoints are drawn with
@@ -140,32 +124,11 @@ pub fn powerlaw_chung_lu(n: usize, m: usize, gamma: f64, seed: u64) -> CsrGraph 
     let i0 = 1.0;
     let weights: Vec<f64> = (0..n).map(|i| (i as f64 + i0).powf(exponent)).collect();
     let table = AliasTable::new(&weights);
-    let mut el = EdgeList::with_capacity(n, m);
     let max_possible = n * (n - 1) / 2;
-    let target = m.min(max_possible);
-    let mut guard = 0;
-    while el.len() < target && guard < 200 {
-        let need = target - el.len();
-        for _ in 0..need + need / 3 + 1 {
-            let u = table.sample(&mut rng) as VertexId;
-            let v = table.sample(&mut rng) as VertexId;
-            if u != v {
-                el.push(u, v);
-            }
-        }
-        el.dedup();
-        guard += 1;
-        // Heavy tails cause many duplicate hub-hub edges; widen the
-        // distribution slightly if we stall near saturation.
-        if guard > 50 && el.len() < target {
-            let u = rng.random_range(0..n) as VertexId;
-            let v = rng.random_range(0..n) as VertexId;
-            if u != v {
-                el.push(u, v);
-            }
-        }
-    }
-    truncate_to(el, target)
+    // Heavy tails cause many duplicate hub-hub edges; widen the
+    // distribution slightly if we stall near saturation.
+    let plan = TopUp { max_rounds: 200, overdraw: 3, widen_after: Some(50) };
+    top_up(n, m.min(max_possible), plan, &mut rng, |rng| table.sample(rng) as VertexId)
 }
 
 /// Barabási–Albert preferential attachment: each new vertex attaches to
@@ -230,25 +193,140 @@ pub fn mixed_powerlaw(
     let m_power = m - m_uniform;
     let a = erdos_renyi(n, m_uniform, seed ^ 0xA5A5_A5A5);
     let b = powerlaw_chung_lu(n, m_power.max(1), gamma, seed ^ 0x5A5A_5A5A);
-    let mut el = EdgeList::with_capacity(n, m);
-    el.extend(a.edges());
-    el.extend(b.edges());
-    el.dedup();
-    truncate_to(el, m)
+    // `edges()` yields sorted, unique pairs, so the union is one merge.
+    // Inputs and scratch are freed before the CSR build allocates.
+    let mut edges: Vec<Edge> = Vec::with_capacity(a.num_edges() + b.num_edges());
+    edges.extend(a.edges());
+    let mut fresh: Vec<Edge> = b.edges().collect();
+    drop((a, b));
+    merge_fresh(&mut edges, &mut fresh);
+    drop(fresh);
+    truncate_to(n, edges, m)
 }
 
-fn truncate_to(mut el: EdgeList, target: usize) -> CsrGraph {
-    el.dedup();
-    if el.len() > target {
-        let n = el.num_vertices();
-        let mut edges = el.into_inner();
-        edges.truncate(target);
-        let mut out = EdgeList::with_capacity(n, target);
-        out.extend(edges);
-        CsrGraph::from_edge_list(out)
-    } else {
-        CsrGraph::from_edge_list(el)
+/// One undirected edge, normalised to `(min, max)`.
+type Edge = (VertexId, VertexId);
+
+/// How [`top_up`] draws its rounds.
+struct TopUp {
+    /// Rounds after which the graph counts as saturated and drawing stops.
+    max_rounds: usize,
+    /// A round short of `need` edges draws `need + need / overdraw + 1`
+    /// candidate pairs.
+    overdraw: usize,
+    /// After this many rounds, every round that ends short also draws one
+    /// uniform edge. It counts toward the next round's `need` before it is
+    /// merged, duplicate or not.
+    widen_after: Option<usize>,
+}
+
+/// The sampling generators' shared loop: draws endpoint pairs from `sample`
+/// in rounds until `target` distinct edges exist or `plan.max_rounds` have
+/// run, then keeps the `target` smallest edges.
+///
+/// The distinct edges stay a sorted, unique prefix. Each round sorts only
+/// its own draws and merges them in place (see [`merge_fresh`]), so a round
+/// costs a sort of its draws plus one pass over the prefix, not a sort of
+/// the whole list. The first round's buffer becomes the prefix; later
+/// rounds merge whenever a quarter of the target has accumulated, which
+/// bounds the scratch buffer (a round's merged set does not depend on where
+/// it is split). The RNG is consumed draw for draw as by re-sorting the
+/// whole list every round, so the graph does not depend on the method.
+fn top_up(
+    n: usize,
+    target: usize,
+    plan: TopUp,
+    rng: &mut StdRng,
+    mut sample: impl FnMut(&mut StdRng) -> VertexId,
+) -> CsrGraph {
+    let mut edges: Vec<Edge> = Vec::new();
+    // A round starting `need` short adds at most `need + need / overdraw + 1`
+    // edges, so the prefix, which is this buffer after the first merge, never
+    // outgrows it and merges never reallocate.
+    let mut fresh: Vec<Edge> = Vec::with_capacity(target + target / plan.overdraw + 1);
+    let chunk = (target / 4).max(1024);
+    // The widening edge drawn after the last merge, not yet merged.
+    let mut pending: Option<Edge> = None;
+    let mut rounds = 0;
+    while rounds < plan.max_rounds {
+        let held = edges.len() + usize::from(pending.is_some());
+        if held >= target {
+            break;
+        }
+        let need = target - held;
+        let draws = need + need / plan.overdraw + 1;
+        fresh.extend(pending.take());
+        for _ in 0..draws {
+            let u = sample(rng);
+            let v = sample(rng);
+            if u != v {
+                fresh.push((u.min(v), u.max(v)));
+                if fresh.len() == chunk && !edges.is_empty() {
+                    merge_fresh(&mut edges, &mut fresh);
+                }
+            }
+        }
+        merge_fresh(&mut edges, &mut fresh);
+        rounds += 1;
+        if plan.widen_after.is_some_and(|after| rounds > after) && edges.len() < target {
+            let u = rng.random_range(0..n) as VertexId;
+            let v = rng.random_range(0..n) as VertexId;
+            if u != v {
+                pending = Some((u.min(v), u.max(v)));
+            }
+        }
     }
+    if let Some(edge) = pending {
+        fresh.push(edge);
+        merge_fresh(&mut edges, &mut fresh);
+    }
+    // Free the scratch before the CSR build allocates.
+    drop(fresh);
+    truncate_to(n, edges, target)
+}
+
+/// Merges `fresh` (any order, duplicates allowed) into the sorted, unique
+/// `edges` without a second full-size buffer: sort and dedup `fresh`, drop
+/// what `edges` already holds in one two-pointer pass, then merge backward
+/// into `edges`' own spare capacity. Into an empty `edges`, `fresh` moves
+/// whole. `fresh` is left empty.
+fn merge_fresh(edges: &mut Vec<Edge>, fresh: &mut Vec<Edge>) {
+    fresh.sort_unstable();
+    fresh.dedup();
+    if edges.is_empty() {
+        std::mem::swap(edges, fresh);
+        return;
+    }
+    let mut i = 0;
+    fresh.retain(|e| {
+        while i < edges.len() && edges[i] < *e {
+            i += 1;
+        }
+        edges.get(i) != Some(e)
+    });
+    let (mut i, mut j) = (edges.len(), fresh.len());
+    edges.resize(i + j, (0, 0));
+    // Slot `i + j - 1` is the next to fill, always at or past every unread
+    // prefix edge, so nothing is overwritten before it moves.
+    while j > 0 {
+        let w = i + j - 1;
+        if i > 0 && edges[i - 1] > fresh[j - 1] {
+            i -= 1;
+            edges[w] = edges[i];
+        } else {
+            j -= 1;
+            edges[w] = fresh[j];
+        }
+    }
+    fresh.clear();
+}
+
+/// Builds the graph from the `target` smallest of the sorted, unique `edges`.
+fn truncate_to(n: usize, mut edges: Vec<Edge>, target: usize) -> CsrGraph {
+    edges.truncate(target);
+    // Return the dropped tail before the CSR build allocates its arrays.
+    edges.shrink_to_fit();
+    CsrGraph::from_edge_list(EdgeList::from_sorted_unique(n, edges))
 }
 
 #[cfg(test)]
@@ -298,6 +376,17 @@ mod tests {
         let heavy = powerlaw_chung_lu(2000, 8000, 1.8, 9);
         let light = powerlaw_chung_lu(2000, 8000, 3.5, 9);
         assert!(heavy.max_degree() > light.max_degree());
+    }
+
+    #[test]
+    fn merge_fresh_keeps_the_prefix_sorted_and_unique() {
+        let mut edges = vec![(0, 2), (1, 3), (4, 5)];
+        let mut fresh = vec![(4, 5), (0, 1), (2, 3), (0, 1), (6, 7), (1, 3)];
+        merge_fresh(&mut edges, &mut fresh);
+        assert_eq!(edges, [(0, 1), (0, 2), (1, 3), (2, 3), (4, 5), (6, 7)]);
+        let mut empty = Vec::new();
+        merge_fresh(&mut empty, &mut vec![(1, 2), (0, 1), (1, 2)]);
+        assert_eq!(empty, [(0, 1), (1, 2)]);
     }
 
     #[test]

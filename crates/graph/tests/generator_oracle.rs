@@ -1,0 +1,246 @@
+//! Old-vs-new oracle for the sampling generators.
+//!
+//! The `oracle` module freezes the generators as they were when every
+//! top-up round re-sorted the whole edge list. The library now keeps a
+//! sorted prefix and merges only each round's new draws. Both must
+//! consume the RNG identically and produce equal graphs, or every
+//! synthesized dataset, report and baseline would move.
+
+use gnnie_graph::datasets::Dataset;
+use gnnie_graph::generate;
+use proptest::prelude::*;
+
+/// Frozen copies of the re-sort-every-round generators. The only addition
+/// is the [`Widening`] count in `powerlaw_chung_lu_traced`.
+mod oracle {
+    use gnnie_graph::generate::AliasTable;
+    use gnnie_graph::{CsrGraph, EdgeList, VertexId};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// How often the Chung–Lu loop took its `guard > 50` widening branch.
+    #[derive(Debug, Default, Clone, Copy)]
+    pub struct Widening {
+        /// Widening edges pushed after a round's dedup.
+        pub pushed: usize,
+        /// `true` if the loop exited with a widening edge not yet deduped,
+        /// so only the final `truncate_to` merged it.
+        pub pending_at_exit: bool,
+    }
+
+    pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> CsrGraph {
+        assert!(m == 0 || n >= 2, "need at least two vertices to place edges");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut el = EdgeList::with_capacity(n, m);
+        let max_possible = n.saturating_mul(n.saturating_sub(1)) / 2;
+        let target = m.min(max_possible);
+        let mut guard = 0;
+        while el.len() < target && guard < 100 {
+            let need = target - el.len();
+            for _ in 0..need + need / 4 + 1 {
+                let u = rng.random_range(0..n) as VertexId;
+                let v = rng.random_range(0..n) as VertexId;
+                if u != v {
+                    el.push(u, v);
+                }
+            }
+            el.dedup();
+            guard += 1;
+        }
+        truncate_to(el, target)
+    }
+
+    pub fn powerlaw_chung_lu(n: usize, m: usize, gamma: f64, seed: u64) -> CsrGraph {
+        powerlaw_chung_lu_traced(n, m, gamma, seed).0
+    }
+
+    pub fn powerlaw_chung_lu_traced(
+        n: usize,
+        m: usize,
+        gamma: f64,
+        seed: u64,
+    ) -> (CsrGraph, Widening) {
+        assert!(n >= 2, "need at least two vertices");
+        assert!(gamma > 1.0, "power-law exponent must exceed 1");
+        let mut widening = Widening::default();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let exponent = -1.0 / (gamma - 1.0);
+        let i0 = 1.0;
+        let weights: Vec<f64> = (0..n).map(|i| (i as f64 + i0).powf(exponent)).collect();
+        let table = AliasTable::new(&weights);
+        let mut el = EdgeList::with_capacity(n, m);
+        let max_possible = n * (n - 1) / 2;
+        let target = m.min(max_possible);
+        let mut guard = 0;
+        let mut pending = false;
+        while el.len() < target && guard < 200 {
+            let need = target - el.len();
+            for _ in 0..need + need / 3 + 1 {
+                let u = table.sample(&mut rng) as VertexId;
+                let v = table.sample(&mut rng) as VertexId;
+                if u != v {
+                    el.push(u, v);
+                }
+            }
+            el.dedup();
+            pending = false;
+            guard += 1;
+            if guard > 50 && el.len() < target {
+                let u = rng.random_range(0..n) as VertexId;
+                let v = rng.random_range(0..n) as VertexId;
+                if u != v {
+                    el.push(u, v);
+                    widening.pushed += 1;
+                    pending = true;
+                }
+            }
+        }
+        widening.pending_at_exit = pending;
+        (truncate_to(el, target), widening)
+    }
+
+    pub fn mixed_powerlaw(
+        n: usize,
+        m: usize,
+        gamma: f64,
+        uniform_frac: f64,
+        seed: u64,
+    ) -> CsrGraph {
+        assert!((0.0..=1.0).contains(&uniform_frac), "uniform_frac must be in [0,1]");
+        assert!(n >= 2, "need at least two vertices");
+        let m_uniform = (m as f64 * uniform_frac) as usize;
+        let m_power = m - m_uniform;
+        let a = erdos_renyi(n, m_uniform, seed ^ 0xA5A5_A5A5);
+        let b = powerlaw_chung_lu(n, m_power.max(1), gamma, seed ^ 0x5A5A_5A5A);
+        let mut el = EdgeList::with_capacity(n, m);
+        el.extend(a.edges());
+        el.extend(b.edges());
+        el.dedup();
+        truncate_to(el, m)
+    }
+
+    fn truncate_to(mut el: EdgeList, target: usize) -> CsrGraph {
+        el.dedup();
+        if el.len() > target {
+            let n = el.num_vertices();
+            let mut edges = el.into_inner();
+            edges.truncate(target);
+            let mut out = EdgeList::with_capacity(n, target);
+            out.extend(edges);
+            CsrGraph::from_edge_list(out)
+        } else {
+            CsrGraph::from_edge_list(el)
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn chung_lu_matches_the_oracle(
+        n in 2usize..=64,
+        m in 0usize..2500,
+        gamma in 1.5f64..=3.5,
+        seed in 0u64..1_000_000,
+    ) {
+        // m spans both sides of n(n-1)/2, so saturated graphs are covered.
+        prop_assert_eq!(
+            generate::powerlaw_chung_lu(n, m, gamma, seed),
+            oracle::powerlaw_chung_lu(n, m, gamma, seed),
+            "n {} m {} gamma {} seed {}", n, m, gamma, seed
+        );
+    }
+
+    #[test]
+    fn erdos_renyi_matches_the_oracle(
+        n in 2usize..=64,
+        m in 0usize..2500,
+        seed in 0u64..1_000_000,
+    ) {
+        prop_assert_eq!(
+            generate::erdos_renyi(n, m, seed),
+            oracle::erdos_renyi(n, m, seed),
+            "n {} m {} seed {}", n, m, seed
+        );
+    }
+
+    #[test]
+    fn mixed_powerlaw_matches_the_oracle(
+        n in 2usize..=64,
+        m in 0usize..2500,
+        uniform_frac in 0.0f64..=1.0,
+        seed in 0u64..1_000_000,
+    ) {
+        prop_assert_eq!(
+            generate::mixed_powerlaw(n, m, 2.5, uniform_frac, seed),
+            oracle::mixed_powerlaw(n, m, 2.5, uniform_frac, seed),
+            "n {} m {} uniform_frac {} seed {}", n, m, uniform_frac, seed
+        );
+    }
+}
+
+#[test]
+fn small_grid_matches_the_oracle() {
+    for n in [2, 3, 5, 40] {
+        for m in [0, 1, 10, 1000] {
+            for seed in [1, 2, 7919] {
+                assert_eq!(
+                    generate::powerlaw_chung_lu(n, m, 2.0, seed),
+                    oracle::powerlaw_chung_lu(n, m, 2.0, seed),
+                    "chung-lu n {n} m {m} seed {seed}"
+                );
+                assert_eq!(
+                    generate::erdos_renyi(n, m, seed),
+                    oracle::erdos_renyi(n, m, seed),
+                    "erdos-renyi n {n} m {m} seed {seed}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn table_ii_graphs_match_the_oracle() {
+    let cases = [
+        (Dataset::Cora, 1.0),
+        (Dataset::Citeseer, 1.0),
+        (Dataset::Pubmed, 1.0),
+        (Dataset::Ppi, 0.05),
+        (Dataset::Reddit, 0.002),
+        (Dataset::Reddit, 0.005),
+    ];
+    for (dataset, scale) in cases {
+        let spec = dataset.spec().scaled(scale);
+        let seed = 1;
+        let (new, old) = if spec.uniform_frac > 0.0 {
+            let args = (spec.vertices, spec.edges, spec.degree_gamma, spec.uniform_frac, seed);
+            (
+                generate::mixed_powerlaw(args.0, args.1, args.2, args.3, args.4),
+                oracle::mixed_powerlaw(args.0, args.1, args.2, args.3, args.4),
+            )
+        } else {
+            let args = (spec.vertices, spec.edges, spec.degree_gamma, seed);
+            (
+                generate::powerlaw_chung_lu(args.0, args.1, args.2, args.3),
+                oracle::powerlaw_chung_lu(args.0, args.1, args.2, args.3),
+            )
+        };
+        assert!(new == old, "{} at scale {scale} differs from the oracle", dataset.name());
+    }
+}
+
+#[test]
+fn widening_edge_paths_match_the_oracle() {
+    // Saturated heavy-tailed graphs outlast 50 rounds, so the widening
+    // branch fires. Both ways the pending edge can be merged must occur:
+    // by the next round's dedup, and by the final truncation only.
+    let mut pushed = false;
+    let mut pending_at_exit = false;
+    for (n, m, gamma, seed) in [(40, 1000, 2.0, 1), (64, 2016, 1.5, 2), (30, 400, 2.0, 7919)] {
+        let (old, widening) = oracle::powerlaw_chung_lu_traced(n, m, gamma, seed);
+        assert_eq!(generate::powerlaw_chung_lu(n, m, gamma, seed), old, "n {n} m {m}");
+        pushed |= widening.pushed > 0;
+        pending_at_exit |= widening.pending_at_exit;
+    }
+    assert!(pushed, "no case reached the widening branch");
+    assert!(pending_at_exit, "no case exited with an unmerged widening edge");
+}

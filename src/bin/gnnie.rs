@@ -665,6 +665,13 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
         config.sim_threads = threads;
     }
     config.chips = parse_chips(flags)?;
+    let vertices = ds.graph.num_vertices();
+    if config.chips > vertices {
+        return Err(format!(
+            "--chips {} exceeds the graph's {vertices} vertices (each chip needs at least one)",
+            config.chips
+        ));
+    }
     if let Some(kind) = parse_partitioner(flags)? {
         // A partitioner only runs when the graph is actually split, so
         // accepting it on a single-chip run would silently do nothing.
@@ -1166,7 +1173,10 @@ fn cmd_verify(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     let seed = parse_seed(flags)?;
     let vertices: usize = flags.get("vertices").map_or(Ok(300), |s| {
-        s.parse().map_err(|_| format!("--vertices must be an integer, got `{s}`"))
+        s.parse()
+            .ok()
+            .filter(|&n| n >= 2)
+            .ok_or_else(|| format!("--vertices must be an integer of at least 2, got `{s}`"))
     })?;
     let edges: usize = flags.get("edges").map_or(Ok(vertices * 6), |s| {
         s.parse().map_err(|_| format!("--edges must be an integer, got `{s}`"))

@@ -156,6 +156,8 @@ fn chips_and_partitioner_flags_are_validated_by_name() {
         ("--chips", "0", &["--chips", "positive integer", "`0`"]),
         ("--chips", "many", &["--chips", "positive integer", "`many`"]),
         ("--partitioner", "metis", &["--partitioner", "metis", "range|edgecut"]),
+        // Cora at scale 0.05 has 135 vertices: more chips than that is an error.
+        ("--chips", "4000", &["--chips 4000", "135 vertices"]),
     ];
     for (flag, value, needles) in cases {
         let out = run_args(&[
@@ -175,6 +177,21 @@ fn chips_and_partitioner_flags_are_validated_by_name() {
             assert!(stderr.contains(needle), "{flag} {value}: `{needle}` missing:\n{stderr}");
         }
     }
+}
+
+#[test]
+fn verify_rejects_fewer_than_two_vertices_by_name() {
+    for vertices in ["0", "1"] {
+        let out = run_args(&["verify", "--model", "gcn", "--vertices", vertices]);
+        assert_eq!(out.status.code(), Some(1), "--vertices {vertices} must exit 1, not panic");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--vertices") && stderr.contains("at least 2"),
+            "--vertices {vertices}:\n{stderr}"
+        );
+    }
+    let ok = run_args(&["verify", "--model", "gcn", "--vertices", "2"]);
+    assert!(ok.status.success(), "{}", String::from_utf8_lossy(&ok.stderr));
 }
 
 #[test]
