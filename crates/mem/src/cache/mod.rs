@@ -43,7 +43,7 @@ use gnnie_graph::CsrGraph;
 use gnnie_tensor::stats::Histogram;
 
 use crate::dram::{DramCounters, HbmModel};
-use crate::par::{SimPool, SimThreads};
+use crate::par::SimThreads;
 
 /// Configuration for the cache simulation (shared by every policy).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -68,9 +68,9 @@ pub struct CacheConfig {
     /// Record α histograms for at most this many Rounds (Fig. 10).
     pub max_alpha_hist_rounds: usize,
     /// Worker threads for the sharded per-vertex scans of the walk
-    /// (edge-index construction, α initialization, the per-Round α
-    /// histograms). Results are bit-identical at any setting; the
-    /// engine threads its own knob through here.
+    /// (α initialization, the per-Round α histograms). Results are
+    /// bit-identical at any setting; the engine threads its own knob
+    /// through here.
     pub sim_threads: SimThreads,
 }
 
@@ -191,89 +191,32 @@ impl CacheSimResult {
 
 /// Builds the undirected edge-id map: entry `p` of the flat CSR neighbor
 /// array gets the id of its undirected edge, so each edge has one id shared
-/// by both directions. Ids are dense in `0..num_edges`.
+/// by both directions. Ids are dense in `0..num_edges`, handed out in
+/// storage order of the forward entries (`u < v`).
+///
+/// One linear pass: adjacency lists are sorted, so the reverse entries
+/// of `v` (those `u < v`) form a prefix of its list and arrive in
+/// ascending `u` — exactly the order a single cursor per vertex visits
+/// them.
 pub fn build_edge_index(g: &CsrGraph) -> Vec<u32> {
-    let n = g.num_vertices();
     let offsets = g.offsets();
     let mut ids = vec![u32::MAX; g.neighbors_flat().len()];
+    // Next unfilled reverse slot of each vertex.
+    let mut fill: Vec<usize> = offsets[..g.num_vertices()].to_vec();
     let mut next = 0u32;
-    for u in 0..n {
-        let nbrs = g.neighbors(u);
-        for (i, &v) in nbrs.iter().enumerate() {
-            let pos = offsets[u] + i;
+    for u in 0..g.num_vertices() {
+        for (i, &v) in g.neighbors(u).iter().enumerate() {
             if (u as u32) < v {
-                ids[pos] = next;
+                let v = v as usize;
+                ids[offsets[u] + i] = next;
+                ids[fill[v]] = next;
+                fill[v] += 1;
                 next += 1;
-            } else {
-                // The reverse direction (v -> u) was assigned when v < u was
-                // processed; find u's slot in v's list.
-                let vn = g.neighbors(v as usize);
-                let j = vn
-                    .binary_search(&(u as u32))
-                    .expect("symmetric adjacency guarantees the reverse entry");
-                ids[pos] = ids[offsets[v as usize] + j];
             }
         }
     }
     debug_assert_eq!(next as usize, g.num_edges());
     ids
-}
-
-/// [`build_edge_index`] sharded over `pool`, bit-identical to the serial
-/// pass for any worker count.
-///
-/// The serial scan hands out ids in storage order to every *forward*
-/// entry (`u < v`), then copies them to the reverse entries. Because
-/// adjacency lists are sorted, a vertex's forward entries are the suffix
-/// of its list, so the id of the forward entry at position `i` of vertex
-/// `u` is a closed form — `base[u] + (i - split[u])`, with `base` the
-/// prefix sum of per-vertex forward counts — and both directions can be
-/// filled independently per contiguous vertex range.
-pub fn build_edge_index_pooled(g: &CsrGraph, pool: &SimPool) -> Vec<u32> {
-    if pool.width() == 1 {
-        return build_edge_index(g);
-    }
-    let n = g.num_vertices();
-    let offsets = g.offsets();
-    // Phase 1 (sharded): where each vertex's forward suffix starts.
-    let split: Vec<usize> = pool
-        .map_ranges(n, |r| {
-            r.map(|u| g.neighbors(u).partition_point(|&v| v <= u as u32)).collect::<Vec<_>>()
-        })
-        .concat();
-    // Phase 2 (serial O(V) prefix sum): first forward id per vertex.
-    let mut base = Vec::with_capacity(n + 1);
-    let mut next = 0u32;
-    for (u, &s) in split.iter().enumerate() {
-        base.push(next);
-        next += (g.degree(u) - s) as u32;
-    }
-    base.push(next);
-    debug_assert_eq!(next as usize, g.num_edges());
-    // Phase 3 (sharded): fill each vertex range's contiguous slice of the
-    // id array; shard order concatenation restores storage order.
-    pool.map_ranges(n, |range| {
-        let mut slab = Vec::with_capacity(offsets[range.end] - offsets[range.start]);
-        for u in range {
-            let nbrs = g.neighbors(u);
-            for (i, &v) in nbrs.iter().enumerate() {
-                slab.push(if i >= split[u] {
-                    base[u] + (i - split[u]) as u32
-                } else if v < u as u32 {
-                    let vi = v as usize;
-                    let j = g
-                        .neighbors(vi)
-                        .binary_search(&(u as u32))
-                        .expect("symmetric adjacency guarantees the reverse entry");
-                    base[vi] + (j - split[vi]) as u32
-                } else {
-                    u32::MAX // self-loop entry; unreachable on valid CSR input
-                });
-            }
-        }
-        slab
-    })
-    .concat()
 }
 
 /// The paper's §VI cache simulator: a [`CacheSim`] walk driven by the
@@ -412,18 +355,40 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pooled_edge_index_matches_serial_at_any_width() {
-        for seed in [3u64, 11, 29] {
-            let g = reordered(&generate::powerlaw_chung_lu(300, 1500, 2.0, seed));
-            let serial = build_edge_index(&g);
-            assert_eq!(build_edge_index_pooled(&g, &SimPool::serial()), serial);
-            for width in [2usize, 3, 8] {
-                let pooled =
-                    build_edge_index_pooled(&g, &SimPool::new(SimThreads::Fixed(width)));
-                assert_eq!(pooled, serial, "width {width}, seed {seed}");
+    /// The original builder: ids in storage order of the forward
+    /// entries, each reverse entry found by binary search.
+    fn edge_index_by_binary_search(g: &CsrGraph) -> Vec<u32> {
+        let offsets = g.offsets();
+        let mut ids = vec![u32::MAX; g.neighbors_flat().len()];
+        let mut next = 0u32;
+        for u in 0..g.num_vertices() {
+            for (i, &v) in g.neighbors(u).iter().enumerate() {
+                let pos = offsets[u] + i;
+                if (u as u32) < v {
+                    ids[pos] = next;
+                    next += 1;
+                } else {
+                    let j = g.neighbors(v as usize).binary_search(&(u as u32)).unwrap();
+                    ids[pos] = ids[offsets[v as usize] + j];
+                }
             }
         }
+        ids
+    }
+
+    #[test]
+    fn edge_index_matches_the_binary_search_reference() {
+        for seed in [3u64, 11, 29] {
+            let g = reordered(&generate::powerlaw_chung_lu(300, 1500, 2.0, seed));
+            assert_eq!(build_edge_index(&g), edge_index_by_binary_search(&g), "seed {seed}");
+        }
+        let er = generate::erdos_renyi(200, 900, 5);
+        assert_eq!(build_edge_index(&er), edge_index_by_binary_search(&er));
+        // Isolated vertices and an empty graph.
+        let sparse = CsrGraph::from_edges(9, [(0, 8), (2, 8), (2, 3)]);
+        assert_eq!(build_edge_index(&sparse), edge_index_by_binary_search(&sparse));
+        let empty = CsrGraph::from_edges(4, std::iter::empty());
+        assert!(build_edge_index(&empty).is_empty());
     }
 
     #[test]

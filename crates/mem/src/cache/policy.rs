@@ -157,6 +157,12 @@ pub trait CachePolicy {
     /// Appends up to `max_victims` eviction victims from `cached` to
     /// `out`, in eviction order. Returning no victims while the cache is
     /// full stalls the stream (see [`on_deadlock`](CachePolicy::on_deadlock)).
+    ///
+    /// `cached` holds the resident set, each vertex once, in arrival
+    /// order: removals (evictions, retirements) keep the survivors'
+    /// relative order. That order carries no ranking — a policy must
+    /// order its own victims, by id, by its own key, or by state it
+    /// keeps itself (as the FIFO example above does with its queue).
     fn select_victims(
         &mut self,
         cached: &[u32],
@@ -180,12 +186,70 @@ pub trait CachePolicy {
     }
 }
 
+/// Keeps the `k` least entries of `out[start..]` under `key`, sorted
+/// ascending — what a full sort followed by a truncation to `start + k`
+/// leaves — with a linear partial select and a sort of the `k`
+/// survivors only. `key` must be injective over the entries, so the
+/// result does not depend on their incoming order.
+fn keep_least_sorted<K: Ord>(
+    out: &mut Vec<u32>,
+    start: usize,
+    k: usize,
+    key: impl Fn(u32) -> K,
+) {
+    if k == 0 {
+        out.truncate(start);
+        return;
+    }
+    let tail = &mut out[start..];
+    if tail.len() > k {
+        tail.select_nth_unstable_by_key(k - 1, |&v| key(v));
+        out.truncate(start + k);
+    }
+    out[start..].sort_unstable_by_key(|&v| key(v));
+}
+
+/// The α/γ rule shared by [`PaperAlphaGamma`], [`DegreePinned`] and
+/// [`WorkloadSplit`]: victims are the cached vertices with `α < γ` at or
+/// above the pin quota (0 pins nothing), in dictionary order; deadlock
+/// raises γ.
+#[derive(Debug, Clone, Default)]
+struct AlphaGamma {
+    gamma: u32,
+    quota: u32,
+}
+
+impl AlphaGamma {
+    fn select_victims(
+        &self,
+        cached: &[u32],
+        max_victims: usize,
+        alpha: &[u32],
+        out: &mut Vec<u32>,
+    ) {
+        let start = out.len();
+        out.extend(
+            cached
+                .iter()
+                .copied()
+                .filter(|&v| v >= self.quota && alpha[v as usize] < self.gamma),
+        );
+        keep_least_sorted(out, start, max_victims, |v| v);
+    }
+
+    /// The paper's dynamic raise: double γ (at least +1) and retry.
+    fn on_deadlock(&mut self) -> bool {
+        self.gamma = self.gamma.saturating_mul(2).max(self.gamma.saturating_add(1));
+        true
+    }
+}
+
 /// The paper's §VI degree-aware policy: evict cached vertices with
 /// `α < γ` (up to `r` per iteration, dictionary order); on deadlock —
 /// full cache, nothing below threshold — double γ and retry.
 #[derive(Debug, Clone, Default)]
 pub struct PaperAlphaGamma {
-    gamma: u32,
+    rule: AlphaGamma,
 }
 
 impl PaperAlphaGamma {
@@ -201,7 +265,7 @@ impl CachePolicy for PaperAlphaGamma {
     }
 
     fn reset(&mut self, _graph: &CsrGraph, config: &CacheConfig) {
-        self.gamma = config.gamma;
+        self.rule = AlphaGamma { gamma: config.gamma, quota: 0 };
     }
 
     fn select_victims(
@@ -211,18 +275,15 @@ impl CachePolicy for PaperAlphaGamma {
         ctx: &PolicyCtx,
         out: &mut Vec<u32>,
     ) {
-        out.extend(cached.iter().copied().filter(|&v| ctx.alpha[v as usize] < self.gamma));
-        out.sort_unstable();
-        out.truncate(max_victims);
+        self.rule.select_victims(cached, max_victims, ctx.alpha, out);
     }
 
     fn on_deadlock(&mut self, _ctx: &PolicyCtx) -> bool {
-        self.gamma = self.gamma.saturating_mul(2).max(self.gamma.saturating_add(1));
-        true
+        self.rule.on_deadlock()
     }
 
     fn current_gamma(&self) -> Option<u32> {
-        Some(self.gamma)
+        Some(self.rule.gamma)
     }
 }
 
@@ -234,9 +295,9 @@ fn evict_least_by_key<K: Ord>(
     key: impl Fn(u32) -> K,
     out: &mut Vec<u32>,
 ) {
-    let mut ranked: Vec<u32> = cached.to_vec();
-    ranked.sort_unstable_by_key(|&v| (key(v), v));
-    out.extend(ranked.into_iter().take(max_victims));
+    let start = out.len();
+    out.extend_from_slice(cached);
+    keep_least_sorted(out, start, max_victims, |v| (key(v), v));
 }
 
 /// Least-recently-used: once the cache is full, evict the vertices whose
@@ -418,8 +479,7 @@ impl CachePolicy for BeladyOracle {
 /// traffic stays sequential.
 #[derive(Debug, Clone, Default)]
 pub struct DegreePinned {
-    gamma: u32,
-    quota: u32,
+    rule: AlphaGamma,
 }
 
 impl DegreePinned {
@@ -436,8 +496,8 @@ impl CachePolicy for DegreePinned {
     }
 
     fn reset(&mut self, _graph: &CsrGraph, config: &CacheConfig) {
-        self.gamma = config.gamma;
-        self.quota = (config.capacity_vertices / 4) as u32;
+        let quota = (config.capacity_vertices / 4) as u32;
+        self.rule = AlphaGamma { gamma: config.gamma, quota };
     }
 
     fn select_victims(
@@ -447,23 +507,15 @@ impl CachePolicy for DegreePinned {
         ctx: &PolicyCtx,
         out: &mut Vec<u32>,
     ) {
-        out.extend(
-            cached
-                .iter()
-                .copied()
-                .filter(|&v| v >= self.quota && ctx.alpha[v as usize] < self.gamma),
-        );
-        out.sort_unstable();
-        out.truncate(max_victims);
+        self.rule.select_victims(cached, max_victims, ctx.alpha, out);
     }
 
     fn on_deadlock(&mut self, _ctx: &PolicyCtx) -> bool {
-        self.gamma = self.gamma.saturating_mul(2).max(self.gamma.saturating_add(1));
-        true
+        self.rule.on_deadlock()
     }
 
     fn current_gamma(&self) -> Option<u32> {
-        Some(self.gamma)
+        Some(self.rule.gamma)
     }
 }
 
@@ -476,8 +528,7 @@ impl CachePolicy for DegreePinned {
 /// toward the plain α/γ policy.
 #[derive(Debug, Clone, Default)]
 pub struct WorkloadSplit {
-    gamma: u32,
-    quota: u32,
+    rule: AlphaGamma,
 }
 
 impl WorkloadSplit {
@@ -493,9 +544,9 @@ impl CachePolicy for WorkloadSplit {
     }
 
     fn reset(&mut self, graph: &CsrGraph, config: &CacheConfig) {
-        self.gamma = config.gamma;
         let hot = crate::tier::hot_prefix_len(graph, 1, 2);
-        self.quota = hot.min((config.capacity_vertices / 2) as u64) as u32;
+        let quota = hot.min((config.capacity_vertices / 2) as u64) as u32;
+        self.rule = AlphaGamma { gamma: config.gamma, quota };
     }
 
     fn select_victims(
@@ -505,23 +556,15 @@ impl CachePolicy for WorkloadSplit {
         ctx: &PolicyCtx,
         out: &mut Vec<u32>,
     ) {
-        out.extend(
-            cached
-                .iter()
-                .copied()
-                .filter(|&v| v >= self.quota && ctx.alpha[v as usize] < self.gamma),
-        );
-        out.sort_unstable();
-        out.truncate(max_victims);
+        self.rule.select_victims(cached, max_victims, ctx.alpha, out);
     }
 
     fn on_deadlock(&mut self, _ctx: &PolicyCtx) -> bool {
-        self.gamma = self.gamma.saturating_mul(2).max(self.gamma.saturating_add(1));
-        true
+        self.rule.on_deadlock()
     }
 
     fn current_gamma(&self) -> Option<u32> {
-        Some(self.gamma)
+        Some(self.rule.gamma)
     }
 }
 
@@ -606,6 +649,8 @@ impl std::str::FromStr for CachePolicyKind {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn ctx_fixture<'a>(
@@ -733,5 +778,55 @@ mod tests {
         // is undone so distance 2), 3 waits for 4 (distance 4).
         p.select_victims(&[0, 1, 3], 1, &ctx, &mut out);
         assert_eq!(out, vec![0], "vertex 0's next use is furthest out");
+    }
+
+    /// First occurrences of each id, in draw order: an arrival-ordered
+    /// resident set.
+    fn distinct(raw: Vec<u32>) -> Vec<u32> {
+        let mut seen = [false; 64];
+        raw.into_iter().filter(|&v| !std::mem::replace(&mut seen[v as usize], true)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The partial selects agree with the full-sort reference at every
+        /// victim budget: 0, 1, exactly the resident count, beyond it
+        /// (where an unguarded `select_nth_unstable` would panic), and a
+        /// random one. Victims are appended after whatever `out` held.
+        #[test]
+        fn partial_selection_matches_the_full_sort_reference(
+            raw in prop::collection::vec(0u32..64, 0..48),
+            alpha in prop::collection::vec(0u32..8, 64),
+            keys in prop::collection::vec(0u64..4, 64),
+            gamma in 0u32..10,
+            quota in 0u32..64,
+            drawn in 0usize..64,
+        ) {
+            let cached = distinct(raw);
+            let rule = AlphaGamma { gamma, quota };
+            let prefix = [u32::MAX];
+            for max_victims in [0, 1, cached.len(), cached.len() + 1, drawn] {
+                let mut want: Vec<u32> = cached
+                    .iter()
+                    .copied()
+                    .filter(|&v| v >= quota && alpha[v as usize] < gamma)
+                    .collect();
+                want.sort_unstable();
+                want.truncate(max_victims);
+                let mut got = prefix.to_vec();
+                rule.select_victims(&cached, max_victims, &alpha, &mut got);
+                prop_assert_eq!(&got[..1], &prefix[..], "α/γ prefix at budget {}", max_victims);
+                prop_assert_eq!(&got[1..], &want[..], "α/γ at budget {}", max_victims);
+
+                let mut want = cached.clone();
+                want.sort_unstable_by_key(|&v| (keys[v as usize], v));
+                want.truncate(max_victims);
+                let mut got = prefix.to_vec();
+                evict_least_by_key(&cached, max_victims, |v| keys[v as usize], &mut got);
+                prop_assert_eq!(&got[..1], &prefix[..], "by-key prefix at budget {}", max_victims);
+                prop_assert_eq!(&got[1..], &want[..], "by key at budget {}", max_victims);
+            }
+        }
     }
 }

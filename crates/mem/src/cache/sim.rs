@@ -36,7 +36,7 @@ use crate::par::SimPool;
 use crate::tier::{MemoryHierarchy, VertexMemory};
 
 use super::policy::{CachePolicy, PolicyCtx};
-use super::{build_edge_index_pooled, CacheConfig, CacheSimResult, IterationStats};
+use super::{build_edge_index, CacheConfig, CacheSimResult, IterationStats};
 
 /// Locality class of a vertex's spilled partial sum, set at eviction time
 /// and consumed (as the reload's traffic class) at refetch time.
@@ -118,7 +118,7 @@ impl<'a> CacheSim<'a> {
     pub fn new(graph: &'a CsrGraph, config: CacheConfig) -> Self {
         config.validate();
         let pool = SimPool::new(config.sim_threads);
-        let edge_ids = build_edge_index_pooled(graph, &pool);
+        let edge_ids = build_edge_index(graph);
         Self { graph, config, edge_ids, pool }
     }
 
@@ -537,8 +537,6 @@ impl<'a> CacheSim<'a> {
                 if !in_cache[vi] {
                     continue; // duplicate victim from a sloppy policy
                 }
-                let pos = cached.iter().position(|&c| c == v).expect("victim is cached");
-                cached.swap_remove(pos);
                 writeback(
                     vi,
                     ordered,
@@ -552,6 +550,9 @@ impl<'a> CacheSim<'a> {
                 );
                 policy.on_leave(v);
             }
+            // One linear pass drops every victim; `cached` keeps arrival
+            // order, which no policy ranks by (see `select_victims`).
+            cached.retain(|&v| in_cache[v as usize]);
         }
 
         result.completed = result.edges_processed == total_edges;

@@ -24,12 +24,13 @@ use std::thread::JoinHandle;
 
 use gnnie_core::config::AcceleratorConfig;
 use gnnie_core::engine::{Engine, RunOptions};
-use gnnie_core::report::InferenceReport;
 use gnnie_core::{SimPool, SimThreads};
 
 use crate::clock::SimClock;
 use crate::online::{OnlineConfig, OnlineReport, RequestCost};
+use crate::pipeline::BatchProfile;
 use crate::request::{InferenceRequest, ModelKey, OnlineRequest};
+use crate::server::report_profile;
 
 /// Daemon parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,12 +80,12 @@ struct ProfileCache {
 }
 
 /// One simulation job: a request run cold or resident, with a slot to
-/// file the report under.
+/// file its profile under.
 struct ProfileJob {
     request: InferenceRequest,
     resident: bool,
     slot: usize,
-    reply: mpsc::Sender<(usize, InferenceReport)>,
+    reply: mpsc::Sender<(usize, BatchProfile)>,
 }
 
 /// The persistent serving daemon. See the module docs.
@@ -132,9 +133,12 @@ impl Daemon {
                         &pool,
                     );
                     session.run_to_completion();
+                    // Reply with the cycle profile only: the full report
+                    // (per-iteration walk stats, α histograms) is dropped
+                    // here instead of piling up until the batch completes.
                     // A dropped collector just means the caller gave up
                     // on this batch of jobs; keep draining.
-                    let _ = job.reply.send((job.slot, session.finish()));
+                    let _ = job.reply.send((job.slot, report_profile(&session.finish())));
                 })
             })
             .collect();
@@ -198,16 +202,16 @@ impl Daemon {
                 }
             }
             drop(reply);
-            let mut reports: Vec<Option<InferenceReport>> = vec![None; 2 * to_profile.len()];
+            let mut profiles: Vec<Option<BatchProfile>> = vec![None; 2 * to_profile.len()];
             for _ in 0..2 * to_profile.len() {
-                let (slot, report) = collect.recv().expect("a daemon worker died mid-batch");
-                reports[slot] = Some(report);
+                let (slot, profile) = collect.recv().expect("a daemon worker died mid-batch");
+                profiles[slot] = Some(profile);
             }
             let mut cache = self.cache.lock().expect("profile cache poisoned");
             for (i, request) in to_profile.iter().enumerate() {
-                let cold = reports[2 * i].take().expect("cold report filed");
-                let resident = reports[2 * i + 1].take().expect("resident report filed");
-                cache.map.insert(key(request), RequestCost::from_reports(&cold, &resident));
+                let cold = profiles[2 * i].take().expect("cold profile filed");
+                let resident = profiles[2 * i + 1].take().expect("resident profile filed");
+                cache.map.insert(key(request), RequestCost::new(cold, resident));
             }
         }
         let cache = self.cache.lock().expect("profile cache poisoned");
