@@ -1,7 +1,7 @@
-//! Criterion microbenchmarks of the simulator's hot kernels: the FM
-//! scheduler, the degree-aware cache walk, the RLC codec, the full
-//! Weighting model, and the linear vs. naïve GAT attention orderings
-//! (the §V-A ablation).
+//! Criterion microbenchmarks of the simulator's hot kernels: the Weighting
+//! block profile and FM scheduler, the degree-aware cache walk, the RLC
+//! codec, the full Weighting model, and the linear vs. naïve GAT attention
+//! orderings (the §V-A ablation).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -19,14 +19,33 @@ use gnnie_tensor::rlc;
 use gnnie_tensor::SparseVec;
 
 fn bench_fm_scheduler(c: &mut Criterion) {
-    let ds = SyntheticDataset::generate(Dataset::Cora, 0.5, 7);
-    let cfg = AcceleratorConfig::paper(Dataset::Cora);
-    let arr = CpeArray::new(&cfg);
-    let profile = BlockProfile::from_sparse(&ds.features, arr.rows());
+    // Cora at half scale, and full-scale Pubmed (19,717 vertices × 16
+    // blocks): the largest session the `serve-mixed` benchmark workload
+    // profiles.
+    let inputs = [(Dataset::Cora, 0.5), (Dataset::Pubmed, 1.0)];
     let mut g = c.benchmark_group("weighting_schedule");
-    for mode in [WeightingMode::Baseline, WeightingMode::Fm, WeightingMode::FmLr] {
-        g.bench_with_input(BenchmarkId::from_parameter(mode), &mode, |b, &mode| {
-            b.iter(|| schedule(black_box(&profile), &arr, mode));
+    for (dataset, scale) in inputs {
+        let ds = SyntheticDataset::generate(dataset, scale, 7);
+        let arr = CpeArray::new(&AcceleratorConfig::paper(dataset));
+        let profile = BlockProfile::from_sparse(&ds.features, arr.rows());
+        for mode in [WeightingMode::Baseline, WeightingMode::Fm, WeightingMode::FmLr] {
+            let id = BenchmarkId::new(format!("{dataset:?}@{scale}"), mode);
+            g.bench_with_input(id, &mode, |b, &mode| {
+                b.iter(|| schedule(black_box(&profile), &arr, mode));
+            });
+        }
+    }
+    g.finish();
+}
+
+fn bench_block_profile(c: &mut Criterion) {
+    let mut g = c.benchmark_group("weighting_block_profile");
+    for (dataset, scale) in [(Dataset::Cora, 0.5), (Dataset::Pubmed, 1.0)] {
+        let ds = SyntheticDataset::generate(dataset, scale, 7);
+        let rows = AcceleratorConfig::paper(dataset).array_rows;
+        let id = BenchmarkId::from_parameter(format!("{dataset:?}@{scale}"));
+        g.bench_with_input(id, &ds.features, |b, features| {
+            b.iter(|| BlockProfile::from_sparse(black_box(features), rows));
         });
     }
     g.finish();
@@ -125,6 +144,7 @@ criterion_group! {
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
     targets = bench_fm_scheduler,
+    bench_block_profile,
     bench_cache_walk,
     bench_rlc_codec,
     bench_weighting_model,

@@ -106,9 +106,10 @@ impl BlockProfile {
     }
 
     /// [`BlockProfile::from_sparse`] with the per-vertex scan sharded
-    /// over `pool`. Shards cover contiguous vertex ranges and each fills
-    /// its own slice of the row-major count array, so the profile is
-    /// bit-identical to the serial build at any worker count.
+    /// over `pool`. One pass over each row's column indices bins every
+    /// nonzero into block `c / k`; shards cover contiguous vertex ranges
+    /// and each fills its own slice of the row-major count array, so the
+    /// profile is bit-identical to the serial build at any worker count.
     ///
     /// # Panics
     ///
@@ -118,17 +119,17 @@ impl BlockProfile {
         let vertices = features.rows();
         let f_in = features.cols();
         let k = div_ceil(f_in.max(1) as u64, array_rows as u64) as usize;
+        let (offsets, cols) = (features.offsets(), features.col_indices());
+        // Column → block, looked up instead of divided per nonzero. Every
+        // column is below `f_in` ≤ `array_rows · k`, so every block index
+        // is below `array_rows`.
+        let block_of: Vec<u32> = (0..f_in).map(|c| (c / k) as u32).collect();
         let nnz: Vec<u32> = pool
             .map_ranges(vertices, |range| {
                 let mut part = vec![0u32; range.len() * array_rows];
-                for (i, v) in range.enumerate() {
-                    for b in 0..array_rows {
-                        let lo = b * k;
-                        if lo >= f_in {
-                            break;
-                        }
-                        let hi = ((b + 1) * k).min(f_in);
-                        part[i * array_rows + b] = features.row_nnz_in_range(v, lo, hi) as u32;
+                for (blocks, v) in part.chunks_exact_mut(array_rows).zip(range) {
+                    for &c in &cols[offsets[v]..offsets[v + 1]] {
+                        blocks[block_of[c as usize] as usize] += 1;
                     }
                 }
                 part
@@ -243,7 +244,7 @@ impl RowSchedule {
 
     /// The slowest row's cycles for one pass — the §IV balancing objective.
     pub fn makespan(&self, arr: &CpeArray) -> u64 {
-        self.per_row_cycles(arr).into_iter().max().unwrap_or(0)
+        makespan(&self.per_row_cycles(arr))
     }
 }
 
@@ -252,109 +253,185 @@ pub fn schedule(profile: &BlockProfile, arr: &CpeArray, mode: WeightingMode) -> 
     schedule_pooled(profile, arr, mode, &SimPool::serial())
 }
 
-/// [`schedule`] with the FM counting sort sharded over `pool` (per-shard
-/// bucket histograms merged in shard order; the block → row assignment
-/// itself stays serial because it threads per-row load state). The
-/// schedule is bit-identical to the serial build at any worker count.
+/// [`schedule`] with the FM modes' profile scan sharded over `pool`: the
+/// FM counting-sort histogram and the pinned placement's per-row cycles
+/// come from one pass whose per-shard results are merged in shard order.
+/// The block → row hand-out is the serial part — it threads per-row load
+/// state from block to block. The schedule is bit-identical to the serial
+/// build at any worker count.
 pub fn schedule_pooled(
     profile: &BlockProfile,
     arr: &CpeArray,
     mode: WeightingMode,
     pool: &SimPool,
 ) -> RowSchedule {
-    let mut rows: Vec<Vec<u32>> = vec![Vec::new(); arr.rows()];
-    match mode {
-        WeightingMode::Baseline => {
-            // Block b is pinned to row b (the natural weight placement).
-            for v in 0..profile.vertices {
-                for b in 0..arr.rows().min(profile.blocks_per_vertex) {
-                    let z = profile.block_nnz(v, b);
-                    if z > 0 {
-                        rows[b].push(z);
-                    }
-                }
-            }
-            RowSchedule { rows, lr_moved_blocks: 0, lr_moves: Vec::new() }
-        }
-        WeightingMode::Fm | WeightingMode::FmLr => {
-            fm_schedule(profile, arr, &mut rows, pool);
-            // FM bins ascending-nnz values onto ascending-MAC row groups;
-            // on degenerate profiles (tiny workloads, single dominant nnz
-            // value) that grouping constraint can lose to the pinned
-            // placement. The flexible-MAC array can always execute the
-            // pinned layout, so take whichever schedule balances better —
-            // this makes "FM never worse than baseline" hold by
-            // construction, matching the paper's framing of FM as a pure
-            // optimization. The comparison is on MAC makespan only: the
-            // psum-stall term of the full pass cost depends on buffer
-            // parameters the simulation supplies later, and makespan is
-            // the §IV objective the FM tests and doctest assert. Ties keep
-            // the FM rows.
-            let mut sched = RowSchedule { rows, lr_moved_blocks: 0, lr_moves: Vec::new() };
-            let pinned = schedule(profile, arr, WeightingMode::Baseline);
-            if pinned.makespan(arr) < sched.makespan(arr) {
-                sched.rows = pinned.rows;
-            }
-            if mode == WeightingMode::FmLr {
-                sched.lr_moves = redistribute(&mut sched.rows, arr, profile.k);
-                sched.lr_moved_blocks = sched.lr_moves.iter().map(|m| m.blocks).sum();
-            }
-            sched
-        }
+    schedule_with_cycles(profile, arr, mode, pool).0
+}
+
+/// `(row, nnz) → cycles` for every block value a profile can hold
+/// (`0..=k`), so the scheduler's inner loops divide nothing.
+struct CycleTable {
+    stride: usize,
+    cycles: Vec<u64>,
+}
+
+impl CycleTable {
+    fn new(arr: &CpeArray, k: usize) -> Self {
+        let cycles = (0..arr.rows())
+            .flat_map(|r| (0..=k).map(move |z| arr.block_cycles(r, z)))
+            .collect();
+        CycleTable { stride: k + 1, cycles }
+    }
+
+    fn get(&self, row: usize, nnz: u32) -> u64 {
+        self.cycles[row * self.stride + nnz as usize]
     }
 }
 
-/// FM workload reordering (§IV-C): counting-sort blocks by nnz (linear
-/// time, the paper's preprocessing), then hand ascending-nnz bins to
-/// ascending-MAC row groups. The bin boundaries are chosen so every group
-/// can finish within the same per-row *cycle* level — crucially, cycles
-/// (`⌈nnz/|MAC|⌉`), not raw nonzeros, because ultra-sparse blocks waste
-/// MAC slots and would overload the small-MAC groups under a plain work
-/// split. A value's population may straddle a boundary (the dense-layer
-/// case where most blocks share one nnz).
-fn fm_schedule(profile: &BlockProfile, arr: &CpeArray, rows: &mut [Vec<u32>], pool: &SimPool) {
-    let k = profile.k.max(1);
-    // Counting sort by nnz value (1..=k; zeros are skipped outright),
-    // sharded: per-shard bucket histograms are accumulated independently
-    // and summed value-by-value in shard order — integer addition, so
-    // the buckets match the serial scan at any worker count.
-    let bucket_parts = pool.map_ranges(profile.nnz.len(), |r| {
-        let mut part: Vec<u64> = vec![0; k + 1];
-        for &z in &profile.nnz[r] {
+/// The slowest row's cycles: the §IV balancing objective.
+fn makespan(row_cycles: &[u64]) -> u64 {
+    row_cycles.iter().copied().max().unwrap_or(0)
+}
+
+/// The schedule for `mode` together with each row's cycles for one pass
+/// (what [`RowSchedule::per_row_cycles`] would recompute).
+fn schedule_with_cycles(
+    profile: &BlockProfile,
+    arr: &CpeArray,
+    mode: WeightingMode,
+    pool: &SimPool,
+) -> (RowSchedule, Vec<u64>) {
+    let table = CycleTable::new(arr, profile.k);
+    if mode == WeightingMode::Baseline {
+        let (rows, cycles) = pinned(profile, arr, &table);
+        return (RowSchedule { rows, lr_moved_blocks: 0, lr_moves: Vec::new() }, cycles);
+    }
+    let (buckets, pinned_cycles) = bin_blocks(profile, arr, &table, pool);
+    let (mut rows, mut cycles) = fm_schedule(profile, arr, &table, &buckets);
+    // FM bins ascending-nnz values onto ascending-MAC row groups; on
+    // degenerate profiles (tiny workloads, single dominant nnz value)
+    // that grouping constraint can lose to the pinned placement. The
+    // flexible-MAC array can always execute the pinned layout, so take
+    // whichever schedule balances better — this makes "FM never worse
+    // than baseline" hold by construction, matching the paper's framing
+    // of FM as a pure optimization. The comparison is on MAC makespan
+    // only: the psum-stall term of the full pass cost depends on buffer
+    // parameters the simulation supplies later, and makespan is the §IV
+    // objective the FM tests and doctest assert. Ties keep the FM rows,
+    // so the pinned rows are built only when they strictly win.
+    if makespan(&pinned_cycles) < makespan(&cycles) {
+        (rows, cycles) = pinned(profile, arr, &table);
+    }
+    let mut sched = RowSchedule { rows, lr_moved_blocks: 0, lr_moves: Vec::new() };
+    if mode == WeightingMode::FmLr {
+        sched.lr_moves = redistribute(&mut sched.rows, &mut cycles, &table, profile.k);
+        sched.lr_moved_blocks = sched.lr_moves.iter().map(|m| m.blocks).sum();
+    }
+    (sched, cycles)
+}
+
+/// The pinned placement (block `b` on row `b`, the natural weight
+/// placement) and its per-row cycles.
+fn pinned(
+    profile: &BlockProfile,
+    arr: &CpeArray,
+    table: &CycleTable,
+) -> (Vec<Vec<u32>>, Vec<u64>) {
+    let mut rows: Vec<Vec<u32>> = vec![Vec::new(); arr.rows()];
+    let mut cycles = vec![0u64; arr.rows()];
+    let pinned = arr.rows().min(profile.blocks_per_vertex);
+    for blocks in profile.nnz.chunks_exact(profile.blocks_per_vertex) {
+        for (b, &z) in blocks[..pinned].iter().enumerate() {
             if z > 0 {
-                part[z as usize] += 1;
+                rows[b].push(z);
+                cycles[b] += table.get(b, z);
             }
         }
-        part
+    }
+    (rows, cycles)
+}
+
+/// One sharded pass over the profile counts the blocks of each
+/// (block index, nnz) pair. Summed over block indices that is the FM
+/// counting-sort histogram (blocks per nnz value `1..=k`; zeros are
+/// skipped outright); weighted by the cycle table it is the pinned
+/// placement's per-row cycles. Per-shard counts are merged in shard
+/// order, so both match a serial scan at any worker count.
+fn bin_blocks(
+    profile: &BlockProfile,
+    arr: &CpeArray,
+    table: &CycleTable,
+    pool: &SimPool,
+) -> (Vec<u64>, Vec<u64>) {
+    let (bpv, stride) = (profile.blocks_per_vertex, profile.k + 1);
+    let parts = pool.map_ranges(profile.vertices, |range| {
+        let mut counts = vec![0u64; bpv * stride];
+        for blocks in profile.nnz[range.start * bpv..range.end * bpv].chunks_exact(bpv) {
+            for (b, &z) in blocks.iter().enumerate() {
+                counts[b * stride + z as usize] += 1;
+            }
+        }
+        counts
     });
-    let mut buckets: Vec<u64> = vec![0; k + 1];
-    for part in &bucket_parts {
-        for (b, p) in buckets.iter_mut().zip(part) {
-            *b += p;
+    let mut counts = vec![0u64; bpv * stride];
+    for part in &parts {
+        counts.iter_mut().zip(part).for_each(|(c, p)| *c += p);
+    }
+    let mut buckets = vec![0u64; stride];
+    let mut cycles = vec![0u64; arr.rows()];
+    for (b, per_value) in counts.chunks_exact(stride).enumerate() {
+        for (z, &n) in per_value.iter().enumerate().skip(1) {
+            buckets[z] += n;
+            if b < arr.rows() {
+                cycles[b] += n * table.get(b, z as u32);
+            }
         }
     }
+    (buckets, cycles)
+}
+
+/// FM workload reordering (§IV-C): given the counting sort of blocks by
+/// nnz (`buckets`, linear time, the paper's preprocessing), hand
+/// ascending-nnz bins to ascending-MAC row groups. The bin boundaries are
+/// chosen so every group can finish within the same per-row *cycle* level
+/// — crucially, cycles (`⌈nnz/|MAC|⌉`), not raw nonzeros, because
+/// ultra-sparse blocks waste MAC slots and would overload the small-MAC
+/// groups under a plain work split. A value's population may straddle a
+/// boundary (the dense-layer case where most blocks share one nnz).
+///
+/// The block → row hand-out is the serial part of the scheduler: each
+/// block goes to the least-loaded row of its group, so it depends on
+/// every block before it. Returns the rows and their per-pass cycles.
+fn fm_schedule(
+    profile: &BlockProfile,
+    arr: &CpeArray,
+    table: &CycleTable,
+    buckets: &[u64],
+) -> (Vec<Vec<u32>>, Vec<u64>) {
+    let k = profile.k;
     let groups = arr.num_groups();
     let group_rows: Vec<Vec<usize>> = (0..groups).map(|g| arr.rows_in_group(g)).collect();
     let group_macs: Vec<u64> =
         (0..groups).map(|g| arr.macs_in_row(group_rows[g][0]) as u64).collect();
     let group_row_count: Vec<u64> = group_rows.iter().map(|r| r.len() as u64).collect();
 
-    // Greedy ascending-value fill at per-row cycle budget `level`:
-    // `splits[z]` = how many blocks of value z each group takes. Returns
-    // None if the budget cannot absorb all blocks (feasibility is
+    // Greedy ascending-value fill at per-row cycle budget `level`.
+    // Returns None if the budget cannot absorb all blocks (feasibility is
     // monotone in `level`, so a binary search finds the minimum).
-    let assign = |level: u64| -> Option<Vec<Vec<(usize, u64)>>> {
-        let mut splits: Vec<Vec<(usize, u64)>> = vec![Vec::new(); k + 1];
+    let assign = |level: u64| -> Option<FmSplit> {
+        let mut runs: Vec<(usize, u64)> = Vec::new();
+        let mut starts: Vec<usize> = Vec::with_capacity(k + 2);
+        starts.push(0);
         let mut g = 0usize;
         let mut used = 0u64;
-        for z in 1..=k {
-            let mut remaining = buckets[z];
+        for (z, &count) in buckets.iter().enumerate() {
+            let mut remaining = count;
             while remaining > 0 {
                 let cost = div_ceil(z as u64, group_macs[g]);
                 let budget = group_row_count[g] * level;
                 let take = ((budget.saturating_sub(used)) / cost).min(remaining);
                 if take > 0 {
-                    splits[z].push((g, take));
+                    runs.push((g, take));
                     used += take * cost;
                     remaining -= take;
                 }
@@ -367,8 +444,9 @@ fn fm_schedule(profile: &BlockProfile, arr: &CpeArray, rows: &mut [Vec<u32>], po
                     }
                 }
             }
+            starts.push(runs.len());
         }
-        Some(splits)
+        Some(FmSplit { runs, starts })
     };
 
     // Upper bound: everything in the first group.
@@ -384,86 +462,113 @@ fn fm_schedule(profile: &BlockProfile, arr: &CpeArray, rows: &mut [Vec<u32>], po
             lo = mid + 1;
         }
     }
-    let splits = assign(lo).expect("binary search ends on a feasible level");
+    let FmSplit { runs, starts } = assign(lo).expect("binary search ends on a feasible level");
 
     // Hand blocks to rows: within a group, each block goes to the
-    // currently least-loaded row (deterministic: ties broken by row
-    // order). Blocks of equal nnz are interchangeable, so consuming the
-    // per-value splits in vertex order is exact.
-    let mut split_cursor: Vec<usize> = vec![0; k + 1];
-    let mut split_used: Vec<u64> = vec![0; k + 1];
+    // currently least-loaded row (deterministic: the strict `<` keeps the
+    // first minimum in row order). Blocks of equal nnz are
+    // interchangeable, so consuming each value's runs in vertex order is
+    // exact. `head[z]` is the run value z is drawing from and `left[z]`
+    // the blocks that run still takes.
+    let mut head: Vec<usize> = starts[..=k].to_vec();
+    let mut left: Vec<u64> =
+        starts.windows(2).map(|w| if w[0] < w[1] { runs[w[0]].1 } else { 0 }).collect();
+    let mut rows: Vec<Vec<u32>> = vec![Vec::new(); arr.rows()];
     let mut row_cycles: Vec<u64> = vec![0; arr.rows()];
-    for v in 0..profile.vertices {
-        for b in 0..profile.blocks_per_vertex {
-            let z = profile.block_nnz(v, b) as usize;
-            if z == 0 {
-                continue;
-            }
-            let cursor = &mut split_cursor[z];
-            let (mut grp, mut quota) = splits[z][*cursor];
-            if split_used[z] >= quota {
-                *cursor += 1;
-                split_used[z] = 0;
-                (grp, quota) = splits[z][*cursor];
-            }
-            debug_assert!(split_used[z] < quota);
-            split_used[z] += 1;
-            let row = *group_rows[grp]
-                .iter()
-                .min_by_key(|&&r| row_cycles[r])
-                .expect("groups are nonempty");
-            row_cycles[row] += arr.block_cycles(row, z);
-            rows[row].push(z as u32);
+    for &z in &profile.nnz {
+        if z == 0 {
+            continue;
         }
+        let zi = z as usize;
+        if left[zi] == 0 {
+            head[zi] += 1;
+            left[zi] = runs[head[zi]].1;
+        }
+        left[zi] -= 1;
+        let candidates = &group_rows[runs[head[zi]].0];
+        let mut row = candidates[0];
+        let mut least = row_cycles[row];
+        for &r in &candidates[1..] {
+            if row_cycles[r] < least {
+                row = r;
+                least = row_cycles[r];
+            }
+        }
+        row_cycles[row] = least + table.get(row, z);
+        rows[row].push(z);
     }
+    (rows, row_cycles)
+}
+
+/// FM's split of the blocks at one cycle level: the (group, quota) runs of
+/// nnz value z are `runs[starts[z]..starts[z + 1]]`.
+struct FmSplit {
+    runs: Vec<(usize, u64)>,
+    starts: Vec<usize>,
 }
 
 /// LR (§IV-C): pair the i-th most loaded row with the i-th least loaded and
 /// greedily move whole blocks from heavy to light while the pair's makespan
 /// shrinks. Each move pays the weight-transfer toll of `⌈k/16⌉` cycles on
-/// the receiving row. Returns the per-pair offload record.
-fn redistribute(rows: &mut [Vec<u32>], arr: &CpeArray, k: usize) -> Vec<LrMove> {
+/// the receiving row. `row_cycles` enters as each row's cycles for one
+/// pass and leaves updated for the moved blocks (tolls excluded). Returns
+/// the per-pair offload record.
+fn redistribute(
+    rows: &mut [Vec<u32>],
+    row_cycles: &mut [u64],
+    table: &CycleTable,
+    k: usize,
+) -> Vec<LrMove> {
     let m = rows.len();
-    let cycles = |r: usize, blocks: &[u32]| -> u64 {
-        blocks.iter().map(|&z| arr.block_cycles(r, z as usize)).sum()
-    };
     let mut order: Vec<usize> = (0..m).collect();
-    let row_cycles: Vec<u64> = (0..m).map(|r| cycles(r, &rows[r])).collect();
     order.sort_by_key(|&r| std::cmp::Reverse(row_cycles[r]));
     let toll = div_ceil(k as u64, LR_WEIGHT_WORDS_PER_CYCLE);
 
+    let mut counts = vec![0usize; k + 1];
     let mut moves = Vec::new();
+    // The pairs are disjoint, so each starts from the carried cycles.
     for i in 0..m / 2 {
-        let heavy = order[i];
-        let light = order[m - 1 - i];
-        if heavy == light {
-            continue;
-        }
-        let mut heavy_c = cycles(heavy, &rows[heavy]);
-        let mut light_c = cycles(light, &rows[light]);
+        let (heavy, light) = (order[i], order[m - 1 - i]);
         // Offload the heavy row's largest blocks first: fewest moves for
-        // the most smoothing.
-        rows[heavy].sort_unstable_by_key(|&z| std::cmp::Reverse(z));
-        let mut moved = 0u64;
-        while let Some(&z) = rows[heavy].first() {
-            let dh = arr.block_cycles(heavy, z as usize);
-            let dl = arr.block_cycles(light, z as usize) + toll;
-            let before = heavy_c.max(light_c);
-            let after = (heavy_c - dh).max(light_c + dl);
-            if after >= before {
+        // the most smoothing. Blocks hold nnz in 1..=k, so a counting sort
+        // orders them (equal values are indistinguishable, so any
+        // descending sort yields the same row).
+        sort_descending(&mut rows[heavy], &mut counts);
+        let (mut heavy_c, mut light_c) = (row_cycles[heavy], row_cycles[light]);
+        let mut moved = 0usize;
+        for &z in &rows[heavy] {
+            let dh = table.get(heavy, z);
+            let dl = table.get(light, z) + toll;
+            if (heavy_c - dh).max(light_c + dl) >= heavy_c.max(light_c) {
                 break;
             }
-            rows[heavy].remove(0);
-            rows[light].push(z);
             heavy_c -= dh;
             light_c += dl;
             moved += 1;
         }
         if moved > 0 {
-            moves.push(LrMove { from_row: heavy, to_row: light, blocks: moved });
+            let offloaded: Vec<u32> = rows[heavy].drain(..moved).collect();
+            rows[light].extend_from_slice(&offloaded);
+            row_cycles[heavy] = heavy_c;
+            row_cycles[light] = light_c - moved as u64 * toll;
+            moves.push(LrMove { from_row: heavy, to_row: light, blocks: moved as u64 });
         }
     }
     moves
+}
+
+/// Sorts block nnz values in `0..counts.len()` into descending order with
+/// a counting sort (`counts` is scratch space).
+fn sort_descending(blocks: &mut [u32], counts: &mut [usize]) {
+    counts.fill(0);
+    for &z in blocks.iter() {
+        counts[z as usize] += 1;
+    }
+    let mut at = 0;
+    for (z, &n) in counts.iter().enumerate().rev() {
+        blocks[at..at + n].fill(z as u32);
+        at += n;
+    }
 }
 
 /// Outcome of the Weighting cycle model for one layer.
@@ -621,9 +726,8 @@ pub fn simulate_weighting_mode_pooled(
     dram: &mut HbmModel,
     pool: &SimPool,
 ) -> WeightingReport {
-    let sched = schedule_pooled(profile, arr, mode, pool);
-    let per_row_cycles = sched.per_row_cycles(arr);
-    let max_row = per_row_cycles.iter().copied().max().unwrap_or(0);
+    let (sched, per_row_cycles) = schedule_with_cycles(profile, arr, mode, pool);
+    let max_row = makespan(&per_row_cycles);
 
     let lr_overhead_cycles =
         sched.lr_moved_blocks * div_ceil(profile.k as u64, LR_WEIGHT_WORDS_PER_CYCLE);

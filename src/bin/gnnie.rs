@@ -618,6 +618,9 @@ fn resolve_run_dataset(flags: &HashMap<String, String>) -> Result<RunDataset, St
     let r = DataSource::file(Path::new(path), fallback, seed)
         .resolve(&registry)
         .map_err(|e| e.to_string())?;
+    if r.dataset().graph.num_vertices() == 0 {
+        return Err(format!("--graph {path}: the graph has no vertices"));
+    }
     note_loaded(&r);
     if r.outcome.recorded_spec {
         let recorded = r.dataset().spec.dataset;

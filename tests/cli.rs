@@ -690,6 +690,24 @@ fn ingest_reports_parse_errors_with_line_numbers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A vertex-less graph file (empty, or comments only) is rejected by
+/// naming `--graph` and the path, not the `--chips` default the user
+/// never passed.
+#[test]
+fn run_rejects_a_vertexless_graph_by_naming_graph() {
+    let dir = tmpdir("vertexless");
+    for (name, content) in [("empty.edges", ""), ("header.edges", "# no edges here\n")] {
+        let path = dir.join(name);
+        std::fs::write(&path, content).unwrap();
+        let out = run_args(&["run", "--model", "gcn", "--graph", path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{name} must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--graph") && stderr.contains(name), "{name}: {stderr}");
+        assert!(!stderr.contains("--chips"), "{name}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// With GNNIE_DATA_DIR set, `run --dataset` must serve the file-backed
 /// graph (what `gnnie datasets` advertises) — and for an exported Table
 /// II dataset the report stays byte-identical to the synthesized run.
