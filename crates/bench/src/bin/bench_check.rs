@@ -6,10 +6,10 @@
 //!             [--write-baselines] <BENCH_artifact.json>...
 //! ```
 //!
-//! For each artifact: reduce it to its headline metrics, compare them
-//! against the checked-in baseline, and print the per-metric delta
-//! table. Any metric more than the tolerance below its baseline fails
-//! the run (exit 1). `--write-baselines` instead rewrites the baseline
+//! For each artifact: read its headline metrics, compare them against
+//! the checked-in baseline, and print the per-metric delta table. Any
+//! metric more than the tolerance below its baseline fails the run
+//! (exit 1). `--write-baselines` instead rewrites the baseline
 //! files from the fresh artifacts — the README's workflow for
 //! intentional trajectory changes.
 
@@ -80,34 +80,23 @@ fn check_one(
     single_core: bool,
 ) -> Result<bool, String> {
     let text = std::fs::read_to_string(artifact).map_err(|e| format!("read: {e}"))?;
-    let json = Json::parse(&text).map_err(|e| format!("parse: {e}"))?;
-    let current = gate::headline_metrics(artifact, &json)?;
     let baseline_path = format!("{baseline_dir}/{}", gate::baseline_file_for(artifact)?);
+    let json = Json::parse(&text).map_err(|e| format!("parse: {e}"))?;
+    let current = gate::read_headline(&json)?;
 
     if write_baselines {
-        // Wall-clock baselines are frozen once committed: never raised (a
-        // fast dev box would bake in a number shared CI runners can never
-        // meet) and never lowered (one slow CI box would silently erode
-        // the gate). Changing them is a manual edit of the baseline file.
-        // Deterministic metrics are refreshed verbatim.
-        let mut to_write = current.clone();
         let prev = std::fs::read_to_string(&baseline_path)
             .ok()
             .and_then(|text| gate::parse_baseline(&text).ok())
             .unwrap_or_default();
-        for m in &mut to_write {
-            if !gate::is_wall_clock(&m.name) {
-                continue;
-            }
-            if let Some(p) = prev.iter().find(|b| b.name == m.name) {
-                if p.value != m.value {
-                    println!(
-                        "  {}: keeping frozen wall-clock baseline {:.4} \
-                         (measured {:.4}; change it by editing {})",
-                        m.name, p.value, m.value, baseline_path
-                    );
-                }
-                m.value = p.value;
+        let to_write = gate::refreshed_baseline(&prev, &current);
+        for (m, (_, kept)) in current.iter().zip(&to_write) {
+            if kept.to_bits() != m.value.to_bits() {
+                println!(
+                    "  {}: keeping frozen wall-clock baseline {kept:.4} \
+                     (measured {:.4}; change it by editing {baseline_path})",
+                    m.name, m.value
+                );
             }
         }
         std::fs::write(&baseline_path, gate::render_baseline(artifact, &to_write))

@@ -23,12 +23,13 @@ pub struct Ctx {
 impl Ctx {
     /// A context with the default seed and the `GNNIE_SCALE` environment
     /// override (if set).
-    pub fn from_env() -> Self {
-        let scale_override = std::env::var("GNNIE_SCALE")
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|&s| s > 0.0 && s <= 1.0);
-        Ctx { seed: HARNESS_SEED, scale_override, cache: Mutex::new(HashMap::new()) }
+    ///
+    /// # Errors
+    ///
+    /// `GNNIE_SCALE` is set but is not a number in `(0, 1]`.
+    pub fn from_env() -> Result<Self, String> {
+        let scale_override = parse_scale(std::env::var("GNNIE_SCALE").ok().as_deref())?;
+        Ok(Ctx { seed: HARNESS_SEED, scale_override, cache: Mutex::new(HashMap::new()) })
     }
 
     /// A context with an explicit scale for every dataset (tests).
@@ -94,9 +95,13 @@ impl Ctx {
     }
 }
 
-impl Default for Ctx {
-    fn default() -> Self {
-        Self::from_env()
+/// The `GNNIE_SCALE` override: `None` when unset, otherwise a number in
+/// `(0, 1]`.
+fn parse_scale(value: Option<&str>) -> Result<Option<f64>, String> {
+    let Some(text) = value else { return Ok(None) };
+    match text.parse::<f64>() {
+        Ok(s) if s > 0.0 && s <= 1.0 => Ok(Some(s)),
+        _ => Err(format!("GNNIE_SCALE must be a number in (0, 1], got `{text}`")),
     }
 }
 

@@ -44,11 +44,11 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
          instead of once per incident edge (paper §V-A)"
             .to_string(),
     );
-    ExperimentResult {
-        id: "Ablation A1",
-        title: "GAT attention: naive vs linear-complexity reordering",
+    ExperimentResult::new(
+        "Ablation A1",
+        "GAT attention: naive vs linear-complexity reordering",
         lines,
-    }
+    )
 }
 
 #[cfg(test)]

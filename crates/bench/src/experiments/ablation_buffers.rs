@@ -107,11 +107,11 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
          256 KiB / 512 KiB split sits on (§VIII-A)"
             .to_string(),
     );
-    ExperimentResult {
-        id: "Ablation A7",
-        title: "Input-buffer size vs cache Rounds and DRAM traffic (§VI)",
+    ExperimentResult::new(
+        "Ablation A7",
+        "Input-buffer size vs cache Rounds and DRAM traffic (§VI)",
         lines,
-    }
+    )
 }
 
 #[cfg(test)]

@@ -132,11 +132,11 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
         ]);
     }
     lines.extend(s.render());
-    ExperimentResult {
-        id: "Ablation CP",
-        title: "Cache replacement policy (α/γ vs LRU/LFU/Belady)",
+    ExperimentResult::new(
+        "Ablation CP",
+        "Cache replacement policy (α/γ vs LRU/LFU/Belady)",
         lines,
-    }
+    )
 }
 
 #[cfg(test)]

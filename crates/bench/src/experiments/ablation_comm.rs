@@ -126,11 +126,11 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
          alternatives"
             .to_string(),
     );
-    ExperimentResult {
-        id: "Ablation A5",
-        title: "Inter-PE communication of load-balancing schemes (§VII)",
+    ExperimentResult::new(
+        "Ablation A5",
+        "Inter-PE communication of load-balancing schemes (§VII)",
         lines,
-    }
+    )
 }
 
 #[cfg(test)]

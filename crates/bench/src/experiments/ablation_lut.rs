@@ -63,7 +63,7 @@ pub fn run(_ctx: &Ctx) -> ExperimentResult {
          a few kilobits of table — the 'accurate, low-area' point of paper §III"
             .to_string(),
     );
-    ExperimentResult { id: "Ablation A2", title: "Exp-LUT size vs GAT softmax accuracy", lines }
+    ExperimentResult::new("Ablation A2", "Exp-LUT size vs GAT softmax accuracy", lines)
 }
 
 #[cfg(test)]

@@ -67,11 +67,11 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
          all of it — no pipeline rebalancing needed (extension of Table III)"
             .to_string(),
     );
-    ExperimentResult {
-        id: "Ablation A8",
-        title: "Multi-head GAT scaling (K heads, extension of Table III)",
+    ExperimentResult::new(
+        "Ablation A8",
+        "Multi-head GAT scaling (K heads, extension of Table III)",
         lines,
-    }
+    )
 }
 
 #[cfg(test)]

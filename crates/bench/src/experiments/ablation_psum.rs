@@ -59,11 +59,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
          buffer sizing trade against each other (§IV-B)"
             .to_string(),
     );
-    ExperimentResult {
-        id: "Ablation A6",
-        title: "MPE psum slots vs Weighting stalls (§IV-B)",
-        lines,
-    }
+    ExperimentResult::new("Ablation A6", "MPE psum slots vs Weighting stalls (§IV-B)", lines)
 }
 
 #[cfg(test)]

@@ -79,11 +79,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
          against history-based caching, quantified"
             .to_string(),
     );
-    ExperimentResult {
-        id: "Ablation A9",
-        title: "Output-buffer psum retention policy (§VI)",
-        lines,
-    }
+    ExperimentResult::new("Ablation A9", "Output-buffer psum retention policy (§VI)", lines)
 }
 
 #[cfg(test)]

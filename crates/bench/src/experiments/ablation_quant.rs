@@ -57,11 +57,7 @@ pub fn run(_ctx: &Ctx) -> ExperimentResult {
          weight-traffic model"
             .to_string(),
     );
-    ExperimentResult {
-        id: "Ablation A3",
-        title: "Weight quantization: traffic vs accuracy",
-        lines,
-    }
+    ExperimentResult::new("Ablation A3", "Weight quantization: traffic vs accuracy", lines)
 }
 
 #[cfg(test)]

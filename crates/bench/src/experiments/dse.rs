@@ -160,11 +160,11 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
          trades some β for more absolute speedup at a still-modest 1216 MACs"
             .to_string(),
     );
-    ExperimentResult {
-        id: "DSE",
-        title: "Design-space exploration of the flexible-MAC configuration",
+    ExperimentResult::new(
+        "DSE",
+        "Design-space exploration of the flexible-MAC configuration",
         lines,
-    }
+    )
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ pub fn run(_ctx: &Ctx) -> ExperimentResult {
          values reprinted from the cited GAT paper)."
             .to_string(),
     );
-    ExperimentResult { id: "Fig. 1", title: "GNN accuracy comparison (PPI)", lines }
+    ExperimentResult::new("Fig. 1", "GNN accuracy comparison (PPI)", lines)
 }
 
 #[cfg(test)]

@@ -39,11 +39,11 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
         ds.features.sparsity() * 100.0
     ));
     lines.push(format!("peak bin: [{:.0}, {:.0})", hist.bin_lo(peak.0), hist.bin_hi(peak.0)));
-    ExperimentResult {
-        id: "Fig. 2",
-        title: "Nonzero histogram for input vertex feature vectors (Cora)",
+    ExperimentResult::new(
+        "Fig. 2",
+        "Nonzero histogram for input vertex feature vectors (Cora)",
         lines,
-    }
+    )
 }
 
 #[cfg(test)]

@@ -62,7 +62,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
          round (peak frequency and max α both decrease)",
         cache.rounds, cache.iterations, cache.refetches
     ));
-    ExperimentResult { id: "Fig. 10", title: "α histogram through Rounds (Pubmed)", lines }
+    ExperimentResult::new("Fig. 10", "α histogram through Rounds (Pubmed)", lines)
 }
 
 #[cfg(test)]

@@ -61,7 +61,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
          choice γ=5 balances traffic against deadlock risk"
             .to_string(),
     );
-    ExperimentResult { id: "Fig. 11", title: "Ablation study on γ", lines }
+    ExperimentResult::new("Fig. 11", "Ablation study on γ", lines)
 }
 
 #[cfg(test)]

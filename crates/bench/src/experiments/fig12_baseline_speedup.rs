@@ -80,11 +80,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
     let mut lines = t.render();
     lines.push(String::new());
     lines.extend(lines_extra);
-    ExperimentResult {
-        id: "Fig. 12",
-        title: "GNNIE performance vs PyG-CPU (a) and PyG-GPU (b)",
-        lines,
-    }
+    ExperimentResult::new("Fig. 12", "GNNIE performance vs PyG-CPU (a) and PyG-GPU (b)", lines)
 }
 
 #[cfg(test)]

@@ -78,11 +78,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
          (paper §VIII-C); AWB-GCN implements only GCNs."
             .to_string(),
     );
-    ExperimentResult {
-        id: "Fig. 13",
-        title: "Performance comparison with HyGCN and AWB-GCN",
-        lines,
-    }
+    ExperimentResult::new("Fig. 13", "Performance comparison with HyGCN and AWB-GCN", lines)
 }
 
 #[cfg(test)]

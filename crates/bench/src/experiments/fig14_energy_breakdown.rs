@@ -44,7 +44,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
          weight-buffer DRAM energy is negligible"
             .to_string(),
     );
-    ExperimentResult { id: "Fig. 14", title: "Energy breakdown for GCN and GAT", lines }
+    ExperimentResult::new("Fig. 14", "Energy breakdown for GCN and GAT", lines)
 }
 
 #[cfg(test)]

@@ -42,11 +42,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
          inferences/kJ; GNNIE leads on every dataset"
             .to_string(),
     );
-    ExperimentResult {
-        id: "Fig. 15",
-        title: "Energy efficiency: GNNIE vs HyGCN vs AWB-GCN",
-        lines,
-    }
+    ExperimentResult::new("Fig. 15", "Energy efficiency: GNNIE vs HyGCN vs AWB-GCN", lines)
 }
 
 #[cfg(test)]

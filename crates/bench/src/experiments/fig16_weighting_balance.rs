@@ -60,11 +60,11 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
     let mut lines = t.render();
     lines.push(String::new());
     lines.extend(summary);
-    ExperimentResult {
-        id: "Fig. 16",
-        title: "CPE row workload in Weighting (baseline / FM / FM+LR)",
+    ExperimentResult::new(
+        "Fig. 16",
+        "CPE row workload in Weighting (baseline / FM / FM+LR)",
         lines,
-    }
+    )
 }
 
 #[cfg(test)]

@@ -64,11 +64,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
          and Design E's flexible MACs achieve the highest β on all datasets"
             .to_string(),
     );
-    ExperimentResult {
-        id: "Fig. 17",
-        title: "Speedup gain vs hardware overhead (Designs B–E)",
-        lines,
-    }
+    ExperimentResult::new("Fig. 17", "Speedup gain vs hardware overhead (Designs B–E)", lines)
 }
 
 #[cfg(test)]

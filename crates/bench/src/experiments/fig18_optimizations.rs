@@ -129,11 +129,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
          scalability of the optimizations"
             .to_string(),
     );
-    ExperimentResult {
-        id: "Fig. 18",
-        title: "Effectiveness of GNNIE's optimization methods",
-        lines: out,
-    }
+    ExperimentResult::new("Fig. 18", "Effectiveness of GNNIE's optimization methods", out)
 }
 
 #[cfg(test)]

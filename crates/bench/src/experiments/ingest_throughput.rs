@@ -27,7 +27,8 @@ use gnnie_ingest::parse::{parse_edge_list, read_binary_csr, scan_edge_list};
 use gnnie_ingest::snapshot::{open_snapshot, read_snapshot, write_snapshot};
 use gnnie_ingest::EdgeListFormat;
 
-use crate::{Ctx, ExperimentResult, Table};
+use crate::json::Json;
+use crate::{Ctx, ExperimentResult, Metric, Table};
 
 /// Full-scale workload: ~40 k vertices / 400 k edges (GNNIE_SCALE
 /// shrinks both linearly; CI runs at 0.1).
@@ -288,8 +289,62 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
     render(&sweep(ctx))
 }
 
-/// Renders an already-computed sweep (the bin reuses one sweep for the
-/// table and the JSON artifact).
+/// The gated headline: deterministic bit-identity flags and wall-clock
+/// speedups. The build maximum skips the `shards = 1` rows, which
+/// measure the serial path against itself (~1x), so a broken
+/// multi-shard path cannot hide behind them.
+///
+/// # Errors
+///
+/// A sweep without multi-shard rows.
+pub fn headline(sweep: &IngestSweep) -> Result<Vec<Metric>, String> {
+    let max_speedup = sweep
+        .rows
+        .iter()
+        .filter(|r| r.shards > 1)
+        .map(|r| r.speedup)
+        .reduce(f64::max)
+        .ok_or("ingest: no multi-shard rows to gate")?;
+    let oc = &sweep.outofcore;
+    Ok(vec![
+        Metric::flag("bit_identical", sweep.rows.iter().all(|r| r.matches_serial)),
+        Metric::wall_clock("max_build_speedup_vs_serial", max_speedup),
+        Metric::flag("outofcore_bit_identical", oc.bit_identical),
+        Metric::wall_clock("outofcore_load_speedup_vs_reparse", oc.load_speedup_vs_reparse),
+    ])
+}
+
+/// The artifact rows: one `build` row per (format, shards), one `cache`
+/// row per cached format, and the `outofcore` row.
+fn json_rows(sweep: &IngestSweep) -> Vec<Json> {
+    let build = sweep.rows.iter().map(|r| {
+        crate::json_obj! {
+            "table": "build", "format": r.format.to_string(), "shards": r.shards,
+            "parse_ms": r.parse_ms, "build_ms": r.build_ms,
+            "serial_build_ms": r.serial_build_ms, "speedup_vs_serial": r.speedup,
+            "matches_serial": r.matches_serial, "vertices": r.vertices,
+            "input_edges": r.input_edges,
+        }
+    });
+    let cache = sweep.cache.iter().map(|c| {
+        crate::json_obj! {
+            "table": "cache", "kind": c.kind, "read_ms": c.read_ms,
+            "text_path_ms": c.text_path_ms,
+        }
+    });
+    let oc = &sweep.outofcore;
+    let outofcore = crate::json_obj! {
+        "table": "outofcore", "vertices": oc.vertices, "input_edges": oc.input_edges,
+        "chunk_bytes": oc.chunk_bytes, "chunked_build_ms": oc.chunked_build_ms,
+        "inmem_build_ms": oc.inmem_build_ms, "bit_identical": oc.bit_identical,
+        "snapshot_load_ms": oc.snapshot_load_ms, "reparse_ms": oc.reparse_ms,
+        "load_speedup_vs_reparse": oc.load_speedup_vs_reparse, "mmap": oc.mmap,
+    };
+    build.chain(cache).chain([outofcore]).collect()
+}
+
+/// Renders an already-computed sweep: the table, its rows, and the
+/// headline.
 pub fn render(sweep: &IngestSweep) -> ExperimentResult {
     let mut t = Table::new(&[
         "format",
@@ -353,11 +408,8 @@ pub fn render(sweep: &IngestSweep) -> ExperimentResult {
          checksummed read"
             .to_string(),
     );
-    ExperimentResult {
-        id: "Ingest",
-        title: "Real-graph ingestion throughput (gnnie-ingest)",
-        lines,
-    }
+    ExperimentResult::new("Ingest", "Real-graph ingestion throughput (gnnie-ingest)", lines)
+        .gated(json_rows(sweep), headline(sweep))
 }
 
 #[cfg(test)]
@@ -367,7 +419,7 @@ mod tests {
     #[test]
     fn sweep_rows_are_bit_identical_and_complete() {
         let ctx = Ctx::with_scale(0.02);
-        let s = sweep(&ctx);
+        let mut s = sweep(&ctx);
         assert_eq!(s.rows.len(), EdgeListFormat::ALL.len() * SHARD_SWEEP.len());
         for r in &s.rows {
             assert!(r.matches_serial, "{} @ {} shards diverged", r.format, r.shards);
@@ -378,6 +430,16 @@ mod tests {
         for c in &s.cache {
             assert!(c.read_ms > 0.0, "{} read not timed", c.kind);
         }
+        // The headline's build maximum skips the shards = 1 rows (~1x by
+        // construction): a broken multi-shard path cannot hide behind them.
+        s.rows.iter_mut().filter(|r| r.shards == 1).for_each(|r| r.speedup = f64::MAX);
+        let m = headline(&s).unwrap();
+        assert_eq!(m[0], Metric::flag("bit_identical", true));
+        assert!(m[1].value < f64::MAX && m[1].kind == crate::MetricKind::WallClock, "{m:?}");
+        let oc_speedup = s.outofcore.load_speedup_vs_reparse;
+        assert_eq!(m[3], Metric::wall_clock("outofcore_load_speedup_vs_reparse", oc_speedup));
+        s.rows.retain(|r| r.shards == 1);
+        assert!(headline(&s).is_err(), "a sweep of trivial rows cannot be gated");
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! One module per table/figure of the paper's evaluation (§VIII), plus
-//! the Fig. 1 background chart. Each module's `run` regenerates the
-//! artifact and returns printable rows with the paper's reported values
-//! alongside the measured ones.
+//! the Fig. 1 background chart, the ablations, the extension benches and
+//! the calibration matrix. Each module's `run` regenerates the artifact
+//! and returns printable rows with the paper's reported values alongside
+//! the measured ones; the six gated modules also return their sweep rows
+//! and headline metrics.
 
 pub mod ablation_attention;
 pub mod ablation_buffers;
@@ -12,6 +14,7 @@ pub mod ablation_multihead;
 pub mod ablation_psum;
 pub mod ablation_psum_policy;
 pub mod ablation_quant;
+pub mod calibrate;
 pub mod dse;
 pub mod fig01_accuracy;
 pub mod fig02_feature_sparsity;

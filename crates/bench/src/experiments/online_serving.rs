@@ -27,7 +27,8 @@ use gnnie_serve::{
 };
 
 use crate::experiments::serving_throughput::same_model_mix;
-use crate::{Ctx, ExperimentResult, Table};
+use crate::json::Json;
+use crate::{Ctx, ExperimentResult, Metric, Table};
 
 /// Arrival rates swept, as multiples of the service rate.
 pub const RATE_FACTORS: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 4.0];
@@ -173,8 +174,53 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
     render(&sweep(ctx))
 }
 
-/// Renders an already-computed sweep (the `online_serving` bin reuses
-/// one sweep for both the table and its JSON artifact).
+/// The gated headline: the sustained rate under the p99 bound and the
+/// static-planner/online cycle ratio. Simulated, deterministic.
+///
+/// # Errors
+///
+/// An empty rate sweep.
+pub fn headline(result: &OnlineServingResult) -> Result<Vec<Metric>, String> {
+    if result.rows.is_empty() {
+        return Err("online: empty sweep".into());
+    }
+    Ok(vec![
+        Metric::deterministic("sustained_rps_at_p99", result.sustained_rps_at_p99),
+        Metric::deterministic(
+            "daemon_vs_static_cycle_ratio",
+            result.daemon_vs_static_cycle_ratio,
+        ),
+    ])
+}
+
+/// The artifact rows: one `rate` row per swept rate and the `summary`
+/// row.
+fn json_rows(result: &OnlineServingResult) -> Vec<Json> {
+    let rates = result.rows.iter().map(|row| {
+        let r = &row.report;
+        crate::json_obj! {
+            "table": "rate", "rate_factor": row.factor, "rate_rps": row.rate_rps,
+            "served": r.outcomes.len(), "rejected": r.rejected.len(),
+            "batches": r.batches.len(), "p50_latency_us": r.p50_latency_s() * 1e6,
+            "p95_latency_us": r.p95_latency_s() * 1e6,
+            "p99_latency_us": r.p99_latency_s() * 1e6,
+            "deadline_hit_rate": r.deadline_hit_rate(), "throughput_rps": r.throughput_rps(),
+            "sustained": row.sustained,
+        }
+    });
+    let summary = crate::json_obj! {
+        "table": "summary", "service_rate_rps": result.service_rate_rps,
+        "p99_bound_us": result.p99_bound_s * 1e6,
+        "sustained_rps_at_p99": result.sustained_rps_at_p99,
+        "static_pipelined_cycles": result.static_pipelined_cycles,
+        "online_makespan_cycles": result.online_makespan_cycles,
+        "daemon_vs_static_cycle_ratio": result.daemon_vs_static_cycle_ratio,
+    };
+    rates.chain([summary]).collect()
+}
+
+/// Renders an already-computed sweep: the table, its rows, and the
+/// headline.
 pub fn render(result: &OnlineServingResult) -> ExperimentResult {
     let mut t = Table::new(&[
         "rate x",
@@ -216,11 +262,12 @@ pub fn render(result: &OnlineServingResult) -> ExperimentResult {
         result.static_pipelined_cycles,
         result.daemon_vs_static_cycle_ratio,
     ));
-    ExperimentResult {
-        id: "Online",
-        title: "Online serving: sustained rate at a p99 bound (gnnie-serve)",
+    ExperimentResult::new(
+        "Online",
+        "Online serving: sustained rate at a p99 bound (gnnie-serve)",
         lines,
-    }
+    )
+    .gated(json_rows(result), headline(result))
 }
 
 #[cfg(test)]
@@ -264,5 +311,15 @@ mod tests {
             result.online_makespan_cycles,
             result.static_pipelined_cycles
         );
+        let ratio = result.daemon_vs_static_cycle_ratio;
+        assert_eq!(
+            headline(&result).unwrap(),
+            vec![
+                Metric::deterministic("sustained_rps_at_p99", result.sustained_rps_at_p99),
+                Metric::deterministic("daemon_vs_static_cycle_ratio", ratio),
+            ]
+        );
+        let empty = OnlineServingResult { rows: Vec::new(), ..result };
+        assert!(headline(&empty).is_err(), "an empty sweep cannot be gated");
     }
 }

@@ -22,7 +22,7 @@ use gnnie_core::SimThreads;
 use gnnie_gnn::model::GnnModel;
 use gnnie_graph::Dataset;
 
-use crate::{Ctx, ExperimentResult, Table};
+use crate::{Ctx, ExperimentResult, Metric, Table};
 
 /// Worker-thread counts swept against the serial path.
 pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -96,8 +96,29 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
     render(&sweep(ctx))
 }
 
-/// Renders an already-computed sweep (the bin reuses one sweep for the
-/// table and the JSON artifact).
+/// The gated headline: the deterministic bit-identity flag and the best
+/// wall-clock speedup. The maximum skips the `threads = 1` rows, which
+/// rerun the serial path (~1x), so a parallel regression cannot hide
+/// behind them.
+///
+/// # Errors
+///
+/// A sweep without multi-thread rows.
+pub fn headline(rows: &[SpeedupRow]) -> Result<Vec<Metric>, String> {
+    let max_speedup = rows
+        .iter()
+        .filter(|r| r.threads > 1)
+        .map(|r| r.speedup)
+        .reduce(f64::max)
+        .ok_or("parallel: no multi-thread rows to gate")?;
+    Ok(vec![
+        Metric::flag("bit_identical", rows.iter().all(|r| r.identical)),
+        Metric::wall_clock("max_speedup_vs_serial", max_speedup),
+    ])
+}
+
+/// Renders an already-computed sweep: the table, its rows, and the
+/// headline. A row that diverged from the serial report fails the run.
 pub fn render(rows: &[SpeedupRow]) -> ExperimentResult {
     let mut t = Table::new(&[
         "dataset",
@@ -129,11 +150,27 @@ pub fn render(rows: &[SpeedupRow]) -> ExperimentResult {
          where forced workers only add scope/spawn overhead)"
             .to_string(),
     );
-    ExperimentResult {
-        id: "Parallel",
-        title: "Parallel simulation speedup (sim-threads sweep)",
+    let json_rows = rows
+        .iter()
+        .map(|r| {
+            crate::json_obj! {
+                "dataset": r.dataset.abbrev(), "threads": r.threads, "run_ms": r.run_ms,
+                "serial_ms": r.serial_ms, "speedup_vs_serial": r.speedup,
+                "identical": r.identical, "total_cycles": r.total_cycles,
+            }
+        })
+        .collect();
+    let mut result = ExperimentResult::new(
+        "Parallel",
+        "Parallel simulation speedup (sim-threads sweep)",
         lines,
+    )
+    .gated(json_rows, headline(rows));
+    if rows.iter().any(|r| !r.identical) {
+        result.failed_check =
+            Some("a sharded run diverged from the serial report (see table)".into());
     }
+    result
 }
 
 #[cfg(test)]
@@ -143,7 +180,7 @@ mod tests {
     #[test]
     fn sweep_rows_are_bit_identical_and_complete() {
         let ctx = Ctx::with_scale(0.02);
-        let rows = sweep(&ctx);
+        let mut rows = sweep(&ctx);
         assert_eq!(rows.len(), Dataset::ALL.len() * THREAD_SWEEP.len());
         for r in &rows {
             assert!(r.identical, "{:?} @ {} threads diverged", r.dataset, r.threads);
@@ -155,5 +192,17 @@ mod tests {
         for chunk in rows.chunks(THREAD_SWEEP.len()) {
             assert!(chunk.iter().all(|r| r.total_cycles == chunk[0].total_cycles));
         }
+        assert!(render(&rows).failed_check.is_none());
+        // The threads = 1 rows rerun the serial path and must not feed the
+        // wall-clock maximum; a divergent row clears the flag and fails
+        // the run, so no artifact is written.
+        rows.iter_mut().filter(|r| r.threads == 1).for_each(|r| r.speedup = f64::MAX);
+        rows[1].identical = false;
+        let m = headline(&rows).unwrap();
+        assert_eq!(m[0], Metric::flag("bit_identical", false));
+        assert!(m[1].value < f64::MAX && m[1].kind == crate::MetricKind::WallClock, "{m:?}");
+        assert!(render(&rows).failed_check.is_some());
+        rows.retain(|r| r.threads == 1);
+        assert!(headline(&rows).is_err(), "a sweep of trivial rows cannot be gated");
     }
 }

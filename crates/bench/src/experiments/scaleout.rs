@@ -19,7 +19,8 @@ use gnnie_core::config::AcceleratorConfig;
 use gnnie_gnn::model::GnnModel;
 use gnnie_graph::{Dataset, GraphPartition, PartitionerKind};
 
-use crate::{Ctx, ExperimentResult, Table};
+use crate::json::Json;
+use crate::{Ctx, ExperimentResult, Metric, Table};
 
 /// Simulated accelerator counts swept per dataset.
 pub const CHIP_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -128,8 +129,46 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
     render(&sweep(ctx), &cut_quality(ctx))
 }
 
-/// Renders already-computed sweeps (the bin reuses one sweep for the
-/// table and the JSON artifact).
+/// The gated headline: the best 4-chip speedup and how many datasets
+/// scale (> 1x) at 4 chips — at least the two large ones. Simulated
+/// cycles, deterministic run to run.
+///
+/// # Errors
+///
+/// A sweep without 4-chip rows.
+pub fn headline(rows: &[ScaleoutRow]) -> Result<Vec<Metric>, String> {
+    let at_4: Vec<f64> = rows.iter().filter(|r| r.chips == 4).map(|r| r.speedup).collect();
+    let max_speedup =
+        at_4.iter().copied().reduce(f64::max).ok_or("scaleout: no 4-chip rows to gate")?;
+    let scaling = at_4.iter().filter(|&&s| s > 1.0).count();
+    Ok(vec![
+        Metric::deterministic("max_speedup_at_4_chips", max_speedup),
+        Metric::deterministic("datasets_scaling_at_4_chips", scaling as f64),
+    ])
+}
+
+/// The artifact rows: one `chips` row per (dataset, chips) and one
+/// `cut_quality` row per (dataset, partitioner).
+fn json_rows(rows: &[ScaleoutRow], cuts: &[CutRow]) -> Vec<Json> {
+    let chips = rows.iter().map(|r| {
+        crate::json_obj! {
+            "table": "chips", "dataset": r.dataset.abbrev(), "chips": r.chips,
+            "total_cycles": r.total_cycles, "speedup_vs_single_chip": r.speedup,
+            "inter_chip_bytes": r.inter_chip_bytes, "inter_chip_cycles": r.inter_chip_cycles,
+        }
+    });
+    let cut_quality = cuts.iter().map(|c| {
+        crate::json_obj! {
+            "table": "cut_quality", "dataset": c.dataset.abbrev(),
+            "partitioner": c.partitioner.name(), "cut_edges": c.cut_edges,
+            "halo_vertices": c.halo_vertices, "total_edges": c.total_edges,
+        }
+    });
+    chips.chain(cut_quality).collect()
+}
+
+/// Renders already-computed sweeps: the tables, their rows, and the
+/// headline.
 pub fn render(rows: &[ScaleoutRow], cuts: &[CutRow]) -> ExperimentResult {
     let mut t = Table::new(&[
         "dataset",
@@ -174,11 +213,12 @@ pub fn render(rows: &[ScaleoutRow], cuts: &[CutRow]) -> ExperimentResult {
          and scale"
             .to_string(),
     );
-    ExperimentResult {
-        id: "Scaleout",
-        title: "Multi-accelerator scale-out (partitioned cache walk)",
+    ExperimentResult::new(
+        "Scaleout",
+        "Multi-accelerator scale-out (partitioned cache walk)",
         lines,
-    }
+    )
+    .gated(json_rows(rows, cuts), headline(rows))
 }
 
 #[cfg(test)]
@@ -202,6 +242,17 @@ mod tests {
                 assert!(r.speedup.is_finite() && r.speedup > 0.0);
             }
         }
+        // The headline reads the 4-chip rows only; without them there is
+        // nothing to gate.
+        let mut rows = rows;
+        rows.iter_mut().filter(|r| r.chips != 4).for_each(|r| r.speedup = f64::MAX);
+        let at_4: Vec<f64> = rows.iter().filter(|r| r.chips == 4).map(|r| r.speedup).collect();
+        let scaling = at_4.iter().filter(|&&s| s > 1.0).count() as f64;
+        let m = headline(&rows).unwrap();
+        assert_eq!(m[0].value, at_4.iter().copied().fold(0.0, f64::max));
+        assert_eq!(m[1], Metric::deterministic("datasets_scaling_at_4_chips", scaling));
+        rows.retain(|r| r.chips != 4);
+        assert!(headline(&rows).is_err());
     }
 
     #[test]

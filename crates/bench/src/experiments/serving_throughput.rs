@@ -24,8 +24,9 @@ use gnnie_gnn::model::GnnModel;
 use gnnie_graph::Dataset;
 use gnnie_serve::{InferenceRequest, SchedulerPolicy, ServeConfig, ServeReport, Server};
 
+use crate::json::Json;
 use crate::table::fmt_count;
-use crate::{Ctx, ExperimentResult, Table};
+use crate::{Ctx, ExperimentResult, Metric, Table};
 
 /// Serving sweeps cap the synthesis scale: request mixes multiply the
 /// per-run cost, and the batching/pipelining trends are scale-stable.
@@ -113,8 +114,50 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
     render(&sweep(ctx))
 }
 
-/// Renders an already-computed sweep (the `serving_throughput` bin
-/// reuses one sweep for both the table and its JSON artifact).
+/// The gated headline, from the *worst* row so no mix can regress
+/// unnoticed. Simulated cycles, deterministic run to run.
+///
+/// # Errors
+///
+/// An empty sweep.
+pub fn headline(rows: &[SweepRow]) -> Result<Vec<Metric>, String> {
+    if rows.is_empty() {
+        return Err("serving: empty sweep".into());
+    }
+    let min = |f: fn(&ServeReport) -> f64| {
+        rows.iter().map(|row| f(&row.report)).fold(f64::INFINITY, f64::min)
+    };
+    Ok(vec![
+        Metric::deterministic("min_speedup_vs_serial", min(ServeReport::speedup_vs_serial)),
+        Metric::deterministic(
+            "min_throughput_inferences_per_s",
+            min(ServeReport::throughput_inferences_per_s),
+        ),
+    ])
+}
+
+fn json_rows(rows: &[SweepRow]) -> Vec<Json> {
+    rows.iter()
+        .map(|row| {
+            let r = &row.report;
+            crate::json_obj! {
+                "mix": row.mix, "policy": row.policy.to_string(), "max_batch": row.max_batch,
+                "batches": r.batches.len(), "requests": r.requests.len(),
+                "pipelined_total_cycles": r.pipelined_total_cycles,
+                "batched_serial_cycles": r.batched_serial_cycles,
+                "serial_total_cycles": r.serial_total_cycles,
+                "speedup_vs_serial": r.speedup_vs_serial(),
+                "weight_load_cycles_saved": r.weight_load_cycles_saved,
+                "p50_latency_us": r.p50_latency_s() * 1e6,
+                "p95_latency_us": r.p95_latency_s() * 1e6,
+                "throughput_inferences_per_s": r.throughput_inferences_per_s(),
+            }
+        })
+        .collect()
+}
+
+/// Renders an already-computed sweep: the table, its rows, and the
+/// headline.
 pub fn render(rows: &[SweepRow]) -> ExperimentResult {
     let mut t = Table::new(&[
         "mix",
@@ -154,11 +197,12 @@ pub fn render(rows: &[SweepRow]) -> ExperimentResult {
          scheduling)"
             .to_string(),
     );
-    ExperimentResult {
-        id: "Serving",
-        title: "Batched + pipelined serving throughput (gnnie-serve)",
+    ExperimentResult::new(
+        "Serving",
+        "Batched + pipelined serving throughput (gnnie-serve)",
         lines,
-    }
+    )
+    .gated(json_rows(rows), headline(rows))
 }
 
 #[cfg(test)]
@@ -193,6 +237,20 @@ mod tests {
         assert_eq!(fifo.weight_load_cycles_saved, 0);
         assert!(aff.weight_load_cycles_saved > 0);
         assert!(aff.pipelined_total_cycles < fifo.pipelined_total_cycles);
+        // The headline takes the worst row: here FIFO's, on both metrics.
+        let (fifo_speedup, fifo_rate) =
+            (fifo.speedup_vs_serial(), fifo.throughput_inferences_per_s());
+        let rows = [(SchedulerPolicy::ModelAffinity, aff), (SchedulerPolicy::Fifo, fifo)].map(
+            |(policy, report)| SweepRow { mix: "interleaved", policy, max_batch: 4, report },
+        );
+        assert_eq!(
+            headline(&rows).unwrap(),
+            vec![
+                Metric::deterministic("min_speedup_vs_serial", fifo_speedup),
+                Metric::deterministic("min_throughput_inferences_per_s", fifo_rate),
+            ]
+        );
+        assert!(headline(&[]).is_err(), "an empty sweep cannot be gated");
         // On the same-model mix the policies coincide.
         let same = same_model_mix(&ctx, 8);
         let f = run_config(&same, SchedulerPolicy::Fifo, 4);

@@ -36,11 +36,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
             format!("{:.2}%", ds.features.sparsity() * 100.0),
         ]);
     }
-    ExperimentResult {
-        id: "Table II",
-        title: "Dataset information (synthetic stand-ins)",
-        lines: t.render(),
-    }
+    ExperimentResult::new("Table II", "Dataset information (synthetic stand-ins)", t.render())
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
          DiffPool pairs a GCN-pool and GCN-embedding stack)",
         spec.feature_len
     ));
-    ExperimentResult { id: "Table III", title: "Convolution layer configurations", lines }
+    ExperimentResult::new("Table III", "Convolution layer configurations", lines)
 }
 
 #[cfg(test)]

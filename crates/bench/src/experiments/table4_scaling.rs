@@ -60,7 +60,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
          (Table IV's 'degrades only moderately', extended)"
             .to_string(),
     );
-    ExperimentResult { id: "Table IV-b", title: "Throughput vs graph scale (extension)", lines }
+    ExperimentResult::new("Table IV-b", "Throughput vs graph scale (extension)", lines)
 }
 
 #[cfg(test)]
@@ -69,7 +69,7 @@ mod tests {
 
     #[test]
     fn degradation_is_moderate_across_the_ramp() {
-        let ctx = Ctx::from_env();
+        let ctx = Ctx::from_env().expect("GNNIE_SCALE, if set, is in (0, 1]");
         let small = run_at_scale(&ctx, 0.02).effective_tops();
         let large = run_at_scale(&ctx, 0.5).effective_tops();
         assert!(small > 0.0 && large > 0.0);

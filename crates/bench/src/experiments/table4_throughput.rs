@@ -37,7 +37,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
          graph size"
             .to_string(),
     );
-    ExperimentResult { id: "Table IV", title: "Throughput for various datasets", lines }
+    ExperimentResult::new("Table IV", "Throughput for various datasets", lines)
 }
 
 #[cfg(test)]

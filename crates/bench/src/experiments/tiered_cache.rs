@@ -24,7 +24,7 @@ use gnnie_gnn::model::GnnModel;
 use gnnie_graph::Dataset;
 use gnnie_mem::{SplitMode, TierSpec};
 
-use crate::{Ctx, ExperimentResult, Table};
+use crate::{Ctx, ExperimentResult, Metric, Table};
 
 /// The capacity splits swept per dataset.
 pub const SPLIT_MODES: [SplitMode; 2] = [SplitMode::Even, SplitMode::Workload];
@@ -85,8 +85,46 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
     render(&sweep(ctx))
 }
 
-/// Renders an already-computed sweep (the bin reuses one sweep for the
-/// table and the JSON artifact).
+/// The gated headline over each dataset's (`even`, `workload`) pair: the
+/// workload split's mean on-chip hit rate, the datasets it wins on total
+/// cycles (the acceptance bar is two), and the mean even/workload cycle
+/// ratio. Simulated cycles, deterministic run to run.
+///
+/// # Errors
+///
+/// A `workload` row without an earlier `even` row, or no pairs.
+pub fn headline(rows: &[TieredRow]) -> Result<Vec<Metric>, String> {
+    let mut hit_sum = 0.0;
+    let mut ratio_sum = 0.0;
+    let mut wins = 0;
+    let mut pairs = 0;
+    for (i, r) in rows.iter().enumerate() {
+        if r.mode != SplitMode::Workload {
+            continue;
+        }
+        let even = rows[..i]
+            .iter()
+            .find(|e| e.mode == SplitMode::Even && e.dataset == r.dataset)
+            .ok_or_else(|| {
+                format!("tiered: workload row for `{}` has no even row", r.dataset.abbrev())
+            })?;
+        hit_sum += r.onchip_hit_rate;
+        ratio_sum += even.total_cycles as f64 / r.total_cycles.max(1) as f64;
+        wins += usize::from(r.total_cycles < even.total_cycles);
+        pairs += 1;
+    }
+    if pairs == 0 {
+        return Err("tiered: no even/workload pairs to gate".into());
+    }
+    Ok(vec![
+        Metric::deterministic("workload_mean_onchip_hit_rate", hit_sum / pairs as f64),
+        Metric::deterministic("datasets_won_by_workload_split", wins as f64),
+        Metric::deterministic("mean_cycle_ratio_even_over_workload", ratio_sum / pairs as f64),
+    ])
+}
+
+/// Renders an already-computed sweep: the table, its rows, and the
+/// headline.
 pub fn render(rows: &[TieredRow]) -> ExperimentResult {
     let mut t = Table::new(&[
         "dataset",
@@ -121,16 +159,57 @@ pub fn render(rows: &[TieredRow]) -> ExperimentResult {
          shrinks it and pays in evictions and deep-tier refetches",
         rows.len() / SPLIT_MODES.len(),
     ));
-    ExperimentResult {
-        id: "Tiered cache",
-        title: "Tiered feature cache (workload-aware vs even capacity split)",
+    let json_rows = rows
+        .iter()
+        .map(|r| {
+            crate::json_obj! {
+                "dataset": r.dataset.abbrev(), "mode": r.mode.name(),
+                "budget_bytes": r.budget_bytes, "onchip_hit_rate": r.onchip_hit_rate,
+                "dram_hit_rate": r.dram_hit_rate, "ssd_read_bytes": r.ssd_read_bytes,
+                "total_cycles": r.total_cycles,
+            }
+        })
+        .collect();
+    ExperimentResult::new(
+        "Tiered cache",
+        "Tiered feature cache (workload-aware vs even capacity split)",
         lines,
-    }
+    )
+    .gated(json_rows, headline(rows))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn headline_pairs_even_and_workload_rows_per_dataset() {
+        let row = |dataset, mode, onchip_hit_rate, total_cycles| TieredRow {
+            dataset,
+            mode,
+            budget_bytes: 1024,
+            onchip_hit_rate,
+            dram_hit_rate: 0.0,
+            ssd_read_bytes: 0,
+            total_cycles,
+        };
+        let rows = [
+            row(Dataset::Cora, SplitMode::Even, 0.10, 1000),
+            row(Dataset::Cora, SplitMode::Workload, 0.60, 800),
+            row(Dataset::Reddit, SplitMode::Even, 0.05, 4000),
+            row(Dataset::Reddit, SplitMode::Workload, 0.40, 5000),
+        ];
+        let m = headline(&rows).unwrap();
+        assert_eq!(m[0], Metric::deterministic("workload_mean_onchip_hit_rate", 0.5));
+        assert_eq!(m[1], Metric::deterministic("datasets_won_by_workload_split", 1.0));
+        // (1000/800 + 4000/5000) / 2 = (1.25 + 0.8) / 2
+        assert!((m[2].value - 1.025).abs() < 1e-12, "{:?}", m[2]);
+        // A workload row with no even partner, and an empty sweep, fail
+        // loudly rather than gating nothing.
+        assert!(headline(&rows[1..2]).is_err());
+        assert!(headline(&rows[2..3]).is_err(), "an even row alone is no pair");
+        assert!(headline(&[]).is_err());
+    }
 
     #[test]
     fn sweep_pairs_every_dataset_and_workload_wins_somewhere() {

@@ -1,18 +1,18 @@
 //! The CI perf-regression gate over the `BENCH_*.json` trajectory.
 //!
-//! CI records three perf artifacts per run — serving throughput, ingest
-//! throughput, and the parallel-simulation speedup — and this module
-//! turns them from *recorded* numbers into *gated* ones: each artifact is
-//! reduced to a few **headline metrics** (all higher-is-better), compared
-//! against the checked-in `bench/baselines/*.json`, and a drop of more
-//! than the tolerance (10% by default) fails the job with a per-metric
-//! delta table. `gnnie-bench --bin bench_check` is the front end.
+//! CI records six perf artifacts per run, one per gated experiment, and
+//! this module turns them from *recorded* numbers into *gated* ones. Every artifact carries its own
+//! headline (see [`crate::BenchReport`]), so the gate is generic: it reads
+//! the headline of any `BENCH_<experiment>.json`, compares it against
+//! `bench/baselines/<experiment>.json`, and a drop of more than the
+//! tolerance (10% by default) fails the job with a per-metric delta
+//! table. `bench_check` is the front end.
 //!
-//! Two kinds of headline metric coexist deliberately:
+//! Each headline metric declares its [`MetricKind`]:
 //!
 //! * **deterministic** metrics (simulated-cycle ratios, bit-identity
-//!   flags) — exact run to run, so their baselines are tight;
-//! * **wall-clock** metrics (build/run speedups measured on the host) —
+//!   flags) are exact run to run, so their baselines are tight;
+//! * **wall-clock** metrics (build/run speedups measured on the host) are
 //!   noisy on shared CI boxes, so their committed baselines are set
 //!   conservatively and only large regressions trip the gate.
 //!
@@ -20,24 +20,10 @@
 //! `--write-baselines` (see the README's bench-gate workflow).
 
 use crate::json::Json;
+use crate::{Metric, MetricKind};
 
 /// Relative drop that fails the gate (10%).
 pub const DEFAULT_TOLERANCE: f64 = 0.10;
-
-/// One headline metric extracted from an artifact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Metric {
-    /// Metric name (stable across runs; the baseline key).
-    pub name: String,
-    /// Measured value (higher is better for every gate metric).
-    pub value: f64,
-}
-
-impl Metric {
-    fn new(name: &str, value: f64) -> Self {
-        Metric { name: name.to_string(), value }
-    }
-}
 
 /// One row of the delta table.
 #[derive(Debug, Clone)]
@@ -50,6 +36,8 @@ pub struct Delta {
     /// The freshly measured value (`None` = metric vanished from the
     /// artifact, which is itself a regression).
     pub current: Option<f64>,
+    /// Whether the measured metric is wall clock (see [`MetricKind`]).
+    pub wall_clock: bool,
     /// Whether this row fails the gate.
     pub regressed: bool,
 }
@@ -65,275 +53,67 @@ impl Delta {
     }
 }
 
-/// The artifact stem (no directory, no `.json`) the gate knows how to
-/// reduce, or `None` for an unknown file.
-fn artifact_stem(artifact: &str) -> Option<&str> {
-    let stem = artifact.rsplit('/').next()?.strip_suffix(".json")?;
-    [
-        "BENCH_serving_throughput",
-        "BENCH_ingest_throughput",
-        "BENCH_parallel_speedup",
-        "BENCH_online_serving",
-        "BENCH_scaleout",
-        "BENCH_tiered_cache",
-    ]
-    .into_iter()
-    .find(|&known| known == stem)
-}
-
-/// The baseline file name for an artifact (`BENCH_foo.json` →
+/// The baseline file name for an artifact (`dir/BENCH_foo.json` →
 /// `foo.json`).
 ///
 /// # Errors
 ///
-/// Unknown artifacts are rejected so a typo in CI fails loudly.
+/// A file not named `BENCH_<experiment>.json`, so a typo in CI fails
+/// loudly.
 pub fn baseline_file_for(artifact: &str) -> Result<String, String> {
-    let stem = artifact_stem(artifact)
-        .ok_or_else(|| format!("`{artifact}` is not a gated BENCH_* artifact"))?;
-    Ok(format!("{}.json", stem.trim_start_matches("BENCH_")))
+    artifact
+        .rsplit('/')
+        .next()
+        .and_then(|file| file.strip_prefix("BENCH_"))
+        .filter(|file| file.len() > ".json".len() && file.ends_with(".json"))
+        .map(str::to_string)
+        .ok_or_else(|| format!("`{artifact}` is not a BENCH_<experiment>.json artifact"))
 }
 
-/// Reduces a parsed artifact to its headline metrics.
+/// Reads the headline back out of a parsed artifact.
 ///
 /// # Errors
 ///
-/// Unknown artifact names, or an artifact whose shape no longer matches
-/// what its bench bin writes.
-pub fn headline_metrics(artifact: &str, json: &Json) -> Result<Vec<Metric>, String> {
-    match artifact_stem(artifact) {
-        Some("BENCH_serving_throughput") => serving_metrics(json),
-        Some("BENCH_ingest_throughput") => ingest_metrics(json),
-        Some("BENCH_parallel_speedup") => parallel_metrics(json),
-        Some("BENCH_online_serving") => online_metrics(json),
-        Some("BENCH_scaleout") => scaleout_metrics(json),
-        Some("BENCH_tiered_cache") => tiered_metrics(json),
-        _ => Err(format!("`{artifact}` is not a gated BENCH_* artifact")),
-    }
-}
-
-fn field(row: &Json, key: &str, what: &str) -> Result<f64, String> {
-    row.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("{what}: row is missing numeric `{key}`"))
-}
-
-fn flag(row: &Json, key: &str, what: &str) -> Result<bool, String> {
-    row.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("{what}: row is missing boolean `{key}`"))
-}
-
-/// Serving: simulated-cycle numbers, deterministic run to run. The gate
-/// takes the *worst* row of the sweep so no mix can regress unnoticed.
-fn serving_metrics(json: &Json) -> Result<Vec<Metric>, String> {
-    let rows = json.as_arr().ok_or("serving artifact: expected a top-level array")?;
-    if rows.is_empty() {
-        return Err("serving artifact: empty sweep".into());
-    }
-    let mut min_speedup = f64::INFINITY;
-    let mut min_throughput = f64::INFINITY;
-    for row in rows {
-        min_speedup = min_speedup.min(field(row, "speedup_vs_serial", "serving")?);
-        min_throughput =
-            min_throughput.min(field(row, "throughput_inferences_per_s", "serving")?);
-    }
-    Ok(vec![
-        Metric::new("min_speedup_vs_serial", min_speedup),
-        Metric::new("min_throughput_inferences_per_s", min_throughput),
-    ])
-}
-
-/// Ingest: the bit-identity flag is deterministic; the build speedup is
-/// wall-clock (conservative baseline). The speedup maximum deliberately
-/// skips the `shards = 1` rows — a one-shard build measures the serial
-/// path against itself (~1x by construction), so including it would let
-/// a broken multi-shard path hide behind the trivial row.
-fn ingest_metrics(json: &Json) -> Result<Vec<Metric>, String> {
-    let rows = json
-        .get("sweep")
+/// A document without a `headline` array, an entry missing its string
+/// `name`, numeric `value` or known `kind`, or an empty headline (the
+/// experiment is not gated).
+pub fn read_headline(doc: &Json) -> Result<Vec<Metric>, String> {
+    let entries = doc
+        .get("headline")
         .and_then(Json::as_arr)
-        .ok_or("ingest artifact: expected a `sweep` array")?;
-    if rows.is_empty() {
-        return Err("ingest artifact: empty sweep".into());
+        .ok_or("expected a `headline` array (is this a gnnie-bench artifact?)")?;
+    if entries.is_empty() {
+        return Err("the headline is empty: this experiment is not gated".into());
     }
-    let mut all_identical = true;
-    let mut max_speedup = f64::NEG_INFINITY;
-    for row in rows {
-        all_identical &= flag(row, "matches_serial", "ingest")?;
-        if field(row, "shards", "ingest")? > 1.0 {
-            max_speedup = max_speedup.max(field(row, "speedup_vs_serial", "ingest")?);
-        }
-    }
-    if max_speedup == f64::NEG_INFINITY {
-        return Err("ingest artifact: no multi-shard rows to gate".into());
-    }
-    // The out-of-core row: the chunked external builder's bit-identity
-    // is deterministic; the snapshot-load-vs-reparse speedup is wall
-    // clock (conservative baseline, demotable on single-core runners).
-    let oc = json.get("outofcore").ok_or("ingest artifact: missing `outofcore` object")?;
-    let oc_identical = flag(oc, "bit_identical", "ingest outofcore")?;
-    let oc_speedup = field(oc, "load_speedup_vs_reparse", "ingest outofcore")?;
-    Ok(vec![
-        Metric::new("bit_identical", f64::from(u8::from(all_identical))),
-        Metric::new("max_build_speedup_vs_serial", max_speedup),
-        Metric::new("outofcore_bit_identical", f64::from(u8::from(oc_identical))),
-        Metric::new("outofcore_load_speedup_vs_reparse", oc_speedup),
-    ])
+    entries
+        .iter()
+        .map(|e| {
+            let name =
+                e.get("name").and_then(Json::as_str).ok_or("headline entry without `name`")?;
+            let value = e
+                .get("value")
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("headline `{name}` has no numeric `value`"))?;
+            let kind = match e.get("kind").and_then(Json::as_str) {
+                Some("deterministic") => MetricKind::Deterministic,
+                Some("wall_clock") => MetricKind::WallClock,
+                _ => return Err(format!("headline `{name}` has no known `kind`")),
+            };
+            Ok(Metric { name: name.to_string(), value, kind })
+        })
+        .collect()
 }
 
-/// Parallel simulation: the equality flag is deterministic; the thread
-/// speedup is wall-clock (conservative baseline). As with ingest, the
-/// maximum skips the `threads = 1` rows — they rerun the serial code
-/// path, so a regression in the actually-parallel path must not be able
-/// to hide behind their ~1x.
-fn parallel_metrics(json: &Json) -> Result<Vec<Metric>, String> {
-    let rows = json.as_arr().ok_or("parallel artifact: expected a top-level array")?;
-    if rows.is_empty() {
-        return Err("parallel artifact: empty sweep".into());
-    }
-    let mut all_identical = true;
-    let mut max_speedup = f64::NEG_INFINITY;
-    for row in rows {
-        all_identical &= flag(row, "identical", "parallel")?;
-        if field(row, "threads", "parallel")? > 1.0 {
-            max_speedup = max_speedup.max(field(row, "speedup_vs_serial", "parallel")?);
-        }
-    }
-    if max_speedup == f64::NEG_INFINITY {
-        return Err("parallel artifact: no multi-thread rows to gate".into());
-    }
-    Ok(vec![
-        Metric::new("bit_identical", f64::from(u8::from(all_identical))),
-        Metric::new("max_speedup_vs_serial", max_speedup),
-    ])
-}
-
-/// Online serving: sustained request rate under the p99 bound and the
-/// online-vs-static-planner cycle ratio. Both are simulated-cycle
-/// numbers — deterministic run to run — so the baselines stay tight.
-fn online_metrics(json: &Json) -> Result<Vec<Metric>, String> {
-    let rows = json
-        .get("sweep")
-        .and_then(Json::as_arr)
-        .ok_or("online artifact: expected a `sweep` array")?;
-    if rows.is_empty() {
-        return Err("online artifact: empty sweep".into());
-    }
-    let sustained = json
-        .get("sustained_rps_at_p99")
-        .and_then(Json::as_f64)
-        .ok_or("online artifact: missing numeric `sustained_rps_at_p99`")?;
-    let ratio = json
-        .get("daemon_vs_static_cycle_ratio")
-        .and_then(Json::as_f64)
-        .ok_or("online artifact: missing numeric `daemon_vs_static_cycle_ratio`")?;
-    Ok(vec![
-        Metric::new("sustained_rps_at_p99", sustained),
-        Metric::new("daemon_vs_static_cycle_ratio", ratio),
-    ])
-}
-
-/// Multi-accelerator scale-out: the best 4-chip simulated-cycle speedup
-/// and how many datasets actually scale (speedup > 1x) at 4 chips — the
-/// acceptance bar is at least the two large datasets. Simulated cycles,
-/// deterministic run to run, so the baselines stay tight.
-fn scaleout_metrics(json: &Json) -> Result<Vec<Metric>, String> {
-    let rows = json
-        .get("sweep")
-        .and_then(Json::as_arr)
-        .ok_or("scaleout artifact: expected a `sweep` array")?;
-    if rows.is_empty() {
-        return Err("scaleout artifact: empty sweep".into());
-    }
-    let mut max_speedup = f64::NEG_INFINITY;
-    let mut scaling_datasets = 0.0;
-    for row in rows {
-        if field(row, "chips", "scaleout")? != 4.0 {
-            continue;
-        }
-        let speedup = field(row, "speedup_vs_single_chip", "scaleout")?;
-        max_speedup = max_speedup.max(speedup);
-        if speedup > 1.0 {
-            scaling_datasets += 1.0;
-        }
-    }
-    if max_speedup == f64::NEG_INFINITY {
-        return Err("scaleout artifact: no 4-chip rows to gate".into());
-    }
-    Ok(vec![
-        Metric::new("max_speedup_at_4_chips", max_speedup),
-        Metric::new("datasets_scaling_at_4_chips", scaling_datasets),
-    ])
-}
-
-/// Tiered feature cache: how well the workload-aware split of one
-/// global budget holds up against the naive even split. The sweep pairs
-/// an `even` and a `workload` row per dataset; the gate reduces the
-/// pairs to the workload split's mean on-chip hit rate, the number of
-/// datasets it wins on total cycles (the acceptance bar is at least
-/// two), and the mean even/workload cycle ratio (> 1 means the workload
-/// split is faster). Simulated cycles, deterministic run to run, so the
-/// baselines stay tight.
-fn tiered_metrics(json: &Json) -> Result<Vec<Metric>, String> {
-    let rows = json
-        .get("sweep")
-        .and_then(Json::as_arr)
-        .ok_or("tiered artifact: expected a `sweep` array")?;
-    // Pair rows by dataset: mode "even" holds the baseline cycles the
-    // matching "workload" row is judged against.
-    let mut even_cycles: Vec<(String, f64)> = Vec::new();
-    let mut hit_sum = 0.0;
-    let mut ratio_sum = 0.0;
-    let mut wins = 0.0;
-    let mut pairs = 0.0;
-    for row in rows {
-        let dataset = match row.get("dataset") {
-            Some(Json::Str(s)) => s.clone(),
-            _ => return Err("tiered artifact: row is missing string `dataset`".into()),
-        };
-        let cycles = field(row, "total_cycles", "tiered")?;
-        match row.get("mode") {
-            Some(Json::Str(m)) if m == "even" => even_cycles.push((dataset, cycles)),
-            Some(Json::Str(m)) if m == "workload" => {
-                let (_, even) =
-                    even_cycles.iter().find(|(d, _)| *d == dataset).ok_or_else(|| {
-                        format!("tiered artifact: workload row for `{dataset}` has no even row")
-                    })?;
-                hit_sum += field(row, "onchip_hit_rate", "tiered")?;
-                ratio_sum += even / cycles.max(1.0);
-                if cycles < *even {
-                    wins += 1.0;
-                }
-                pairs += 1.0;
-            }
-            _ => return Err("tiered artifact: row is missing `mode` even|workload".into()),
-        }
-    }
-    if pairs == 0.0 {
-        return Err("tiered artifact: no even/workload pairs to gate".into());
-    }
-    Ok(vec![
-        Metric::new("workload_mean_onchip_hit_rate", hit_sum / pairs),
-        Metric::new("datasets_won_by_workload_split", wins),
-        Metric::new("mean_cycle_ratio_even_over_workload", ratio_sum / pairs),
-    ])
-}
-
-/// Metrics measured in host wall clock — noisy on shared CI runners, so
-/// their committed baselines stay deliberately conservative. The
-/// `--write-baselines` refresh *freezes* these: a committed value is
-/// kept verbatim, never raised (a fast dev laptop would bake in a
-/// baseline CI can never meet) and never lowered (one slow CI box would
-/// silently erode the gate). Changing them is a manual edit of the
-/// baseline file. Everything else is deterministic and refreshed
-/// verbatim.
-pub fn is_wall_clock(name: &str) -> bool {
-    matches!(
-        name,
-        "max_build_speedup_vs_serial"
-            | "max_speedup_vs_serial"
-            | "outofcore_load_speedup_vs_reparse"
-    )
+/// The values a `--write-baselines` refresh stores: the fresh headline,
+/// except that a wall-clock metric already in the committed baseline
+/// keeps its committed value. A fast dev box must not raise it (CI
+/// runners could never meet it) and one slow CI box must not lower it
+/// (the gate would silently erode); changing it is a manual edit of the
+/// baseline file. Deterministic metrics are refreshed verbatim.
+pub fn refreshed_baseline(prev: &[(String, f64)], current: &[Metric]) -> Vec<(String, f64)> {
+    let committed = |m: &Metric| prev.iter().find(|(name, _)| *name == m.name).map(|p| p.1);
+    let frozen = |m: &Metric| committed(m).filter(|_| m.kind == MetricKind::WallClock);
+    current.iter().map(|m| (m.name.clone(), frozen(m).unwrap_or(m.value))).collect()
 }
 
 /// Reads the `{"artifact": ..., "metrics": {...}}` baseline document.
@@ -341,7 +121,7 @@ pub fn is_wall_clock(name: &str) -> bool {
 /// # Errors
 ///
 /// Malformed documents, or a non-numeric metric value.
-pub fn parse_baseline(text: &str) -> Result<Vec<Metric>, String> {
+pub fn parse_baseline(text: &str) -> Result<Vec<(String, f64)>, String> {
     let doc = Json::parse(text)?;
     let members = match doc.get("metrics") {
         Some(Json::Obj(members)) => members,
@@ -351,20 +131,18 @@ pub fn parse_baseline(text: &str) -> Result<Vec<Metric>, String> {
         .iter()
         .map(|(name, v)| {
             v.as_f64()
-                .map(|value| Metric { name: name.clone(), value })
+                .map(|value| (name.clone(), value))
                 .ok_or_else(|| format!("baseline metric `{name}` is not a number"))
         })
         .collect()
 }
 
 /// Renders a baseline document for `--write-baselines`.
-pub fn render_baseline(artifact: &str, metrics: &[Metric]) -> String {
+pub fn render_baseline(artifact: &str, metrics: &[(String, f64)]) -> String {
     let mut out = format!("{{\n  \"artifact\": \"{artifact}\",\n  \"metrics\": {{\n");
-    for (i, m) in metrics.iter().enumerate() {
+    for (i, (name, value)) in metrics.iter().enumerate() {
         out.push_str(&format!(
-            "    \"{}\": {:.4}{}\n",
-            m.name,
-            m.value,
+            "    \"{name}\": {value:.4}{}\n",
             if i + 1 == metrics.len() { "" } else { "," }
         ));
     }
@@ -380,76 +158,56 @@ pub fn render_baseline(artifact: &str, metrics: &[Metric]) -> String {
 /// written, *after* wall-clock freezing, so a frozen metric correctly
 /// reads `unchanged`. Values are compared at the 4-decimal precision
 /// the baseline file stores, so re-parsing noise never shows as drift.
-pub fn render_refresh_summary(prev: &[Metric], next: &[Metric]) -> Vec<String> {
-    let rounded = |v: f64| format!("{v:.4}");
-    let mut lines = Vec::new();
-    for n in next {
-        match prev.iter().find(|p| p.name == n.name) {
-            None => lines.push(format!(
-                "  {:<34} {:>10} -> {:>10}  new",
-                n.name,
-                "--",
-                rounded(n.value)
-            )),
-            Some(p) if rounded(p.value) == rounded(n.value) => lines.push(format!(
-                "  {:<34} {:>10} -> {:>10}  unchanged",
-                n.name,
-                rounded(p.value),
-                rounded(n.value)
-            )),
-            Some(p) => {
-                let change = if p.value != 0.0 {
-                    format!("  ({:+.1}%)", (n.value / p.value - 1.0) * 100.0)
-                } else {
-                    String::new()
-                };
-                lines.push(format!(
-                    "  {:<34} {:>10} -> {:>10}{change}",
-                    n.name,
-                    rounded(p.value),
-                    rounded(n.value)
-                ));
-            }
-        }
-    }
-    for p in prev {
-        if !next.iter().any(|n| n.name == p.name) {
-            lines.push(format!(
-                "  {:<34} {:>10} -> {:>10}  removed",
-                p.name,
-                rounded(p.value),
-                "--"
-            ));
-        }
-    }
-    lines
+pub fn render_refresh_summary(prev: &[(String, f64)], next: &[(String, f64)]) -> Vec<String> {
+    let value = |list: &[(String, f64)], name: &str| {
+        list.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+    };
+    let removed = prev.iter().filter(|(name, _)| value(next, name).is_none());
+    next.iter()
+        .chain(removed)
+        .map(|(name, _)| {
+            let (old, new) = (value(prev, name), value(next, name));
+            let rounded = |v: Option<f64>| v.map_or_else(|| "--".into(), |v| format!("{v:.4}"));
+            let status = match (old, new) {
+                (None, _) => "  new".to_string(),
+                (_, None) => "  removed".to_string(),
+                _ if rounded(old) == rounded(new) => "  unchanged".to_string(),
+                (Some(o), Some(n)) if o != 0.0 => format!("  ({:+.1}%)", (n / o - 1.0) * 100.0),
+                _ => String::new(),
+            };
+            format!("  {name:<34} {:>10} -> {:>10}{status}", rounded(old), rounded(new))
+        })
+        .collect()
 }
 
 /// Compares fresh metrics against the baseline: a metric regresses when
 /// it drops more than `tolerance` below its baseline (all gate metrics
-/// are higher-is-better), or when it disappears from the artifact.
-/// Metrics present only in the artifact are informational.
-pub fn compare(baseline: &[Metric], current: &[Metric], tolerance: f64) -> Vec<Delta> {
+/// are higher-is-better), when it is not a finite number, or when it
+/// disappears from the artifact. Metrics present only in the artifact
+/// are informational.
+pub fn compare(baseline: &[(String, f64)], current: &[Metric], tolerance: f64) -> Vec<Delta> {
     let mut deltas = Vec::new();
-    for b in baseline {
-        let c = current.iter().find(|m| m.name == b.name);
+    for (name, b) in baseline {
+        let c = current.iter().find(|m| m.name == *name);
         let regressed = match c {
             None => true,
-            Some(m) => m.value < b.value * (1.0 - tolerance),
+            Some(m) => !m.value.is_finite() || m.value < b * (1.0 - tolerance),
         };
         deltas.push(Delta {
-            name: b.name.clone(),
-            baseline: Some(b.value),
+            name: name.clone(),
+            baseline: Some(*b),
             current: c.map(|m| m.value),
+            wall_clock: c.is_some_and(|m| m.kind == MetricKind::WallClock),
             regressed,
         });
     }
     for m in current {
-        if !baseline.iter().any(|b| b.name == m.name) {
+        if !baseline.iter().any(|(name, _)| *name == m.name) {
             deltas.push(Delta {
                 name: m.name.clone(),
                 baseline: None,
                 current: Some(m.value),
+                wall_clock: m.kind == MetricKind::WallClock,
                 regressed: false,
             });
         }
@@ -466,7 +224,7 @@ pub fn compare(baseline: &[Metric], current: &[Metric], tolerance: f64) -> Vec<D
 pub fn demote_wall_clock_regressions(deltas: &mut [Delta]) -> Vec<String> {
     let mut demoted = Vec::new();
     for d in deltas.iter_mut() {
-        if d.regressed && is_wall_clock(&d.name) {
+        if d.regressed && d.wall_clock {
             d.regressed = false;
             demoted.push(d.name.clone());
         }
@@ -502,209 +260,274 @@ pub fn render_deltas(artifact: &str, deltas: &[Delta], tolerance: f64) -> Vec<St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BenchReport;
 
-    fn metrics(pairs: &[(&str, f64)]) -> Vec<Metric> {
-        pairs.iter().map(|&(n, v)| Metric::new(n, v)).collect()
+    fn values(pairs: &[(&str, f64)]) -> Vec<(String, f64)> {
+        pairs.iter().map(|&(n, v)| (n.to_string(), v)).collect()
+    }
+
+    fn deterministic(pairs: &[(&str, f64)]) -> Vec<Metric> {
+        pairs.iter().map(|&(n, v)| Metric::deterministic(n, v)).collect()
+    }
+
+    #[test]
+    fn headline_round_trips_through_the_writer_and_the_reader() {
+        let report = BenchReport {
+            rows: vec![crate::json_obj! {"threads": 4usize, "ms": 1.8251}],
+            headline: vec![
+                Metric::flag("flag", true),
+                Metric::wall_clock("wall", 1.8251),
+                Metric::deterministic("ratio", 1.0 / 3.0),
+            ],
+        };
+        let text = report.to_json("exp").render().unwrap();
+        let doc = Json::parse(&text).unwrap();
+        assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("exp"));
+        assert_eq!(doc.get("rows").and_then(Json::as_arr), Some(&report.rows[..]));
+        assert_eq!(read_headline(&doc).unwrap(), report.headline);
+    }
+
+    #[test]
+    fn malformed_or_ungated_headlines_are_rejected() {
+        let empty = BenchReport::default().to_json("table3_configs");
+        assert!(read_headline(&empty).unwrap_err().contains("not gated"));
+        assert!(read_headline(&Json::Arr(vec![])).is_err());
+        for entry in [
+            r#"{"headline": [{"value": 1, "kind": "deterministic"}]}"#,
+            r#"{"headline": [{"name": "a", "kind": "deterministic"}]}"#,
+            r#"{"headline": [{"name": "a", "value": 1, "kind": "fast"}]}"#,
+        ] {
+            assert!(read_headline(&Json::parse(entry).unwrap()).is_err(), "{entry}");
+        }
     }
 
     #[test]
     fn baseline_names_map_and_unknown_artifacts_fail() {
-        assert_eq!(
-            baseline_file_for("BENCH_serving_throughput.json").unwrap(),
-            "serving_throughput.json"
-        );
-        assert_eq!(
-            baseline_file_for("some/dir/BENCH_parallel_speedup.json").unwrap(),
-            "parallel_speedup.json"
-        );
-        assert!(baseline_file_for("BENCH_unknown.json").is_err());
-        assert!(baseline_file_for("serving_throughput.json").is_err());
+        assert_eq!(baseline_file_for("BENCH_foo.json").unwrap(), "foo.json");
+        assert_eq!(baseline_file_for("some/dir/BENCH_bar_baz.json").unwrap(), "bar_baz.json");
+        for bad in ["foo.json", "BENCH_.json", "BENCH_x.txt", "dir/BENCH_x"] {
+            assert!(baseline_file_for(bad).is_err(), "{bad}");
+        }
+    }
+
+    /// The headline the gate reads back from a result's artifact text.
+    fn gated_headline(result: &crate::ExperimentResult) -> Result<Vec<Metric>, String> {
+        let text = result.report.to_json("exp").render().unwrap();
+        read_headline(&Json::parse(&text).unwrap())
     }
 
     #[test]
     fn serving_metrics_take_the_worst_row() {
-        let doc = Json::parse(
-            r#"[{"speedup_vs_serial": 2.0, "throughput_inferences_per_s": 100.0},
-                {"speedup_vs_serial": 1.5, "throughput_inferences_per_s": 900.0}]"#,
-        )
-        .unwrap();
-        let m = headline_metrics("BENCH_serving_throughput.json", &doc).unwrap();
+        use crate::experiments::serving_throughput::{render, SweepRow};
+        use gnnie_serve::{
+            Dataset, GnnModel, InferenceRequest, RequestOutcome, SchedulerPolicy, ServeReport,
+        };
+        // At a 1 Hz clock the throughput is requests per pipelined cycle.
+        let row = |requests: usize, pipelined: u64, serial: u64| {
+            let outcome = RequestOutcome {
+                request: InferenceRequest::new(0, GnnModel::Gcn, Dataset::Cora, 0.1, 0),
+                batch: 0,
+                weights_resident: false,
+                batched_cycles: pipelined,
+                serial_cycles: serial,
+                latency_s: 1.0,
+            };
+            let report = ServeReport {
+                policy: SchedulerPolicy::Fifo,
+                max_batch: 1,
+                requests: vec![outcome; requests],
+                batches: Vec::new(),
+                pipelined_total_cycles: pipelined,
+                batched_serial_cycles: serial,
+                serial_total_cycles: serial,
+                weight_load_cycles_saved: 0,
+                clock_hz: 1.0,
+            };
+            SweepRow { mix: "mix", policy: SchedulerPolicy::Fifo, max_batch: 1, report }
+        };
+        // Each minimum comes from a different row.
+        let rows = [row(1, 4, 8), row(8, 4, 6)];
         assert_eq!(
-            m,
-            metrics(&[
+            gated_headline(&render(&rows)).unwrap(),
+            deterministic(&[
                 ("min_speedup_vs_serial", 1.5),
-                ("min_throughput_inferences_per_s", 100.0),
+                ("min_throughput_inferences_per_s", 0.25),
             ])
         );
+        let empty = render(&[]);
+        assert!(empty.failed_check.is_some());
+        assert!(gated_headline(&empty).is_err(), "an empty sweep cannot be gated");
     }
 
     #[test]
     fn ingest_and_parallel_metrics_fold_flags_and_speedups() {
+        use crate::experiments::ingest_throughput::{
+            self, IngestRow, IngestSweep, OutOfCoreRow,
+        };
+        use crate::experiments::parallel_speedup::{self, SpeedupRow};
+        use gnnie_graph::Dataset;
+        use gnnie_ingest::EdgeListFormat;
         // The shards=1 / threads=1 rows rerun the serial path (~1x by
         // construction) and must NOT feed the wall-clock maximum — a
         // broken parallel path cannot hide behind them.
-        let ingest = Json::parse(
-            r#"{"sweep": [{"matches_serial": true, "shards": 1, "speedup_vs_serial": 2.5},
-                          {"matches_serial": true, "shards": 4, "speedup_vs_serial": 0.9},
-                          {"matches_serial": true, "shards": 8, "speedup_vs_serial": 2.1}],
-                "cache": [],
-                "outofcore": {"bit_identical": true, "load_speedup_vs_reparse": 12.5}}"#,
-        )
-        .unwrap();
-        let m = headline_metrics("BENCH_ingest_throughput.json", &ingest).unwrap();
+        let build = |shards: usize, speedup: f64| IngestRow {
+            format: EdgeListFormat::Whitespace,
+            shards,
+            parse_ms: 1.0,
+            build_ms: 1.0,
+            serial_build_ms: speedup,
+            speedup,
+            matches_serial: true,
+            vertices: 64,
+            input_edges: 256,
+        };
+        let mut ingest = IngestSweep {
+            rows: vec![build(1, 2.5), build(4, 0.9), build(8, 2.1)],
+            cache: Vec::new(),
+            outofcore: OutOfCoreRow {
+                vertices: 64,
+                input_edges: 256,
+                chunk_bytes: 1 << 20,
+                chunked_build_ms: 1.0,
+                inmem_build_ms: 1.0,
+                bit_identical: true,
+                snapshot_load_ms: 1.0,
+                reparse_ms: 12.5,
+                load_speedup_vs_reparse: 12.5,
+                mmap: false,
+            },
+        };
+        // The snapshot-load speedup is wall clock; the identity flags are
+        // deterministic, so they still gate on a single-core runner.
         assert_eq!(
-            m,
-            metrics(&[
-                ("bit_identical", 1.0),
-                ("max_build_speedup_vs_serial", 2.1),
-                ("outofcore_bit_identical", 1.0),
-                ("outofcore_load_speedup_vs_reparse", 12.5),
-            ])
+            gated_headline(&ingest_throughput::render(&ingest)).unwrap(),
+            vec![
+                Metric::flag("bit_identical", true),
+                Metric::wall_clock("max_build_speedup_vs_serial", 2.1),
+                Metric::flag("outofcore_bit_identical", true),
+                Metric::wall_clock("outofcore_load_speedup_vs_reparse", 12.5),
+            ]
         );
-        // The snapshot-load speedup is wall clock; the identity flags
-        // are deterministic.
-        assert!(is_wall_clock("outofcore_load_speedup_vs_reparse"));
-        assert!(!is_wall_clock("outofcore_bit_identical"));
-        // An artifact without the out-of-core row fails loudly.
-        let missing_oc =
-            Json::parse(r#"{"sweep": [{"matches_serial": true, "shards": 4, "speedup_vs_serial": 1.5}], "cache": []}"#)
-                .unwrap();
-        assert!(headline_metrics("BENCH_ingest_throughput.json", &missing_oc).is_err());
-        let parallel = Json::parse(
-            r#"[{"identical": true, "threads": 1, "speedup_vs_serial": 1.0},
-                {"identical": false, "threads": 4, "speedup_vs_serial": 1.8}]"#,
-        )
-        .unwrap();
-        let m = headline_metrics("BENCH_parallel_speedup.json", &parallel).unwrap();
-        assert_eq!(m, metrics(&[("bit_identical", 0.0), ("max_speedup_vs_serial", 1.8)]));
+        ingest.rows.retain(|r| r.shards == 1);
+        assert!(gated_headline(&ingest_throughput::render(&ingest)).is_err());
+
+        let run = |threads: usize, speedup: f64, identical: bool| SpeedupRow {
+            dataset: Dataset::Cora,
+            threads,
+            run_ms: 1.0,
+            serial_ms: speedup,
+            speedup,
+            identical,
+            total_cycles: 1000,
+        };
+        let mut parallel = vec![run(1, 1.0, true), run(4, 1.8, false)];
+        let result = parallel_speedup::render(&parallel);
+        assert!(result.failed_check.is_some(), "a diverged row fails the run");
+        assert_eq!(
+            gated_headline(&result).unwrap(),
+            vec![
+                Metric::flag("bit_identical", false),
+                Metric::wall_clock("max_speedup_vs_serial", 1.8),
+            ]
+        );
         // A sweep with only trivial rows cannot be gated.
-        let only_serial =
-            Json::parse(r#"[{"identical": true, "threads": 1, "speedup_vs_serial": 1.0}]"#)
-                .unwrap();
-        assert!(headline_metrics("BENCH_parallel_speedup.json", &only_serial).is_err());
+        parallel.truncate(1);
+        assert!(gated_headline(&parallel_speedup::render(&parallel)).is_err());
     }
 
     #[test]
     fn online_metrics_read_the_headline_fields() {
-        let doc = Json::parse(
-            r#"{"sweep": [{"rate_factor": 0.25, "sustained": true}],
-                "sustained_rps_at_p99": 1234.5,
-                "daemon_vs_static_cycle_ratio": 1.07}"#,
-        )
-        .unwrap();
-        let m = headline_metrics("BENCH_online_serving.json", &doc).unwrap();
-        assert_eq!(
-            m,
-            metrics(&[
-                ("sustained_rps_at_p99", 1234.5),
-                ("daemon_vs_static_cycle_ratio", 1.07),
-            ])
-        );
+        use crate::experiments::online_serving::{render, OnlineServingResult, RateRow};
+        use gnnie_serve::OnlineReport;
+        let report = OnlineReport {
+            outcomes: Vec::new(),
+            rejected: Vec::new(),
+            batches: Vec::new(),
+            makespan_cycles: 0,
+            clock_hz: 1.0,
+            max_batch: 1,
+            admission_control: false,
+        };
+        let mut result = OnlineServingResult {
+            rows: vec![RateRow { factor: 0.25, rate_rps: 100.0, report, sustained: true }],
+            service_rate_rps: 400.0,
+            p99_bound_s: 1e-3,
+            sustained_rps_at_p99: 1234.5,
+            daemon_vs_static_cycle_ratio: 1.07,
+            static_pipelined_cycles: 107,
+            online_makespan_cycles: 100,
+        };
         assert_eq!(
             baseline_file_for("artifacts/BENCH_online_serving.json").unwrap(),
             "online_serving.json"
         );
         // Both metrics are simulated-cycle numbers, not wall clock.
-        assert!(!is_wall_clock("sustained_rps_at_p99"));
-        assert!(!is_wall_clock("daemon_vs_static_cycle_ratio"));
+        assert_eq!(
+            gated_headline(&render(&result)).unwrap(),
+            deterministic(&[
+                ("sustained_rps_at_p99", 1234.5),
+                ("daemon_vs_static_cycle_ratio", 1.07),
+            ])
+        );
         // Shape drift fails loudly.
-        let empty = Json::parse(r#"{"sweep": [], "sustained_rps_at_p99": 1.0}"#).unwrap();
-        assert!(headline_metrics("BENCH_online_serving.json", &empty).is_err());
-        let missing = Json::parse(r#"{"sweep": [{"rate_factor": 1.0}]}"#).unwrap();
-        assert!(headline_metrics("BENCH_online_serving.json", &missing).is_err());
+        result.rows.clear();
+        assert!(gated_headline(&render(&result)).is_err());
     }
 
     #[test]
     fn scaleout_metrics_reduce_the_4_chip_rows() {
-        let doc = Json::parse(
-            r#"{"sweep": [
-                  {"dataset": "cr", "chips": 1, "speedup_vs_single_chip": 1.0},
-                  {"dataset": "cr", "chips": 4, "speedup_vs_single_chip": 0.6},
-                  {"dataset": "ppi", "chips": 4, "speedup_vs_single_chip": 2.0},
-                  {"dataset": "rd", "chips": 4, "speedup_vs_single_chip": 4.5},
-                  {"dataset": "rd", "chips": 8, "speedup_vs_single_chip": 6.1}],
-                "cut_quality": []}"#,
-        )
-        .unwrap();
-        let m = headline_metrics("BENCH_scaleout.json", &doc).unwrap();
+        use crate::experiments::scaleout::{render, ScaleoutRow};
+        use gnnie_graph::Dataset;
+        let row = |dataset, chips, speedup| ScaleoutRow {
+            dataset,
+            chips,
+            total_cycles: 1000,
+            speedup,
+            inter_chip_bytes: 0,
+            inter_chip_cycles: 0,
+        };
+        let rows = [
+            row(Dataset::Cora, 1, 1.0),
+            row(Dataset::Cora, 4, 0.6),
+            row(Dataset::Ppi, 4, 2.0),
+            row(Dataset::Reddit, 4, 4.5),
+            row(Dataset::Reddit, 8, 6.1),
+        ];
+        // Simulated-cycle numbers, not wall clock: gated tightly even on a
+        // single-core runner.
         assert_eq!(
-            m,
-            metrics(&[("max_speedup_at_4_chips", 4.5), ("datasets_scaling_at_4_chips", 2.0)])
+            gated_headline(&render(&rows, &[])).unwrap(),
+            deterministic(&[
+                ("max_speedup_at_4_chips", 4.5),
+                ("datasets_scaling_at_4_chips", 2.0)
+            ])
         );
         assert_eq!(baseline_file_for("BENCH_scaleout.json").unwrap(), "scaleout.json");
-        // Simulated-cycle numbers, not wall clock: gated tightly even on
-        // a single-core runner.
-        assert!(!is_wall_clock("max_speedup_at_4_chips"));
-        assert!(!is_wall_clock("datasets_scaling_at_4_chips"));
         // A sweep with no 4-chip rows cannot be gated.
-        let trivial =
-            Json::parse(r#"{"sweep": [{"chips": 1, "speedup_vs_single_chip": 1.0}]}"#).unwrap();
-        assert!(headline_metrics("BENCH_scaleout.json", &trivial).is_err());
-    }
-
-    #[test]
-    fn tiered_metrics_pair_even_and_workload_rows_per_dataset() {
-        let doc = Json::parse(
-            r#"{"sweep": [
-                  {"dataset": "cr", "mode": "even", "onchip_hit_rate": 0.10, "total_cycles": 1000},
-                  {"dataset": "cr", "mode": "workload", "onchip_hit_rate": 0.60, "total_cycles": 800},
-                  {"dataset": "rd", "mode": "even", "onchip_hit_rate": 0.05, "total_cycles": 4000},
-                  {"dataset": "rd", "mode": "workload", "onchip_hit_rate": 0.40, "total_cycles": 5000}]}"#,
-        )
-        .unwrap();
-        let m = headline_metrics("BENCH_tiered_cache.json", &doc).unwrap();
-        assert_eq!(m[0], Metric::new("workload_mean_onchip_hit_rate", 0.5));
-        assert_eq!(m[1], Metric::new("datasets_won_by_workload_split", 1.0));
-        // (1000/800 + 4000/5000) / 2 = (1.25 + 0.8) / 2
-        assert!((m[2].value - 1.025).abs() < 1e-12, "{:?}", m[2]);
-        assert_eq!(baseline_file_for("BENCH_tiered_cache.json").unwrap(), "tiered_cache.json");
-        // Simulated-cycle numbers, not wall clock: gated tightly even on
-        // a single-core runner.
-        assert!(!is_wall_clock("workload_mean_onchip_hit_rate"));
-        assert!(!is_wall_clock("datasets_won_by_workload_split"));
-        // A workload row with no even partner, and an empty sweep, fail
-        // loudly rather than gating nothing.
-        let orphan = Json::parse(
-            r#"{"sweep": [{"dataset": "cr", "mode": "workload",
-                           "onchip_hit_rate": 0.6, "total_cycles": 800}]}"#,
-        )
-        .unwrap();
-        assert!(headline_metrics("BENCH_tiered_cache.json", &orphan).is_err());
-        let empty = Json::parse(r#"{"sweep": []}"#).unwrap();
-        assert!(headline_metrics("BENCH_tiered_cache.json", &empty).is_err());
+        assert!(gated_headline(&render(&rows[..1], &[])).is_err());
     }
 
     #[test]
     fn single_core_demotion_spares_wall_clock_rows_only() {
-        let base = metrics(&[
-            ("max_speedup_vs_serial", 2.0),
-            ("bit_identical", 1.0),
-            ("max_build_speedup_vs_serial", 1.8),
-        ]);
-        let cur = metrics(&[
-            ("max_speedup_vs_serial", 0.9), // unreachable on one core
-            ("bit_identical", 0.0),         // real regression, must survive
-            ("max_build_speedup_vs_serial", 0.8),
-        ]);
+        let base = values(&[("wall_a", 2.0), ("flag", 1.0), ("wall_b", 1.8)]);
+        let cur = vec![
+            Metric::wall_clock("wall_a", 0.9), // unreachable on one core
+            Metric::flag("flag", false),       // real regression, must survive
+            Metric::wall_clock("wall_b", 0.8),
+        ];
         let mut deltas = compare(&base, &cur, DEFAULT_TOLERANCE);
         assert_eq!(deltas.iter().filter(|d| d.regressed).count(), 3);
         let demoted = demote_wall_clock_regressions(&mut deltas);
-        assert_eq!(
-            demoted,
-            vec![
-                "max_speedup_vs_serial".to_string(),
-                "max_build_speedup_vs_serial".to_string()
-            ]
-        );
+        assert_eq!(demoted, vec!["wall_a".to_string(), "wall_b".to_string()]);
         let still: Vec<&str> =
             deltas.iter().filter(|d| d.regressed).map(|d| d.name.as_str()).collect();
-        assert_eq!(still, vec!["bit_identical"], "deterministic metrics still gate");
+        assert_eq!(still, vec!["flag"], "deterministic metrics still gate");
     }
 
     #[test]
     fn compare_flags_drops_beyond_tolerance_and_missing_metrics() {
-        let base = metrics(&[("a", 1.0), ("b", 100.0), ("gone", 5.0)]);
-        let cur = metrics(&[("a", 0.91), ("b", 85.0), ("extra", 7.0)]);
+        let base = values(&[("a", 1.0), ("b", 100.0), ("gone", 5.0)]);
+        let cur = deterministic(&[("a", 0.91), ("b", 85.0), ("extra", 7.0)]);
         let deltas = compare(&base, &cur, DEFAULT_TOLERANCE);
         let by_name = |n: &str| deltas.iter().find(|d| d.name == n).unwrap();
         assert!(!by_name("a").regressed, "9% down is within the 10% gate");
@@ -716,9 +539,24 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_current_values_regress() {
+        // `NaN < b * 0.9` is false, so a plain threshold test would pass
+        // a NaN headline.
+        let base = values(&[("nan", 1.0), ("inf", 1.0), ("neg_inf", 1.0)]);
+        let cur = deterministic(&[
+            ("nan", f64::NAN),
+            ("inf", f64::INFINITY),
+            ("neg_inf", f64::NEG_INFINITY),
+        ]);
+        for d in compare(&base, &cur, DEFAULT_TOLERANCE) {
+            assert!(d.regressed, "{} = {:?} must regress", d.name, d.current);
+        }
+    }
+
+    #[test]
     fn refresh_summary_names_changed_added_removed_and_unchanged() {
-        let prev = metrics(&[("kept", 2.0), ("moved", 100.0), ("dropped", 5.0)]);
-        let next = metrics(&[("kept", 2.0), ("moved", 120.0), ("added", 7.0)]);
+        let prev = values(&[("kept", 2.0), ("moved", 100.0), ("dropped", 5.0)]);
+        let next = values(&[("kept", 2.0), ("moved", 120.0), ("added", 7.0)]);
         let lines = render_refresh_summary(&prev, &next).join("\n");
         assert!(lines.contains("kept") && lines.contains("unchanged"), "{lines}");
         assert!(
@@ -730,21 +568,20 @@ mod tests {
         // Values that only differ past the stored 4-decimal precision do
         // not read as drift.
         let noisy =
-            render_refresh_summary(&metrics(&[("x", 1.23456789)]), &metrics(&[("x", 1.23459)]))
+            render_refresh_summary(&values(&[("x", 1.23456789)]), &values(&[("x", 1.23459)]))
                 .join("\n");
         assert!(noisy.contains("unchanged"), "{noisy}");
         // A first-ever refresh (no committed baseline) lists every
         // metric as new.
-        let first = render_refresh_summary(&[], &metrics(&[("a", 1.0)])).join("\n");
+        let first = render_refresh_summary(&[], &values(&[("a", 1.0)])).join("\n");
         assert!(first.contains("a") && first.contains("new"), "{first}");
     }
 
     #[test]
     fn baselines_roundtrip_through_render_and_parse() {
-        let m = metrics(&[("min_speedup_vs_serial", 1.8251), ("bit_identical", 1.0)]);
-        let text = render_baseline("BENCH_serving_throughput.json", &m);
-        let back = parse_baseline(&text).unwrap();
-        assert_eq!(back, metrics(&[("min_speedup_vs_serial", 1.8251), ("bit_identical", 1.0)]));
+        let m = values(&[("m", 1.8251), ("flag", 1.0)]);
+        let text = render_baseline("BENCH_foo.json", &m);
+        assert_eq!(parse_baseline(&text).unwrap(), m);
         assert!(parse_baseline("{\"metrics\": 3}").is_err());
     }
 }

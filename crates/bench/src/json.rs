@@ -1,12 +1,14 @@
-//! A minimal JSON reader for the perf-regression gate.
+//! A minimal JSON value with a writer and a reader, for the bench
+//! artifacts and the perf-regression gate.
 //!
 //! The workspace's serde is an offline no-op shim, so the `BENCH_*.json`
-//! artifacts are written as hand-rolled strings — and read back here by a
-//! small recursive-descent parser. It covers the full JSON grammar the
-//! artifacts and baselines use (objects, arrays, strings with standard
-//! escapes, numbers, booleans, null) and reports errors with a byte
-//! offset. Numbers are held as `f64`, which is exact for every integer
-//! the artifacts emit.
+//! artifacts are built as [`Json`] values, printed by [`Json::render`],
+//! and read back by a small recursive-descent parser. The parser covers
+//! the full JSON grammar (objects, arrays, strings with standard escapes,
+//! numbers, booleans, null) and reports errors with a byte offset.
+//! Numbers are held as `f64`, which is exact for every integer the
+//! artifacts emit; the writer prints the shortest text that parses back
+//! to the same `f64`.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,6 +85,105 @@ impl Json {
             _ => None,
         }
     }
+
+    /// Prints the document: a container holding only scalars goes on one
+    /// line, any other container puts one member per indented line.
+    ///
+    /// # Errors
+    ///
+    /// A non-finite number, which JSON cannot represent; the message
+    /// names the field holding it.
+    pub fn render(&self) -> Result<String, String> {
+        let mut out = String::new();
+        self.write(&mut out, "", 0)?;
+        out.push('\n');
+        Ok(out)
+    }
+
+    fn write(&self, out: &mut String, field: &str, depth: usize) -> Result<(), String> {
+        let (brackets, members): ([char; 2], Vec<(Option<&str>, &Json)>) = match self {
+            Json::Arr(items) => (['[', ']'], items.iter().map(|v| (None, v)).collect()),
+            Json::Obj(m) => {
+                (['{', '}'], m.iter().map(|(k, v)| (Some(k.as_str()), v)).collect())
+            }
+            Json::Num(x) if !x.is_finite() => {
+                return Err(format!("`{field}` is {x}, which JSON cannot represent"))
+            }
+            scalar => {
+                out.push_str(&match scalar {
+                    Json::Str(s) => quoted(s),
+                    Json::Num(x) => x.to_string(),
+                    Json::Bool(b) => b.to_string(),
+                    _ => "null".to_string(),
+                });
+                return Ok(());
+            }
+        };
+        let inline = members.iter().all(|(_, v)| !matches!(v, Json::Arr(_) | Json::Obj(_)));
+        let newline = |out: &mut String, depth: usize| {
+            if !inline {
+                out.push('\n');
+                out.push_str(&"  ".repeat(depth));
+            }
+        };
+        out.push(brackets[0]);
+        for (i, (key, value)) in members.iter().enumerate() {
+            if i > 0 {
+                out.push_str(if inline { ", " } else { "," });
+            }
+            newline(out, depth + 1);
+            if let Some(key) = key {
+                out.push_str(&format!("{}: ", quoted(key)));
+            }
+            value.write(out, key.unwrap_or(field), depth + 1)?;
+        }
+        newline(out, depth);
+        out.push(brackets[1]);
+        Ok(())
+    }
+}
+
+fn quoted(s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// A [`Json`] object from `"key": value` members, in order, each value
+/// converted with `Json::from`.
+#[macro_export]
+macro_rules! json_obj {
+    ($($key:literal: $value:expr),* $(,)?) => {
+        $crate::json::Json::Obj(vec![$(($key.to_string(), $crate::json::Json::from($value))),*])
+    };
+}
+
+macro_rules! json_from {
+    ($($t:ty => |$x:ident| $e:expr;)*) => {
+        $(impl From<$t> for Json {
+            fn from($x: $t) -> Self {
+                $e
+            }
+        })*
+    };
+}
+
+json_from! {
+    f64 => |x| Json::Num(x);
+    u64 => |x| Json::Num(x as f64);
+    usize => |x| Json::Num(x as f64);
+    bool => |b| Json::Bool(b);
+    &str => |s| Json::Str(s.to_string());
+    String => |s| Json::Str(s);
 }
 
 struct Parser<'a> {
@@ -293,6 +394,27 @@ mod tests {
         assert_eq!(Json::parse("[1,2,3]").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(Json::parse(r#""a\"b\nA""#).unwrap().as_str(), Some("a\"b\nA"));
         assert_eq!(Json::parse(r#""héllo""#).unwrap().as_str(), Some("héllo"));
+    }
+
+    #[test]
+    fn render_round_trips_through_parse() {
+        let rows = vec![crate::json_obj! {"x": 0.1, "n": 7u64}];
+        let doc = crate::json_obj! {
+            "name": "a\"b\\c\n\u{1}", "rows": Json::Arr(rows), "empty": Json::Arr(vec![]),
+            "flags": Json::Arr(vec![true.into(), Json::Null]), "big": 1.0e21, "tiny": -1.0e-7,
+        };
+        let text = doc.render().unwrap();
+        assert!(text.contains("\"rows\": [\n    {\"x\": 0.1, \"n\": 7}\n  ]"), "{text}");
+        assert_eq!(Json::parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn render_refuses_non_finite_numbers_and_names_the_field() {
+        let rows = vec![crate::json_obj! {"ok": 1.0}, crate::json_obj! {"speedup": f64::NAN}];
+        let doc = crate::json_obj! {"rows": Json::Arr(rows)};
+        let err = doc.render().unwrap_err();
+        assert!(err.contains("`speedup` is NaN"), "{err}");
+        assert!(Json::from(f64::INFINITY).render().is_err());
     }
 
     #[test]

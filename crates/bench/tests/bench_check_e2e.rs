@@ -1,10 +1,13 @@
 //! End-to-end tests for the `bench_check` CI gate binary on synthetic
-//! `BENCH_*.json` fixtures: pass, regression with a delta table,
-//! missing metrics, and the `--write-baselines` freeze rules for
-//! wall-clock metrics.
+//! `BENCH_*.json` fixtures in the `gnnie-bench --json` artifact shape:
+//! pass, regression with a delta table, missing metrics, unknown
+//! artifacts, and the `--write-baselines` freeze rules for wall-clock
+//! metrics.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+use gnnie_bench::{gate, BenchReport, Metric};
 
 const BIN: &str = env!("CARGO_BIN_EXE_bench_check");
 
@@ -26,59 +29,49 @@ fn run_check(baseline_dir: &Path, extra: &[&str], artifacts: &[&PathBuf]) -> Out
     cmd.output().expect("spawn bench_check")
 }
 
+/// Writes `BENCH_<experiment>.json` the way `gnnie-bench --json` does.
+fn artifact(dir: &Path, experiment: &str, headline: Vec<Metric>) -> PathBuf {
+    let path = dir.join(format!("BENCH_{experiment}.json"));
+    let text = BenchReport { rows: Vec::new(), headline }.to_json(experiment).render().unwrap();
+    std::fs::write(&path, text).expect("write artifact");
+    path
+}
+
 /// A serving artifact whose worst row has the given speedup/throughput.
 fn serving_artifact(dir: &Path, speedup: f64, throughput: f64) -> PathBuf {
-    let path = dir.join("BENCH_serving_throughput.json");
-    std::fs::write(
-        &path,
-        format!(
-            r#"[{{"speedup_vs_serial": {speedup}, "throughput_inferences_per_s": {throughput}}},
-                {{"speedup_vs_serial": {}, "throughput_inferences_per_s": {}}}]"#,
-            speedup + 1.0,
-            throughput * 2.0,
-        ),
+    artifact(
+        dir,
+        "serving_throughput",
+        vec![
+            Metric::deterministic("min_speedup_vs_serial", speedup),
+            Metric::deterministic("min_throughput_inferences_per_s", throughput),
+        ],
     )
-    .expect("write artifact");
-    path
 }
 
 /// A parallel-speedup artifact (mixes a deterministic flag with the
 /// wall-clock `max_speedup_vs_serial`).
 fn parallel_artifact(dir: &Path, identical: bool, speedup: f64) -> PathBuf {
-    let path = dir.join("BENCH_parallel_speedup.json");
-    std::fs::write(
-        &path,
-        format!(
-            r#"[{{"identical": true, "threads": 1, "speedup_vs_serial": 1.0}},
-                {{"identical": {identical}, "threads": 4, "speedup_vs_serial": {speedup}}}]"#
-        ),
+    artifact(
+        dir,
+        "parallel_speedup",
+        vec![
+            Metric::flag("bit_identical", identical),
+            Metric::wall_clock("max_speedup_vs_serial", speedup),
+        ],
     )
-    .expect("write artifact");
-    path
 }
 
 fn write_baseline(dir: &Path, file: &str, metrics: &[(&str, f64)]) {
-    let body = metrics
-        .iter()
-        .map(|(n, v)| format!("    \"{n}\": {v:.4}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    std::fs::write(
-        dir.join(file),
-        format!("{{\n  \"artifact\": \"x\",\n  \"metrics\": {{\n{body}\n  }}\n}}\n"),
-    )
-    .expect("write baseline");
+    let metrics: Vec<_> = metrics.iter().map(|&(n, v)| (n.to_string(), v)).collect();
+    std::fs::write(dir.join(file), gate::render_baseline("x", &metrics))
+        .expect("write baseline");
 }
 
 fn read_baseline_metric(dir: &Path, file: &str, name: &str) -> f64 {
     let text = std::fs::read_to_string(dir.join(file)).expect("read baseline back");
-    let needle = format!("\"{name}\": ");
-    let at = text.find(&needle).unwrap_or_else(|| panic!("`{name}` missing in:\n{text}"));
-    text[at + needle.len()..]
-        .split([',', '\n', '}'])
-        .next()
-        .and_then(|s| s.trim().parse::<f64>().ok())
-        .unwrap_or_else(|| panic!("unparsable `{name}` in:\n{text}"))
+    let metrics = gate::parse_baseline(&text).expect("parse baseline back");
+    metrics.iter().find(|(n, _)| n == name).unwrap_or_else(|| panic!("`{name}` in:\n{text}")).1
 }
 
 #[test]
@@ -153,15 +146,28 @@ fn a_metric_missing_from_the_artifact_fails() {
 #[test]
 fn unknown_artifacts_and_empty_invocations_fail_loudly() {
     let dir = tmpdir("unknown");
-    let bogus = dir.join("BENCH_made_up.json");
-    std::fs::write(&bogus, "[]").unwrap();
+    // Any experiment's artifact is gated, but only against a committed
+    // baseline: none exists for this one.
+    let bogus = artifact(&dir, "made_up", vec![Metric::deterministic("m", 1.0)]);
     let out = run_check(&dir, &[], &[&bogus]);
     assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("not a gated BENCH_* artifact"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+        stderr.contains("made_up.json") && stderr.contains("--write-baselines"),
+        "{stderr}"
     );
+    // A file not named BENCH_<experiment>.json is rejected by name.
+    let misnamed = dir.join("artifact.json");
+    std::fs::copy(serving_artifact(&dir, 1.5, 100.0), &misnamed).unwrap();
+    let out = run_check(&dir, &[], &[&misnamed]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("not a BENCH_<experiment>.json artifact"), "{stderr}");
+    // An ungated experiment's artifact (empty headline) fails loudly too.
+    let ungated = artifact(&dir, "table3_configs", Vec::new());
+    let out = run_check(&dir, &[], &[&ungated]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("not gated"));
     let out = Command::new(BIN).output().expect("spawn bench_check");
     assert_eq!(out.status.code(), Some(2), "no artifacts is a usage error");
     std::fs::remove_dir_all(&dir).ok();
@@ -227,27 +233,22 @@ fn write_baselines_freezes_wall_clock_metrics_in_both_directions() {
 #[test]
 fn online_serving_artifact_is_gated_end_to_end() {
     let dir = tmpdir("online");
-    let artifact = dir.join("BENCH_online_serving.json");
-    std::fs::write(
-        &artifact,
-        r#"{"sweep": [{"rate_factor": 0.25, "sustained": true}],
-            "sustained_rps_at_p99": 1000.0,
-            "daemon_vs_static_cycle_ratio": 1.05}"#,
-    )
-    .unwrap();
-    let out = run_check(&dir, &["--write-baselines"], &[&artifact]);
+    let online = |sustained: f64| {
+        artifact(
+            &dir,
+            "online_serving",
+            vec![
+                Metric::deterministic("sustained_rps_at_p99", sustained),
+                Metric::deterministic("daemon_vs_static_cycle_ratio", 1.05),
+            ],
+        )
+    };
+    let out = run_check(&dir, &["--write-baselines"], &[&online(1000.0)]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let out = run_check(&dir, &[], &[&artifact]);
+    let out = run_check(&dir, &[], &[&online(1000.0)]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stdout));
     // Losing 20% of the sustained rate trips the gate.
-    std::fs::write(
-        &artifact,
-        r#"{"sweep": [{"rate_factor": 0.25, "sustained": true}],
-            "sustained_rps_at_p99": 800.0,
-            "daemon_vs_static_cycle_ratio": 1.05}"#,
-    )
-    .unwrap();
-    let out = run_check(&dir, &[], &[&artifact]);
+    let out = run_check(&dir, &[], &[&online(800.0)]);
     assert_eq!(out.status.code(), Some(1));
     assert!(
         String::from_utf8_lossy(&out.stdout).contains("sustained_rps_at_p99"),

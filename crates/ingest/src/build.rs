@@ -21,8 +21,8 @@
 //! The result is **bit-for-bit identical** to the serial path for any
 //! shard count — per-vertex sorted unique adjacency is canonical, so the
 //! scatter order cannot leak through. The property suite checks this for
-//! arbitrary inputs and shard counts; `gnnie-bench --bin
-//! ingest_throughput` records the measured speedup.
+//! arbitrary inputs and shard counts; `gnnie-bench ingest_throughput`
+//! records the measured speedup.
 
 use gnnie_graph::{CsrBuildStats, CsrGraph, GraphBuildError, VertexId};
 

@@ -38,8 +38,7 @@
 //! | [`baselines`] | PyG-CPU/GPU rooflines, HyGCN and AWB-GCN models |
 //!
 //! The `gnnie-bench` crate (not re-exported) regenerates every table and
-//! figure of the paper's evaluation: `cargo run -p gnnie-bench --bin
-//! run_all`.
+//! figure of the paper's evaluation: `cargo run -p gnnie-bench -- all`.
 //!
 //! ## Quickstart
 //!
