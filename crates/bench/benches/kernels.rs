@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks of the simulator's hot kernels: the Weighting
 //! block profile and FM scheduler, the degree-aware cache walk, the RLC
-//! codec, the full Weighting model, and the linear vs. naïve GAT attention
-//! orderings (the §V-A ablation).
+//! codec, the full Weighting model, the linear vs. naïve GAT attention
+//! orderings (the §V-A ablation), and the sampling graph generators.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -12,6 +12,7 @@ use gnnie_core::gat::AttentionCost;
 use gnnie_core::weighting::{
     schedule, simulate_weighting, BlockProfile, WeightingMode, WeightingParams,
 };
+use gnnie_graph::generate;
 use gnnie_graph::reorder::Permutation;
 use gnnie_graph::{Dataset, SyntheticDataset};
 use gnnie_mem::{CacheConfig, DegreeAwareCache, HbmModel};
@@ -135,6 +136,28 @@ fn bench_noc_rebalance(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_graph_generate(c: &mut Criterion) {
+    // One graph per membership structure of the sampling generators:
+    // Reddit at 0.01 (2,329 vertices, 1.146 M edges) is dense enough for
+    // the pair bitmap; PPI at 0.1 is sparse and merges a sorted prefix.
+    let reddit = Dataset::Reddit.spec().scaled(0.01);
+    let ppi = Dataset::Ppi.spec().scaled(0.1);
+    let mut g = c.benchmark_group("graph_generate");
+    g.bench_function("powerlaw_chung_lu/Reddit@0.01", |b| {
+        b.iter(|| {
+            let (n, m) = (reddit.vertices, black_box(reddit.edges));
+            generate::powerlaw_chung_lu(n, m, reddit.degree_gamma, 7)
+        });
+    });
+    g.bench_function("mixed_powerlaw/Ppi@0.1", |b| {
+        b.iter(|| {
+            let (n, m) = (ppi.vertices, black_box(ppi.edges));
+            generate::mixed_powerlaw(n, m, ppi.degree_gamma, ppi.uniform_frac, 7)
+        });
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = kernels;
     // Small sample counts: these kernels are deterministic simulators, so
@@ -149,6 +172,7 @@ criterion_group! {
     bench_rlc_codec,
     bench_weighting_model,
     bench_attention_orderings,
-    bench_noc_rebalance
+    bench_noc_rebalance,
+    bench_graph_generate
 }
 criterion_main!(kernels);

@@ -113,17 +113,6 @@ impl Engine {
         session.finish()
     }
 
-    /// [`Engine::run`] with an observability bundle attached.
-    #[deprecated(note = "use run_with with RunOptions { obs, .. } instead")]
-    pub fn run_observed(
-        &self,
-        model: &ModelConfig,
-        ds: &GraphDataset,
-        obs: &Obs,
-    ) -> InferenceReport {
-        self.run_with(model, ds, RunOptions { obs: obs.clone(), ..RunOptions::default() })
-    }
-
     /// Starts a phased run with default options: performs the one-time
     /// preprocessing and returns the session holding the per-run state.
     pub fn begin<'a>(&'a self, model: &'a ModelConfig, ds: &'a GraphDataset) -> RunSession<'a> {
@@ -762,20 +751,6 @@ mod tests {
         assert!(r.energy.dram_pj() > 0.0, "DRAM traffic must be charged");
         assert!(r.effective_tops() > 0.0);
         assert!(r.inferences_per_kj() > 0.0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_observed_matches_run_with() {
-        let ds = small(Dataset::Cora, 0.1);
-        let cfg = AcceleratorConfig::paper(ds.spec.dataset);
-        let mc = ModelConfig::paper(GnnModel::Gcn, &ds.spec);
-        let engine = Engine::new(cfg);
-        let obs = Obs::default();
-        let old = engine.run_observed(&mc, &ds, &obs);
-        let new =
-            engine.run_with(&mc, &ds, RunOptions { obs: obs.clone(), ..RunOptions::default() });
-        assert_eq!(format!("{old:?}"), format!("{new:?}"));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Old-vs-new oracle for the sampling generators.
 //!
 //! The `oracle` module freezes the generators as they were when every
-//! top-up round re-sorted the whole edge list. The library now keeps a
-//! sorted prefix and merges only each round's new draws. Both must
-//! consume the RNG identically and produce equal graphs, or every
-//! synthesized dataset, report and baseline would move.
+//! top-up round re-sorted the whole edge list. The library now keeps the
+//! distinct edges either in a bitmap over the vertex pairs (dense graphs)
+//! or in a sorted prefix that each round's draws are merged into (sparse
+//! graphs). Both must consume the RNG identically and produce equal
+//! graphs, or every synthesized dataset, report and baseline would move.
 
 use gnnie_graph::datasets::Dataset;
 use gnnie_graph::generate;
@@ -134,6 +135,16 @@ mod oracle {
     }
 }
 
+/// The library's choice of membership structure, restated: the pair bitmap
+/// when its `n(n−1)/2` bits are no more than 64 × the sorted path's draw
+/// buffer of `target + target / overdraw + 1` edges. Chung–Lu draws with
+/// `overdraw` 3, Erdős–Rényi with 4.
+fn takes_bitmap(n: usize, m: usize, overdraw: usize) -> bool {
+    let pairs = n * (n - 1) / 2;
+    let target = m.min(pairs);
+    pairs <= 64 * (target + target / overdraw + 1)
+}
+
 proptest! {
     #[test]
     fn chung_lu_matches_the_oracle(
@@ -178,6 +189,77 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn mid_size_graphs_match_the_oracle_on_both_sides_of_the_rule(
+        n in 100usize..=3000,
+        factor in 0.5f64..=1.5,
+        gamma in 1.5f64..=3.5,
+        seed in 0u64..1_000_000,
+    ) {
+        // m around n(n-1)/128; the bitmap takes over near n(n-1)/171 for
+        // Chung–Lu and n(n-1)/160 for Erdős–Rényi, i.e. factor 0.75 / 0.8.
+        let m = (factor * (n * (n - 1)) as f64 / 128.0) as usize;
+        prop_assert_eq!(
+            generate::powerlaw_chung_lu(n, m, gamma, seed),
+            oracle::powerlaw_chung_lu(n, m, gamma, seed),
+            "chung-lu n {} m {} gamma {} seed {}", n, m, gamma, seed
+        );
+        prop_assert_eq!(
+            generate::erdos_renyi(n, m, seed),
+            oracle::erdos_renyi(n, m, seed),
+            "erdos-renyi n {} m {} seed {}", n, m, seed
+        );
+    }
+}
+
+#[test]
+fn grid_on_both_sides_of_the_rule_matches_the_oracle() {
+    // The bitmap is used when n(n-1)/2 <= 64 * (target + target/overdraw + 1),
+    // target = min(m, n(n-1)/2); overdraw is 3 for Chung–Lu, 4 for
+    // Erdős–Rényi. Sides (Chung–Lu, Erdős–Rényi) per case:
+    let cases = [
+        (200, 100),     // 19,900 pairs: merge, merge
+        (200, 240),     // just past Chung–Lu's threshold: bitmap, merge
+        (200, 400),     // bitmap, bitmap
+        (200, 19_900),  // saturated: bitmap, bitmap
+        (1000, 2000),   // 499,500 pairs: merge, merge
+        (1000, 10_000), // bitmap, bitmap
+        (2500, 20_000), // 3,123,750 pairs: merge, merge
+        (2500, 40_000), // bitmap, bitmap
+    ];
+    let (mut bitmap, mut merge) = (0, 0);
+    for (n, m) in cases {
+        for overdraw in [3, 4] {
+            if takes_bitmap(n, m, overdraw) {
+                bitmap += 1;
+            } else {
+                merge += 1;
+            }
+        }
+        for seed in [1, 7919] {
+            // The heavier tail draws more duplicates, so the sparse cases
+            // take several merge rounds.
+            for gamma in [1.5, 2.0] {
+                assert_eq!(
+                    generate::powerlaw_chung_lu(n, m, gamma, seed),
+                    oracle::powerlaw_chung_lu(n, m, gamma, seed),
+                    "chung-lu n {n} m {m} gamma {gamma} seed {seed}"
+                );
+            }
+            assert_eq!(
+                generate::erdos_renyi(n, m, seed),
+                oracle::erdos_renyi(n, m, seed),
+                "erdos-renyi n {n} m {m} seed {seed}"
+            );
+        }
+    }
+    assert!(bitmap >= 4 && merge >= 4, "bitmap {bitmap} merge {merge}: both sides must occur");
+    assert!(takes_bitmap(200, 240, 3) && !takes_bitmap(200, 240, 4));
+}
+
 #[test]
 fn small_grid_matches_the_oracle() {
     for n in [2, 3, 5, 40] {
@@ -200,6 +282,9 @@ fn small_grid_matches_the_oracle() {
 
 #[test]
 fn table_ii_graphs_match_the_oracle() {
+    // Reddit 0.002 and 0.005 take the bitmap path; the citation graphs take
+    // the merge path. PPI 0.05 takes both: its Erdős–Rényi half is just
+    // dense enough for the bitmap, its Chung–Lu half merges.
     let cases = [
         (Dataset::Cora, 1.0),
         (Dataset::Citeseer, 1.0),

@@ -299,6 +299,12 @@ fn parse_directive(
     match words.next() {
         Some("edgelist") => Ok(()), // banner; version token ignored for now
         Some("vertices") => match words.next().and_then(|w| w.parse::<usize>().ok()) {
+            // Ids are `VertexId`s, so no graph has more than 2^32 vertices.
+            Some(n) if n > VertexId::MAX as usize + 1 => Err(IngestError::parse(
+                path,
+                lineno,
+                format!("gnnie vertices: {n} exceeds the 2^32 vertex-id range"),
+            )),
             Some(n) => {
                 out.declared_vertices = Some(n);
                 Ok(())

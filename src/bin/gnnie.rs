@@ -807,13 +807,17 @@ fn cmd_ingest(path: &str, flags: &HashMap<String, String>) -> Result<(), String>
                 .ok()
                 .filter(|&n| n >= 1)
                 .ok_or_else(|| format!("--chunk-mb must be a positive integer, got `{s}`"))
+                .and_then(|mb| {
+                    mb.checked_mul(1 << 20)
+                        .ok_or_else(|| format!("--chunk-mb {mb} overflows a byte count"))
+                })
         })
         .transpose()?;
 
     let registry = DatasetRegistry::from_env();
     let t0 = Instant::now();
     let loaded = match chunk_mb {
-        Some(mb) => registry.load_path_chunked(input, fallback, seed, mb << 20),
+        Some(bytes) => registry.load_path_chunked(input, fallback, seed, bytes),
         None => registry.load_path_with(input, fallback, seed, shards),
     }
     .map_err(|e| e.to_string())?;
@@ -849,8 +853,12 @@ fn cmd_ingest(path: &str, flags: &HashMap<String, String>) -> Result<(), String>
     );
     println!("  partitions {:>8} tables frozen (range+edgecut at 2/4/8 chips)", tables.len());
     match chunk_mb {
-        Some(mb) => {
-            println!("  parse+build {:>8.1} ms out-of-core ({} MB chunks)", load_ms, mb)
+        Some(bytes) => {
+            println!(
+                "  parse+build {:>8.1} ms out-of-core ({} MB chunks)",
+                load_ms,
+                bytes >> 20
+            )
         }
         None => println!("  parse+build {:>8.1} ms over {} shard(s)", load_ms, shards),
     }
@@ -878,6 +886,25 @@ fn parse_positive(
     })
 }
 
+/// Most requests `serve` queues: the queue is built up front.
+const MAX_REQUESTS: usize = 1_000_000;
+/// Most request workers `serve` takes: the daemon spawns every one.
+const MAX_WORKERS: usize = 256;
+
+/// [`parse_positive`] with an upper bound.
+fn parse_positive_at_most(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: usize,
+    max: usize,
+) -> Result<usize, String> {
+    let n = parse_positive(flags, key, default)?;
+    if n > max {
+        return Err(format!("--{key} must be at most {max}, got `{n}`"));
+    }
+    Ok(n)
+}
+
 /// The `--arrival` token, validated. `static` is the legacy all-at-t=0
 /// queue; the rate/burst knobs apply only to the generated processes.
 fn parse_arrival(
@@ -885,23 +912,20 @@ fn parse_arrival(
 ) -> Result<gnnie::serve::ArrivalProcess, String> {
     use gnnie::serve::ArrivalProcess;
     let token = flags.get("arrival").map(String::as_str).unwrap_or("static");
+    // A burst of at most MAX_REQUESTS at no less than MIN_RATE keeps every
+    // arrival, in simulated cycles, far inside a u64.
+    const MIN_RATE: f64 = 0.01;
     let rate = flags
         .get("rate")
         .map(|s| {
-            s.parse::<f64>()
-                .ok()
-                .filter(|&r| r.is_finite() && r > 0.0)
-                .ok_or_else(|| format!("--rate must be a positive number, got `{s}`"))
+            s.parse::<f64>().ok().filter(|&r| r.is_finite() && r >= MIN_RATE).ok_or_else(|| {
+                format!("--rate must be a number of at least {MIN_RATE}, got `{s}`")
+            })
         })
         .transpose()?;
     let burst = flags
-        .get("burst")
-        .map(|s| {
-            s.parse::<usize>()
-                .ok()
-                .filter(|&b| b >= 1)
-                .ok_or_else(|| format!("--burst must be a positive integer, got `{s}`"))
-        })
+        .contains_key("burst")
+        .then(|| parse_positive_at_most(flags, "burst", 1, MAX_REQUESTS))
         .transpose()?;
     let process = match token.to_ascii_lowercase().as_str() {
         "static" => {
@@ -937,14 +961,15 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         ArrivalProcess, Daemon, DaemonConfig, LoadGen, OnlineConfig, SimClock, SlaMix,
     };
 
-    let n = parse_positive(flags, "requests", 16)?;
+    let n = parse_positive_at_most(flags, "requests", 16, MAX_REQUESTS)?;
     let models = parse_list(flags, "models", GnnModel::Gcn, model_token)?;
     let datasets = parse_list(flags, "datasets", Dataset::Cora, dataset_token)?;
     let seed = parse_seed(flags)?;
     let max_batch = parse_positive(flags, "batch", 8)?;
     let policy: SchedulerPolicy =
         flags.get("policy").map_or(Ok(SchedulerPolicy::ModelAffinity), |s| s.parse())?;
-    let workers = parse_positive(flags, "workers", ServeConfig::default().workers)?;
+    let workers =
+        parse_positive_at_most(flags, "workers", ServeConfig::default().workers, MAX_WORKERS)?;
     let sim_threads =
         parse_sim_threads(flags)?.unwrap_or_else(gnnie::mem::SimThreads::from_env);
 
@@ -976,13 +1001,15 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     // The request mix: model varies fastest so a FIFO scheduler sees the
-    // worst-case interleaving; every request gets its own seed.
+    // worst-case interleaving; every request gets its own seed (wrapping
+    // past u64::MAX).
     let mut queue = Vec::with_capacity(n);
     for i in 0..n {
         let model = models[i % models.len()];
         let dataset = datasets[(i / models.len()) % datasets.len()];
         let scale = parse_scale(flags, dataset)?;
-        queue.push(InferenceRequest::new(i as u64, model, dataset, scale, seed + i as u64));
+        let request_seed = seed.wrapping_add(i as u64);
+        queue.push(InferenceRequest::new(i as u64, model, dataset, scale, request_seed));
     }
 
     if online {
@@ -1175,14 +1202,18 @@ fn cmd_verify(flags: &HashMap<String, String>) -> Result<(), String> {
             .into());
     }
     let seed = parse_seed(flags)?;
+    // The golden model is a plain host loop: keep the graph small.
+    const MAX_VERTICES: usize = 100_000;
+    const MAX_EDGES: usize = 10_000_000;
     let vertices: usize = flags.get("vertices").map_or(Ok(300), |s| {
-        s.parse()
-            .ok()
-            .filter(|&n| n >= 2)
-            .ok_or_else(|| format!("--vertices must be an integer of at least 2, got `{s}`"))
+        s.parse().ok().filter(|n| (2..=MAX_VERTICES).contains(n)).ok_or_else(|| {
+            format!("--vertices must be an integer of at least 2 and at most {MAX_VERTICES}, got `{s}`")
+        })
     })?;
     let edges: usize = flags.get("edges").map_or(Ok(vertices * 6), |s| {
-        s.parse().map_err(|_| format!("--edges must be an integer, got `{s}`"))
+        s.parse().ok().filter(|&m| m <= MAX_EDGES).ok_or_else(|| {
+            format!("--edges must be an integer of at most {MAX_EDGES}, got `{s}`")
+        })
     })?;
     let g = generate::powerlaw_chung_lu(vertices, edges, 2.0, seed);
     let params = ModelParams::init(ModelConfig::custom(model, &[32, 16, 8]), seed);

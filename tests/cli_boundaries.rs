@@ -1,0 +1,249 @@
+//! Table-driven boundary tests of every `gnnie` subcommand: 0, 1 and huge
+//! flag values, `--chips` above the vertex count, and empty, header-only
+//! and malformed input files. Each case must exit 0, or exit 1 with an
+//! error naming the offending flag or file. None may panic (exit 101).
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+const BIN: &str = env!("CARGO_BIN_EXE_gnnie");
+
+/// `u64::MAX`: parses, but is far beyond any sensible count.
+const HUGE: &str = "18446744073709551615";
+/// Does not fit a `u64` at all.
+const OVERFLOW: &str = "99999999999999999999999";
+
+/// What a case must do.
+#[derive(Debug, Clone, Copy)]
+enum Expect {
+    /// Exit 0.
+    Ok,
+    /// Exit 1 with this flag or file name in the error.
+    Rejects(&'static str),
+}
+use Expect::{Ok, Rejects};
+
+/// The input files the cases name, written into a fresh directory the
+/// binary runs in.
+fn fixtures(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join("gnnie-cli-boundaries").join(name);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let files: [(&str, &[u8]); 8] = [
+        ("empty.txt", b""),
+        ("header.txt", b"# gnnie edgelist v1\n"),
+        ("header5.txt", b"# gnnie edgelist v1\n# gnnie vertices 5\n"),
+        ("columns.csv", b"src,dst\n"),
+        ("huge_vertices.txt", b"# gnnie edgelist v1\n# gnnie vertices 18446744073709551615\n"),
+        ("tiny.txt", b"0 1\n1 2\n"),
+        ("magic.gcsr", b"GCSRBIN1"),
+        ("magic.gnniecsr", b"GNNIECSR\x03\x00\x00\x00"),
+    ];
+    for (file, bytes) in files {
+        std::fs::write(dir.join(file), bytes).unwrap();
+    }
+    dir
+}
+
+/// Runs every case in `dir` and checks its exit status and error.
+fn check(dir: &Path, cases: &[(&[&str], Expect)]) {
+    for &(args, expect) in cases {
+        let out = Command::new(BIN).args(args).current_dir(dir).output().expect("spawn gnnie");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?} panicked:\n{stderr}");
+        match expect {
+            Ok => assert!(out.status.success(), "{args:?} failed ({}):\n{stderr}", out.status),
+            Rejects(name) => {
+                assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1:\n{stderr}");
+                let error = stderr.lines().find(|l| l.starts_with("error:")).unwrap_or("");
+                assert!(
+                    error.contains(name),
+                    "{args:?}: the error must name `{name}`:\n{stderr}"
+                );
+            }
+        }
+    }
+}
+
+/// `base` followed by `extra`.
+fn with(base: &[&'static str], extra: &[&'static str]) -> &'static [&'static str] {
+    Vec::leak([base, extra].concat())
+}
+
+#[test]
+fn run_boundaries() {
+    let dir = fixtures("run");
+    // Cora at 0.05 has 135 vertices.
+    let cora = ["run", "--model", "gcn", "--dataset", "cora", "--scale", "0.05"];
+    let gat = ["run", "--model", "gat", "--dataset", "cora", "--scale", "0.05"];
+    let file = |path: &'static str| with(&["run", "--model", "gcn", "--graph"], &[path]);
+    let cases: Vec<(&[&str], Expect)> = vec![
+        (&["run", "--model", "gcn", "--dataset", "cora", "--scale", "0"], Rejects("--scale")),
+        (&["run", "--model", "gcn", "--dataset", "cora", "--scale", "1e-300"], Ok),
+        (
+            &["run", "--model", "gcn", "--dataset", "cora", "--scale", "1e308"],
+            Rejects("--scale"),
+        ),
+        (&["run", "--model", "gcn", "--dataset", "reddit", "--scale", "1e-300"], Ok),
+        (with(&cora, &["--seed", "0"]), Ok),
+        (with(&cora, &["--seed", HUGE]), Ok),
+        (with(&cora, &["--seed", OVERFLOW]), Rejects("--seed")),
+        (with(&cora, &["--chips", "0"]), Rejects("--chips")),
+        (with(&cora, &["--chips", "1"]), Ok),
+        (with(&cora, &["--chips", "135"]), Ok),
+        (with(&cora, &["--chips", "136"]), Rejects("--chips")),
+        (with(&cora, &["--chips", HUGE]), Rejects("--chips")),
+        (with(&cora, &["--chips", OVERFLOW]), Rejects("--chips")),
+        (with(&cora, &["--chips", "2", "--partitioner", "edgecut"]), Ok),
+        (with(&gat, &["--heads", "0"]), Rejects("--heads")),
+        (with(&gat, &["--heads", "1"]), Ok),
+        (with(&gat, &["--heads", OVERFLOW]), Rejects("--heads")),
+        (with(&cora, &["--sim-threads", "0"]), Rejects("--sim-threads")),
+        (with(&cora, &["--sim-threads", "1"]), Ok),
+        (with(&cora, &["--sim-threads", HUGE]), Ok),
+        (with(&cora, &["--tiers", "auto:0"]), Rejects("--tiers")),
+        (with(&cora, &["--tiers", "auto:1"]), Ok),
+        (with(&cora, &["--tiers", "onchip:0,dram:0"]), Ok),
+        (with(&cora, &["--tiers", "onchip:1,dram:1,ssd:1"]), Ok),
+        (
+            with(&cora, &["--tiers", "onchip:18446744073709551615,dram:18446744073709551615"]),
+            Ok,
+        ),
+        (with(&cora, &["--tiers", "onchip:17179869184GB,dram:1GB"]), Rejects("--tiers")),
+        (file("empty.txt"), Rejects("empty.txt")),
+        (file("header.txt"), Rejects("header.txt")),
+        (file("header5.txt"), Ok),
+        (with(file("header5.txt"), &["--chips", "5"]), Ok),
+        (with(file("header5.txt"), &["--chips", "6"]), Rejects("--chips")),
+        (file("columns.csv"), Rejects("columns.csv")),
+        (file("huge_vertices.txt"), Rejects("huge_vertices.txt")),
+        (file("magic.gcsr"), Rejects("magic.gcsr")),
+        (file("magic.gnniecsr"), Rejects("magic.gnniecsr")),
+        (file("missing.txt"), Rejects("missing.txt")),
+    ];
+    check(&dir, &cases);
+}
+
+#[test]
+fn ingest_boundaries() {
+    let dir = fixtures("ingest");
+    let tiny = |out: &'static str| ["ingest", "tiny.txt", "--out", out];
+    let cases: Vec<(&[&str], Expect)> = vec![
+        (&["ingest"], Rejects("<path>")),
+        (&["ingest", "empty.txt", "--out", "empty.gnniecsr"], Ok),
+        (&["ingest", "header.txt", "--out", "header.gnniecsr"], Ok),
+        (&["ingest", "header5.txt", "--out", "header5.gnniecsr"], Ok),
+        (&["ingest", "empty.txt", "--out", "empty1.gnniecsr", "--chunk-mb", "1"], Ok),
+        (&["ingest", "header.txt", "--out", "header1.gnniecsr", "--chunk-mb", "1"], Ok),
+        (&["ingest", "columns.csv"], Rejects("columns.csv")),
+        (&["ingest", "huge_vertices.txt"], Rejects("huge_vertices.txt")),
+        (&["ingest", "huge_vertices.txt", "--chunk-mb", "1"], Rejects("huge_vertices.txt")),
+        (&["ingest", "magic.gcsr"], Rejects("magic.gcsr")),
+        (&["ingest", "magic.gnniecsr"], Rejects("magic.gnniecsr")),
+        (&["ingest", "missing.txt"], Rejects("missing.txt")),
+        (with(&tiny("s0.gnniecsr"), &["--shards", "0"]), Rejects("--shards")),
+        (with(&tiny("s1.gnniecsr"), &["--shards", "1"]), Ok),
+        (with(&tiny("sh.gnniecsr"), &["--shards", HUGE]), Ok),
+        (with(&tiny("so.gnniecsr"), &["--shards", OVERFLOW]), Rejects("--shards")),
+        (with(&tiny("c0.gnniecsr"), &["--chunk-mb", "0"]), Rejects("--chunk-mb")),
+        (with(&tiny("c1.gnniecsr"), &["--chunk-mb", "1"]), Ok),
+        (with(&tiny("cm.gnniecsr"), &["--chunk-mb", "17592186044415"]), Ok),
+        (with(&tiny("cx.gnniecsr"), &["--chunk-mb", "17592186044416"]), Rejects("--chunk-mb")),
+        (with(&tiny("ch.gnniecsr"), &["--chunk-mb", HUGE]), Rejects("--chunk-mb")),
+        (with(&tiny("z0.gnniecsr"), &["--seed", "0"]), Ok),
+        (with(&tiny("zh.gnniecsr"), &["--seed", HUGE]), Ok),
+        (with(&tiny("zh.gnniecsr"), &["--seed", HUGE]), Rejects("zh.gnniecsr")),
+        (with(&tiny("zh.gnniecsr"), &["--force"]), Ok),
+        // A snapshot ingested from an empty file has no vertices to run.
+        (&["run", "--model", "gcn", "--graph", "empty.gnniecsr"], Rejects("empty.gnniecsr")),
+        (&["run", "--model", "gcn", "--graph", "header5.gnniecsr"], Ok),
+    ];
+    check(&dir, &cases);
+}
+
+#[test]
+fn serve_boundaries() {
+    let dir = fixtures("serve");
+    let two = ["serve", "--scale", "0.05", "--requests", "2"];
+    let poisson = ["serve", "--scale", "0.05", "--requests", "2", "--arrival", "poisson"];
+    let bursty = ["serve", "--scale", "0.05", "--requests", "2", "--arrival", "bursty"];
+    let daemon = ["serve", "--scale", "0.05", "--requests", "2", "--daemon"];
+    let cases: Vec<(&[&str], Expect)> = vec![
+        (&["serve", "--scale", "0.05", "--requests", "0"], Rejects("--requests")),
+        (&["serve", "--scale", "0.05", "--requests", "1"], Ok),
+        (&["serve", "--scale", "0.05", "--requests", HUGE], Rejects("--requests")),
+        (&["serve", "--scale", "0.05", "--requests", OVERFLOW], Rejects("--requests")),
+        (&["serve", "--scale", "0", "--requests", "2"], Rejects("--scale")),
+        (&["serve", "--scale", "1e308", "--requests", "2"], Rejects("--scale")),
+        (with(&two, &["--batch", "0"]), Rejects("--batch")),
+        (with(&two, &["--batch", "1"]), Ok),
+        (with(&two, &["--batch", HUGE]), Ok),
+        (with(&two, &["--workers", "0"]), Rejects("--workers")),
+        (with(&two, &["--workers", "1"]), Ok),
+        (with(&two, &["--workers", HUGE]), Rejects("--workers")),
+        (with(&daemon, &["--workers", "1"]), Ok),
+        (with(&daemon, &["--workers", HUGE]), Rejects("--workers")),
+        (with(&daemon, &["--sim-threads", "0"]), Rejects("--sim-threads")),
+        (with(&daemon, &["--sim-threads", HUGE]), Ok),
+        (with(&two, &["--seed", "0"]), Ok),
+        (with(&two, &["--seed", HUGE]), Ok),
+        (with(&daemon, &["--seed", HUGE]), Ok),
+        (with(&two, &["--seed", OVERFLOW]), Rejects("--seed")),
+        (with(&two, &["--datasets", ","]), Rejects("--datasets")),
+        (with(&two, &["--models", ""]), Rejects("--models")),
+        (with(&poisson, &["--rate", "0"]), Rejects("--rate")),
+        (with(&poisson, &["--rate", "1e-300"]), Rejects("--rate")),
+        (with(&poisson, &["--rate", "0.01"]), Ok),
+        (with(&poisson, &["--rate", "1"]), Ok),
+        (with(&poisson, &["--rate", "1e300"]), Ok),
+        (with(&bursty, &["--burst", "0"]), Rejects("--burst")),
+        (with(&bursty, &["--burst", "1"]), Ok),
+        (with(&bursty, &["--burst", "1000000"]), Ok),
+        (with(&bursty, &["--burst", "1000000", "--rate", "0.01"]), Ok),
+        (with(&bursty, &["--burst", HUGE]), Rejects("--burst")),
+    ];
+    check(&dir, &cases);
+}
+
+#[test]
+fn compare_boundaries() {
+    let dir = fixtures("compare");
+    let cases: Vec<(&[&str], Expect)> = vec![
+        (&["compare"], Rejects("--dataset")),
+        (&["compare", "--dataset", "cora", "--scale", "0"], Rejects("--scale")),
+        (&["compare", "--dataset", "cora", "--scale", "1e308"], Rejects("--scale")),
+        (&["compare", "--dataset", "cora", "--scale", "1e-300"], Ok),
+        (&["compare", "--dataset", "cora", "--scale", "0.01"], Ok),
+        (&["compare", "--dataset", "reddit", "--scale", "1e-300"], Ok),
+        (&["compare", "--dataset", "cora", "--scale", "0.01", "--seed", HUGE], Ok),
+        (
+            &["compare", "--dataset", "cora", "--scale", "0.01", "--seed", "-1"],
+            Rejects("--seed"),
+        ),
+    ];
+    check(&dir, &cases);
+}
+
+#[test]
+fn verify_boundaries() {
+    let dir = fixtures("verify");
+    let gcn = ["verify", "--model", "gcn"];
+    let cases: Vec<(&[&str], Expect)> = vec![
+        (with(&gcn, &["--vertices", "0"]), Rejects("--vertices")),
+        (with(&gcn, &["--vertices", "1"]), Rejects("--vertices")),
+        (with(&gcn, &["--vertices", "2"]), Ok),
+        (with(&gcn, &["--vertices", "100001"]), Rejects("--vertices")),
+        (with(&gcn, &["--vertices", HUGE]), Rejects("--vertices")),
+        (with(&gcn, &["--vertices", OVERFLOW]), Rejects("--vertices")),
+        (with(&gcn, &["--vertices", "2", "--edges", "0"]), Ok),
+        (with(&gcn, &["--vertices", "2", "--edges", "1"]), Ok),
+        (with(&gcn, &["--vertices", "2", "--edges", "10000000"]), Ok),
+        (with(&gcn, &["--edges", "0"]), Ok),
+        (with(&gcn, &["--edges", "10000001"]), Rejects("--edges")),
+        (with(&gcn, &["--edges", HUGE]), Rejects("--edges")),
+        (with(&gcn, &["--seed", "0"]), Ok),
+        (with(&gcn, &["--seed", HUGE]), Ok),
+        (&["verify", "--model", "gat", "--vertices", "50", "--edges", "10000000"], Ok),
+    ];
+    check(&dir, &cases);
+}
