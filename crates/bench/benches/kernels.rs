@@ -14,8 +14,9 @@ use gnnie_core::weighting::{
 };
 use gnnie_graph::generate;
 use gnnie_graph::reorder::Permutation;
-use gnnie_graph::{Dataset, SyntheticDataset};
-use gnnie_mem::{CacheConfig, DegreeAwareCache, HbmModel};
+use gnnie_graph::{Dataset, GraphDataset};
+use gnnie_mem::cache::PaperAlphaGamma;
+use gnnie_mem::{CacheConfig, CacheSim, HbmModel, SimPool, SimThreads};
 use gnnie_tensor::rlc;
 use gnnie_tensor::SparseVec;
 
@@ -26,7 +27,7 @@ fn bench_fm_scheduler(c: &mut Criterion) {
     let inputs = [(Dataset::Cora, 0.5), (Dataset::Pubmed, 1.0)];
     let mut g = c.benchmark_group("weighting_schedule");
     for (dataset, scale) in inputs {
-        let ds = SyntheticDataset::generate(dataset, scale, 7);
+        let ds = GraphDataset::generate(dataset, scale, 7);
         let arr = CpeArray::new(&AcceleratorConfig::paper(dataset));
         let profile = BlockProfile::from_sparse(&ds.features, arr.rows());
         for mode in [WeightingMode::Baseline, WeightingMode::Fm, WeightingMode::FmLr] {
@@ -42,7 +43,7 @@ fn bench_fm_scheduler(c: &mut Criterion) {
 fn bench_block_profile(c: &mut Criterion) {
     let mut g = c.benchmark_group("weighting_block_profile");
     for (dataset, scale) in [(Dataset::Cora, 0.5), (Dataset::Pubmed, 1.0)] {
-        let ds = SyntheticDataset::generate(dataset, scale, 7);
+        let ds = GraphDataset::generate(dataset, scale, 7);
         let rows = AcceleratorConfig::paper(dataset).array_rows;
         let id = BenchmarkId::from_parameter(format!("{dataset:?}@{scale}"));
         g.bench_with_input(id, &ds.features, |b, features| {
@@ -53,15 +54,17 @@ fn bench_block_profile(c: &mut Criterion) {
 }
 
 fn bench_cache_walk(c: &mut Criterion) {
-    let ds = SyntheticDataset::generate(Dataset::Cora, 0.5, 7);
+    let ds = GraphDataset::generate(Dataset::Cora, 0.5, 7);
     let graph = Permutation::descending_degree(&ds.graph).apply(&ds.graph);
+    let pool = SimPool::new(SimThreads::Auto);
     let mut g = c.benchmark_group("cache_walk");
     for capacity in [64usize, 256, 1024] {
         g.bench_with_input(BenchmarkId::from_parameter(capacity), &capacity, |b, &capacity| {
             b.iter(|| {
                 let mut dram = HbmModel::hbm2_256gbps(1.3e9);
                 let cfg = CacheConfig::with_capacity(capacity, 512);
-                DegreeAwareCache::new(black_box(&graph), cfg).run(&mut dram)
+                CacheSim::new(black_box(&graph), cfg, &pool)
+                    .run(&mut PaperAlphaGamma::new(), &mut dram)
             });
         });
     }
@@ -69,7 +72,7 @@ fn bench_cache_walk(c: &mut Criterion) {
 }
 
 fn bench_rlc_codec(c: &mut Criterion) {
-    let ds = SyntheticDataset::generate(Dataset::Cora, 0.5, 7);
+    let ds = GraphDataset::generate(Dataset::Cora, 0.5, 7);
     let rows: Vec<SparseVec> = (0..64).map(|i| ds.features.row(i)).collect();
     c.bench_function("rlc_encode_decode_64_rows", |b| {
         b.iter(|| {
@@ -83,7 +86,7 @@ fn bench_rlc_codec(c: &mut Criterion) {
 }
 
 fn bench_weighting_model(c: &mut Criterion) {
-    let ds = SyntheticDataset::generate(Dataset::Citeseer, 0.5, 7);
+    let ds = GraphDataset::generate(Dataset::Citeseer, 0.5, 7);
     let cfg = AcceleratorConfig::paper(Dataset::Citeseer);
     let arr = CpeArray::new(&cfg);
     let profile = BlockProfile::from_sparse(&ds.features, arr.rows());
@@ -120,7 +123,7 @@ fn bench_noc_rebalance(c: &mut Criterion) {
     // The §VII communication models: GNNIE's one-shot LR pricing vs the
     // iterative AWB-style rebalance on a worst-case skewed load.
     use gnnie_core::noc::{awb_rebalance_traffic, lr_traffic, AwbRebalanceParams};
-    let ds = SyntheticDataset::generate(Dataset::Pubmed, 0.5, 7);
+    let ds = GraphDataset::generate(Dataset::Pubmed, 0.5, 7);
     let cfg = AcceleratorConfig::paper(Dataset::Pubmed);
     let arr = CpeArray::new(&cfg);
     let profile = BlockProfile::from_sparse(&ds.features, arr.rows());

@@ -7,7 +7,7 @@ use gnnie_core::config::AcceleratorConfig;
 use gnnie_core::engine::Engine;
 use gnnie_core::report::InferenceReport;
 use gnnie_gnn::model::{GnnModel, ModelConfig};
-use gnnie_graph::{Dataset, SyntheticDataset};
+use gnnie_graph::{Dataset, GraphDataset};
 
 /// Default seed for all harness runs (the experiments are deterministic).
 pub const HARNESS_SEED: u64 = 0x0D0C_5EED;
@@ -17,7 +17,7 @@ pub const HARNESS_SEED: u64 = 0x0D0C_5EED;
 pub struct Ctx {
     seed: u64,
     scale_override: Option<f64>,
-    cache: Mutex<HashMap<(Dataset, u64), Arc<SyntheticDataset>>>,
+    cache: Mutex<HashMap<(Dataset, u64), Arc<GraphDataset>>>,
 }
 
 impl Ctx {
@@ -56,13 +56,13 @@ impl Ctx {
     }
 
     /// The (cached) synthetic dataset at this context's scale.
-    pub fn dataset(&self, dataset: Dataset) -> Arc<SyntheticDataset> {
+    pub fn dataset(&self, dataset: Dataset) -> Arc<GraphDataset> {
         let scale = self.scale_for(dataset);
         let key = (dataset, scale.to_bits());
         let mut cache = self.cache.lock().expect("dataset cache poisoned");
         cache
             .entry(key)
-            .or_insert_with(|| Arc::new(SyntheticDataset::generate(dataset, scale, self.seed)))
+            .or_insert_with(|| Arc::new(GraphDataset::generate(dataset, scale, self.seed)))
             .clone()
     }
 

@@ -22,11 +22,11 @@
 
 use gnnie_graph::Dataset;
 use gnnie_serve::{
-    schedule_online, ArrivalProcess, LoadGen, OnlineConfig, OnlineReport, SchedulerPolicy,
-    ServeConfig, Server, SimClock, SlaClass, SlaMix,
+    schedule_batched, schedule_online, ArrivalProcess, BatchScheduler, LoadGen, OnlineConfig,
+    OnlineReport, SchedulerPolicy, SimClock, SlaClass, SlaMix,
 };
 
-use crate::experiments::serving_throughput::same_model_mix;
+use crate::experiments::serving_throughput::{profile, same_model_mix};
 use crate::json::Json;
 use crate::{Ctx, ExperimentResult, Metric, Table};
 
@@ -89,13 +89,7 @@ pub struct OnlineServingResult {
 pub fn sweep(ctx: &Ctx) -> OnlineServingResult {
     let profiled = same_model_mix(ctx, PROFILED);
     let clock = SimClock::paper(Dataset::Cora);
-    let server = Server::new(ServeConfig {
-        policy: SchedulerPolicy::ModelAffinity,
-        max_batch: 8,
-        workers: 4,
-        ..ServeConfig::default()
-    });
-    let profiled_costs = server.profile_costs(&profiled);
+    let profiled_costs = profile(&profiled);
 
     // The long trace clones the profiled requests modulo PROFILED; the
     // cost oracle maps each clone to its original's measurement.
@@ -146,9 +140,14 @@ pub fn sweep(ctx: &Ctx) -> OnlineServingResult {
     // Daemon-vs-static: the batch planner's home turf (same-model queue,
     // everything at t = 0, no deadlines). The online scheduler carries
     // weight residency across consecutive batches, so its makespan must
-    // not exceed the planner's pipelined total. The profiled 16-request
-    // queue keeps the planner's side to simulations already paid for.
-    let static_report = server.run(&profiled);
+    // not exceed the planner's pipelined total. Both sides plan the
+    // profiled 16-request queue over the costs already simulated.
+    let static_report = schedule_batched(
+        &profiled,
+        &BatchScheduler::new(SchedulerPolicy::ModelAffinity, 8),
+        &profiled_costs,
+        &clock,
+    );
     let static_trace = LoadGen {
         process: ArrivalProcess::Static,
         sla: SlaMix::Uniform(SlaClass::Batch),

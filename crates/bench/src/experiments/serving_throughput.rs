@@ -20,9 +20,14 @@
 //! weight-load savings grow with batch size; and the FIFO-vs-affinity
 //! gap opens only on the interleaved mix.
 
+use std::collections::HashMap;
+
 use gnnie_gnn::model::GnnModel;
 use gnnie_graph::Dataset;
-use gnnie_serve::{InferenceRequest, SchedulerPolicy, ServeConfig, ServeReport, Server};
+use gnnie_serve::{
+    schedule_batched, BatchScheduler, Daemon, DaemonConfig, InferenceRequest, RequestCost,
+    SchedulerPolicy, ServeReport, SimClock,
+};
 
 use crate::json::Json;
 use crate::table::fmt_count;
@@ -83,14 +88,24 @@ pub fn interleaved_mix(ctx: &Ctx, n: usize) -> Vec<InferenceRequest> {
         .collect()
 }
 
-/// Runs one configuration.
+/// Simulates every request of `queue` cold and resident once, on a
+/// serving daemon; every configuration of a mix plans over these costs.
+pub fn profile(queue: &[InferenceRequest]) -> HashMap<u64, RequestCost> {
+    let daemon = Daemon::new(DaemonConfig { workers: 4, ..DaemonConfig::default() });
+    let costs = daemon.profile_costs(queue);
+    daemon.shutdown();
+    costs
+}
+
+/// Plans one configuration over the mix's profiled `costs`.
 pub fn run_config(
     queue: &[InferenceRequest],
+    costs: &HashMap<u64, RequestCost>,
     policy: SchedulerPolicy,
     max_batch: usize,
 ) -> ServeReport {
-    Server::new(ServeConfig { policy, max_batch, workers: 4, ..ServeConfig::default() })
-        .run(queue)
+    let clock = SimClock::paper(queue.first().map_or(Dataset::Cora, |r| r.dataset));
+    schedule_batched(queue, &BatchScheduler::new(policy, max_batch), costs, &clock)
 }
 
 /// The full sweep: batch sizes × policies on both mixes.
@@ -99,9 +114,10 @@ pub fn sweep(ctx: &Ctx) -> Vec<SweepRow> {
     let same = same_model_mix(ctx, 16);
     let inter = interleaved_mix(ctx, 16);
     for &(mix, queue) in &[("same-model", &same), ("interleaved", &inter)] {
+        let costs = profile(queue);
         for policy in SchedulerPolicy::ALL {
             for max_batch in [1usize, 2, 4, 8] {
-                let report = run_config(queue, policy, max_batch);
+                let report = run_config(queue, &costs, policy, max_batch);
                 rows.push(SweepRow { mix, policy, max_batch, report });
             }
         }
@@ -216,7 +232,7 @@ mod tests {
         // weight-load savings reported explicitly.
         let ctx = Ctx::with_scale(0.1);
         let queue = same_model_mix(&ctx, 8);
-        let report = run_config(&queue, SchedulerPolicy::ModelAffinity, 8);
+        let report = run_config(&queue, &profile(&queue), SchedulerPolicy::ModelAffinity, 8);
         assert_eq!(report.batches.len(), 1);
         assert!(
             report.pipelined_total_cycles < report.serial_total_cycles,
@@ -231,8 +247,9 @@ mod tests {
     fn affinity_beats_fifo_only_on_the_interleaved_mix() {
         let ctx = Ctx::with_scale(0.1);
         let inter = interleaved_mix(&ctx, 8);
-        let fifo = run_config(&inter, SchedulerPolicy::Fifo, 4);
-        let aff = run_config(&inter, SchedulerPolicy::ModelAffinity, 4);
+        let costs = profile(&inter);
+        let fifo = run_config(&inter, &costs, SchedulerPolicy::Fifo, 4);
+        let aff = run_config(&inter, &costs, SchedulerPolicy::ModelAffinity, 4);
         // FIFO sees no two compatible neighbors: nothing amortizes.
         assert_eq!(fifo.weight_load_cycles_saved, 0);
         assert!(aff.weight_load_cycles_saved > 0);
@@ -253,8 +270,9 @@ mod tests {
         assert!(headline(&[]).is_err(), "an empty sweep cannot be gated");
         // On the same-model mix the policies coincide.
         let same = same_model_mix(&ctx, 8);
-        let f = run_config(&same, SchedulerPolicy::Fifo, 4);
-        let a = run_config(&same, SchedulerPolicy::ModelAffinity, 4);
+        let costs = profile(&same);
+        let f = run_config(&same, &costs, SchedulerPolicy::Fifo, 4);
+        let a = run_config(&same, &costs, SchedulerPolicy::ModelAffinity, 4);
         assert_eq!(f.pipelined_total_cycles, a.pipelined_total_cycles);
     }
 }

@@ -9,7 +9,7 @@
 
 use gnnie_core::report::InferenceReport;
 use gnnie_gnn::model::{GnnModel, ModelConfig};
-use gnnie_graph::{Dataset, SyntheticDataset};
+use gnnie_graph::{Dataset, GraphDataset};
 
 use crate::{table::fmt_count, Ctx, ExperimentResult, Table};
 
@@ -18,7 +18,7 @@ pub const SCALE_RAMP: [f64; 4] = [0.02, 0.1, 0.5, 1.0];
 
 /// Runs GCN on Pubmed statistics at `scale`.
 pub fn run_at_scale(ctx: &Ctx, scale: f64) -> InferenceReport {
-    let ds = SyntheticDataset::generate(Dataset::Pubmed, scale, ctx.seed());
+    let ds = GraphDataset::generate(Dataset::Pubmed, scale, ctx.seed());
     let cfg = gnnie_core::config::AcceleratorConfig::paper(Dataset::Pubmed);
     gnnie_core::engine::Engine::new(cfg).run(&ModelConfig::paper(GnnModel::Gcn, &ds.spec), &ds)
 }

@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 use gnnie_graph::{CsrGraph, GraphPartition, Permutation};
 use gnnie_mem::cache::IterationStats;
 use gnnie_mem::{
-    CacheConfig, CacheSim, CacheSimResult, DoubleBuffer, HbmModel, MemoryHierarchy, SimThreads,
+    CacheConfig, CacheSim, CacheSimResult, DoubleBuffer, HbmModel, MemoryHierarchy, SimPool,
 };
 
 use crate::config::AcceleratorConfig;
@@ -179,12 +179,12 @@ pub fn simulate_aggregation(
     params: AggregationParams,
     dram: &mut HbmModel,
 ) -> AggregationReport {
-    simulate_aggregation_with(cfg, arr, graph, params, dram, cfg.sim_threads)
+    simulate_aggregation_with(cfg, arr, graph, params, dram, &SimPool::new(cfg.sim_threads))
 }
 
-/// [`simulate_aggregation`] with an explicit worker-thread policy for the
-/// cache walk's sharded vertex scans (the engine passes its per-run
-/// effective setting; results are bit-identical at any value).
+/// [`simulate_aggregation`] on an explicit worker pool for the cache
+/// walk's sharded vertex scans (the engine passes its session's pool;
+/// results are bit-identical at any width).
 ///
 /// With `cfg.chips > 1` the graph is partitioned per
 /// [`AcceleratorConfig::partitioner`], every chip walks its own partition
@@ -198,12 +198,12 @@ pub fn simulate_aggregation_with(
     graph: &CsrGraph,
     params: AggregationParams,
     dram: &mut HbmModel,
-    sim_threads: SimThreads,
+    pool: &SimPool,
 ) -> AggregationReport {
     if cfg.chips > 1 {
-        simulate_scaleout(cfg, arr, graph, params, dram, sim_threads)
+        simulate_scaleout(cfg, arr, graph, params, dram, pool)
     } else {
-        simulate_single_chip(cfg, arr, graph, params, dram, sim_threads)
+        simulate_single_chip(cfg, arr, graph, params, dram, pool)
     }
 }
 
@@ -214,7 +214,7 @@ fn simulate_single_chip(
     graph: &CsrGraph,
     params: AggregationParams,
     dram: &mut HbmModel,
-    sim_threads: SimThreads,
+    pool: &SimPool,
 ) -> AggregationReport {
     let f = params.f_out.max(1);
     // Per-vertex payload: the weighted feature vector, for GATs the
@@ -237,7 +237,6 @@ fn simulate_single_chip(
     let (iteration_stats, cache, cache_dram_cycles) = if cfg.enable_cache_policy {
         let mut cache_cfg = CacheConfig::with_capacity(capacity, payload);
         cache_cfg.gamma = cfg.gamma;
-        cache_cfg.sim_threads = sim_threads;
         // The replacement decision is pluggable (`AcceleratorConfig::
         // cache_policy`); the walk and its traffic accounting are shared.
         let mut policy = cfg.cache_policy.instantiate();
@@ -264,18 +263,18 @@ fn simulate_single_chip(
                 let mut tiered_cfg =
                     CacheConfig::with_capacity((avail / line.max(1)).max(4) as usize, payload);
                 tiered_cfg.gamma = cfg.gamma;
-                tiered_cfg.sim_threads = sim_threads;
                 let mut hier = MemoryHierarchy::new(
                     &tier_cfgs,
                     cfg.clock_hz,
                     graph.num_vertices() as u32,
                     line,
                 );
-                let r = CacheSim::new(graph, tiered_cfg).run_tiered(policy.as_mut(), &mut hier);
+                let r = CacheSim::new(graph, tiered_cfg, pool)
+                    .run_tiered(policy.as_mut(), &mut hier);
                 dram.absorb_counters(&hier.dram_counters());
                 r
             }
-            None => CacheSim::new(graph, cache_cfg).run(policy.as_mut(), dram),
+            None => CacheSim::new(graph, cache_cfg, pool).run(policy.as_mut(), dram),
         };
         let cycles = result.dram_cycles;
         (result.iteration_stats.clone(), Some(result), cycles)
@@ -346,8 +345,8 @@ fn simulate_single_chip(
 ///
 /// Deterministic merge contract: partitions are processed in partition
 /// order on independent DRAM channel models, so the merged report is a
-/// pure function of the graph and config — replay-stable at any
-/// `sim_threads` width. Extensive quantities (updates, MACs, per-chip
+/// pure function of the graph and config — replay-stable at any pool
+/// width. Extensive quantities (updates, MACs, per-chip
 /// compute/DRAM cycles, link traffic) sum; `total_cycles` is the slowest
 /// chip's makespan (its walk, its share of cut-edge updates, and its link
 /// transfers), which is where the scale-out speedup comes from. Cut edges
@@ -362,7 +361,7 @@ fn simulate_scaleout(
     graph: &CsrGraph,
     params: AggregationParams,
     dram: &mut HbmModel,
-    sim_threads: SimThreads,
+    pool: &SimPool,
 ) -> AggregationReport {
     let partition = GraphPartition::build(graph, cfg.chips, cfg.partitioner);
     let f = params.f_out.max(1) as u64;
@@ -402,14 +401,7 @@ fn simulate_scaleout(
             }
             None => Cow::Borrowed(cfg),
         };
-        let r = simulate_single_chip(
-            &chip_cfg,
-            arr,
-            &chip_graph,
-            params,
-            &mut chip_dram,
-            sim_threads,
-        );
+        let r = simulate_single_chip(&chip_cfg, arr, &chip_graph, params, &mut chip_dram, pool);
         dram.absorb_counters(chip_dram.counters());
 
         // Every distinct external neighbor's feature crosses the link once.
@@ -528,7 +520,8 @@ fn iteration_cycles(
 mod tests {
     use super::*;
     use gnnie_graph::reorder::Permutation;
-    use gnnie_graph::{generate, Dataset, SyntheticDataset};
+    use gnnie_graph::{generate, Dataset, GraphDataset};
+    use gnnie_mem::SimThreads;
 
     fn paper_setup() -> (AcceleratorConfig, CpeArray) {
         let cfg = AcceleratorConfig::paper(Dataset::Cora);
@@ -648,7 +641,7 @@ mod tests {
     #[test]
     fn total_includes_stalls_and_attention() {
         let (cfg, arr) = paper_setup();
-        let ds = SyntheticDataset::generate(Dataset::Cora, 0.2, 3);
+        let ds = GraphDataset::generate(Dataset::Cora, 0.2, 3);
         let g = degree_ordered(&ds.graph);
         let r = run(&cfg, &arr, &g, AggregationParams { f_out: 128, is_gat: true });
         assert!(r.total_cycles >= r.attention_cycles);
@@ -723,11 +716,36 @@ mod tests {
         let mut reports = Vec::new();
         for threads in [SimThreads::Fixed(1), SimThreads::Fixed(4), SimThreads::Fixed(1)] {
             let mut dram = HbmModel::hbm2_256gbps(cfg.clock_hz);
-            let r = simulate_aggregation_with(&cfg, &arr, &g, params, &mut dram, threads);
+            let pool = SimPool::new(threads);
+            let r = simulate_aggregation_with(&cfg, &arr, &g, params, &mut dram, &pool);
             reports.push((format!("{r:?}"), *dram.counters()));
         }
         assert_eq!(reports[0], reports[1]);
         assert_eq!(reports[0], reports[2]);
+    }
+
+    #[test]
+    fn scaleout_tiered_walk_is_identical_on_a_persistent_pool() {
+        // Four chips over 3,200 vertices with a three-tier stack: every
+        // chip's partition is large enough that a width-2 pool really
+        // shards its walk's per-vertex scans.
+        let (mut cfg, arr) = paper_setup();
+        cfg.chips = 4;
+        cfg.tiers = Some(gnnie_mem::TierSpec::Explicit(gnnie_mem::TierBudgets {
+            onchip_bytes: 16 << 10,
+            dram_bytes: 64 << 10,
+            ssd_bytes: Some(1 << 20),
+        }));
+        let g = degree_ordered(&generate::powerlaw_chung_lu(3200, 16000, 2.0, 13));
+        let params = AggregationParams { f_out: 32, is_gat: false };
+        let walk = |pool: &SimPool| {
+            let mut dram = HbmModel::hbm2_256gbps(cfg.clock_hz);
+            let r = simulate_aggregation_with(&cfg, &arr, &g, params, &mut dram, pool);
+            assert_eq!(r.cache.as_ref().expect("cache policy on").tiers.len(), 3);
+            (format!("{r:?}"), *dram.counters())
+        };
+        let serial = walk(&SimPool::serial());
+        assert_eq!(serial, walk(&SimPool::persistent(SimThreads::Fixed(2))));
     }
 
     #[test]
@@ -737,7 +755,7 @@ mod tests {
         let params = AggregationParams { f_out: 64, is_gat: false };
         cfg.chips = 4;
         let mut dram = HbmModel::hbm2_256gbps(cfg.clock_hz);
-        let r = simulate_aggregation_with(&cfg, &arr, &g, params, &mut dram, cfg.sim_threads);
+        let r = simulate_aggregation(&cfg, &arr, &g, params, &mut dram);
         let cache = r.cache.as_ref().expect("cache policy on");
         assert_eq!(
             *dram.counters(),

@@ -142,14 +142,15 @@ impl Engine {
     /// the sharded simulation loops through a caller-provided [`SimPool`]
     /// instead of resolving a fresh one per session.
     ///
-    /// This is the serving daemon's amortization hook: a long-lived
-    /// server creates one [`SimPool::persistent`] and shares it across
-    /// every request's `RunSession`, so the per-region worker spawns the
-    /// scoped pool pays are replaced by channel dispatch to threads that
-    /// already exist. `opts.sim_threads` is ignored here — the pool *is*
-    /// the thread policy. Cloning a pool handle is cheap (persistent
-    /// clones share the same workers), and reports stay bit-identical to
-    /// any other pool width by the sharding contract.
+    /// This is the serving daemon's amortization hook: the daemon creates
+    /// one [`SimPool::persistent`] and shares it across every request's
+    /// `RunSession`, so the per-region worker spawns the scoped pool pays
+    /// are replaced by channel dispatch to threads that already exist —
+    /// in the Weighting scans and the Aggregation cache walk alike.
+    /// `opts.sim_threads` is ignored here — the pool *is* the thread
+    /// policy. Cloning a pool handle is cheap (persistent clones share the
+    /// same workers), and reports stay bit-identical to any other pool
+    /// width by the sharding contract.
     pub fn begin_pooled<'a>(
         &'a self,
         model: &'a ModelConfig,
@@ -185,11 +186,9 @@ impl Engine {
             preprocessing_cycles += sampled;
         }
 
-        // Every phase dispatches through the session's pool handle (a
-        // `SimPool` is a width dispatcher — scoped pools spawn workers
-        // per parallel region, persistent pools feed long-lived ones —
-        // and the aggregation path forwards the width into the cache
-        // walk's own handle via `CacheConfig::sim_threads`).
+        // Every phase, the cache walk included, dispatches through the
+        // session's pool handle (scoped pools spawn workers per parallel
+        // region, persistent pools feed long-lived ones).
         let pool = pool.clone();
 
         RunSession {
@@ -278,7 +277,7 @@ impl Engine {
             graph,
             AggregationParams { f_out, is_gat },
             dram,
-            SimThreads::Fixed(pool.width()),
+            pool,
         );
         counts.macs += report.macs_issued;
         counts.sfu_ops +=

@@ -32,9 +32,9 @@
 //! use gnnie_core::config::AcceleratorConfig;
 //! use gnnie_core::engine::Engine;
 //! use gnnie_gnn::model::{GnnModel, ModelConfig};
-//! use gnnie_graph::{Dataset, SyntheticDataset};
+//! use gnnie_graph::{Dataset, GraphDataset};
 //!
-//! let ds = SyntheticDataset::generate(Dataset::Cora, 0.1, 42);
+//! let ds = GraphDataset::generate(Dataset::Cora, 0.1, 42);
 //! let cfg = AcceleratorConfig::paper(Dataset::Cora);
 //! let model = ModelConfig::paper(GnnModel::Gcn, &ds.spec);
 //! let report = Engine::new(cfg).run(&model, &ds);

@@ -349,7 +349,7 @@ mod tests {
     use super::*;
     use crate::config::AcceleratorConfig;
     use crate::weighting::{schedule, BlockProfile, WeightingMode};
-    use gnnie_graph::{Dataset, SyntheticDataset};
+    use gnnie_graph::{Dataset, GraphDataset};
 
     #[test]
     fn bus_is_one_hop_everywhere() {
@@ -413,7 +413,7 @@ mod tests {
 
     #[test]
     fn lr_traffic_matches_schedule_moves() {
-        let ds = SyntheticDataset::generate(Dataset::Cora, 0.3, 7);
+        let ds = GraphDataset::generate(Dataset::Cora, 0.3, 7);
         let cfg = AcceleratorConfig::paper(Dataset::Cora);
         let arr = CpeArray::new(&cfg);
         let profile = BlockProfile::from_sparse(&ds.features, arr.rows());
@@ -488,7 +488,7 @@ mod tests {
     #[test]
     fn gnnie_lr_is_orders_of_magnitude_cheaper_than_awb_on_real_features() {
         // The §VII headline, end to end on a real dataset profile.
-        let ds = SyntheticDataset::generate(Dataset::Citeseer, 0.3, 11);
+        let ds = GraphDataset::generate(Dataset::Citeseer, 0.3, 11);
         let cfg = AcceleratorConfig::paper(Dataset::Citeseer);
         let arr = CpeArray::new(&cfg);
         let profile = BlockProfile::from_sparse(&ds.features, arr.rows());

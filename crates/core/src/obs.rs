@@ -175,11 +175,11 @@ mod tests {
     use crate::config::AcceleratorConfig;
     use crate::engine::Engine;
     use gnnie_gnn::model::ModelConfig;
-    use gnnie_graph::{Dataset, SyntheticDataset};
+    use gnnie_graph::{Dataset, GraphDataset};
     use gnnie_obs::TraceEvent;
 
     fn run_report(chips: usize) -> InferenceReport {
-        let ds = SyntheticDataset::generate(Dataset::Cora, 0.05, 11);
+        let ds = GraphDataset::generate(Dataset::Cora, 0.05, 11);
         let mut cfg = AcceleratorConfig::paper(Dataset::Cora);
         cfg.chips = chips;
         let model = ModelConfig::paper(gnnie_gnn::model::GnnModel::Gcn, &ds.spec);

@@ -14,7 +14,8 @@
 use gnnie_gnn::layers::{GatLayer, GnnLayer, SageAggregator};
 use gnnie_graph::reorder::Permutation;
 use gnnie_graph::CsrGraph;
-use gnnie_mem::{CacheConfig, DegreeAwareCache, HbmModel};
+use gnnie_mem::cache::PaperAlphaGamma;
+use gnnie_mem::{CacheConfig, CacheSim, HbmModel, SimPool, SimThreads};
 use gnnie_tensor::activations::{leaky_relu, relu, GAT_LEAKY_SLOPE};
 use gnnie_tensor::{CsrMatrix, DenseMatrix, ExpLut};
 
@@ -103,7 +104,12 @@ fn cache_edge_walk(
     let mut cfg = CacheConfig::with_capacity(capacity.max(4), 64);
     cfg.gamma = gamma;
     let mut dram = HbmModel::hbm2_256gbps(1.3e9);
-    let result = DegreeAwareCache::new(graph, cfg).run_with(&mut dram, &mut on_edge);
+    let pool = SimPool::new(SimThreads::Auto);
+    let result = CacheSim::new(graph, cfg, &pool).run_with(
+        &mut PaperAlphaGamma::new(),
+        &mut dram,
+        &mut on_edge,
+    );
     assert!(
         result.completed,
         "cache walk must process every edge exactly once (processed {} of {})",

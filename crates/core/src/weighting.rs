@@ -22,9 +22,9 @@
 //! use gnnie_core::config::AcceleratorConfig;
 //! use gnnie_core::cpe::CpeArray;
 //! use gnnie_core::weighting::{schedule, BlockProfile, WeightingMode};
-//! use gnnie_graph::{Dataset, SyntheticDataset};
+//! use gnnie_graph::{Dataset, GraphDataset};
 //!
-//! let ds = SyntheticDataset::generate(Dataset::Cora, 0.05, 7);
+//! let ds = GraphDataset::generate(Dataset::Cora, 0.05, 7);
 //! let arr = CpeArray::new(&AcceleratorConfig::paper(Dataset::Cora));
 //! let profile = BlockProfile::from_sparse(&ds.features, arr.rows());
 //!
@@ -789,7 +789,7 @@ pub fn simulate_weighting_mode_pooled(
 mod tests {
     use super::*;
     use crate::config::Design;
-    use gnnie_graph::{Dataset, SyntheticDataset};
+    use gnnie_graph::{Dataset, GraphDataset};
     use gnnie_tensor::SparseVec;
 
     fn paper_cfg() -> (AcceleratorConfig, CpeArray) {
@@ -863,7 +863,7 @@ mod tests {
 
     #[test]
     fn fm_reduces_imbalance_on_real_features() {
-        let ds = SyntheticDataset::generate(Dataset::Cora, 0.3, 7);
+        let ds = GraphDataset::generate(Dataset::Cora, 0.3, 7);
         let (_, arr) = paper_cfg();
         let p = BlockProfile::from_sparse(&ds.features, 16);
         let base = schedule(&p, &arr, WeightingMode::Baseline).per_row_cycles(&arr);
@@ -878,7 +878,7 @@ mod tests {
 
     #[test]
     fn lr_further_reduces_makespan_or_keeps_it() {
-        let ds = SyntheticDataset::generate(Dataset::Citeseer, 0.3, 9);
+        let ds = GraphDataset::generate(Dataset::Citeseer, 0.3, 9);
         let (_, arr) = paper_cfg();
         let p = BlockProfile::from_sparse(&ds.features, 16);
         let fm = schedule(&p, &arr, WeightingMode::Fm).per_row_cycles(&arr);
@@ -890,7 +890,7 @@ mod tests {
     #[test]
     fn pooled_paths_match_serial_at_any_width() {
         use gnnie_mem::SimThreads;
-        let ds = SyntheticDataset::generate(Dataset::Cora, 0.3, 5);
+        let ds = GraphDataset::generate(Dataset::Cora, 0.3, 5);
         let (mut cfg, arr) = paper_cfg();
         let serial = BlockProfile::from_sparse(&ds.features, 16);
         cfg.sim_threads = SimThreads::Fixed(1);
@@ -920,7 +920,7 @@ mod tests {
 
     #[test]
     fn simulate_produces_consistent_report() {
-        let ds = SyntheticDataset::generate(Dataset::Cora, 0.2, 3);
+        let ds = GraphDataset::generate(Dataset::Cora, 0.2, 3);
         let (cfg, arr) = paper_cfg();
         let p = BlockProfile::from_sparse(&ds.features, 16);
         let mut dram = HbmModel::hbm2_256gbps(cfg.clock_hz);
@@ -936,7 +936,7 @@ mod tests {
 
     #[test]
     fn more_macs_never_slow_a_pass() {
-        let ds = SyntheticDataset::generate(Dataset::Cora, 0.2, 3);
+        let ds = GraphDataset::generate(Dataset::Cora, 0.2, 3);
         let p = BlockProfile::from_sparse(&ds.features, 16);
         let mut last = u64::MAX;
         for design in [Design::A, Design::B, Design::C, Design::D] {
@@ -969,7 +969,7 @@ mod tests {
 
     #[test]
     fn resident_weights_skip_the_weight_stream() {
-        let ds = SyntheticDataset::generate(Dataset::Cora, 0.2, 3);
+        let ds = GraphDataset::generate(Dataset::Cora, 0.2, 3);
         let (cfg, arr) = paper_cfg();
         let p = BlockProfile::from_sparse(&ds.features, 16);
         let mut dram_cold = HbmModel::hbm2_256gbps(cfg.clock_hz);

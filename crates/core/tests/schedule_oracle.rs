@@ -21,7 +21,7 @@ use gnnie_core::weighting::{
     WeightingMode, WeightingParams, WeightingReport,
 };
 use gnnie_core::{SimPool, SimThreads};
-use gnnie_graph::{Dataset, SyntheticDataset};
+use gnnie_graph::{Dataset, GraphDataset};
 use gnnie_mem::HbmModel;
 use gnnie_tensor::{CsrMatrix, SparseVec};
 
@@ -435,7 +435,7 @@ proptest! {
 
 #[test]
 fn full_pubmed_matches_the_reference_with_an_lr_move() {
-    let ds = SyntheticDataset::generate(Dataset::Pubmed, 1.0, 11);
+    let ds = GraphDataset::generate(Dataset::Pubmed, 1.0, 11);
     let cfg = AcceleratorConfig::paper(Dataset::Pubmed);
     let want = ref_from_sparse(&ds.features, cfg.array_rows);
     for width in WIDTHS {

@@ -17,7 +17,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use gnnie_graph::{DatasetSpec, SyntheticDataset};
+use gnnie_graph::{DatasetSpec, GraphDataset};
 
 use crate::model::{GnnModel, ModelConfig};
 
@@ -42,7 +42,7 @@ pub struct GraphStats {
 
 impl GraphStats {
     /// Exact statistics of a generated dataset.
-    pub fn of(ds: &SyntheticDataset, sample_size: Option<usize>) -> Self {
+    pub fn of(ds: &GraphDataset, sample_size: Option<usize>) -> Self {
         let g = &ds.graph;
         let sampled_in_edges =
             sample_size.map(|k| (0..g.num_vertices()).map(|v| g.degree(v).min(k) as u64).sum());
@@ -225,7 +225,7 @@ impl ModelWorkload {
     }
 
     /// Convenience: workload of `cfg` on a generated dataset.
-    pub fn for_dataset(cfg: &ModelConfig, ds: &SyntheticDataset) -> Self {
+    pub fn for_dataset(cfg: &ModelConfig, ds: &GraphDataset) -> Self {
         ModelWorkload::of(cfg, &GraphStats::of(ds, cfg.sample_size))
     }
 
@@ -341,7 +341,7 @@ mod tests {
 
     #[test]
     fn stats_of_generated_dataset_are_consistent() {
-        let ds = SyntheticDataset::generate(Dataset::Cora, 0.2, 3);
+        let ds = GraphDataset::generate(Dataset::Cora, 0.2, 3);
         let stats = GraphStats::of(&ds, Some(25));
         assert_eq!(stats.vertices, ds.graph.num_vertices() as u64);
         assert_eq!(stats.edges, ds.graph.num_edges() as u64);

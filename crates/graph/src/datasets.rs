@@ -194,7 +194,7 @@ impl DatasetSpec {
     }
 
     /// Generates the synthetic dataset for this spec.
-    pub fn generate(&self, seed: u64) -> SyntheticDataset {
+    pub fn generate(&self, seed: u64) -> GraphDataset {
         let graph = if self.uniform_frac > 0.0 {
             generate::mixed_powerlaw(
                 self.vertices,
@@ -212,17 +212,17 @@ impl DatasetSpec {
             self.feature_profile(),
             seed ^ 0xFEA7_0000,
         );
-        SyntheticDataset { spec: *self, graph, features }
+        GraphDataset { spec: *self, graph, features }
     }
 }
 
 /// A runnable dataset: the graph plus its sparse input feature matrix and
 /// the spec describing it.
 ///
-/// Historically every instance was synthesized (hence the back-compat
-/// alias [`SyntheticDataset`]); since the `gnnie-ingest` crate, instances
-/// are also loaded from edge-list files, binary CSR files, and
-/// `.gnniecsr` snapshots — the engine consumes all of them identically.
+/// Instances are synthesized from a [`DatasetSpec`] or, through the
+/// `gnnie-ingest` crate, loaded from edge-list files, binary CSR files,
+/// and `.gnniecsr` snapshots — the engine consumes all of them
+/// identically.
 #[derive(Debug, Clone)]
 pub struct GraphDataset {
     /// The statistics this dataset was generated to match (or the spec
@@ -233,9 +233,6 @@ pub struct GraphDataset {
     /// Sparse input features, `|V| x feature_len`.
     pub features: CsrMatrix,
 }
-
-/// Back-compat alias from before file-backed datasets existed.
-pub type SyntheticDataset = GraphDataset;
 
 impl GraphDataset {
     /// Convenience: generate `dataset` at `scale` with `seed`.
@@ -280,7 +277,7 @@ mod tests {
 
     #[test]
     fn cora_generation_matches_spec() {
-        let ds = SyntheticDataset::generate(Dataset::Cora, 1.0, 42);
+        let ds = GraphDataset::generate(Dataset::Cora, 1.0, 42);
         assert_eq!(ds.graph.num_vertices(), 2708);
         let e = ds.graph.num_edges() as f64;
         assert!((e - 10_556.0).abs() / 10_556.0 < 0.02, "edges {e}");
@@ -304,11 +301,11 @@ mod tests {
         // graph is ~40% dense and saturates — hubs cannot dominate a
         // near-complete graph. The power law still has to show: the top
         // 11% must cover far more than their uniform 11% share.
-        let ds = SyntheticDataset::generate(Dataset::Reddit, 0.01, 7);
+        let ds = GraphDataset::generate(Dataset::Reddit, 0.01, 7);
         let coverage = ds.graph.edge_coverage_of_top_vertices(0.11);
         assert!(coverage > 0.33, "coverage {coverage} too weak for Reddit-like graph");
         // At a larger (less saturated) scale the skew strengthens.
-        let ds5 = SyntheticDataset::generate(Dataset::Reddit, 0.05, 7);
+        let ds5 = GraphDataset::generate(Dataset::Reddit, 0.05, 7);
         let coverage5 = ds5.graph.edge_coverage_of_top_vertices(0.11);
         assert!(
             coverage5 > coverage,
@@ -318,8 +315,8 @@ mod tests {
 
     #[test]
     fn ppi_has_weaker_power_law_than_reddit() {
-        let ppi = SyntheticDataset::generate(Dataset::Ppi, 0.02, 7);
-        let rd = SyntheticDataset::generate(Dataset::Reddit, 0.01, 7);
+        let ppi = GraphDataset::generate(Dataset::Ppi, 0.02, 7);
+        let rd = GraphDataset::generate(Dataset::Reddit, 0.01, 7);
         let c_ppi = ppi.graph.edge_coverage_of_top_vertices(0.11);
         let c_rd = rd.graph.edge_coverage_of_top_vertices(0.11);
         assert!(c_ppi < c_rd, "PPI coverage {c_ppi} should be below Reddit coverage {c_rd}");
@@ -333,8 +330,8 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a = SyntheticDataset::generate(Dataset::Citeseer, 0.5, 3);
-        let b = SyntheticDataset::generate(Dataset::Citeseer, 0.5, 3);
+        let a = GraphDataset::generate(Dataset::Citeseer, 0.5, 3);
+        let b = GraphDataset::generate(Dataset::Citeseer, 0.5, 3);
         assert_eq!(a.graph, b.graph);
         assert_eq!(a.features, b.features);
     }

@@ -38,7 +38,7 @@ pub mod traversal;
 
 pub use coo::EdgeList;
 pub use csr::{CsrBuildStats, CsrGraph, GraphBuildError};
-pub use datasets::{Dataset, DatasetSpec, GraphDataset, SyntheticDataset};
+pub use datasets::{Dataset, DatasetSpec, GraphDataset};
 pub use partition::{GraphPartition, PartitionAssignment, PartitionPart, PartitionerKind};
 pub use reorder::Permutation;
 

@@ -43,7 +43,6 @@ use gnnie_graph::CsrGraph;
 use gnnie_tensor::stats::Histogram;
 
 use crate::dram::{DramCounters, HbmModel};
-use crate::par::SimThreads;
 
 /// Configuration for the cache simulation (shared by every policy).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -67,11 +66,6 @@ pub struct CacheConfig {
     pub psum_bytes_per_vertex: u64,
     /// Record α histograms for at most this many Rounds (Fig. 10).
     pub max_alpha_hist_rounds: usize,
-    /// Worker threads for the sharded per-vertex scans of the walk
-    /// (α initialization, the per-Round α histograms). Results are
-    /// bit-identical at any setting; the engine threads its own knob
-    /// through here.
-    pub sim_threads: SimThreads,
 }
 
 impl CacheConfig {
@@ -88,7 +82,6 @@ impl CacheConfig {
             feature_bytes_per_vertex,
             psum_bytes_per_vertex: feature_bytes_per_vertex,
             max_alpha_hist_rounds: 8,
-            sim_threads: SimThreads::Auto,
         }
     }
 
@@ -219,44 +212,6 @@ pub fn build_edge_index(g: &CsrGraph) -> Vec<u32> {
     ids
 }
 
-/// The paper's §VI cache simulator: a [`CacheSim`] walk driven by the
-/// [`PaperAlphaGamma`] policy. Kept as the convenience front door for the
-/// common case; use [`CacheSim`] directly to run other policies.
-#[derive(Debug)]
-pub struct DegreeAwareCache<'a> {
-    sim: CacheSim<'a>,
-}
-
-impl<'a> DegreeAwareCache<'a> {
-    /// Creates a simulator for `graph`, which **must already be relabeled
-    /// into descending-degree order** (vertex id = DRAM stream position).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    pub fn new(graph: &'a CsrGraph, config: CacheConfig) -> Self {
-        Self { sim: CacheSim::new(graph, config) }
-    }
-
-    /// Runs the simulation, charging DRAM traffic to `dram`.
-    pub fn run(&self, dram: &mut HbmModel) -> CacheSimResult {
-        self.run_with(dram, |_, _| {})
-    }
-
-    /// Like [`DegreeAwareCache::run`], invoking `on_edge(u, v)` once per
-    /// undirected edge, **in processing order**. The functional datapath
-    /// verification in `gnnie-core` uses this to aggregate features in
-    /// exactly the order the hardware would.
-    pub fn run_with(
-        &self,
-        dram: &mut HbmModel,
-        on_edge: impl FnMut(u32, u32),
-    ) -> CacheSimResult {
-        let mut policy = PaperAlphaGamma::new();
-        self.sim.run_with(&mut policy, dram, on_edge)
-    }
-}
-
 /// The no-caching baseline: vertices processed in **id order** with no
 /// degree reordering and no replacement policy. Neighbors outside the
 /// currently buffered chunk are fetched from DRAM *randomly*, which is
@@ -321,6 +276,7 @@ pub fn simulate_id_order_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::par::SimPool;
     use gnnie_graph::generate;
     use gnnie_graph::reorder::Permutation;
 
@@ -330,7 +286,7 @@ mod tests {
 
     fn run_on(g: &CsrGraph, cfg: CacheConfig) -> CacheSimResult {
         let mut dram = HbmModel::hbm2_256gbps(1.3e9);
-        DegreeAwareCache::new(g, cfg).run(&mut dram)
+        CacheSim::new(g, cfg, &SimPool::serial()).run(&mut PaperAlphaGamma::new(), &mut dram)
     }
 
     #[test]
@@ -550,7 +506,7 @@ mod tests {
         for kind in CachePolicyKind::ALL {
             let mut dram = HbmModel::hbm2_256gbps(1.3e9);
             let mut policy = kind.instantiate();
-            let r = CacheSim::new(&g, CacheConfig::with_capacity(3, 32))
+            let r = CacheSim::new(&g, CacheConfig::with_capacity(3, 32), &SimPool::serial())
                 .run(policy.as_mut(), &mut dram);
             assert!(r.completed, "{kind}: 3-vertex cache must still finish");
             assert!(r.evictions > 0, "{kind}: a tiny cache must evict");

@@ -103,21 +103,23 @@ pub struct CacheSim<'a> {
     graph: &'a CsrGraph,
     config: CacheConfig,
     edge_ids: Vec<u32>,
-    /// Worker pool for the sharded per-vertex scans (sized by
-    /// `config.sim_threads`); the walk itself is a serial state machine.
-    pool: SimPool,
+    /// The caller's worker pool for the sharded per-vertex scans (α
+    /// initialization, the per-Round α histograms); the walk itself is a
+    /// serial state machine.
+    pool: &'a SimPool,
 }
 
 impl<'a> CacheSim<'a> {
     /// Creates a simulator for `graph`, which **must already be relabeled
     /// into descending-degree order** (vertex id = DRAM stream position).
+    /// The sharded scans dispatch through `pool` — the engine passes its
+    /// session's pool; results are bit-identical at any width.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid.
-    pub fn new(graph: &'a CsrGraph, config: CacheConfig) -> Self {
+    pub fn new(graph: &'a CsrGraph, config: CacheConfig, pool: &'a SimPool) -> Self {
         config.validate();
-        let pool = SimPool::new(config.sim_threads);
         let edge_ids = build_edge_index(graph);
         Self { graph, config, edge_ids, pool }
     }
@@ -353,7 +355,7 @@ impl<'a> CacheSim<'a> {
                     if (result.alpha_histograms.len()) < cfg.max_alpha_hist_rounds {
                         result
                             .alpha_histograms
-                            .push(alpha_histogram(&alpha, max_alpha0, &self.pool));
+                            .push(alpha_histogram(&alpha, max_alpha0, self.pool));
                     }
                     if recovery_active {
                         // The pinned round is complete; release the pins at
@@ -604,9 +606,18 @@ mod tests {
     }
 
     fn run_kind(g: &CsrGraph, cfg: CacheConfig, kind: CachePolicyKind) -> CacheSimResult {
+        run_on(g, cfg, kind, &SimPool::serial())
+    }
+
+    fn run_on(
+        g: &CsrGraph,
+        cfg: CacheConfig,
+        kind: CachePolicyKind,
+        pool: &SimPool,
+    ) -> CacheSimResult {
         let mut dram = HbmModel::hbm2_256gbps(1.3e9);
         let mut policy = kind.instantiate();
-        CacheSim::new(g, cfg).run(policy.as_mut(), &mut dram)
+        CacheSim::new(g, cfg, pool).run(policy.as_mut(), &mut dram)
     }
 
     #[test]
@@ -671,7 +682,7 @@ mod tests {
         let via_sim = run_kind(&g, cfg, CachePolicyKind::Paper);
         let mut dram = HbmModel::hbm2_256gbps(1.3e9);
         let mut policy = PaperAlphaGamma::new();
-        let direct = CacheSim::new(&g, cfg).run(&mut policy, &mut dram);
+        let direct = CacheSim::new(&g, cfg, &SimPool::serial()).run(&mut policy, &mut dram);
         assert_eq!(via_sim.iterations, direct.iterations);
         assert_eq!(via_sim.evictions, direct.evictions);
         assert_eq!(via_sim.counters, direct.counters);
@@ -680,20 +691,25 @@ mod tests {
     #[test]
     fn walk_results_are_identical_at_any_thread_count() {
         use crate::par::SimThreads;
-        let g = reordered(&generate::powerlaw_chung_lu(400, 2400, 2.0, 31));
-        let mut base_cfg = CacheConfig::with_capacity(40, 64);
-        base_cfg.sim_threads = SimThreads::Fixed(1);
+        // 600 vertices: a width-2 pool shards the per-vertex scans for
+        // real; wider pools run the same ranges inline.
+        let g = reordered(&generate::powerlaw_chung_lu(600, 3600, 2.0, 31));
+        let cfg = CacheConfig::with_capacity(40, 64);
         for kind in CachePolicyKind::ALL {
-            let serial = run_kind(&g, base_cfg, kind);
+            let serial = run_kind(&g, cfg, kind);
             for threads in [2usize, 4, 8] {
-                let mut cfg = base_cfg;
-                cfg.sim_threads = SimThreads::Fixed(threads);
-                let sharded = run_kind(&g, cfg, kind);
-                assert_eq!(
-                    format!("{serial:?}"),
-                    format!("{sharded:?}"),
-                    "{kind} diverged at {threads} threads"
-                );
+                let pools = [
+                    SimPool::new(SimThreads::Fixed(threads)),
+                    SimPool::persistent(SimThreads::Fixed(threads)),
+                ];
+                for pool in &pools {
+                    let sharded = run_on(&g, cfg, kind, pool);
+                    assert_eq!(
+                        format!("{serial:?}"),
+                        format!("{sharded:?}"),
+                        "{kind} diverged at {threads} threads ({pool:?})"
+                    );
+                }
             }
         }
     }
@@ -704,8 +720,9 @@ mod tests {
         let g = reordered(&generate::powerlaw_chung_lu(200, 1000, 2.0, 23));
         let mut dram = HbmModel::hbm2_256gbps(1.3e9);
         let mut policy = BeladyOracle::new();
-        let r =
-            CacheSim::new(&g, CacheConfig::with_capacity(16, 32)).run(&mut policy, &mut dram);
+        let pool = SimPool::serial();
+        let r = CacheSim::new(&g, CacheConfig::with_capacity(16, 32), &pool)
+            .run(&mut policy, &mut dram);
         assert!(r.completed);
     }
 }

@@ -15,7 +15,7 @@
 //!   CACTI-like energy scaling and double-buffered fetch overlap.
 //! * [`CacheSim`] — the policy-agnostic cache walk, with the replacement
 //!   decision behind the [`CachePolicy`] trait: the paper's §VI α/γ
-//!   policy ([`DegreeAwareCache`] is its convenience front door) next to
+//!   policy ([`PaperAlphaGamma`](cache::PaperAlphaGamma)) next to
 //!   LRU/LFU/Belady comparators for the cache-policy ablation.
 //! * [`MemoryHierarchy`] — a tiered on-chip → DRAM → SSD feature store
 //!   behind the [`VertexMemory`] trait, with workload-aware capacity
@@ -31,9 +31,7 @@ pub mod scheduler;
 pub mod sram;
 pub mod tier;
 
-pub use cache::{
-    CacheConfig, CachePolicy, CachePolicyKind, CacheSim, CacheSimResult, DegreeAwareCache,
-};
+pub use cache::{CacheConfig, CachePolicy, CachePolicyKind, CacheSim, CacheSimResult};
 pub use dram::{DramCounters, HbmModel};
 pub use energy::{Component, EnergyLedger};
 pub use par::{shard_ranges, SimPool, SimThreads};

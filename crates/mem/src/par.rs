@@ -3,9 +3,9 @@
 //!
 //! The engine's two dominant loops — the per-vertex Weighting profile
 //! (`gnnie-core::weighting`) and the aggregation cache walk
-//! (`crate::cache::CacheSim`) — shard their per-vertex scans across a
-//! [`SimPool`] of `std::thread::scope` workers (no dependencies, like the
-//! ingest builder). The contract that makes this safe to enable by
+//! (`crate::cache::CacheSim`) — shard their per-vertex scans across the
+//! run's one [`SimPool`] handle, scoped or persistent (no dependencies,
+//! like the ingest builder). The contract that makes this safe to enable by
 //! default is **determinism**: every sharded computation partitions the
 //! vertices into contiguous ranges, accumulates per-shard results
 //! (histograms, byte counters, cycle profiles), and reduces them in shard
@@ -229,15 +229,16 @@ impl Latch {
 ///
 /// * **Scoped** ([`SimPool::new`]) — not a set of long-lived threads:
 ///   workers are `std::thread::scope`d per parallel region. This is what
-///   `Engine::begin_with` resolves per `RunSession`; the Weighting
-///   phases dispatch through it directly and the Aggregation path
-///   forwards its width into the cache walk, so `gnnie serve`'s
-///   pipelined batches share the decision too.
+///   `Engine::begin_with` resolves per `RunSession`.
 /// * **Persistent** ([`SimPool::persistent`]) — `width` channel-fed
-///   worker threads that live as long as any clone of the handle, so a
-///   long-lived server (`gnnie serve --daemon`) amortizes the per-region
-///   spawns across every request. Clones share the same workers;
-///   dropping the last clone drains the queue and joins them.
+///   worker threads that live as long as any clone of the handle, so the
+///   serving daemon (behind every `gnnie serve` path) amortizes the
+///   per-region spawns across every request. Clones share the same
+///   workers; dropping the last clone drains the queue and joins them.
+///
+/// Either way a session holds one handle, and every phase — the
+/// Weighting scans and the Aggregation cache walk alike — dispatches
+/// through it.
 ///
 /// Both modes run the *identical* sharded ranges and shard-order merges:
 /// `width == 1` runs inline with zero dispatch cost, and inputs below

@@ -23,8 +23,9 @@ use serde::{Deserialize, Serialize};
 
 use gnnie_graph::CsrGraph;
 
-use crate::cache::{CacheConfig, DegreeAwareCache};
+use crate::cache::{CacheConfig, CacheSim, PaperAlphaGamma};
 use crate::dram::HbmModel;
+use crate::par::{SimPool, SimThreads};
 
 /// Which psums the output buffer keeps when full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -223,7 +224,9 @@ pub fn simulate_psum_traffic(
     let mut buf = PsumBuffer::new(policy, psum_capacity);
     let mut remaining: Vec<u32> = (0..g.num_vertices()).map(|v| g.degree(v) as u32).collect();
     let mut dram = HbmModel::hbm2_256gbps(1.3e9);
-    let result = DegreeAwareCache::new(g, cache_cfg).run_with(&mut dram, |u, v| {
+    let pool = SimPool::new(SimThreads::Auto);
+    let sim = CacheSim::new(g, cache_cfg, &pool);
+    let result = sim.run_with(&mut PaperAlphaGamma::new(), &mut dram, |u, v| {
         let (du, dv) = (g.degree(u as usize) as u32, g.degree(v as usize) as u32);
         buf.update(u, du);
         buf.update(v, dv);

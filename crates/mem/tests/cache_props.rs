@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use gnnie_graph::reorder::Permutation;
 use gnnie_graph::CsrGraph;
 use gnnie_mem::cache::{CacheConfig, CachePolicyKind, CacheSim};
-use gnnie_mem::{HbmModel, MemoryHierarchy, TierConfig};
+use gnnie_mem::{HbmModel, MemoryHierarchy, SimPool, TierConfig};
 
 /// Random small graphs: up to 48 vertices, up to 160 raw edge draws
 /// (self-loops dropped, duplicates deduplicated by the CSR builder).
@@ -49,7 +49,9 @@ proptest! {
         // an edge was delivered twice (or to a wrong endpoint).
         let mut alpha: Vec<i64> = (0..g.num_vertices()).map(|v| g.degree(v) as i64).collect();
         let mut underflow = false;
-        let result = CacheSim::new(&g, cfg).run_with(policy.as_mut(), &mut dram, |u, v| {
+        let pool = SimPool::serial();
+        let sim = CacheSim::new(&g, cfg, &pool);
+        let result = sim.run_with(policy.as_mut(), &mut dram, |u, v| {
             for w in [u as usize, v as usize] {
                 alpha[w] -= 1;
                 if alpha[w] < 0 {
@@ -118,13 +120,15 @@ proptest! {
 
         let mut dram = HbmModel::hbm2_256gbps(1.3e9);
         let mut flat_policy = kind.instantiate();
-        let flat = CacheSim::new(&g, cfg).run(flat_policy.as_mut(), &mut dram);
+        let pool = SimPool::serial();
+        let flat = CacheSim::new(&g, cfg, &pool).run(flat_policy.as_mut(), &mut dram);
 
         let tiers = [TierConfig::dram(0)];
         let mut hier =
             MemoryHierarchy::new(&tiers, 1.3e9, g.num_vertices() as u32, 64);
         let mut tiered_policy = kind.instantiate();
-        let mut tiered = CacheSim::new(&g, cfg).run_tiered(tiered_policy.as_mut(), &mut hier);
+        let mut tiered =
+            CacheSim::new(&g, cfg, &pool).run_tiered(tiered_policy.as_mut(), &mut hier);
 
         prop_assert_eq!(tiered.tiers.len(), 1, "{}: one tier surfaced", kind);
         tiered.tiers.clear(); // the flat path reports no tier stats
@@ -159,7 +163,8 @@ proptest! {
         let mut hier =
             MemoryHierarchy::new(&tiers, 1.3e9, g.num_vertices() as u32, 64);
         let mut policy = kind.instantiate();
-        let result = CacheSim::new(&g, cfg).run_tiered(policy.as_mut(), &mut hier);
+        let pool = SimPool::serial();
+        let result = CacheSim::new(&g, cfg, &pool).run_tiered(policy.as_mut(), &mut hier);
 
         prop_assert!(result.completed, "{kind}: walk did not complete");
         prop_assert_eq!(result.edges_processed, g.num_edges() as u64);

@@ -1,18 +1,18 @@
-//! The long-lived serving daemon: a channel-fed worker pool that keeps
-//! one persistent [`SimPool`] alive across requests.
+//! The serving daemon: the one place in this crate that runs the engine.
 //!
-//! [`Server`](crate::Server) spawns a fresh scoped pool (and each
-//! `RunSession` its own shard threads) per call — fine for one-shot
-//! evaluation, waste for a service that answers requests all day. The
-//! [`Daemon`] instead spawns its request workers once; each worker
-//! drives sessions through
+//! A [`Daemon`] spawns its request workers once; each worker drives
+//! sessions through
 //! [`Engine::begin_pooled`](gnnie_core::engine::Engine::begin_pooled)
-//! against one shared persistent [`SimPool`], so the shard threads are
-//! spawned once per daemon, not once per request. Simulated cycle
-//! counts are unaffected (the pool is host-side parallelism only):
-//! [`Daemon::serve_online`] returns bit-identical reports to
-//! [`Server::run_online`](crate::Server::run_online), which the online
-//! test suite asserts.
+//! against one shared persistent [`SimPool`], so the shard threads of
+//! every phase — the Weighting scans and the Aggregation cache walk —
+//! are spawned once per daemon, not once per request. The daemon answers
+//! one question, [`Daemon::profile_costs`]: each request's cold and
+//! resident cost, memoized. Both schedulers are pure functions over that
+//! oracle: [`schedule_batched`](crate::schedule_batched) for a queue
+//! known at t = 0, and [`schedule_online`] for an arrival trace
+//! ([`Daemon::serve_online`] wraps the latter). Simulated cycle counts
+//! are unaffected by the worker count or the pool width (host-side
+//! parallelism only), which the serving test suites assert.
 //!
 //! Shutdown is a graceful drain: dropping the job sender lets every
 //! worker finish its current request and exit; [`Daemon::shutdown`]
@@ -27,7 +27,7 @@ use gnnie_core::engine::{Engine, RunOptions};
 use gnnie_core::{SimPool, SimThreads};
 
 use crate::clock::SimClock;
-use crate::online::{OnlineConfig, OnlineReport, RequestCost};
+use crate::online::{schedule_online, OnlineConfig, OnlineReport, RequestCost};
 use crate::pipeline::BatchProfile;
 use crate::request::{InferenceRequest, ModelKey, OnlineRequest};
 use crate::server::report_profile;
@@ -232,41 +232,15 @@ impl Daemon {
 
     /// Replays an online arrival trace on the resident workers: profiles
     /// every request's costs, then runs the continuous-batching
-    /// scheduler. Bit-identical to
-    /// [`Server::run_online`](crate::Server::run_online) on the same
-    /// trace and config.
+    /// scheduler on the clock of the trace's first dataset.
     pub fn serve_online(&self, trace: &[OnlineRequest], cfg: &OnlineConfig) -> OnlineReport {
-        self.serve_online_observed(trace, cfg, &gnnie_obs::Obs::off())
-    }
-
-    /// [`serve_online`](Self::serve_online) with an observability bundle:
-    /// batch lifecycles land on the trace, and the metrics registry gains
-    /// the per-SLA-class queue-wait/latency histograms plus the profile
-    /// cache's hit/miss counters — the surface the drain report prints
-    /// from. A disabled bundle records nothing; the report is identical
-    /// either way.
-    pub fn serve_online_observed(
-        &self,
-        trace: &[OnlineRequest],
-        cfg: &OnlineConfig,
-        obs: &gnnie_obs::Obs,
-    ) -> OnlineReport {
         let requests: Vec<InferenceRequest> = trace.iter().map(|r| r.request).collect();
         let costs = self.profile_costs(&requests);
         let clock = trace
             .first()
             .map(|r| SimClock::paper(r.request.dataset))
             .unwrap_or_else(|| SimClock::new(1.3e9));
-        let report = crate::online::schedule_online_observed(trace, &costs, cfg, &clock, obs);
-        if obs.metrics.enabled() {
-            let stats = self.profile_cache_stats();
-            // Gauges, not counters: the stats are already lifetime
-            // totals, so re-serving must overwrite rather than re-add.
-            obs.metrics.gauge_set("serve.daemon.profile_cache.hits", stats.hits as f64);
-            obs.metrics.gauge_set("serve.daemon.profile_cache.misses", stats.misses as f64);
-            obs.metrics.gauge_set("serve.daemon.profile_cache.entries", stats.entries as f64);
-        }
-        report
+        schedule_online(trace, &costs, cfg, &clock)
     }
 
     /// Graceful drain: closes the job queue, lets every worker finish
@@ -307,18 +281,21 @@ mod tests {
     }
 
     #[test]
-    fn daemon_costs_match_the_scoped_server() {
-        let requests = queue(3);
-        let daemon = Daemon::new(config(2, 2));
-        let from_daemon = daemon.profile_costs(&requests);
-        daemon.shutdown();
-        let server = crate::Server::new(crate::ServeConfig {
-            workers: 1,
-            sim_threads: SimThreads::Fixed(1),
-            ..crate::ServeConfig::default()
-        });
-        let from_server = server.profile_costs(&requests);
-        assert_eq!(from_daemon, from_server, "resident pool must not change simulated cycles");
+    fn costs_are_identical_across_pool_widths() {
+        // Large enough (1,354 vertices) that a width-2 pool really shards
+        // the per-vertex scans instead of running them inline.
+        let requests: Vec<_> = (0..3)
+            .map(|i| InferenceRequest::new(i, GnnModel::Gcn, Dataset::Cora, 0.5, 100 + i))
+            .collect();
+        let narrow = Daemon::new(config(1, 1));
+        let wide = Daemon::new(config(3, 2));
+        assert_eq!(
+            narrow.profile_costs(&requests),
+            wide.profile_costs(&requests),
+            "workers and pool width must not change simulated cycles"
+        );
+        narrow.shutdown();
+        wide.shutdown();
     }
 
     #[test]

@@ -20,10 +20,14 @@
 //!   Weighting/Aggregation phases: while batch *i* aggregates, batch
 //!   *i+1* weights, and the makespan never loses to back-to-back
 //!   execution;
-//! * **[`server`]** — [`Server`] drives it end to end on a
-//!   `std::thread::scope` worker pool and reports throughput,
-//!   p50/p95/p99 simulated latency, and the weight-load cycles batching
-//!   saved versus a serial `Engine::run` loop.
+//! * **[`daemon`]** — [`Daemon`], the one serving executor: a long-lived
+//!   channel-fed worker pool sharing one persistent
+//!   [`SimPool`](gnnie_core::SimPool) across requests, which simulates
+//!   each request cold and resident once and memoizes the costs;
+//! * **[`server`]** — [`schedule_batched`] plans a queue known at t = 0
+//!   over those costs and reports throughput, p50/p95/p99 simulated
+//!   latency, and the weight-load cycles batching saved versus a serial
+//!   `Engine::run` loop.
 //!
 //! On top of the static path sits **online serving** — the queue is no
 //! longer known at t = 0:
@@ -37,30 +41,25 @@
 //!   continuous-batching scheduler: SLA-aware admission control,
 //!   deadline-urgency batch fill, fill-vs-slack waiting, and weight
 //!   residency carried across consecutive same-model batches — all
-//!   exact integer cycle arithmetic over pre-simulated request costs,
-//!   so replays are bit-identical at any thread count;
-//! * **[`daemon`]** — [`Daemon`]: a long-lived channel-fed worker pool
-//!   sharing one persistent
-//!   [`SimPool`](gnnie_core::SimPool) across requests (the
-//!   `gnnie serve --daemon` backend), with graceful drain on shutdown.
+//!   exact integer cycle arithmetic over the daemon's cost oracle, so
+//!   replays are bit-identical at any thread count
+//!   ([`Daemon::serve_online`] profiles and replays in one call).
 //!
 //! # Example
 //!
 //! ```
-//! use gnnie_serve::{InferenceRequest, SchedulerPolicy, ServeConfig, Server};
-//! use gnnie_serve::{GnnModel, Dataset};
+//! use gnnie_serve::{schedule_batched, BatchScheduler, Daemon, DaemonConfig};
+//! use gnnie_serve::{Dataset, GnnModel, InferenceRequest, SchedulerPolicy, SimClock};
 //!
 //! // Four GCN queries over small Cora-like graphs (distinct seeds).
 //! let queue: Vec<_> = (0..4)
 //!     .map(|i| InferenceRequest::new(i, GnnModel::Gcn, Dataset::Cora, 0.05, 40 + i))
 //!     .collect();
-//! let server = Server::new(ServeConfig {
-//!     policy: SchedulerPolicy::ModelAffinity,
-//!     max_batch: 4,
-//!     workers: 2,
-//!     ..ServeConfig::default()
-//! });
-//! let report = server.run(&queue);
+//! let daemon = Daemon::new(DaemonConfig { workers: 2, ..DaemonConfig::default() });
+//! let costs = daemon.profile_costs(&queue);
+//! daemon.shutdown();
+//! let scheduler = BatchScheduler::new(SchedulerPolicy::ModelAffinity, 4);
+//! let report = schedule_batched(&queue, &scheduler, &costs, &SimClock::paper(Dataset::Cora));
 //! // One model-homogeneous batch: three followers reuse the leader's
 //! // resident weights, and the batched schedule never loses to the
 //! // serial Engine::run loop.
@@ -89,15 +88,15 @@ pub use clock::{Cycle, SimClock};
 pub use daemon::{Daemon, DaemonConfig, ProfileCacheStats};
 pub use loadgen::{ArrivalProcess, LoadGen, SlaMix};
 pub use online::{
-    schedule_online, schedule_online_observed, OnlineBatchReport, OnlineConfig, OnlineOutcome,
-    OnlineReport, RejectedRequest, RequestCost,
+    schedule_online, OnlineBatchReport, OnlineConfig, OnlineOutcome, OnlineReport,
+    RejectedRequest, RequestCost,
 };
 pub use pipeline::{pipeline, BatchProfile, PhasePair, PipelineSchedule, PipelineState};
 pub use request::{InferenceRequest, ModelKey, OnlineRequest, QualityTier, SlaClass};
 pub use scheduler::{Batch, BatchPlan, BatchScheduler, SchedulerPolicy};
 pub use server::{
-    percentile_nearest_rank, report_profile, BatchReport, RequestOutcome, ServeConfig,
-    ServeReport, Server,
+    percentile_nearest_rank, report_profile, schedule_batched, BatchReport, RequestOutcome,
+    ServeReport,
 };
 
 // Re-exported so downstream callers (CLI, bench) can build requests

@@ -36,17 +36,16 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use gnnie_core::report::InferenceReport;
-
 use crate::clock::{Cycle, SimClock};
 use crate::pipeline::{BatchProfile, PipelineState};
 use crate::request::{ModelKey, OnlineRequest, QualityTier, SlaClass};
-use crate::server::{percentile_nearest_rank, report_profile};
+use crate::server::percentile_nearest_rank;
 
 /// A request's pre-simulated service costs — the scheduler's oracle.
 ///
-/// Both variants come from real engine runs ([`RequestCost::from_reports`])
-/// or synthetic profiles in tests; the scheduler itself never simulates.
+/// Both variants come from real engine runs
+/// ([`Daemon::profile_costs`](crate::Daemon::profile_costs)) or synthetic
+/// profiles in tests; the scheduler itself never simulates.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RequestCost {
     /// The request's footprint paying its own weight loads (batch leader
@@ -60,12 +59,6 @@ impl RequestCost {
     /// A cost from explicit profiles.
     pub fn new(cold: BatchProfile, resident: BatchProfile) -> Self {
         RequestCost { cold, resident }
-    }
-
-    /// Extracts both profiles from a cold and a resident engine report of
-    /// the same request.
-    pub fn from_reports(cold: &InferenceReport, resident: &InferenceReport) -> Self {
-        RequestCost { cold: report_profile(cold), resident: report_profile(resident) }
     }
 
     /// Isolated service cycles when leading a cold batch.
@@ -372,23 +365,6 @@ impl Pending {
     }
 }
 
-/// [`schedule_online`] with an observability bundle: the report's batch
-/// lifecycles land on `obs.trace` and its per-class queue-wait/latency
-/// histograms in `obs.metrics`. The returned report is byte-identical to
-/// the unobserved call — observability is emitted *from* the finished
-/// report, never woven into the scheduling loop.
-pub fn schedule_online_observed(
-    trace: &[OnlineRequest],
-    costs: &HashMap<u64, RequestCost>,
-    cfg: &OnlineConfig,
-    clock: &SimClock,
-    obs: &gnnie_obs::Obs,
-) -> OnlineReport {
-    let report = schedule_online(trace, costs, cfg, clock);
-    report.record_obs(obs);
-    report
-}
-
 /// Replays `trace` through the continuous-batching scheduler using the
 /// pre-simulated `costs` (keyed by request id) as the service oracle.
 ///
@@ -583,7 +559,7 @@ mod tests {
         let layer = |w: u64| BatchProfile {
             pre_cycles: 0,
             layers: vec![PhasePair { weighting: w, aggregation: 50 }],
-            post_cycles: 0,
+            ..BatchProfile::default()
         };
         RequestCost::new(layer(100), layer(10))
     }

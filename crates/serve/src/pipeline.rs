@@ -37,6 +37,10 @@ pub struct BatchProfile {
     /// Coarsening + writeback cycles, serialized after the batch's last
     /// Aggregation task.
     pub post_cycles: u64,
+    /// Weight-load DRAM cycles already inside the Weighting phases above
+    /// (zero for a request that ran with resident weights). Carried so a
+    /// planner can report what residency saved without re-simulating.
+    pub weight_load_cycles: u64,
 }
 
 impl BatchProfile {
@@ -47,14 +51,15 @@ impl BatchProfile {
             + self.post_cycles
     }
 
-    /// Folds another request's footprint into this batch: pre/post add up
-    /// and layer phases add element-wise (a batch runs its requests back
+    /// Folds another request's footprint into this batch: pre/post and
+    /// weight loads add up, and layer phases add element-wise (a batch runs its requests back
     /// to back on each resource). Mismatched layer counts pad with zero
     /// phases, though batches of one [`ModelKey`](crate::ModelKey) never
     /// hit that.
     pub fn merge(&mut self, other: &BatchProfile) {
         self.pre_cycles += other.pre_cycles;
         self.post_cycles += other.post_cycles;
+        self.weight_load_cycles += other.weight_load_cycles;
         if self.layers.len() < other.layers.len() {
             self.layers.resize(other.layers.len(), PhasePair::default());
         }
@@ -168,6 +173,7 @@ mod tests {
                 .map(|&(w, a)| PhasePair { weighting: w, aggregation: a })
                 .collect(),
             post_cycles: post,
+            weight_load_cycles: 0,
         }
     }
 

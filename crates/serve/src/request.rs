@@ -4,7 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 use gnnie_gnn::model::{GnnModel, ModelConfig};
-use gnnie_graph::{Dataset, SyntheticDataset};
+use gnnie_graph::{Dataset, GraphDataset};
 
 use crate::clock::Cycle;
 
@@ -49,8 +49,8 @@ impl InferenceRequest {
     }
 
     /// Synthesizes the request's graph + features.
-    pub fn synthesize(&self) -> SyntheticDataset {
-        SyntheticDataset::generate(self.dataset, self.scale, self.seed)
+    pub fn synthesize(&self) -> GraphDataset {
+        GraphDataset::generate(self.dataset, self.scale, self.seed)
     }
 }
 

@@ -1,32 +1,31 @@
-//! The serving engine: plans batches, simulates every request on a
-//! scoped worker pool, and pipelines batch phases on the two engine
-//! resources.
+//! The static batch planner: plans a queue known at t = 0 into
+//! model-homogeneous batches and pipelines their phases on the two engine
+//! resources, over pre-simulated request costs.
 //!
 //! For each batch the *leader* (first request) streams the layer weights
-//! from DRAM; every follower runs with
-//! [`RunOptions::weights_resident`](gnnie_core::engine::RunOptions), so
-//! the weight loads are charged once per batch. Followers are also
-//! simulated once more *without* residency to record the exact serial
-//! baseline (`Engine::run` in a loop) the throughput numbers are
-//! compared against.
+//! from DRAM and is charged its cold profile; every follower is charged
+//! its resident profile (the run with
+//! [`RunOptions::weights_resident`](gnnie_core::engine::RunOptions)), so
+//! the weight loads are paid once per batch. The serial baseline
+//! (`Engine::run` in a loop) is every request's cold profile back to
+//! back. [`schedule_batched`] never simulates: like
+//! [`schedule_online`](crate::schedule_online), it is exact integer
+//! arithmetic over the [`Daemon`](crate::Daemon)'s cost oracle, so the
+//! report is bit-identical however the costs were simulated.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use gnnie_core::config::AcceleratorConfig;
-use gnnie_core::engine::{Engine, RunOptions};
 use gnnie_core::report::InferenceReport;
-use gnnie_core::SimThreads;
 use gnnie_gnn::model::GnnModel;
 use gnnie_graph::Dataset;
 
 use crate::clock::SimClock;
-use crate::online::{schedule_online, OnlineConfig, OnlineReport, RequestCost};
+use crate::online::RequestCost;
 use crate::pipeline::{pipeline, BatchProfile, PhasePair};
-use crate::request::{InferenceRequest, OnlineRequest};
-use crate::scheduler::{BatchPlan, BatchScheduler, SchedulerPolicy};
+use crate::request::InferenceRequest;
+use crate::scheduler::{BatchScheduler, SchedulerPolicy};
 
 /// Nearest-rank percentile of `values` (`q` in [0, 1]; 0.0 on an empty
 /// set).
@@ -50,7 +49,7 @@ pub fn percentile_nearest_rank(values: &[f64], q: f64) -> f64 {
 
 /// A batch-profile view of one engine report: preprocessing before the
 /// first Weighting pass, per-layer phase pairs, coarsening + writeback
-/// after the last Aggregation.
+/// after the last Aggregation, and the weight-load cycles the run paid.
 pub fn report_profile(report: &InferenceReport) -> BatchProfile {
     BatchProfile {
         pre_cycles: report.preprocessing_cycles,
@@ -63,35 +62,7 @@ pub fn report_profile(report: &InferenceReport) -> BatchProfile {
             })
             .collect(),
         post_cycles: report.coarsening_cycles + report.writeback_cycles,
-    }
-}
-
-/// Serving parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ServeConfig {
-    /// Batch grouping strategy.
-    pub policy: SchedulerPolicy,
-    /// Hard cap on requests per batch.
-    pub max_batch: usize,
-    /// Simulation worker threads (the host-side parallelism; simulated
-    /// cycles are unaffected).
-    pub workers: usize,
-    /// Worker threads for each request's sharded simulation loops,
-    /// threaded through `RunOptions::sim_threads` so every session of a
-    /// pipelined batch shares the knob. Host-side only: reports are
-    /// bit-identical at any setting. Defaults from `GNNIE_SIM_THREADS`.
-    pub sim_threads: SimThreads,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8);
-        ServeConfig {
-            policy: SchedulerPolicy::ModelAffinity,
-            max_batch: 8,
-            workers,
-            sim_threads: SimThreads::from_env(),
-        }
+        weight_load_cycles: report.weight_load_cycles,
     }
 }
 
@@ -208,267 +179,134 @@ impl ServeReport {
     }
 }
 
-/// A simulation job: one request of one batch, with or without resident
-/// weights (`resident: false` on followers is the serial-baseline rerun).
-#[derive(Debug, Clone, Copy)]
-struct Job {
-    batch: usize,
-    pos: usize,
-    resident: bool,
-}
-
-/// The batched, pipelined inference server over [`Engine`].
-#[derive(Debug, Clone, Default)]
-pub struct Server {
-    config: ServeConfig,
-}
-
-impl Server {
-    /// A server with the given parameters.
-    pub fn new(config: ServeConfig) -> Self {
-        Server { config }
-    }
-
-    /// The serving parameters.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
-    /// Plans `queue` into batches (exposed for inspection and tests).
-    pub fn plan(&self, queue: &[InferenceRequest]) -> BatchPlan {
-        BatchScheduler::new(self.config.policy, self.config.max_batch).plan(queue)
-    }
-
-    /// Serves the whole queue: batches it, simulates every request on a
-    /// scoped worker pool, pipelines the batch phases, and reports
-    /// aggregate throughput, latency percentiles, and the weight-load
-    /// cycles batching saved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a request's scale is outside `(0, 1]` (the dataset
-    /// synthesizer's contract).
-    pub fn run(&self, queue: &[InferenceRequest]) -> ServeReport {
-        let plan = self.plan(queue);
-
-        // Every request simulates once inside its batch (followers with
-        // resident weights); followers additionally simulate cold for the
-        // exact serial baseline.
-        let mut jobs = Vec::new();
-        for (b, batch) in plan.batches.iter().enumerate() {
-            for pos in 0..batch.len() {
-                jobs.push(Job { batch: b, pos, resident: pos > 0 });
-                if pos > 0 {
-                    jobs.push(Job { batch: b, pos, resident: false });
-                }
-            }
+/// Plans `queue` with `scheduler` and pipelines the batches over the
+/// pre-simulated `costs` (keyed by request id, as
+/// [`Daemon::profile_costs`](crate::Daemon::profile_costs) returns them):
+/// the static sibling of [`schedule_online`](crate::schedule_online).
+/// Reports aggregate throughput, latency percentiles on `clock`, and the
+/// weight-load cycles batching saved versus the serial loop.
+///
+/// # Panics
+///
+/// Panics if a queued request has no cost entry.
+pub fn schedule_batched(
+    queue: &[InferenceRequest],
+    scheduler: &BatchScheduler,
+    costs: &HashMap<u64, RequestCost>,
+    clock: &SimClock,
+) -> ServeReport {
+    let plan = scheduler.plan(queue);
+    let cost_of = |request: &InferenceRequest| -> &RequestCost {
+        costs
+            .get(&request.id)
+            .unwrap_or_else(|| panic!("no cost profiled for request {}", request.id))
+    };
+    // What a request is charged inside its batch: the leader pays its
+    // weight loads, followers ride resident.
+    let charged = |pos: usize, request: &InferenceRequest| -> &BatchProfile {
+        let cost = cost_of(request);
+        if pos == 0 {
+            &cost.cold
+        } else {
+            &cost.resident
         }
-        let reports = self.simulate(&plan, &jobs);
-        let index: std::collections::HashMap<(usize, usize, bool), usize> =
-            jobs.iter().enumerate().map(|(i, j)| ((j.batch, j.pos, j.resident), i)).collect();
-        let report_for = |batch: usize, pos: usize, resident: bool| -> &InferenceReport {
-            let idx = index
-                .get(&(batch, pos, resident))
-                .expect("every (batch, pos, residency) job was scheduled");
-            reports[*idx].as_ref().expect("every job completed")
-        };
+    };
 
-        // Per-batch resource profiles for the pipeline.
-        let mut profiles = Vec::with_capacity(plan.batches.len());
-        for (b, batch) in plan.batches.iter().enumerate() {
+    // Per-batch resource profiles for the pipeline.
+    let profiles: Vec<BatchProfile> = plan
+        .batches
+        .iter()
+        .map(|batch| {
             let mut profile = BatchProfile::default();
-            for pos in 0..batch.len() {
-                profile.merge(&report_profile(report_for(b, pos, pos > 0)));
+            for (pos, request) in batch.requests.iter().enumerate() {
+                profile.merge(charged(pos, request));
             }
-            profiles.push(profile);
-        }
-        let schedule = pipeline(&profiles);
+            profile
+        })
+        .collect();
+    let schedule = pipeline(&profiles);
 
-        let clock_hz = plan
-            .batches
-            .first()
-            .map(|b| AcceleratorConfig::paper(b.requests[0].dataset).clock_hz)
-            .unwrap_or(1.3e9);
-
-        let mut requests = Vec::new();
-        let mut batches = Vec::new();
-        let mut serial_total_cycles = 0u64;
-        let mut weight_load_cycles_saved = 0u64;
-        for (b, batch) in plan.batches.iter().enumerate() {
-            let completion_cycle = schedule.batch_completion[b];
-            let mut saved = 0u64;
-            for (pos, &request) in batch.requests.iter().enumerate() {
-                let resident = pos > 0;
-                let batched = report_for(b, pos, resident);
-                let serial = report_for(b, pos, false);
-                debug_assert_eq!(
-                    batched.weight_load_cycles,
-                    if resident { 0 } else { serial.weight_load_cycles }
-                );
-                serial_total_cycles += serial.total_cycles;
-                if resident {
-                    saved += serial.weight_load_cycles;
-                }
-                requests.push(RequestOutcome {
-                    request,
-                    batch: b,
-                    weights_resident: resident,
-                    batched_cycles: batched.total_cycles,
-                    serial_cycles: serial.total_cycles,
-                    latency_s: completion_cycle as f64 / clock_hz,
-                });
+    let mut requests = Vec::new();
+    let mut batches = Vec::new();
+    let mut serial_total_cycles = 0u64;
+    let mut weight_load_cycles_saved = 0u64;
+    for (b, batch) in plan.batches.iter().enumerate() {
+        let completion_cycle = schedule.batch_completion[b];
+        let mut saved = 0u64;
+        for (pos, &request) in batch.requests.iter().enumerate() {
+            let cold = &cost_of(&request).cold;
+            serial_total_cycles += cold.serial_cycles();
+            if pos > 0 {
+                saved += cold.weight_load_cycles;
             }
-            weight_load_cycles_saved += saved;
-            let lead = batch.requests[0];
-            batches.push(BatchReport {
-                index: b,
-                model: lead.model,
-                dataset: lead.dataset,
-                scale: lead.scale,
-                size: batch.len(),
-                weighting_cycles: profiles[b].layers.iter().map(|l| l.weighting).sum(),
-                aggregation_cycles: profiles[b].layers.iter().map(|l| l.aggregation).sum(),
-                pre_cycles: profiles[b].pre_cycles,
-                post_cycles: profiles[b].post_cycles,
-                completion_cycle,
-                weight_load_cycles_saved: saved,
+            requests.push(RequestOutcome {
+                request,
+                batch: b,
+                weights_resident: pos > 0,
+                batched_cycles: charged(pos, &request).serial_cycles(),
+                serial_cycles: cold.serial_cycles(),
+                latency_s: clock.to_seconds(completion_cycle),
             });
         }
-
-        ServeReport {
-            policy: self.config.policy,
-            max_batch: self.config.max_batch,
-            requests,
-            batches,
-            pipelined_total_cycles: schedule.total_cycles,
-            batched_serial_cycles: schedule.serial_cycles,
-            serial_total_cycles,
-            weight_load_cycles_saved,
-            clock_hz,
-        }
-    }
-
-    /// Replays an online arrival trace: pre-simulates every request's
-    /// cold and resident costs on a scoped worker pool, then runs the
-    /// continuous-batching scheduler over them. The schedule itself is
-    /// exact integer arithmetic, so the report is bit-identical at any
-    /// `workers`/`sim_threads` setting (the online test suite asserts
-    /// this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if trace ids collide (each id needs its own cost entry).
-    pub fn run_online(&self, trace: &[OnlineRequest], cfg: &OnlineConfig) -> OnlineReport {
-        let requests: Vec<InferenceRequest> = trace.iter().map(|r| r.request).collect();
-        let costs = self.profile_costs(&requests);
-        let clock = trace
-            .first()
-            .map(|r| SimClock::paper(r.request.dataset))
-            .unwrap_or_else(|| SimClock::new(1.3e9));
-        schedule_online(trace, &costs, cfg, &clock)
-    }
-
-    /// Pre-simulates every request cold and resident on a scoped worker
-    /// pool; returns the cost oracle keyed by request id.
-    ///
-    /// # Panics
-    ///
-    /// Panics on duplicate request ids.
-    pub fn profile_costs(
-        &self,
-        requests: &[InferenceRequest],
-    ) -> std::collections::HashMap<u64, RequestCost> {
-        let workers = self.config.workers.clamp(1, requests.len().max(1));
-        let cursor = AtomicUsize::new(0);
-        let results = Mutex::new(vec![None; requests.len()]);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(request) = requests.get(i) else { break };
-                    let ds = request.synthesize();
-                    let model = request.model_config();
-                    let engine = Engine::new(AcceleratorConfig::paper(request.dataset));
-                    let run = |resident: bool| {
-                        let mut session = engine.begin_with(
-                            &model,
-                            &ds,
-                            RunOptions {
-                                weights_resident: resident,
-                                sim_threads: Some(self.config.sim_threads),
-                                ..RunOptions::default()
-                            },
-                        );
-                        session.run_to_completion();
-                        session.finish()
-                    };
-                    let cost = RequestCost::from_reports(&run(false), &run(true));
-                    results.lock().expect("results lock poisoned")[i] = Some(cost);
-                });
-            }
+        weight_load_cycles_saved += saved;
+        let lead = batch.requests[0];
+        batches.push(BatchReport {
+            index: b,
+            model: lead.model,
+            dataset: lead.dataset,
+            scale: lead.scale,
+            size: batch.len(),
+            weighting_cycles: profiles[b].layers.iter().map(|l| l.weighting).sum(),
+            aggregation_cycles: profiles[b].layers.iter().map(|l| l.aggregation).sum(),
+            pre_cycles: profiles[b].pre_cycles,
+            post_cycles: profiles[b].post_cycles,
+            completion_cycle,
+            weight_load_cycles_saved: saved,
         });
-        let costs = results.into_inner().expect("results lock poisoned");
-        let mut map = std::collections::HashMap::new();
-        for (request, cost) in requests.iter().zip(costs) {
-            let prior = map.insert(request.id, cost.expect("every request profiled"));
-            assert!(prior.is_none(), "duplicate request id {} in the trace", request.id);
-        }
-        map
     }
 
-    /// Runs every job on a scoped worker pool; returns reports in job
-    /// order.
-    fn simulate(&self, plan: &BatchPlan, jobs: &[Job]) -> Vec<Option<InferenceReport>> {
-        let workers = self.config.workers.clamp(1, jobs.len().max(1));
-        let cursor = AtomicUsize::new(0);
-        let results = Mutex::new(vec![None; jobs.len()]);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(i) else { break };
-                    let request = plan.batches[job.batch].requests[job.pos];
-                    let ds = request.synthesize();
-                    let model = request.model_config();
-                    let engine = Engine::new(AcceleratorConfig::paper(request.dataset));
-                    let mut session = engine.begin_with(
-                        &model,
-                        &ds,
-                        RunOptions {
-                            weights_resident: job.resident,
-                            sim_threads: Some(self.config.sim_threads),
-                            ..RunOptions::default()
-                        },
-                    );
-                    session.run_to_completion();
-                    let report = session.finish();
-                    results.lock().expect("results lock poisoned")[i] = Some(report);
-                });
-            }
-        });
-        results.into_inner().expect("results lock poisoned")
+    ServeReport {
+        policy: scheduler.policy,
+        max_batch: scheduler.max_batch,
+        requests,
+        batches,
+        pipelined_total_cycles: schedule.total_cycles,
+        batched_serial_cycles: schedule.serial_cycles,
+        serial_total_cycles,
+        weight_load_cycles_saved,
+        clock_hz: clock.clock_hz,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gnnie_core::config::AcceleratorConfig;
+    use gnnie_core::engine::Engine;
+    use gnnie_core::SimThreads;
+
+    use crate::daemon::{Daemon, DaemonConfig};
 
     fn mix(n: u64, model: GnnModel) -> Vec<InferenceRequest> {
         (0..n).map(|i| InferenceRequest::new(i, model, Dataset::Cora, 0.08, 100 + i)).collect()
     }
 
+    /// Profiles `queue` on a daemon and plans it under model affinity.
+    fn serve(queue: &[InferenceRequest], max_batch: usize) -> ServeReport {
+        let daemon = Daemon::new(DaemonConfig {
+            workers: 4,
+            sim_threads: SimThreads::Fixed(1),
+            chips: 1,
+        });
+        let costs = daemon.profile_costs(queue);
+        let scheduler = BatchScheduler::new(SchedulerPolicy::ModelAffinity, max_batch);
+        schedule_batched(queue, &scheduler, &costs, &SimClock::paper(Dataset::Cora))
+    }
+
     #[test]
     fn batched_pipelined_serving_beats_the_serial_loop() {
         // The acceptance mix: ≥ 8 same-model requests.
-        let queue = mix(8, GnnModel::Gcn);
-        let server = Server::new(ServeConfig {
-            policy: SchedulerPolicy::ModelAffinity,
-            max_batch: 8,
-            workers: 4,
-            ..ServeConfig::default()
-        });
-        let report = server.run(&queue);
+        let report = serve(&mix(8, GnnModel::Gcn), 8);
         assert_eq!(report.requests.len(), 8);
         assert_eq!(report.batches.len(), 1);
         assert!(report.weight_load_cycles_saved > 0, "7 followers skip weight loads");
@@ -491,13 +329,7 @@ mod tests {
         queue.extend(
             (10..14).map(|i| InferenceRequest::new(i, GnnModel::Gat, Dataset::Cora, 0.08, i)),
         );
-        let server = Server::new(ServeConfig {
-            policy: SchedulerPolicy::ModelAffinity,
-            max_batch: 4,
-            workers: 4,
-            ..ServeConfig::default()
-        });
-        let report = server.run(&queue);
+        let report = serve(&queue, 4);
         assert_eq!(report.batches.len(), 2);
         assert!(
             report.pipelined_total_cycles < report.batched_serial_cycles,
@@ -515,7 +347,7 @@ mod tests {
 
     #[test]
     fn empty_queue_serves_cleanly() {
-        let report = Server::default().run(&[]);
+        let report = serve(&[], 8);
         assert_eq!(report.pipelined_total_cycles, 0);
         assert_eq!(report.serial_total_cycles, 0);
         assert_eq!(report.throughput_inferences_per_s(), 0.0);
@@ -572,7 +404,7 @@ mod tests {
     #[test]
     fn single_request_matches_engine_run() {
         let queue = mix(1, GnnModel::Gcn);
-        let report = Server::default().run(&queue);
+        let report = serve(&queue, 8);
         let ds = queue[0].synthesize();
         let model = queue[0].model_config();
         let serial = Engine::new(AcceleratorConfig::paper(Dataset::Cora)).run(&model, &ds);

@@ -9,10 +9,11 @@
 //!   request with strictly more slack never preempts one with less
 //!   inside its model group;
 //! * on the real engine: the same seed + arrival config produces a
-//!   bit-identical `OnlineReport` at any `sim_threads`/worker setting,
-//!   the daemon reproduces the scoped server exactly, and on a static
-//!   (all-at-t=0) trace the daemon's online schedule never loses to the
-//!   static batch planner on the same mix.
+//!   bit-identical `OnlineReport` at any daemon worker count and pool
+//!   width, `Daemon::serve_online` equals scheduling the daemon's
+//!   profiled costs by hand, and on a static (all-at-t=0) trace the
+//!   online schedule never loses to the static batch planner on the same
+//!   mix.
 
 use std::collections::HashMap;
 
@@ -20,9 +21,10 @@ use proptest::prelude::*;
 
 use gnnie_core::SimThreads;
 use gnnie_serve::{
-    schedule_online, ArrivalProcess, BatchProfile, Daemon, DaemonConfig, Dataset, GnnModel,
-    InferenceRequest, LoadGen, OnlineConfig, OnlineReport, OnlineRequest, PhasePair,
-    QualityTier, RequestCost, SchedulerPolicy, ServeConfig, Server, SimClock, SlaClass, SlaMix,
+    schedule_batched, schedule_online, ArrivalProcess, BatchProfile, BatchScheduler, Daemon,
+    DaemonConfig, Dataset, GnnModel, InferenceRequest, LoadGen, OnlineConfig, OnlineReport,
+    OnlineRequest, PhasePair, QualityTier, RequestCost, SchedulerPolicy, SimClock, SlaClass,
+    SlaMix,
 };
 
 const DATASETS: [Dataset; 2] = [Dataset::Cora, Dataset::Citeseer];
@@ -67,6 +69,7 @@ fn arb_costs(n: usize) -> impl Strategy<Value = Vec<RequestCost>> {
                         pre_cycles: 3,
                         layers: vec![PhasePair { weighting: w, aggregation: agg }; layers],
                         post_cycles: 2,
+                        ..BatchProfile::default()
                     };
                     RequestCost::new(profile(w_cold), profile(w_res))
                 })
@@ -244,46 +247,45 @@ fn poisson_trace(seed: u64) -> Vec<OnlineRequest> {
     .generate(&engine_queue(), &clock)
 }
 
+fn daemon(workers: usize, threads: usize) -> Daemon {
+    Daemon::new(DaemonConfig { workers, sim_threads: SimThreads::Fixed(threads), chips: 1 })
+}
+
 /// Acceptance: same seed + arrival config ⇒ bit-identical serving report
-/// at any `sim_threads` (and any worker count).
+/// at any daemon worker count and pool width.
 #[test]
 fn online_reports_are_bit_identical_across_sim_threads() {
     let trace = poisson_trace(0xA11);
     let cfg = OnlineConfig { max_batch: 4, admission_control: true };
-    let reports: Vec<OnlineReport> = [1usize, 2, 4]
+    let reports: Vec<OnlineReport> = [(1usize, 1usize), (3, 2), (4, 4)]
         .iter()
-        .map(|&threads| {
-            Server::new(ServeConfig {
-                policy: SchedulerPolicy::ModelAffinity,
-                max_batch: 4,
-                workers: threads,
-                sim_threads: SimThreads::Fixed(threads),
-            })
-            .run_online(&trace, &cfg)
+        .map(|&(workers, threads)| {
+            let daemon = daemon(workers, threads);
+            let report = daemon.serve_online(&trace, &cfg);
+            daemon.shutdown();
+            report
         })
         .collect();
     assert!(!reports[0].outcomes.is_empty());
-    assert_eq!(reports[0], reports[1], "1 vs 2 sim threads diverged");
-    assert_eq!(reports[0], reports[2], "1 vs 4 sim threads diverged");
+    assert_eq!(reports[0], reports[1], "(1 worker, 1 thread) vs (3, 2) diverged");
+    assert_eq!(reports[0], reports[2], "(1 worker, 1 thread) vs (4, 4) diverged");
 }
 
-/// The daemon's persistent pool reproduces the scoped server exactly.
+/// `Daemon::serve_online` is exactly the online scheduler over the
+/// daemon's profiled costs, whichever daemon profiled them.
 #[test]
-fn daemon_reproduces_the_scoped_server() {
+fn serve_online_equals_scheduling_the_profiled_costs() {
     let trace = poisson_trace(0xBEE);
     let cfg = OnlineConfig { max_batch: 4, admission_control: true };
-    let scoped = Server::new(ServeConfig {
-        policy: SchedulerPolicy::ModelAffinity,
-        max_batch: 4,
-        workers: 1,
-        sim_threads: SimThreads::Fixed(1),
-    })
-    .run_online(&trace, &cfg);
-    let daemon =
-        Daemon::new(DaemonConfig { workers: 3, sim_threads: SimThreads::Fixed(2), chips: 1 });
-    let resident = daemon.serve_online(&trace, &cfg);
-    daemon.shutdown();
-    assert_eq!(scoped, resident);
+    let narrow = daemon(1, 1);
+    let requests: Vec<InferenceRequest> = trace.iter().map(|r| r.request).collect();
+    let costs = narrow.profile_costs(&requests);
+    narrow.shutdown();
+    let by_hand = schedule_online(&trace, &costs, &cfg, &SimClock::paper(Dataset::Cora));
+    let wide = daemon(3, 2);
+    let served = wide.serve_online(&trace, &cfg);
+    wide.shutdown();
+    assert_eq!(by_hand, served);
 }
 
 /// Acceptance: on a static (all-at-t=0) trace of the same mix, the
@@ -305,18 +307,17 @@ fn daemon_static_trace_never_loses_to_the_static_planner() {
     }
     .generate(&queue, &clock);
 
-    let static_report = Server::new(ServeConfig {
-        policy: SchedulerPolicy::ModelAffinity,
-        max_batch: 2,
-        workers: 4,
-        sim_threads: SimThreads::Fixed(1),
-    })
-    .run(&queue);
-
-    let daemon =
-        Daemon::new(DaemonConfig { workers: 4, sim_threads: SimThreads::Fixed(1), chips: 1 });
+    let daemon = daemon(4, 1);
+    let costs = daemon.profile_costs(&queue);
+    let scheduler = BatchScheduler::new(SchedulerPolicy::ModelAffinity, 2);
+    let static_report = schedule_batched(&queue, &scheduler, &costs, &clock);
     let online =
         daemon.serve_online(&trace, &OnlineConfig { max_batch: 2, admission_control: true });
+    assert_eq!(
+        daemon.profile_cache_stats().misses,
+        queue.len() as u64,
+        "the online replay reuses the static planner's profiles"
+    );
     daemon.shutdown();
 
     assert_eq!(online.outcomes.len(), static_report.requests.len());
@@ -326,8 +327,9 @@ fn daemon_static_trace_never_loses_to_the_static_planner() {
         online.makespan_cycles,
         static_report.pipelined_total_cycles
     );
-    // Four batches over two models: each model's second batch reuses the
-    // weights its first left resident — cycles the static planner pays.
+    // Four same-model batches: every batch after the first reuses the
+    // weights its predecessor left resident — cycles the static planner
+    // pays.
     assert!(
         online.makespan_cycles < static_report.pipelined_total_cycles,
         "carried residency must beat the always-cold static leaders"

@@ -10,9 +10,10 @@
 
 use proptest::prelude::*;
 
+use gnnie_core::SimThreads;
 use gnnie_serve::{
-    pipeline, BatchProfile, BatchScheduler, Dataset, GnnModel, InferenceRequest, PhasePair,
-    SchedulerPolicy, ServeConfig, Server,
+    pipeline, schedule_batched, BatchProfile, BatchScheduler, Daemon, DaemonConfig, Dataset,
+    GnnModel, InferenceRequest, PhasePair, SchedulerPolicy, SimClock,
 };
 
 const DATASETS: [Dataset; 3] = [Dataset::Cora, Dataset::Citeseer, Dataset::Pubmed];
@@ -57,6 +58,7 @@ fn arb_profiles() -> impl Strategy<Value = Vec<BatchProfile>> {
                     .map(|(w, a)| PhasePair { weighting: w, aggregation: a })
                     .collect(),
                 post_cycles: post,
+                ..BatchProfile::default()
             })
             .collect()
     })
@@ -171,13 +173,13 @@ proptest! {
                 InferenceRequest::new(i as u64, GnnModel::ALL[m], DATASETS[d], 0.05, seed)
             })
             .collect();
-        let server = Server::new(ServeConfig {
-            policy: SchedulerPolicy::ALL[policy_idx],
-            max_batch,
-            workers: 4,
-            ..ServeConfig::default()
-        });
-        let report = server.run(&queue);
+        let daemon =
+            Daemon::new(DaemonConfig { workers: 4, sim_threads: SimThreads::Fixed(1), chips: 1 });
+        let costs = daemon.profile_costs(&queue);
+        daemon.shutdown();
+        let scheduler = BatchScheduler::new(SchedulerPolicy::ALL[policy_idx], max_batch);
+        let clock = SimClock::paper(queue[0].dataset);
+        let report = schedule_batched(&queue, &scheduler, &costs, &clock);
         prop_assert_eq!(report.requests.len(), queue.len());
         prop_assert!(report.pipelined_total_cycles <= report.batched_serial_cycles);
         prop_assert!(report.batched_serial_cycles <= report.serial_total_cycles);

@@ -8,12 +8,12 @@
 use gnnie::baselines::{AwbGcnModel, HygcnModel, PygCpuModel, PygGpuModel};
 use gnnie::gnn::flops::ModelWorkload;
 use gnnie::gnn::model::ModelConfig;
-use gnnie::graph::SyntheticDataset;
+use gnnie::graph::GraphDataset;
 use gnnie::{AcceleratorConfig, Dataset, Engine, GnnModel};
 
 fn main() {
     let dataset = Dataset::Pubmed;
-    let ds = SyntheticDataset::generate(dataset, 1.0, 42);
+    let ds = GraphDataset::generate(dataset, 1.0, 42);
     let engine = Engine::new(AcceleratorConfig::paper(dataset));
 
     println!(

@@ -13,7 +13,7 @@ use gnnie::core::cpe::CpeArray;
 use gnnie::core::mpe::psum_stall_cycles;
 use gnnie::core::noc::{awb_rebalance_traffic, lr_traffic, AwbRebalanceParams, LinkParams};
 use gnnie::core::weighting::{schedule, BlockProfile, WeightingMode};
-use gnnie::graph::SyntheticDataset;
+use gnnie::graph::GraphDataset;
 use gnnie::Dataset;
 
 fn bar(cycles: u64, max: u64) -> String {
@@ -24,7 +24,7 @@ fn bar(cycles: u64, max: u64) -> String {
 fn main() {
     // A Cora-statistics dataset: 2708 vertices, F = 1433, ~98.7% feature
     // sparsity with the bimodal per-vertex profile of Fig. 2.
-    let ds = SyntheticDataset::generate(Dataset::Cora, 1.0, 42);
+    let ds = GraphDataset::generate(Dataset::Cora, 1.0, 42);
     let cfg = AcceleratorConfig::paper(Dataset::Cora);
     let arr = CpeArray::new(&cfg);
     let profile = BlockProfile::from_sparse(&ds.features, arr.rows());
@@ -70,7 +70,7 @@ fn main() {
     // --- What the rebalancing costs on the wire (§VII). Cora is small
     // enough that FM alone balances it; Pubmed's wider sparsity spread
     // (Fig. 2) makes the contrast visible.
-    let pubmed = SyntheticDataset::generate(Dataset::Pubmed, 1.0, 42);
+    let pubmed = GraphDataset::generate(Dataset::Pubmed, 1.0, 42);
     let profile = BlockProfile::from_sparse(&pubmed.features, arr.rows());
     let link = LinkParams::default();
     let lr_sched = schedule(&profile, &arr, WeightingMode::FmLr);

@@ -7,7 +7,7 @@
 
 use gnnie::core::report::InferenceReport;
 use gnnie::gnn::model::ModelConfig;
-use gnnie::graph::SyntheticDataset;
+use gnnie::graph::GraphDataset;
 use gnnie::{AcceleratorConfig, Dataset, Engine, GnnModel};
 
 fn print_summary(r: &InferenceReport) {
@@ -28,7 +28,7 @@ fn print_summary(r: &InferenceReport) {
 fn main() {
     // A Cora-like citation graph, full paper size (2708 vertices, ~10.5k
     // edges, 1433-dim features at 98.7% sparsity).
-    let ds = SyntheticDataset::generate(Dataset::Cora, 1.0, 42);
+    let ds = GraphDataset::generate(Dataset::Cora, 1.0, 42);
     println!(
         "dataset: {} vertices, {} edges, features {}x{} ({:.2}% sparse)\n",
         ds.graph.num_vertices(),

@@ -29,13 +29,13 @@ use gnnie::core::verify::{verify_layers, ExpMode};
 use gnnie::gnn::flops::ModelWorkload;
 use gnnie::gnn::model::ModelConfig;
 use gnnie::gnn::params::ModelParams;
-use gnnie::graph::{generate, GraphDataset, PartitionerKind, SyntheticDataset};
+use gnnie::graph::{generate, GraphDataset, PartitionerKind};
 use gnnie::ingest::{
     default_partition_tables, write_snapshot_with_partitions, DataSource, DatasetRegistry,
     Resolved, SourceKind,
 };
 use gnnie::mem::{CachePolicyKind, SimThreads};
-use gnnie::serve::{InferenceRequest, SchedulerPolicy, ServeConfig, Server};
+use gnnie::serve::{InferenceRequest, SchedulerPolicy};
 use gnnie::tensor::DenseMatrix;
 use gnnie::{AcceleratorConfig, Dataset, Engine, GnnModel};
 
@@ -688,12 +688,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
         config.partitioner = kind;
     }
     config.tiers = parse_tiers(flags)?;
-    let heads: usize = flags.get("heads").map_or(Ok(1), |s| {
-        s.parse::<usize>()
-            .ok()
-            .filter(|&k| k >= 1)
-            .ok_or_else(|| format!("--heads must be a positive integer, got `{s}`"))
-    })?;
+    let heads = parse_positive_at_most(flags, "heads", 1, MAX_HEADS)?;
     if heads > 1 && model != GnnModel::Gat {
         return Err("--heads applies only to --model gat".into());
     }
@@ -886,6 +881,10 @@ fn parse_positive(
     })
 }
 
+/// Most attention heads `run --model gat` takes: every head re-runs the
+/// layer's Aggregation walk, so run time grows linearly with the count.
+/// Far above the multi-head ablation's sweep of 1–8 heads.
+const MAX_HEADS: usize = 64;
 /// Most requests `serve` queues: the queue is built up front.
 const MAX_REQUESTS: usize = 1_000_000;
 /// Most request workers `serve` takes: the daemon spawns every one.
@@ -958,7 +957,8 @@ fn parse_arrival(
 
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     use gnnie::serve::{
-        ArrivalProcess, Daemon, DaemonConfig, LoadGen, OnlineConfig, SimClock, SlaMix,
+        schedule_batched, ArrivalProcess, BatchScheduler, Daemon, DaemonConfig, LoadGen,
+        OnlineConfig, SimClock, SlaMix,
     };
 
     let n = parse_positive_at_most(flags, "requests", 16, MAX_REQUESTS)?;
@@ -969,7 +969,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let policy: SchedulerPolicy =
         flags.get("policy").map_or(Ok(SchedulerPolicy::ModelAffinity), |s| s.parse())?;
     let workers =
-        parse_positive_at_most(flags, "workers", ServeConfig::default().workers, MAX_WORKERS)?;
+        parse_positive_at_most(flags, "workers", DaemonConfig::default().workers, MAX_WORKERS)?;
     let sim_threads =
         parse_sim_threads(flags)?.unwrap_or_else(gnnie::mem::SimThreads::from_env);
 
@@ -1012,8 +1012,18 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         queue.push(InferenceRequest::new(i as u64, model, dataset, scale, request_seed));
     }
 
+    // Both paths run the engine on the daemon and schedule over its cost
+    // oracle. `--daemon` only adds the provenance and drain report on
+    // stderr (so stdout stays byte-identical with and without it, and
+    // across --sim-threads settings) and the profile-cache gauges in the
+    // registry.
+    if daemon_mode {
+        eprintln!("[daemon: {workers} request workers, sim-threads {sim_threads}]");
+    }
+    let daemon = Daemon::new(DaemonConfig { workers, sim_threads, chips: 1 });
+    let clock = SimClock::paper(datasets[0]);
+
     if online {
-        let clock = SimClock::paper(datasets[0]);
         let trace = LoadGen { process, sla, seed }.generate(&queue, &clock);
         let cfg = OnlineConfig { max_batch, admission_control: true };
         let mut obs = obs_flags.build();
@@ -1023,15 +1033,15 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             // metrics; they reach stdout only under --metrics.
             obs.metrics = gnnie::obs::Metrics::recording();
         }
-        let report = if daemon_mode {
-            // Provenance goes to stderr so stdout stays byte-identical
-            // between the daemon and scoped paths (and across
-            // --sim-threads settings).
-            eprintln!("[daemon: {workers} request workers, sim-threads {sim_threads}]");
-            let daemon = Daemon::new(DaemonConfig { workers, sim_threads, chips: 1 });
-            let report = daemon.serve_online_observed(&trace, &cfg, &obs);
-            let stats = daemon.profile_cache_stats();
-            daemon.shutdown();
+        let report = daemon.serve_online(&trace, &cfg);
+        report.record_obs(&obs);
+        let stats = daemon.profile_cache_stats();
+        daemon.shutdown();
+        if daemon_mode {
+            // Gauges, not counters: the stats are already lifetime totals.
+            obs.metrics.gauge_set("serve.daemon.profile_cache.hits", stats.hits as f64);
+            obs.metrics.gauge_set("serve.daemon.profile_cache.misses", stats.misses as f64);
+            obs.metrics.gauge_set("serve.daemon.profile_cache.entries", stats.entries as f64);
             eprintln!(
                 "[daemon: drained and joined; profile cache {} hits / {} misses, {} entries]",
                 stats.hits, stats.misses, stats.entries
@@ -1055,15 +1065,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
                     );
                 }
             }
-            report
-        } else {
-            let report = Server::new(ServeConfig { policy, max_batch, workers, sim_threads })
-                .run_online(&trace, &cfg);
-            // The scoped server returns the same OnlineReport; derive the
-            // observability surfaces from it post hoc, like the daemon.
-            report.record_obs(&obs);
-            report
-        };
+        }
 
         println!(
             "online serving {n} requests (arrival {}, sla {sla}, max batch {max_batch})",
@@ -1116,8 +1118,10 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         return Ok(());
     }
 
-    let server = Server::new(ServeConfig { policy, max_batch, workers, sim_threads });
-    let report = server.run(&queue);
+    let costs = daemon.profile_costs(&queue);
+    daemon.shutdown();
+    let report =
+        schedule_batched(&queue, &BatchScheduler::new(policy, max_batch), &costs, &clock);
 
     println!(
         "serving {n} requests (policy {policy}, max batch {max_batch}, {workers} workers)"
@@ -1169,7 +1173,7 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
     let dataset = parse_dataset(flags)?;
     let scale = parse_scale(flags, dataset)?;
     let seed = parse_seed(flags)?;
-    let ds = SyntheticDataset::generate(dataset, scale, seed);
+    let ds = GraphDataset::generate(dataset, scale, seed);
     let engine = Engine::new(AcceleratorConfig::paper(dataset));
     println!("{} (scale {scale:.2}) — speedups over GNNIE per platform", dataset.name());
     println!(
@@ -1249,7 +1253,7 @@ fn cmd_comm(flags: &HashMap<String, String>) -> Result<(), String> {
     let dataset = parse_dataset(flags)?;
     let scale = parse_scale(flags, dataset)?;
     let seed = parse_seed(flags)?;
-    let ds = SyntheticDataset::generate(dataset, scale, seed);
+    let ds = GraphDataset::generate(dataset, scale, seed);
     let cfg = AcceleratorConfig::paper(dataset);
     let arr = CpeArray::new(&cfg);
     let link = LinkParams::default();

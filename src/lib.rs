@@ -46,10 +46,10 @@
 //! use gnnie::core::config::AcceleratorConfig;
 //! use gnnie::core::engine::Engine;
 //! use gnnie::gnn::model::{GnnModel, ModelConfig};
-//! use gnnie::graph::{Dataset, SyntheticDataset};
+//! use gnnie::graph::{Dataset, GraphDataset};
 //!
 //! // Synthesize a Cora-like dataset at 10% scale.
-//! let ds = SyntheticDataset::generate(Dataset::Cora, 0.1, 42);
+//! let ds = GraphDataset::generate(Dataset::Cora, 0.1, 42);
 //! // The paper's accelerator configuration (Design E, 1216 MACs).
 //! let engine = Engine::new(AcceleratorConfig::paper(Dataset::Cora));
 //! // Run a 2-layer GAT and inspect the report.

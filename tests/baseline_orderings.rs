@@ -4,7 +4,7 @@
 use gnnie::baselines::{AwbGcnModel, HygcnModel, PygCpuModel, PygGpuModel};
 use gnnie::gnn::flops::ModelWorkload;
 use gnnie::gnn::model::ModelConfig;
-use gnnie::graph::SyntheticDataset;
+use gnnie::graph::GraphDataset;
 use gnnie::{AcceleratorConfig, Dataset, Engine, GnnModel};
 
 struct Shootout {
@@ -19,7 +19,7 @@ struct Shootout {
 }
 
 fn shootout(model: GnnModel, dataset: Dataset, scale: f64) -> Shootout {
-    let ds = SyntheticDataset::generate(dataset, scale, 42);
+    let ds = GraphDataset::generate(dataset, scale, 42);
     let cfg = ModelConfig::paper(model, &ds.spec);
     let report = Engine::new(AcceleratorConfig::paper(dataset)).run(&cfg, &ds);
     let w = ModelWorkload::for_dataset(&cfg, &ds);

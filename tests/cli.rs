@@ -383,8 +383,8 @@ fn serve_daemon_sim_threads_flag_beats_the_env() {
 
 #[test]
 fn serve_online_reports_are_byte_identical_across_backends() {
-    // Same seed + arrival config ⇒ the same serving report, whether the
-    // trace runs on the scoped server or the daemon, at any pool width.
+    // Same seed + arrival config ⇒ the same serving report at any daemon
+    // worker count and pool width, with or without `--daemon`.
     let base = [
         "serve",
         "--arrival",
@@ -405,9 +405,12 @@ fn serve_online_reports_are_byte_identical_across_backends() {
         args.extend_from_slice(extra);
         run_args(&args)
     };
-    let reference = with(&["--sim-threads", "1"]);
+    let reference = with(&["--workers", "1", "--sim-threads", "1"]);
     assert!(reference.status.success(), "{}", String::from_utf8_lossy(&reference.stderr));
-    for extra in [&["--sim-threads", "4"][..], &["--daemon", "--sim-threads", "2"][..]] {
+    for extra in [
+        &["--workers", "3", "--sim-threads", "2"][..],
+        &["--daemon", "--workers", "3", "--sim-threads", "2"][..],
+    ] {
         let other = with(extra);
         assert!(other.status.success(), "{}", String::from_utf8_lossy(&other.stderr));
         assert_eq!(
@@ -880,7 +883,7 @@ fn observability_flag_errors_name_the_problem() {
 
 /// The daemon drain report breaks queue wait out per SLA class next to
 /// service latency (on stderr, so stdout stays byte-identical to the
-/// scoped path), and `--metrics` dumps the registry.
+/// flagless path), and `--metrics` dumps the registry.
 #[test]
 fn daemon_drain_report_includes_per_class_queue_wait() {
     let out = run_args(&[

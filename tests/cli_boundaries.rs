@@ -97,6 +97,10 @@ fn run_boundaries() {
         (with(&cora, &["--chips", "2", "--partitioner", "edgecut"]), Ok),
         (with(&gat, &["--heads", "0"]), Rejects("--heads")),
         (with(&gat, &["--heads", "1"]), Ok),
+        // MAX_HEADS = 64: one above it is refused by name, as is u64::MAX.
+        (with(&gat, &["--heads", "64"]), Ok),
+        (with(&gat, &["--heads", "65"]), Rejects("--heads")),
+        (with(&gat, &["--heads", HUGE]), Rejects("--heads")),
         (with(&gat, &["--heads", OVERFLOW]), Rejects("--heads")),
         (with(&cora, &["--sim-threads", "0"]), Rejects("--sim-threads")),
         (with(&cora, &["--sim-threads", "1"]), Ok),

@@ -10,17 +10,19 @@ use gnnie::core::verify::{verify_layers, ExpMode};
 use gnnie::gnn::model::{GnnModel, ModelConfig};
 use gnnie::gnn::params::ModelParams;
 use gnnie::graph::reorder::Permutation;
-use gnnie::graph::{CsrGraph, DatasetSpec, SyntheticDataset};
-use gnnie::mem::{CacheConfig, DegreeAwareCache, HbmModel};
+use gnnie::graph::{CsrGraph, DatasetSpec, GraphDataset};
+use gnnie::mem::cache::PaperAlphaGamma;
+use gnnie::mem::{CacheConfig, CacheSim, CacheSimResult, HbmModel, SimPool};
 use gnnie::tensor::{CsrMatrix, DenseMatrix, SparseVec};
 use gnnie::Dataset;
 
+/// The paper's α/γ cache walk over a degree-ordered graph.
+fn paper_walk(g: &CsrGraph, cfg: CacheConfig, dram: &mut HbmModel) -> CacheSimResult {
+    CacheSim::new(g, cfg, &SimPool::serial()).run(&mut PaperAlphaGamma::new(), dram)
+}
+
 /// Wraps a custom graph + features into an engine-consumable dataset.
-fn custom_dataset(
-    graph: CsrGraph,
-    feature_len: usize,
-    density_period: usize,
-) -> SyntheticDataset {
+fn custom_dataset(graph: CsrGraph, feature_len: usize, density_period: usize) -> GraphDataset {
     let n = graph.num_vertices();
     let rows: Vec<SparseVec> = (0..n)
         .map(|v| {
@@ -44,7 +46,7 @@ fn custom_dataset(
         degree_gamma: 2.0,
         uniform_frac: 0.0,
     };
-    SyntheticDataset { spec, graph, features }
+    GraphDataset { spec, graph, features }
 }
 
 fn star(n: usize) -> CsrGraph {
@@ -85,7 +87,7 @@ fn star_cache_processes_hub_edges_exactly_once() {
     let mut cfg = CacheConfig::with_capacity(32, 64);
     cfg.gamma = 5;
     let mut dram = HbmModel::hbm2_256gbps(1.3e9);
-    let r = DegreeAwareCache::new(&g, cfg).run(&mut dram);
+    let r = paper_walk(&g, cfg, &mut dram);
     assert!(r.completed, "tiny cache must still finish the star");
     assert_eq!(r.edges_processed, g.num_edges() as u64);
     assert_eq!(r.counters.random_bytes(), 0);
@@ -97,7 +99,7 @@ fn path_graph_has_no_reuse_but_still_sequential() {
     let g = Permutation::descending_degree(&path(400)).apply(&path(400));
     let cfg = CacheConfig::with_capacity(16, 64);
     let mut dram = HbmModel::hbm2_256gbps(1.3e9);
-    let r = DegreeAwareCache::new(&g, cfg).run(&mut dram);
+    let r = paper_walk(&g, cfg, &mut dram);
     assert!(r.completed);
     assert_eq!(r.edges_processed, g.num_edges() as u64);
     assert_eq!(r.counters.random_bytes(), 0);
@@ -112,7 +114,7 @@ fn complete_graph_defeats_gamma_but_dynamic_raise_rescues() {
     let mut cfg = CacheConfig::with_capacity(8, 64);
     cfg.gamma = 1;
     let mut dram = HbmModel::hbm2_256gbps(1.3e9);
-    let r = DegreeAwareCache::new(&g, cfg).run(&mut dram);
+    let r = paper_walk(&g, cfg, &mut dram);
     assert!(r.completed, "dynamic gamma must resolve the deadlock");
     assert_eq!(r.edges_processed, g.num_edges() as u64);
     assert!(
@@ -175,7 +177,7 @@ fn star_beats_id_order_by_more_than_uniform_graphs() {
         let g = Permutation::descending_degree(raw).apply(raw);
         let cfg = CacheConfig::with_capacity(24, 64);
         let mut dram = HbmModel::hbm2_256gbps(1.3e9);
-        let ours = DegreeAwareCache::new(&g, cfg).run(&mut dram);
+        let ours = paper_walk(&g, cfg, &mut dram);
         let mut dram2 = HbmModel::hbm2_256gbps(1.3e9);
         let (_, _, counters) = simulate_id_order_baseline(raw, 24, 64, &mut dram2);
         assert!(ours.completed);

@@ -3,12 +3,12 @@
 
 use gnnie::core::config::Design;
 use gnnie::gnn::model::ModelConfig;
-use gnnie::graph::SyntheticDataset;
+use gnnie::graph::GraphDataset;
 use gnnie::mem::Component;
 use gnnie::{AcceleratorConfig, Dataset, Engine, GnnModel};
 
 fn run(model: GnnModel, dataset: Dataset, scale: f64) -> gnnie::core::InferenceReport {
-    let ds = SyntheticDataset::generate(dataset, scale, 42);
+    let ds = GraphDataset::generate(dataset, scale, 42);
     let cfg = AcceleratorConfig::paper(dataset);
     Engine::new(cfg).run(&ModelConfig::paper(model, &ds.spec), &ds)
 }
@@ -80,7 +80,7 @@ fn gat_exceeds_gcn_in_cycles_and_energy() {
 
 #[test]
 fn all_design_points_run_and_order_sanely() {
-    let ds = SyntheticDataset::generate(Dataset::Cora, 0.3, 42);
+    let ds = GraphDataset::generate(Dataset::Cora, 0.3, 42);
     let model = ModelConfig::paper(GnnModel::Gcn, &ds.spec);
     let mut cycles = Vec::new();
     for design in Design::ALL {
@@ -111,7 +111,7 @@ fn dram_traffic_is_sequential_with_cache_policy() {
 
 #[test]
 fn disabling_cache_policy_costs_dram_cycles() {
-    let ds = SyntheticDataset::generate(Dataset::Pubmed, 0.15, 42);
+    let ds = GraphDataset::generate(Dataset::Pubmed, 0.15, 42);
     let model = ModelConfig::paper(GnnModel::Gcn, &ds.spec);
     let with = Engine::new(AcceleratorConfig::paper(Dataset::Pubmed)).run(&model, &ds);
     let mut cfg = AcceleratorConfig::paper(Dataset::Pubmed);

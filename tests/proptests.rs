@@ -8,7 +8,8 @@ use gnnie::core::weighting::{schedule, BlockProfile, WeightingMode};
 use gnnie::graph::partition::{count_induced_edges, induced_degree};
 use gnnie::graph::reorder::Permutation;
 use gnnie::graph::{CsrGraph, EdgeList, GraphPartition, PartitionerKind};
-use gnnie::mem::{CacheConfig, DegreeAwareCache, HbmModel};
+use gnnie::mem::cache::PaperAlphaGamma;
+use gnnie::mem::{CacheConfig, CacheSim, HbmModel, SimPool};
 use gnnie::tensor::{CsrMatrix, SparseVec};
 
 fn arb_graph() -> impl Strategy<Value = CsrGraph> {
@@ -70,7 +71,9 @@ proptest! {
         let mut seen = vec![0u32; ordered.num_edges().max(1)];
         let index = gnnie::mem::cache::build_edge_index(&ordered);
         let offsets = ordered.offsets().to_vec();
-        let result = DegreeAwareCache::new(&ordered, cfg).run_with(&mut dram, |u, v| {
+        let pool = SimPool::serial();
+        let sim = CacheSim::new(&ordered, cfg, &pool);
+        let result = sim.run_with(&mut PaperAlphaGamma::new(), &mut dram, |u, v| {
             // Identify the undirected edge id via the index.
             let pos = ordered
                 .neighbors(u as usize)

@@ -14,7 +14,7 @@ use gnnie::core::verify::{verify_layers, ExpMode};
 use gnnie::core::weighting::{schedule, BlockProfile, WeightingMode};
 use gnnie::gnn::model::{GnnModel, ModelConfig};
 use gnnie::gnn::params::ModelParams;
-use gnnie::graph::{CsrGraph, EdgeList, SyntheticDataset};
+use gnnie::graph::{CsrGraph, EdgeList, GraphDataset};
 use gnnie::mem::{Component, MemoryScheduler};
 use gnnie::tensor::quant::QuantizedMatrix;
 use gnnie::tensor::rlc::{self, RlcDecoder};
@@ -99,7 +99,7 @@ proptest! {
         scale in 0.05f64..0.25,
         model_idx in 0usize..4,
     ) {
-        let ds = SyntheticDataset::generate(Dataset::Cora, scale, 7);
+        let ds = GraphDataset::generate(Dataset::Cora, scale, 7);
         let model = [GnnModel::Gcn, GnnModel::Gat, GnnModel::GraphSage, GnnModel::GinConv]
             [model_idx];
         let cfg = AcceleratorConfig::paper(Dataset::Cora);

@@ -11,12 +11,12 @@ use proptest::prelude::*;
 use gnnie::core::config::AcceleratorConfig;
 use gnnie::core::engine::{Engine, RunOptions};
 use gnnie::gnn::model::ModelConfig;
-use gnnie::graph::{Dataset, SyntheticDataset};
+use gnnie::graph::{Dataset, GraphDataset};
 use gnnie::mem::{SimThreads, SplitMode, TierSpec};
 use gnnie::obs::{chrome_trace_json, flame_summary, Metrics, Obs, Trace};
 use gnnie::serve::{
-    ArrivalProcess, InferenceRequest, LoadGen, OnlineConfig, SchedulerPolicy, ServeConfig,
-    Server, SimClock, SlaMix,
+    ArrivalProcess, Daemon, DaemonConfig, InferenceRequest, LoadGen, OnlineConfig, SimClock,
+    SlaMix,
 };
 use gnnie::GnnModel;
 use gnnie_bench::trace::validate_chrome_trace;
@@ -29,7 +29,7 @@ fn observed_run(
     chips: usize,
     threads: usize,
 ) -> (String, String, String) {
-    let ds = SyntheticDataset::generate(Dataset::Cora, 0.05, seed);
+    let ds = GraphDataset::generate(Dataset::Cora, 0.05, seed);
     let mut config = AcceleratorConfig::paper(Dataset::Cora);
     config.sim_threads = SimThreads::Fixed(threads);
     config.chips = chips;
@@ -45,8 +45,9 @@ fn observed_run(
     (chrome_trace_json(&events), flame_summary(&events), obs.metrics.snapshot().render())
 }
 
-/// One observed online-serving run on the scoped server.
-fn observed_serve(seed: u64, threads: usize) -> (String, String) {
+/// One observed online-serving run on a daemon of `workers` request
+/// workers sharing a pool of `threads`.
+fn observed_serve(seed: u64, workers: usize, threads: usize) -> (String, String) {
     let queue: Vec<_> = (0u64..6)
         .map(|i| InferenceRequest::new(i, GnnModel::Gcn, Dataset::Cora, 0.05, seed + i))
         .collect();
@@ -58,13 +59,14 @@ fn observed_serve(seed: u64, threads: usize) -> (String, String) {
     }
     .generate(&queue, &clock);
     let obs = Obs { trace: Trace::recording(), metrics: Metrics::recording() };
-    let report = Server::new(ServeConfig {
-        policy: SchedulerPolicy::ModelAffinity,
-        max_batch: 4,
-        workers: 2,
+    let daemon = Daemon::new(DaemonConfig {
+        workers,
         sim_threads: SimThreads::Fixed(threads),
-    })
-    .run_online(&arrivals, &OnlineConfig { max_batch: 4, admission_control: true });
+        chips: 1,
+    });
+    let report =
+        daemon.serve_online(&arrivals, &OnlineConfig { max_batch: 4, admission_control: true });
+    daemon.shutdown();
     report.record_obs(&obs);
     (chrome_trace_json(&obs.trace.events()), obs.metrics.snapshot().render())
 }
@@ -98,9 +100,9 @@ proptest! {
     /// queue-wait/latency histograms are equally thread-invariant.
     #[test]
     fn serve_trace_is_byte_identical_across_sim_threads(seed in 1u64..200) {
-        let one = observed_serve(seed, 1);
-        let four = observed_serve(seed, 4);
-        prop_assert_eq!(&one, &four);
+        let one = observed_serve(seed, 1, 1);
+        let wide = observed_serve(seed, 3, 2);
+        prop_assert_eq!(&one, &wide);
         let summary = validate_chrome_trace(&one.0)
             .map_err(|e| TestCaseError::fail(format!("invalid trace: {e}")))?;
         prop_assert!(summary.spans > 0, "served requests emit wait/service spans");
@@ -113,7 +115,7 @@ proptest! {
 /// is the same object a bare `Engine::run` produces.
 #[test]
 fn observed_report_equals_unobserved_report() {
-    let ds = SyntheticDataset::generate(Dataset::Pubmed, 0.02, 9);
+    let ds = GraphDataset::generate(Dataset::Pubmed, 0.02, 9);
     let mut config = AcceleratorConfig::paper(Dataset::Pubmed);
     config.chips = 2;
     let model = ModelConfig::paper(GnnModel::Gat, &ds.spec);
