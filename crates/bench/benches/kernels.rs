@@ -90,6 +90,7 @@ fn bench_weighting_model(c: &mut Criterion) {
     let cfg = AcceleratorConfig::paper(Dataset::Citeseer);
     let arr = CpeArray::new(&cfg);
     let profile = BlockProfile::from_sparse(&ds.features, arr.rows());
+    let pool = SimPool::new(SimThreads::from_env());
     c.bench_function("simulate_weighting_citeseer", |b| {
         b.iter(|| {
             let mut dram = HbmModel::hbm2_256gbps(cfg.clock_hz);
@@ -99,6 +100,7 @@ fn bench_weighting_model(c: &mut Criterion) {
                 &profile,
                 WeightingParams::default(),
                 &mut dram,
+                &pool,
             )
         });
     });

@@ -6,18 +6,21 @@ use std::sync::{Arc, Mutex};
 use gnnie_core::config::AcceleratorConfig;
 use gnnie_core::engine::Engine;
 use gnnie_core::report::InferenceReport;
+use gnnie_core::{SimPool, SimThreads};
 use gnnie_gnn::model::{GnnModel, ModelConfig};
 use gnnie_graph::{Dataset, GraphDataset};
 
 /// Default seed for all harness runs (the experiments are deterministic).
 pub const HARNESS_SEED: u64 = 0x0D0C_5EED;
 
-/// The experiment context: scaling policy plus a dataset cache so the
-/// expensive generators run once per process.
+/// The experiment context: scaling policy, a dataset cache so the
+/// expensive generators run once per process, and the worker pool the
+/// experiments' direct phase simulations shard across.
 pub struct Ctx {
     seed: u64,
     scale_override: Option<f64>,
     cache: Mutex<HashMap<(Dataset, u64), Arc<GraphDataset>>>,
+    pool: SimPool,
 }
 
 impl Ctx {
@@ -29,16 +32,28 @@ impl Ctx {
     /// `GNNIE_SCALE` is set but is not a number in `(0, 1]`.
     pub fn from_env() -> Result<Self, String> {
         let scale_override = parse_scale(std::env::var("GNNIE_SCALE").ok().as_deref())?;
-        Ok(Ctx { seed: HARNESS_SEED, scale_override, cache: Mutex::new(HashMap::new()) })
+        Ok(Self::new(scale_override))
     }
 
     /// A context with an explicit scale for every dataset (tests).
     pub fn with_scale(scale: f64) -> Self {
+        Self::new(Some(scale))
+    }
+
+    fn new(scale_override: Option<f64>) -> Self {
         Ctx {
             seed: HARNESS_SEED,
-            scale_override: Some(scale),
+            scale_override,
             cache: Mutex::new(HashMap::new()),
+            pool: SimPool::new(SimThreads::from_env()),
         }
+    }
+
+    /// The worker pool (`GNNIE_SIM_THREADS` wide) for experiments that
+    /// call the phase models directly; results are identical at any
+    /// width.
+    pub fn pool(&self) -> &SimPool {
+        &self.pool
     }
 
     /// The scale used for `dataset`: the override if present, otherwise
@@ -119,7 +134,7 @@ mod tests {
 
     #[test]
     fn default_scales_shrink_large_datasets() {
-        let ctx = Ctx { seed: 1, scale_override: None, cache: Mutex::new(HashMap::new()) };
+        let ctx = Ctx::new(None);
         assert_eq!(ctx.scale_for(Dataset::Cora), 1.0);
         assert!(ctx.scale_for(Dataset::Reddit) < 0.1);
     }

@@ -56,6 +56,7 @@ pub fn sweep(ctx: &Ctx, dataset: Dataset) -> Vec<BufferPoint> {
                 &ordered,
                 AggregationParams { f_out: 128, is_gat: false },
                 &mut dram,
+                ctx.pool(),
             );
             let cache = report.cache.as_ref().expect("cache policy is on");
             BufferPoint {

@@ -29,7 +29,7 @@ use gnnie_core::cpe::CpeArray;
 use gnnie_graph::reorder::Permutation;
 use gnnie_graph::{CsrGraph, Dataset};
 use gnnie_mem::cache::CacheSimResult;
-use gnnie_mem::{CachePolicyKind, HbmModel};
+use gnnie_mem::{CachePolicyKind, HbmModel, SimPool};
 
 use crate::table::fmt_count;
 use crate::{Ctx, ExperimentResult, Table};
@@ -47,6 +47,7 @@ pub fn run_policy_on(
     graph: &CsrGraph,
     dataset: Dataset,
     kind: CachePolicyKind,
+    pool: &SimPool,
 ) -> CacheSimResult {
     let mut cfg = AcceleratorConfig::paper(dataset);
     cfg.cache_policy = kind;
@@ -58,6 +59,7 @@ pub fn run_policy_on(
         graph,
         AggregationParams { f_out: 128, is_gat: false },
         &mut dram,
+        pool,
     );
     let cache = report.cache.expect("cache policy enabled");
     assert!(cache.completed, "{kind} failed to complete on {dataset:?}");
@@ -70,7 +72,7 @@ pub fn sweep(ctx: &Ctx) -> Vec<(Dataset, CachePolicyKind, CacheSimResult)> {
     for dataset in Dataset::ALL {
         let graph = ordered_graph(ctx, dataset);
         for kind in CachePolicyKind::ALL {
-            let result = run_policy_on(&graph, dataset, kind);
+            let result = run_policy_on(&graph, dataset, kind, ctx.pool());
             rows.push((dataset, kind, result));
         }
     }
@@ -148,14 +150,20 @@ mod tests {
         let ctx = Ctx::with_scale(0.2);
         for dataset in [Dataset::Cora, Dataset::Citeseer, Dataset::Pubmed] {
             let graph = ordered_graph(&ctx, dataset);
-            let paper = run_policy_on(&graph, dataset, CachePolicyKind::Paper);
+            let paper = run_policy_on(&graph, dataset, CachePolicyKind::Paper, ctx.pool());
             assert_eq!(paper.counters.rand_read_bytes, 0, "{dataset:?}");
             assert_eq!(paper.counters.random_bytes(), 0, "{dataset:?}");
-            let belady = run_policy_on(&graph, dataset, CachePolicyKind::Belady);
+            let belady = run_policy_on(&graph, dataset, CachePolicyKind::Belady, ctx.pool());
             for (kind, other) in [
                 (CachePolicyKind::Paper, paper),
-                (CachePolicyKind::Lru, run_policy_on(&graph, dataset, CachePolicyKind::Lru)),
-                (CachePolicyKind::Lfu, run_policy_on(&graph, dataset, CachePolicyKind::Lfu)),
+                (
+                    CachePolicyKind::Lru,
+                    run_policy_on(&graph, dataset, CachePolicyKind::Lru, ctx.pool()),
+                ),
+                (
+                    CachePolicyKind::Lfu,
+                    run_policy_on(&graph, dataset, CachePolicyKind::Lfu, ctx.pool()),
+                ),
             ] {
                 assert!(
                     belady.evictions <= other.evictions,

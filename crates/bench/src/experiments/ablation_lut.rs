@@ -9,6 +9,7 @@ use gnnie_gnn::model::{GnnModel, ModelConfig};
 use gnnie_gnn::params::ModelParams;
 use gnnie_graph::generate;
 use gnnie_graph::reorder::Permutation;
+use gnnie_mem::SimPool;
 use gnnie_tensor::{DenseMatrix, ExpLut};
 
 use crate::{Ctx, ExperimentResult, Table};
@@ -42,7 +43,7 @@ fn gat_once(
     layer: &GatLayer,
     mode: &ExpMode,
 ) -> DenseMatrix {
-    functional_aggregate_gat(g, hw, layer, mode, 40, 5)
+    functional_aggregate_gat(g, hw, layer, mode, 40, 5, &SimPool::serial())
 }
 
 /// Regenerates the ablation table.

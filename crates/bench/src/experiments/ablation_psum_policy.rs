@@ -39,7 +39,7 @@ pub fn point(
     // Input-buffer capacity mirrors the paper config: the psum study only
     // depends on the edge order it induces.
     let cache_cfg = CacheConfig::with_capacity(1024.min(ordered.num_vertices().max(2)), 64);
-    simulate_psum_traffic(&ordered, cache_cfg, policy, capacity)
+    simulate_psum_traffic(&ordered, cache_cfg, policy, capacity, ctx.pool())
 }
 
 /// Regenerates the ablation table.

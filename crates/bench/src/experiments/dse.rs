@@ -96,6 +96,7 @@ pub fn cycles(ctx: &Ctx, dataset: Dataset, point: &DsePoint) -> u64 {
         WeightingParams::default(),
         WeightingMode::Fm,
         &mut dram,
+        ctx.pool(),
     )
     .compute_cycles
 }
@@ -119,6 +120,7 @@ pub fn mean_beta(ctx: &Ctx, point: &DsePoint) -> f64 {
             WeightingParams::default(),
             WeightingMode::Baseline,
             &mut dram,
+            ctx.pool(),
         )
         .compute_cycles as f64;
         let point_cycles = cycles(ctx, dataset, point) as f64;

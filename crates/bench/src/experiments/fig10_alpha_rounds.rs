@@ -27,6 +27,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
         &graph,
         AggregationParams { f_out: 128, is_gat: false },
         &mut dram,
+        ctx.pool(),
     );
     let cache = report.cache.as_ref().expect("cache policy enabled");
 
@@ -90,6 +91,7 @@ mod tests {
             &graph,
             AggregationParams { f_out: 128, is_gat: false },
             &mut dram,
+            ctx.pool(),
         );
         let cache = report.cache.unwrap();
         let maxes: Vec<usize> =

@@ -10,7 +10,7 @@ use gnnie_core::config::AcceleratorConfig;
 use gnnie_core::cpe::CpeArray;
 use gnnie_graph::reorder::Permutation;
 use gnnie_graph::{CsrGraph, Dataset};
-use gnnie_mem::HbmModel;
+use gnnie_mem::{HbmModel, SimPool};
 
 use crate::table::fmt_count;
 use crate::{Ctx, ExperimentResult, Table};
@@ -19,7 +19,7 @@ use crate::{Ctx, ExperimentResult, Table};
 pub const GAMMAS: [u32; 8] = [1, 2, 3, 5, 8, 12, 16, 24];
 
 /// DRAM accesses (64-byte transactions) for one γ on one graph.
-pub fn dram_accesses(graph: &CsrGraph, dataset: Dataset, gamma: u32) -> u64 {
+pub fn dram_accesses(graph: &CsrGraph, dataset: Dataset, gamma: u32, pool: &SimPool) -> u64 {
     let mut cfg = AcceleratorConfig::paper(dataset);
     cfg.gamma = gamma;
     let arr = CpeArray::new(&cfg);
@@ -30,6 +30,7 @@ pub fn dram_accesses(graph: &CsrGraph, dataset: Dataset, gamma: u32) -> u64 {
         graph,
         AggregationParams { f_out: 128, is_gat: false },
         &mut dram,
+        pool,
     );
     let cache = report.cache.expect("cache policy enabled");
     assert!(cache.completed, "γ={gamma} failed to complete");
@@ -44,7 +45,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
         let graph = Permutation::descending_degree(&ds.graph).apply(&ds.graph);
         let mut base = None;
         for gamma in GAMMAS {
-            let accesses = dram_accesses(&graph, dataset, gamma);
+            let accesses = dram_accesses(&graph, dataset, gamma, ctx.pool());
             let b = *base.get_or_insert(accesses);
             t.row(vec![
                 dataset.abbrev().to_string(),
@@ -73,8 +74,8 @@ mod tests {
         let ctx = Ctx::with_scale(0.3);
         let ds = ctx.dataset(Dataset::Cora);
         let graph = Permutation::descending_degree(&ds.graph).apply(&ds.graph);
-        let lo = dram_accesses(&graph, Dataset::Cora, 1);
-        let hi = dram_accesses(&graph, Dataset::Cora, 24);
+        let lo = dram_accesses(&graph, Dataset::Cora, 1, ctx.pool());
+        let hi = dram_accesses(&graph, Dataset::Cora, 24, ctx.pool());
         assert!(hi >= lo, "γ=24 accesses {hi} must be ≥ γ=1 accesses {lo}");
     }
 
@@ -85,7 +86,7 @@ mod tests {
         let graph = Permutation::descending_degree(&ds.graph).apply(&ds.graph);
         for gamma in GAMMAS {
             // dram_accesses asserts completion internally.
-            let _ = dram_accesses(&graph, Dataset::Citeseer, gamma);
+            let _ = dram_accesses(&graph, Dataset::Citeseer, gamma, ctx.pool());
         }
     }
 }

@@ -27,8 +27,16 @@ pub fn weighting_cycles(ctx: &Ctx, dataset: Dataset, design: Design) -> u64 {
     let profile = BlockProfile::from_sparse(&ds.features, arr.rows());
     let mode = if design == Design::E { WeightingMode::Fm } else { WeightingMode::Baseline };
     let mut dram = HbmModel::hbm2_256gbps(cfg.clock_hz);
-    simulate_weighting_mode(&cfg, &arr, &profile, WeightingParams::default(), mode, &mut dram)
-        .compute_cycles
+    simulate_weighting_mode(
+        &cfg,
+        &arr,
+        &profile,
+        WeightingParams::default(),
+        mode,
+        &mut dram,
+        ctx.pool(),
+    )
+    .compute_cycles
 }
 
 /// β of `design` relative to Design A on `dataset` (Eq. 9).

@@ -7,7 +7,7 @@
 //! * **parse cost per text dialect** — whitespace/CSV/TSV streaming
 //!   parse of the same edge set;
 //! * **parallel build speedup** — `build_csr_parallel` at 1/2/4/8
-//!   shards against `build_csr_serial` (the sort-based `CsrGraph`
+//!   shards against `CsrGraph::try_from_pairs` (the sort-based serial
 //!   path), with bit-for-bit equality checked on every row;
 //! * **cache payoff** — reading back the binary CSR file and the
 //!   `.gnniecsr` snapshot vs re-parsing + rebuilding from text.
@@ -19,8 +19,8 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use gnnie_graph::features::{generate_features, FeatureProfile};
-use gnnie_graph::{generate, Dataset, GraphDataset, VertexId};
-use gnnie_ingest::build::{build_csr_parallel, build_csr_serial};
+use gnnie_graph::{generate, CsrGraph, Dataset, GraphDataset, VertexId};
+use gnnie_ingest::build::build_csr_parallel;
 use gnnie_ingest::chunked::build_csr_chunked;
 use gnnie_ingest::export::{export_edge_list, write_binary_csr};
 use gnnie_ingest::parse::{parse_edge_list, read_binary_csr, scan_edge_list};
@@ -149,8 +149,9 @@ pub fn sweep(ctx: &Ctx) -> IngestSweep {
         export_edge_list(&path, &ds.graph, format, None).expect("export");
         let (parsed, parse_ms) = best_ms(3, || parse_edge_list(&path, format).expect("parse"));
         let pairs = parsed.pairs;
-        let (serial, serial_build_ms) =
-            best_ms(3, || build_csr_serial(n, &pairs).expect("serial build").0);
+        let (serial, serial_build_ms) = best_ms(3, || {
+            CsrGraph::try_from_pairs(n, pairs.iter().copied()).expect("serial build").0
+        });
         assert_eq!(serial, ds.graph, "parse must reproduce the exported graph");
         for shards in SHARD_SWEEP {
             let (parallel, build_ms) =

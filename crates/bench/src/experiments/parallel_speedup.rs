@@ -1,4 +1,4 @@
-//! Parallel-simulation sweep — `Engine::run` wall clock at 1/2/4/8
+//! Parallel-simulation sweep — `Engine::run_with` wall clock at 1/2/4/8
 //! worker threads vs the serial path, equality-checked per row.
 //!
 //! The engine's hot loops (the per-vertex Weighting profile and the
@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use gnnie_core::config::AcceleratorConfig;
-use gnnie_core::engine::Engine;
+use gnnie_core::engine::{Engine, RunOptions};
 use gnnie_core::SimThreads;
 use gnnie_gnn::model::GnnModel;
 use gnnie_graph::Dataset;
@@ -68,15 +68,18 @@ pub fn sweep(ctx: &Ctx) -> Vec<SpeedupRow> {
     for dataset in Dataset::ALL {
         let ds = ctx.dataset(dataset);
         let mc = ctx.model_config(GnnModel::Gcn, dataset);
-        let mut cfg = AcceleratorConfig::paper(dataset);
-        cfg.sim_threads = SimThreads::Fixed(1);
-        let serial_engine = Engine::new(cfg.clone());
-        let (serial_report, serial_ms) = best_ms(REPS, || serial_engine.run(&mc, &ds));
+        let engine = Engine::new(AcceleratorConfig::paper(dataset));
+        let run_at = |threads: usize| {
+            let opts = RunOptions {
+                sim_threads: Some(SimThreads::Fixed(threads)),
+                ..RunOptions::default()
+            };
+            engine.run_with(&mc, &ds, opts)
+        };
+        let (serial_report, serial_ms) = best_ms(REPS, || run_at(1));
         let serial_rendering = format!("{serial_report:?}");
         for threads in THREAD_SWEEP {
-            cfg.sim_threads = SimThreads::Fixed(threads);
-            let engine = Engine::new(cfg.clone());
-            let (report, run_ms) = best_ms(REPS, || engine.run(&mc, &ds));
+            let (report, run_ms) = best_ms(REPS, || run_at(threads));
             rows.push(SpeedupRow {
                 dataset,
                 threads,
@@ -147,7 +150,7 @@ pub fn render(rows: &[SpeedupRow]) -> ExperimentResult {
          partition vertices into contiguous ranges and merge per-shard results in \
          shard order, so every report is byte-identical to the serial path; the \
          speedup column is host wall clock (expect <= 1x on a single-core box, \
-         where forced workers only add scope/spawn overhead)"
+         where forced workers only add thread start and dispatch overhead)"
             .to_string(),
     );
     let json_rows = rows

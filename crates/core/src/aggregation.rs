@@ -168,23 +168,12 @@ impl AggregationReport {
     }
 }
 
-/// Runs the Aggregation cycle model over `graph`.
+/// Runs the Aggregation cycle model over `graph`, the cache walk's
+/// sharded vertex scans on `pool` (the engine passes its session's pool;
+/// results are bit-identical at any width).
 ///
 /// `graph` must already be relabeled into descending-degree order when the
 /// cache policy is enabled (the engine does this as preprocessing, §VI).
-pub fn simulate_aggregation(
-    cfg: &AcceleratorConfig,
-    arr: &CpeArray,
-    graph: &CsrGraph,
-    params: AggregationParams,
-    dram: &mut HbmModel,
-) -> AggregationReport {
-    simulate_aggregation_with(cfg, arr, graph, params, dram, &SimPool::new(cfg.sim_threads))
-}
-
-/// [`simulate_aggregation`] on an explicit worker pool for the cache
-/// walk's sharded vertex scans (the engine passes its session's pool;
-/// results are bit-identical at any width).
 ///
 /// With `cfg.chips > 1` the graph is partitioned per
 /// [`AcceleratorConfig::partitioner`], every chip walks its own partition
@@ -192,7 +181,7 @@ pub fn simulate_aggregation(
 /// the inter-chip link, and the phase total is the slowest chip's
 /// makespan. `chips == 1` takes the exact single-chip code path, so those
 /// reports are bit-identical to builds without scale-out.
-pub fn simulate_aggregation_with(
+pub fn simulate_aggregation(
     cfg: &AcceleratorConfig,
     arr: &CpeArray,
     graph: &CsrGraph,
@@ -540,7 +529,7 @@ mod tests {
         params: AggregationParams,
     ) -> AggregationReport {
         let mut dram = HbmModel::hbm2_256gbps(cfg.clock_hz);
-        simulate_aggregation(cfg, arr, g, params, &mut dram)
+        simulate_aggregation(cfg, arr, g, params, &mut dram, &SimPool::serial())
     }
 
     #[test]
@@ -717,7 +706,7 @@ mod tests {
         for threads in [SimThreads::Fixed(1), SimThreads::Fixed(4), SimThreads::Fixed(1)] {
             let mut dram = HbmModel::hbm2_256gbps(cfg.clock_hz);
             let pool = SimPool::new(threads);
-            let r = simulate_aggregation_with(&cfg, &arr, &g, params, &mut dram, &pool);
+            let r = simulate_aggregation(&cfg, &arr, &g, params, &mut dram, &pool);
             reports.push((format!("{r:?}"), *dram.counters()));
         }
         assert_eq!(reports[0], reports[1]);
@@ -727,8 +716,9 @@ mod tests {
     #[test]
     fn scaleout_tiered_walk_is_identical_on_a_persistent_pool() {
         // Four chips over 3,200 vertices with a three-tier stack: every
-        // chip's partition is large enough that a width-2 pool really
-        // shards its walk's per-vertex scans.
+        // chip's partition is large enough that a width-2 pool shards its
+        // walk's per-vertex scans on the workers. One pool per width walks
+        // all four chips, as in an engine session.
         let (mut cfg, arr) = paper_setup();
         cfg.chips = 4;
         cfg.tiers = Some(gnnie_mem::TierSpec::Explicit(gnnie_mem::TierBudgets {
@@ -740,12 +730,14 @@ mod tests {
         let params = AggregationParams { f_out: 32, is_gat: false };
         let walk = |pool: &SimPool| {
             let mut dram = HbmModel::hbm2_256gbps(cfg.clock_hz);
-            let r = simulate_aggregation_with(&cfg, &arr, &g, params, &mut dram, pool);
+            let r = simulate_aggregation(&cfg, &arr, &g, params, &mut dram, pool);
             assert_eq!(r.cache.as_ref().expect("cache policy on").tiers.len(), 3);
             (format!("{r:?}"), *dram.counters())
         };
         let serial = walk(&SimPool::serial());
-        assert_eq!(serial, walk(&SimPool::persistent(SimThreads::Fixed(2))));
+        for width in [2, 4] {
+            assert_eq!(serial, walk(&SimPool::new(SimThreads::Fixed(width))), "width {width}");
+        }
     }
 
     #[test]
@@ -755,7 +747,7 @@ mod tests {
         let params = AggregationParams { f_out: 64, is_gat: false };
         cfg.chips = 4;
         let mut dram = HbmModel::hbm2_256gbps(cfg.clock_hz);
-        let r = simulate_aggregation(&cfg, &arr, &g, params, &mut dram);
+        let r = simulate_aggregation(&cfg, &arr, &g, params, &mut dram, &SimPool::serial());
         let cache = r.cache.as_ref().expect("cache policy on");
         assert_eq!(
             *dram.counters(),
@@ -775,7 +767,7 @@ mod tests {
         });
         let params = AggregationParams { f_out: 32, is_gat: false };
         let mut dram = HbmModel::hbm2_256gbps(cfg.clock_hz);
-        let r = simulate_aggregation(&cfg, &arr, &g, params, &mut dram);
+        let r = simulate_aggregation(&cfg, &arr, &g, params, &mut dram, &SimPool::serial());
         let cache = r.cache.as_ref().expect("cache policy on");
         assert!(cache.completed);
         assert_eq!(r.edge_updates, 2 * g.num_edges() as u64, "tiering is traffic, not work");

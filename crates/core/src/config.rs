@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use gnnie_graph::{Dataset, PartitionerKind};
 use gnnie_mem::cache::CachePolicyKind;
-use gnnie_mem::{SimThreads, TierSpec};
+use gnnie_mem::TierSpec;
 
 /// A group of CPE rows sharing a MAC count (the FM architecture, §IV-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -111,13 +111,6 @@ pub struct AcceleratorConfig {
     /// `enable_cache_policy` is on (the paper's α/γ policy, or one of the
     /// LRU/LFU/Belady ablation comparators).
     pub cache_policy: CachePolicyKind,
-    /// Worker threads for the sharded simulation loops (the per-vertex
-    /// Weighting profile and the cache walk's vertex scans). Purely a
-    /// host-side knob: reports are bit-identical at any setting. The
-    /// constructors default it from `GNNIE_SIM_THREADS` (unset = the
-    /// machine's available parallelism); `RunOptions::sim_threads` and
-    /// `gnnie run/serve --sim-threads` override per run.
-    pub sim_threads: SimThreads,
     /// Simulated accelerator chips. 1 reproduces the single-chip engine
     /// exactly; above 1 the Aggregation graph is partitioned, each chip
     /// walks its own partition with its own cache and DRAM channel, and
@@ -167,7 +160,6 @@ impl AcceleratorConfig {
             enable_agg_lb: true,
             enable_cache_policy: true,
             cache_policy: CachePolicyKind::Paper,
-            sim_threads: SimThreads::from_env(),
             chips: 1,
             partitioner: PartitionerKind::Range,
             link_bytes_per_cycle: 32,
@@ -210,9 +202,6 @@ impl AcceleratorConfig {
         );
         assert!(self.mpe_psum_slots > 0, "MPEs need psum slots");
         assert!(self.sfu_units > 0, "need at least one SFU");
-        if let SimThreads::Fixed(n) = self.sim_threads {
-            assert!(n > 0, "sim_threads must be at least 1");
-        }
         assert!(self.chips >= 1, "chips must be at least 1");
         if self.chips > 1 {
             assert!(
@@ -269,11 +258,6 @@ impl AcceleratorConfig {
     /// Peak throughput in TOPS (2 ops per MAC per cycle).
     pub fn peak_tops(&self) -> f64 {
         2.0 * self.total_macs() as f64 * self.clock_hz / 1e12
-    }
-
-    /// Seconds per clock cycle.
-    pub fn cycle_time_s(&self) -> f64 {
-        1.0 / self.clock_hz
     }
 }
 
@@ -363,28 +347,6 @@ mod tests {
     #[test]
     fn design_display() {
         assert_eq!(Design::E.to_string(), "Design E");
-    }
-
-    #[test]
-    #[should_panic(expected = "sim_threads must be at least 1")]
-    fn validate_rejects_zero_sim_threads() {
-        let mut cfg = AcceleratorConfig::with_design(Design::E, 1024);
-        cfg.sim_threads = SimThreads::Fixed(0);
-        cfg.validate();
-    }
-
-    #[test]
-    fn sim_threads_is_a_pure_host_knob() {
-        // Any fixed worker count validates; equality of configs ignores
-        // nothing — two configs differing only in sim_threads are unequal
-        // as values but produce identical reports (asserted end to end in
-        // the engine and CLI suites).
-        for threads in [SimThreads::Auto, SimThreads::Fixed(1), SimThreads::Fixed(8)] {
-            let mut cfg = AcceleratorConfig::paper(Dataset::Cora);
-            cfg.sim_threads = threads;
-            cfg.validate();
-            assert!(cfg.sim_threads.resolve() >= 1);
-        }
     }
 
     #[test]

@@ -24,14 +24,12 @@ use gnnie_mem::{DramCounters, EnergyLedger, HbmModel, SimPool, SimThreads};
 use gnnie_obs::Obs;
 use gnnie_tensor::rlc;
 
-use crate::aggregation::{simulate_aggregation_with, AggregationParams, AggregationReport};
+use crate::aggregation::{simulate_aggregation, AggregationParams, AggregationReport};
 use crate::config::AcceleratorConfig;
 use crate::cpe::{div_ceil, CpeArray};
 use crate::energy::{static_energy_pj, ActivityCounts, OpEnergy};
 use crate::report::{InferenceReport, LayerReport};
-use crate::weighting::{
-    simulate_weighting_pooled, BlockProfile, WeightingParams, WeightingReport,
-};
+use crate::weighting::{simulate_weighting, BlockProfile, WeightingParams, WeightingReport};
 
 /// Seed stream for the engine's GraphSAGE neighborhood sampling. The
 /// cycle model only needs the sampled *counts*, so it keeps its own seed;
@@ -63,12 +61,6 @@ impl Engine {
         Engine { config, array, ops: OpEnergy::paper_32nm() }
     }
 
-    /// Overrides the energy constants (for what-if studies).
-    pub fn with_op_energy(mut self, ops: OpEnergy) -> Self {
-        self.ops = ops;
-        self
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &AcceleratorConfig {
         &self.config
@@ -82,7 +74,7 @@ impl Engine {
     /// Runs one inference of `model` over `ds` and reports cycles, DRAM
     /// traffic, and energy.
     ///
-    /// Equivalent to [`Engine::begin`] followed by
+    /// Equivalent to [`Engine::begin_with`] followed by
     /// [`RunSession::run_to_completion`] and [`RunSession::finish`]; the
     /// serving path drives the phases individually instead so consecutive
     /// batches can pipeline Weighting under Aggregation.
@@ -113,44 +105,43 @@ impl Engine {
         session.finish()
     }
 
-    /// Starts a phased run with default options: performs the one-time
-    /// preprocessing and returns the session holding the per-run state.
-    pub fn begin<'a>(&'a self, model: &'a ModelConfig, ds: &'a GraphDataset) -> RunSession<'a> {
-        self.begin_with(model, ds, RunOptions::default())
-    }
-
     /// Starts a phased run of `model` over `ds`.
     ///
     /// Performs preprocessing (§VI + §IV-C): degree binning/reordering of
     /// the graph and linear-time workload binning of the feature blocks.
     /// Both are linear scans; charged at one element per cycle on the
     /// controller. Included in all reported speedups (§VIII-B).
+    ///
+    /// The session gets its own [`SimPool`], `opts.sim_threads` wide
+    /// (`None` reads `GNNIE_SIM_THREADS`, unset meaning the host's
+    /// parallelism). Its workers start here, serve every phase of the
+    /// run, and are joined when the session is dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `opts.sim_threads` is `Some(SimThreads::Fixed(0))`.
     pub fn begin_with<'a>(
         &'a self,
         model: &'a ModelConfig,
         ds: &'a GraphDataset,
         opts: RunOptions,
     ) -> RunSession<'a> {
-        // The worker policy is resolved once per run (see the pool note
-        // below); `RunOptions::sim_threads` overrides the configuration's
-        // knob for this run only.
-        let pool = SimPool::new(opts.sim_threads.unwrap_or(self.config.sim_threads));
-        self.begin_pooled(model, ds, opts, &pool)
+        let threads = opts.sim_threads.unwrap_or_else(SimThreads::from_env);
+        assert!(threads != SimThreads::Fixed(0), "RunOptions::sim_threads must be at least 1");
+        self.begin_pooled(model, ds, opts, &SimPool::new(threads))
     }
 
     /// Starts a phased run like [`Engine::begin_with`], but dispatching
     /// the sharded simulation loops through a caller-provided [`SimPool`]
-    /// instead of resolving a fresh one per session.
+    /// instead of starting one per session.
     ///
-    /// This is the serving daemon's amortization hook: the daemon creates
-    /// one [`SimPool::persistent`] and shares it across every request's
-    /// `RunSession`, so the per-region worker spawns the scoped pool pays
-    /// are replaced by channel dispatch to threads that already exist —
-    /// in the Weighting scans and the Aggregation cache walk alike.
-    /// `opts.sim_threads` is ignored here — the pool *is* the thread
-    /// policy. Cloning a pool handle is cheap (persistent clones share the
-    /// same workers), and reports stay bit-identical to any other pool
-    /// width by the sharding contract.
+    /// This is the serving daemon's hook: it keeps one pool and shares it
+    /// across every request's `RunSession`, so the workers start once per
+    /// daemon, not once per request — in the Weighting scans and the
+    /// Aggregation cache walk alike. `opts.sim_threads` is ignored here —
+    /// the pool *is* the thread policy. Cloning a pool handle is cheap
+    /// (clones share the same workers), and reports stay bit-identical to
+    /// any other pool width by the sharding contract.
     pub fn begin_pooled<'a>(
         &'a self,
         model: &'a ModelConfig,
@@ -186,17 +177,14 @@ impl Engine {
             preprocessing_cycles += sampled;
         }
 
-        // Every phase, the cache walk included, dispatches through the
-        // session's pool handle (scoped pools spawn workers per parallel
-        // region, persistent pools feed long-lived ones).
-        let pool = pool.clone();
-
         RunSession {
             engine: self,
             model,
             ds,
             opts,
-            pool,
+            // Every phase, the cache walk included, dispatches through
+            // the session's pool handle.
+            pool: pool.clone(),
             agg_graph,
             dram,
             counts: ActivityCounts::default(),
@@ -206,175 +194,6 @@ impl Engine {
             cursor: 0,
             pending_weighting: None,
             diffpool_done: false,
-        }
-    }
-
-    /// One Weighting phase, with activity accounting.
-    #[allow(clippy::too_many_arguments)]
-    fn weighting_phase(
-        &self,
-        ds: &GraphDataset,
-        _layer: usize,
-        f_in: usize,
-        f_out: usize,
-        sparse_input: bool,
-        weights_resident: bool,
-        dram: &mut HbmModel,
-        counts: &mut ActivityCounts,
-        pool: &SimPool,
-    ) -> WeightingReport {
-        let v = ds.graph.num_vertices();
-        let profile = if sparse_input {
-            BlockProfile::from_sparse_pooled(&ds.features, self.array.rows(), pool)
-        } else {
-            BlockProfile::dense(v, f_in, self.array.rows())
-        };
-        let params = WeightingParams {
-            f_out,
-            feature_bytes_per_nnz: if sparse_input { RLC_BYTES_PER_NNZ } else { 4 },
-            weight_bytes_per_elem: 1,
-            weights_resident,
-        };
-        let report =
-            simulate_weighting_pooled(&self.config, &self.array, &profile, params, dram, pool);
-        self.charge_weighting(&report, v as u64, f_out as u64, counts);
-        report
-    }
-
-    fn charge_weighting(
-        &self,
-        report: &WeightingReport,
-        vertices: u64,
-        f_out: u64,
-        counts: &mut ActivityCounts,
-    ) {
-        counts.macs += report.macs_issued;
-        // Quantized operands: ~2 spad bytes per MAC (feature + weight).
-        counts.spad_bytes += 2 * report.macs_issued;
-        // MPE accumulates one partial per nonzero block per output column.
-        let nonzero_blocks =
-            (vertices * self.array.rows() as u64).saturating_sub(report.zero_blocks_skipped);
-        counts.mpe_updates += nonzero_blocks * f_out;
-        counts.input_buf_bytes += report.feature_bytes;
-        counts.weight_buf_bytes += report.weight_bytes;
-        counts.dram_input_bytes += report.feature_bytes;
-        counts.dram_weight_bytes += report.weight_bytes;
-    }
-
-    /// One Aggregation phase, with activity accounting.
-    fn aggregation_phase(
-        &self,
-        graph: &CsrGraph,
-        f_out: usize,
-        is_gat: bool,
-        dram: &mut HbmModel,
-        counts: &mut ActivityCounts,
-        pool: &SimPool,
-    ) -> AggregationReport {
-        let report = simulate_aggregation_with(
-            &self.config,
-            &self.array,
-            graph,
-            AggregationParams { f_out, is_gat },
-            dram,
-            pool,
-        );
-        counts.macs += report.macs_issued;
-        counts.sfu_ops +=
-            2 * report.exp_evals + if is_gat { report.vertices * f_out as u64 } else { 0 };
-        counts.mpe_updates += report.edge_updates;
-        // Each edge update reads both endpoint vectors from the input
-        // buffer and read-modify-writes the psum in the output buffer.
-        counts.input_buf_bytes += report.edge_updates * f_out as u64 * 4;
-        counts.output_buf_bytes += 2 * report.edge_updates * f_out as u64 * 4;
-        if let Some(cache) = &report.cache {
-            counts.dram_input_bytes += cache.counters.seq_read_bytes;
-            counts.dram_output_bytes += cache.counters.seq_write_bytes;
-        } else {
-            let _ = dram;
-        }
-        report
-    }
-
-    /// DiffPool orchestration: embed + pool GNNs on the full graph,
-    /// coarsening matmuls, then the remaining stack on the dense level.
-    #[allow(clippy::too_many_arguments)]
-    fn run_diffpool(
-        &self,
-        model: &ModelConfig,
-        ds: &GraphDataset,
-        agg_graph: &CsrGraph,
-        weights_resident: bool,
-        dram: &mut HbmModel,
-        counts: &mut ActivityCounts,
-        layers: &mut Vec<LayerReport>,
-        coarsening_cycles: &mut u64,
-        pool: &SimPool,
-    ) {
-        let v = ds.graph.num_vertices() as u64;
-        let e = ds.graph.num_edges() as u64;
-        let c = model.diffpool_clusters.unwrap_or(1) as u64;
-        let h = model.hidden as u64;
-        let f_in = model.layers[0].f_in;
-        let total_macs = self.array.total_macs() as u64;
-        let resident = weights_resident;
-
-        // Embedding GCN: F⁰ → hidden.
-        let w_embed =
-            self.weighting_phase(ds, 0, f_in, model.hidden, true, resident, dram, counts, pool);
-        let a_embed =
-            self.aggregation_phase(agg_graph, model.hidden, false, dram, counts, pool);
-        layers.push(LayerReport { layer: 0, weighting: w_embed, aggregation: a_embed });
-
-        // Pooling GCN: F⁰ → C, plus the row softmax through the SFUs.
-        let w_pool =
-            self.weighting_phase(ds, 0, f_in, c as usize, true, resident, dram, counts, pool);
-        let mut a_pool =
-            self.aggregation_phase(agg_graph, c as usize, false, dram, counts, pool);
-        let softmax_cycles = div_ceil(v * c, self.config.sfu_units as u64);
-        a_pool.total_cycles += softmax_cycles;
-        counts.sfu_ops += v * c;
-        layers.push(LayerReport { layer: 1, weighting: w_pool, aggregation: a_pool });
-
-        // Coarsening: X' = SᵀZ, T = AS, A' = SᵀT. S streams through DRAM
-        // (it is far larger than any on-chip buffer).
-        let matmul_macs = v * c * h + 2 * e * c + v * c * c;
-        let compute = div_ceil(matmul_macs, total_macs);
-        let s_bytes = v * c * 4;
-        let stream = dram.read_seq(s_bytes) + dram.write_seq(c * h * 4 + c * c * 4);
-        counts.macs += matmul_macs;
-        counts.dram_input_bytes += s_bytes;
-        counts.dram_output_bytes += c * h * 4 + c * c * 4;
-        *coarsening_cycles += compute.max(stream);
-
-        // Remaining layers on the coarsened dense level: Weighting on C
-        // vertices plus a dense-adjacency aggregation matmul.
-        for (li, spec) in model.layers.iter().enumerate().skip(1) {
-            let f_in_l = if li == 1 { h as usize } else { spec.f_in };
-            let profile = BlockProfile::dense(c as usize, f_in_l, self.array.rows());
-            let params = WeightingParams {
-                f_out: spec.f_out,
-                feature_bytes_per_nnz: 4,
-                weight_bytes_per_elem: 1,
-                weights_resident: resident,
-            };
-            let report = simulate_weighting_pooled(
-                &self.config,
-                &self.array,
-                &profile,
-                params,
-                dram,
-                pool,
-            );
-            self.charge_weighting(&report, c, spec.f_out as u64, counts);
-            let dense_agg = div_ceil(c * c * spec.f_out as u64, total_macs);
-            counts.macs += c * c * spec.f_out as u64;
-            *coarsening_cycles += dense_agg;
-            layers.push(LayerReport {
-                layer: li + 1,
-                weighting: report,
-                aggregation: AggregationReport::empty(),
-            });
         }
     }
 }
@@ -389,9 +208,11 @@ pub struct RunOptions {
     /// earlier request of a model-homogeneous serving batch streamed
     /// them — so no Weighting phase pays the weight DRAM load.
     pub weights_resident: bool,
-    /// Worker threads for this run's sharded simulation loops, overriding
-    /// `AcceleratorConfig::sim_threads` (`None` = use the config's knob).
-    /// Host-side only: the report is bit-identical at any setting.
+    /// Worker threads for this run's sharded simulation loops (`None` =
+    /// `GNNIE_SIM_THREADS`, unset meaning the host's parallelism). A run
+    /// option, not simulated hardware: the report is bit-identical at any
+    /// setting. [`Engine::begin_pooled`] ignores it in favour of the
+    /// caller's pool.
     pub sim_threads: Option<SimThreads>,
     /// Observability bundle: the finished report's span timeline and
     /// metrics land here. The default ([`Obs::off`]) records nothing and
@@ -403,7 +224,7 @@ pub struct RunOptions {
 /// `(model, dataset)` simulation, with the Weighting and Aggregation
 /// phases individually steppable.
 ///
-/// Produced by [`Engine::begin`]/[`Engine::begin_with`] (which charge the
+/// Produced by [`Engine::begin_with`]/[`Engine::begin_pooled`] (which charge the
 /// one-time preprocessing). A serial caller just uses
 /// [`run_to_completion`](RunSession::run_to_completion); the serving
 /// subsystem instead alternates [`run_weighting`](RunSession::run_weighting)
@@ -449,16 +270,6 @@ impl<'a> RunSession<'a> {
         self.preprocessing_cycles
     }
 
-    /// Attaches an observability bundle (equivalent to having passed it
-    /// in [`RunOptions::obs`]): [`finish`](RunSession::finish) will emit
-    /// the run's span timeline onto its trace and record its metrics
-    /// into its registry. The default bundle is off, and a disabled
-    /// bundle costs one branch — simulated cycles and the report are
-    /// identical either way.
-    pub fn attach_obs(&mut self, obs: Obs) {
-        self.opts.obs = obs;
-    }
-
     /// Whether every phase of the run has executed ([`finish`] is legal).
     ///
     /// [`finish`]: RunSession::finish
@@ -490,48 +301,17 @@ impl<'a> RunSession<'a> {
             .layers
             .get(self.cursor)
             .unwrap_or_else(|| panic!("no layer {} to weight", self.cursor));
-        let resident = self.opts.weights_resident;
-        let mut weighting = self.engine.weighting_phase(
-            self.ds,
-            self.cursor,
-            spec.f_in,
-            spec.f_out,
-            spec.sparse_input,
-            resident,
-            &mut self.dram,
-            &mut self.counts,
-            &self.pool,
-        );
+        let mut weighting = self.weighting_phase(spec.f_in, spec.f_out, spec.sparse_input);
         if self.model.model == GnnModel::GinConv {
             // Second MLP linear: dense F_out → F_out pass.
-            let extra = self.engine.weighting_phase(
-                self.ds,
-                self.cursor,
-                spec.f_out,
-                spec.f_out,
-                false,
-                resident,
-                &mut self.dram,
-                &mut self.counts,
-                &self.pool,
-            );
+            let extra = self.weighting_phase(spec.f_out, spec.f_out, false);
             weighting.absorb(&extra);
         }
         // GAT heads attend independently: every head re-runs Weighting
         // with its own W (Veličković et al.; Table III is single-head, so
         // heads = 1 on the paper configs).
         for _ in 1..self.heads() {
-            let w = self.engine.weighting_phase(
-                self.ds,
-                self.cursor,
-                spec.f_in,
-                spec.f_out,
-                spec.sparse_input,
-                resident,
-                &mut self.dram,
-                &mut self.counts,
-                &self.pool,
-            );
+            let w = self.weighting_phase(spec.f_in, spec.f_out, spec.sparse_input);
             weighting.absorb(&w);
         }
         let cycles = weighting.total_cycles;
@@ -550,32 +330,18 @@ impl<'a> RunSession<'a> {
             self.pending_weighting.take().expect("run_weighting must precede run_aggregation");
         let spec = self.model.layers[self.cursor];
         let is_gat = self.model.model == GnnModel::Gat;
-        let layer_graph = if self.model.model == GnnModel::GraphSage {
+        // GraphSAGE aggregates over its sampled neighborhoods; every
+        // other model walks the session's relabeled graph in place.
+        let sampled = (self.model.model == GnnModel::GraphSage).then(|| {
             sampled_union_graph(
                 &self.agg_graph,
                 self.model.sample_size.unwrap_or(25),
                 SAGE_ENGINE_SEED ^ ((self.cursor as u64 + 1) << 32),
             )
-        } else {
-            self.agg_graph.clone()
-        };
-        let mut aggregation = self.engine.aggregation_phase(
-            &layer_graph,
-            spec.f_out,
-            is_gat,
-            &mut self.dram,
-            &mut self.counts,
-            &self.pool,
-        );
+        });
+        let mut aggregation = self.aggregation_phase(sampled.as_ref(), spec.f_out, is_gat);
         for _ in 1..self.heads() {
-            let a = self.engine.aggregation_phase(
-                &layer_graph,
-                spec.f_out,
-                true,
-                &mut self.dram,
-                &mut self.counts,
-                &self.pool,
-            );
+            let a = self.aggregation_phase(sampled.as_ref(), spec.f_out, true);
             aggregation.absorb(&a);
         }
         let cycles = aggregation.total_cycles;
@@ -593,18 +359,67 @@ impl<'a> RunSession<'a> {
     pub fn run_diffpool(&mut self) {
         assert_eq!(self.model.model, GnnModel::DiffPool, "run_diffpool is DiffPool-only");
         assert!(!self.diffpool_done, "DiffPool schedule already ran");
-        let engine = self.engine;
-        engine.run_diffpool(
-            self.model,
-            self.ds,
-            &self.agg_graph,
-            self.opts.weights_resident,
-            &mut self.dram,
-            &mut self.counts,
-            &mut self.layers,
-            &mut self.coarsening_cycles,
-            &self.pool,
-        );
+        let (engine, model) = (self.engine, self.model);
+        let v = self.ds.graph.num_vertices() as u64;
+        let e = self.ds.graph.num_edges() as u64;
+        let c = model.diffpool_clusters.unwrap_or(1) as u64;
+        let h = model.hidden as u64;
+        let f_in = model.layers[0].f_in;
+        let total_macs = engine.array.total_macs() as u64;
+
+        // Embedding GCN: F⁰ → hidden.
+        let w_embed = self.weighting_phase(f_in, model.hidden, true);
+        let a_embed = self.aggregation_phase(None, model.hidden, false);
+        self.layers.push(LayerReport { layer: 0, weighting: w_embed, aggregation: a_embed });
+
+        // Pooling GCN: F⁰ → C, plus the row softmax through the SFUs.
+        let w_pool = self.weighting_phase(f_in, c as usize, true);
+        let mut a_pool = self.aggregation_phase(None, c as usize, false);
+        let softmax_cycles = div_ceil(v * c, engine.config.sfu_units as u64);
+        a_pool.total_cycles += softmax_cycles;
+        self.counts.sfu_ops += v * c;
+        self.layers.push(LayerReport { layer: 1, weighting: w_pool, aggregation: a_pool });
+
+        // Coarsening: X' = SᵀZ, T = AS, A' = SᵀT. S streams through DRAM
+        // (it is far larger than any on-chip buffer).
+        let matmul_macs = v * c * h + 2 * e * c + v * c * c;
+        let compute = div_ceil(matmul_macs, total_macs);
+        let s_bytes = v * c * 4;
+        let stream = self.dram.read_seq(s_bytes) + self.dram.write_seq(c * h * 4 + c * c * 4);
+        self.counts.macs += matmul_macs;
+        self.counts.dram_input_bytes += s_bytes;
+        self.counts.dram_output_bytes += c * h * 4 + c * c * 4;
+        self.coarsening_cycles += compute.max(stream);
+
+        // Remaining layers on the coarsened dense level: Weighting on C
+        // vertices plus a dense-adjacency aggregation matmul.
+        for (li, spec) in model.layers.iter().enumerate().skip(1) {
+            let f_in_l = if li == 1 { h as usize } else { spec.f_in };
+            let profile = BlockProfile::dense(c as usize, f_in_l, engine.array.rows());
+            let params = WeightingParams {
+                f_out: spec.f_out,
+                feature_bytes_per_nnz: 4,
+                weight_bytes_per_elem: 1,
+                weights_resident: self.opts.weights_resident,
+            };
+            let report = simulate_weighting(
+                &engine.config,
+                &engine.array,
+                &profile,
+                params,
+                &mut self.dram,
+                &self.pool,
+            );
+            self.charge_weighting(&report, c, spec.f_out as u64);
+            let dense_agg = div_ceil(c * c * spec.f_out as u64, total_macs);
+            self.counts.macs += c * c * spec.f_out as u64;
+            self.coarsening_cycles += dense_agg;
+            self.layers.push(LayerReport {
+                layer: li + 1,
+                weighting: report,
+                aggregation: AggregationReport::empty(),
+            });
+        }
         self.diffpool_done = true;
     }
 
@@ -692,6 +507,87 @@ impl<'a> RunSession<'a> {
             weights_resident: self.opts.weights_resident,
         };
         report.record_obs(&self.opts.obs);
+        report
+    }
+
+    /// One Weighting phase over the session's vertices, with activity
+    /// accounting.
+    fn weighting_phase(
+        &mut self,
+        f_in: usize,
+        f_out: usize,
+        sparse_input: bool,
+    ) -> WeightingReport {
+        let engine = self.engine;
+        let v = self.ds.graph.num_vertices();
+        let profile = if sparse_input {
+            BlockProfile::from_sparse_pooled(&self.ds.features, engine.array.rows(), &self.pool)
+        } else {
+            BlockProfile::dense(v, f_in, engine.array.rows())
+        };
+        let params = WeightingParams {
+            f_out,
+            feature_bytes_per_nnz: if sparse_input { RLC_BYTES_PER_NNZ } else { 4 },
+            weight_bytes_per_elem: 1,
+            weights_resident: self.opts.weights_resident,
+        };
+        let report = simulate_weighting(
+            &engine.config,
+            &engine.array,
+            &profile,
+            params,
+            &mut self.dram,
+            &self.pool,
+        );
+        self.charge_weighting(&report, v as u64, f_out as u64);
+        report
+    }
+
+    fn charge_weighting(&mut self, report: &WeightingReport, vertices: u64, f_out: u64) {
+        let counts = &mut self.counts;
+        counts.macs += report.macs_issued;
+        // Quantized operands: ~2 spad bytes per MAC (feature + weight).
+        counts.spad_bytes += 2 * report.macs_issued;
+        // MPE accumulates one partial per nonzero block per output column.
+        let nonzero_blocks = (vertices * self.engine.array.rows() as u64)
+            .saturating_sub(report.zero_blocks_skipped);
+        counts.mpe_updates += nonzero_blocks * f_out;
+        counts.input_buf_bytes += report.feature_bytes;
+        counts.weight_buf_bytes += report.weight_bytes;
+        counts.dram_input_bytes += report.feature_bytes;
+        counts.dram_weight_bytes += report.weight_bytes;
+    }
+
+    /// One Aggregation phase over `sampled`, or over the session's
+    /// relabeled graph when `None`, with activity accounting.
+    fn aggregation_phase(
+        &mut self,
+        sampled: Option<&CsrGraph>,
+        f_out: usize,
+        is_gat: bool,
+    ) -> AggregationReport {
+        let engine = self.engine;
+        let report = simulate_aggregation(
+            &engine.config,
+            &engine.array,
+            sampled.unwrap_or(&self.agg_graph),
+            AggregationParams { f_out, is_gat },
+            &mut self.dram,
+            &self.pool,
+        );
+        let counts = &mut self.counts;
+        counts.macs += report.macs_issued;
+        counts.sfu_ops +=
+            2 * report.exp_evals + if is_gat { report.vertices * f_out as u64 } else { 0 };
+        counts.mpe_updates += report.edge_updates;
+        // Each edge update reads both endpoint vectors from the input
+        // buffer and read-modify-writes the psum in the output buffer.
+        counts.input_buf_bytes += report.edge_updates * f_out as u64 * 4;
+        counts.output_buf_bytes += 2 * report.edge_updates * f_out as u64 * 4;
+        if let Some(cache) = &report.cache {
+            counts.dram_input_bytes += cache.counters.seq_read_bytes;
+            counts.dram_output_bytes += cache.counters.seq_write_bytes;
+        }
         report
     }
 
@@ -878,7 +774,7 @@ mod tests {
             let engine = Engine::new(cfg);
             let serial = engine.run(&mc, &ds);
 
-            let mut session = engine.begin(&mc, &ds);
+            let mut session = engine.begin_with(&mc, &ds, RunOptions::default());
             if model == GnnModel::DiffPool {
                 session.run_diffpool();
             } else {
@@ -927,61 +823,66 @@ mod tests {
     #[test]
     fn reports_are_bit_identical_across_sim_threads() {
         // The tentpole invariant: sharded merge in shard order keeps the
-        // full report byte-identical to the serial path, via both the
-        // config knob and the per-run RunOptions override.
+        // full report byte-identical to the width-1 run at every
+        // RunOptions::sim_threads width.
         let ds = small(Dataset::Cora, 0.15);
+        let engine = Engine::new(AcceleratorConfig::paper(Dataset::Cora));
+        let at = |mc: &ModelConfig, threads: usize| {
+            let opts = RunOptions {
+                sim_threads: Some(SimThreads::Fixed(threads)),
+                ..RunOptions::default()
+            };
+            format!("{:?}", engine.run_with(mc, &ds, opts))
+        };
         for model in [GnnModel::Gcn, GnnModel::Gat] {
             let mc = ModelConfig::paper(model, &ds.spec);
-            let mut cfg = AcceleratorConfig::paper(Dataset::Cora);
-            cfg.sim_threads = SimThreads::Fixed(1);
-            let serial = format!("{:?}", Engine::new(cfg.clone()).run(&mc, &ds));
+            let serial = at(&mc, 1);
             for threads in [2usize, 4, 8] {
-                cfg.sim_threads = SimThreads::Fixed(threads);
-                let via_config = format!("{:?}", Engine::new(cfg.clone()).run(&mc, &ds));
-                assert_eq!(via_config, serial, "{model} via config @ {threads}");
-                let mut base = AcceleratorConfig::paper(Dataset::Cora);
-                base.sim_threads = SimThreads::Fixed(1);
-                let engine = Engine::new(base);
-                let mut session = engine.begin_with(
-                    &mc,
-                    &ds,
-                    RunOptions {
-                        weights_resident: false,
-                        sim_threads: Some(SimThreads::Fixed(threads)),
-                        ..RunOptions::default()
-                    },
-                );
-                session.run_to_completion();
-                let via_opts = format!("{:?}", session.finish());
-                assert_eq!(via_opts, serial, "{model} via RunOptions @ {threads}");
+                assert_eq!(at(&mc, threads), serial, "{model} @ {threads}");
             }
         }
     }
 
     #[test]
+    #[should_panic(expected = "RunOptions::sim_threads must be at least 1")]
+    fn begin_with_rejects_zero_sim_threads_by_name() {
+        let ds = small(Dataset::Cora, 0.05);
+        let mc = ModelConfig::paper(GnnModel::Gcn, &ds.spec);
+        let engine = Engine::new(AcceleratorConfig::paper(Dataset::Cora));
+        let opts =
+            RunOptions { sim_threads: Some(SimThreads::Fixed(0)), ..RunOptions::default() };
+        let _ = engine.begin_with(&mc, &ds, opts);
+    }
+
+    #[test]
     fn shared_persistent_pool_reproduces_the_scoped_reports_exactly() {
-        // The daemon's amortization hook: one persistent pool shared
-        // across consecutive sessions must change nothing in the reports.
+        // The daemon's hook: one pool shared across consecutive sessions
+        // must report exactly what a width-1 pool scoped to each session
+        // does, at every shared width.
         let ds = small(Dataset::Cora, 0.15);
         let engine = Engine::new(AcceleratorConfig::paper(Dataset::Cora));
-        let pool = SimPool::persistent(SimThreads::Fixed(4));
-        for model in [GnnModel::Gcn, GnnModel::Gat] {
-            let mc = ModelConfig::paper(model, &ds.spec);
-            for resident in [false, true] {
-                let opts = RunOptions { weights_resident: resident, ..RunOptions::default() };
-                let mut scoped = engine.begin_with(
-                    &mc,
-                    &ds,
-                    RunOptions { sim_threads: Some(SimThreads::Fixed(1)), ..opts.clone() },
-                );
-                scoped.run_to_completion();
-                let scoped = format!("{:?}", scoped.finish());
-                // Reuse the same pool for both residency variants and
-                // both models — the daemon does exactly this.
-                let mut pooled = engine.begin_pooled(&mc, &ds, opts, &pool);
-                pooled.run_to_completion();
-                let pooled = format!("{:?}", pooled.finish());
-                assert_eq!(pooled, scoped, "{model} resident={resident}");
+        for width in [1usize, 2, 4] {
+            let pool = SimPool::new(SimThreads::Fixed(width));
+            for model in [GnnModel::Gcn, GnnModel::Gat] {
+                let mc = ModelConfig::paper(model, &ds.spec);
+                for resident in [false, true] {
+                    let opts =
+                        RunOptions { weights_resident: resident, ..RunOptions::default() };
+                    let scoped = engine.run_with(
+                        &mc,
+                        &ds,
+                        RunOptions { sim_threads: Some(SimThreads::Fixed(1)), ..opts.clone() },
+                    );
+                    // Reuse the same pool for both residency variants and
+                    // both models — the daemon does exactly this.
+                    let mut pooled = engine.begin_pooled(&mc, &ds, opts, &pool);
+                    pooled.run_to_completion();
+                    assert_eq!(
+                        format!("{:?}", pooled.finish()),
+                        format!("{scoped:?}"),
+                        "{model} resident={resident} width {width}"
+                    );
+                }
             }
         }
     }

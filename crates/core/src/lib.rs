@@ -58,6 +58,6 @@ pub mod weighting;
 pub use config::{AcceleratorConfig, Design};
 pub use cpe::CpeArray;
 pub use engine::Engine;
-pub use gnnie_mem::{SimPool, SimThreads};
+pub use gnnie_mem::{SimPool, SimThreads, WorkerSet};
 pub use report::{InferenceReport, PhaseReport};
 pub use weighting::{WeightingMode, WeightingReport};

@@ -15,7 +15,7 @@ use gnnie_gnn::layers::{GatLayer, GnnLayer, SageAggregator};
 use gnnie_graph::reorder::Permutation;
 use gnnie_graph::CsrGraph;
 use gnnie_mem::cache::PaperAlphaGamma;
-use gnnie_mem::{CacheConfig, CacheSim, HbmModel, SimPool, SimThreads};
+use gnnie_mem::{CacheConfig, CacheSim, HbmModel, SimPool};
 use gnnie_tensor::activations::{leaky_relu, relu, GAT_LEAKY_SLOPE};
 use gnnie_tensor::{CsrMatrix, DenseMatrix, ExpLut};
 
@@ -93,19 +93,20 @@ pub fn functional_weighting_dense(
 
 /// Runs edge aggregation through the degree-aware cache, invoking
 /// `on_edge` for every undirected edge in hardware processing order.
-/// `capacity` vertices fit in the input buffer. Panics if the cache walk
-/// fails to process every edge (that *is* the verification).
+/// `capacity` vertices fit in the input buffer; the walk's vertex scans
+/// shard across `pool`. Panics if the cache walk fails to process every
+/// edge (that *is* the verification).
 fn cache_edge_walk(
     graph: &CsrGraph,
     capacity: usize,
     gamma: u32,
+    pool: &SimPool,
     mut on_edge: impl FnMut(u32, u32),
 ) {
     let mut cfg = CacheConfig::with_capacity(capacity.max(4), 64);
     cfg.gamma = gamma;
     let mut dram = HbmModel::hbm2_256gbps(1.3e9);
-    let pool = SimPool::new(SimThreads::Auto);
-    let result = CacheSim::new(graph, cfg, &pool).run_with(
+    let result = CacheSim::new(graph, cfg, pool).run_with(
         &mut PaperAlphaGamma::new(),
         &mut dram,
         &mut on_edge,
@@ -124,6 +125,7 @@ pub fn functional_aggregate_gcn(
     hw: &DenseMatrix,
     capacity: usize,
     gamma: u32,
+    pool: &SimPool,
 ) -> DenseMatrix {
     let n = graph.num_vertices();
     let inv: Vec<f32> = (0..n).map(|u| 1.0 / ((graph.degree(u) as f32 + 1.0).sqrt())).collect();
@@ -131,7 +133,7 @@ pub fn functional_aggregate_gcn(
     for (i, &inv_i) in inv.iter().enumerate() {
         out.axpy_row(i, inv_i * inv_i, hw.row(i));
     }
-    cache_edge_walk(graph, capacity, gamma, |u, vx| {
+    cache_edge_walk(graph, capacity, gamma, pool, |u, vx| {
         let (u, vx) = (u as usize, vx as usize);
         let w = inv[u] * inv[vx];
         let vrow = hw.row(vx).to_vec();
@@ -149,13 +151,14 @@ pub fn functional_aggregate_gin(
     epsilon: f32,
     capacity: usize,
     gamma: u32,
+    pool: &SimPool,
 ) -> DenseMatrix {
     let n = graph.num_vertices();
     let mut out = DenseMatrix::zeros(n, hw.cols());
     for i in 0..n {
         out.axpy_row(i, 1.0 + epsilon, hw.row(i));
     }
-    cache_edge_walk(graph, capacity, gamma, |u, vx| {
+    cache_edge_walk(graph, capacity, gamma, pool, |u, vx| {
         let (u, vx) = (u as usize, vx as usize);
         let vrow = hw.row(vx).to_vec();
         out.axpy_row(u, 1.0, &vrow);
@@ -175,6 +178,7 @@ pub fn functional_aggregate_gat(
     exp_mode: &ExpMode,
     capacity: usize,
     gamma: u32,
+    pool: &SimPool,
 ) -> DenseMatrix {
     let n = graph.num_vertices();
     let f = hw.cols();
@@ -187,7 +191,7 @@ pub fn functional_aggregate_gat(
         num.axpy_row(i, s, hw.row(i));
         den[i] += s;
     }
-    cache_edge_walk(graph, capacity, gamma, |u, vx| {
+    cache_edge_walk(graph, capacity, gamma, pool, |u, vx| {
         let (u, vx) = (u as usize, vx as usize);
         // Edge (u ← v): numerator exp(e_{u,1}+e_{v,2})·hw_v.
         let suv = exp_mode.eval(leaky_relu(e1[u] + e2[vx], GAT_LEAKY_SLOPE));
@@ -218,6 +222,7 @@ pub fn functional_aggregate_sage_max(
     sampled_pairs: &std::collections::HashSet<(u32, u32)>,
     capacity: usize,
     gamma: u32,
+    pool: &SimPool,
 ) -> DenseMatrix {
     let n = union_graph.num_vertices();
     let f = hw.cols();
@@ -226,7 +231,7 @@ pub fn functional_aggregate_sage_max(
         let row = hw.row(i).to_vec();
         out.row_mut(i).copy_from_slice(&row);
     }
-    cache_edge_walk(union_graph, capacity, gamma, |u, vx| {
+    cache_edge_walk(union_graph, capacity, gamma, pool, |u, vx| {
         // Directional: u pulls from v only if u sampled v.
         if sampled_pairs.contains(&(u, vx)) {
             let vrow = hw.row(vx as usize).to_vec();
@@ -251,6 +256,7 @@ pub fn functional_aggregate_sage_max(
 /// Runs one layer through the functional datapath. The graph is relabeled
 /// into descending-degree order (mirroring the engine's preprocessing) and
 /// the output is mapped back to original vertex ids.
+#[allow(clippy::too_many_arguments)]
 pub fn functional_layer(
     layer: &GnnLayer,
     graph: &CsrGraph,
@@ -259,6 +265,7 @@ pub fn functional_layer(
     capacity: usize,
     gamma: u32,
     exp_mode: &ExpMode,
+    pool: &SimPool,
 ) -> DenseMatrix {
     let perm = Permutation::descending_degree(graph);
     let g2 = perm.apply(graph);
@@ -269,16 +276,17 @@ pub fn functional_layer(
     let out2 = match layer {
         GnnLayer::Gcn(l) => {
             let hw = functional_weighting_dense(&h2, l.weight(), array_rows);
-            functional_aggregate_gcn(&g2, &hw, capacity, gamma)
+            functional_aggregate_gcn(&g2, &hw, capacity, gamma, pool)
         }
         GnnLayer::Gat(l) => {
             let hw = functional_weighting_dense(&h2, l.weight(), array_rows);
-            functional_aggregate_gat(&g2, &hw, l, exp_mode, capacity, gamma)
+            functional_aggregate_gat(&g2, &hw, l, exp_mode, capacity, gamma, pool)
         }
         GnnLayer::Gin(l) => {
             let mlp = l.mlp();
             let hw1 = functional_weighting_dense(&h2, &mlp.w1, array_rows);
-            let mut agg = functional_aggregate_gin(&g2, &hw1, l.epsilon(), capacity, gamma);
+            let mut agg =
+                functional_aggregate_gin(&g2, &hw1, l.epsilon(), capacity, gamma, pool);
             for r in 0..agg.rows() {
                 for (x, &b) in agg.row_mut(r).iter_mut().zip(&mlp.b1) {
                     *x = relu(*x + b);
@@ -313,7 +321,7 @@ pub fn functional_layer(
             }
             union.dedup();
             let union_graph = CsrGraph::from_edge_list(union);
-            functional_aggregate_sage_max(&union_graph, &hw, &pairs, capacity, gamma)
+            functional_aggregate_sage_max(&union_graph, &hw, &pairs, capacity, gamma, pool)
         }
     };
     // Map back to original ids.
@@ -340,7 +348,8 @@ impl VerifyOutcome {
 /// Verifies a full layer stack: runs both the golden model and the
 /// functional datapath layer by layer (ReLU between layers) and records
 /// relative errors. Uses a deliberately small cache (`|V|/3` vertices) so
-/// eviction/refetch paths are exercised.
+/// eviction/refetch paths are exercised; the cache walks shard across
+/// `pool` (the outcome is identical at any width).
 pub fn verify_layers(
     layers: &[GnnLayer],
     graph: &CsrGraph,
@@ -348,6 +357,7 @@ pub fn verify_layers(
     array_rows: usize,
     gamma: u32,
     exp_mode: &ExpMode,
+    pool: &SimPool,
 ) -> VerifyOutcome {
     let capacity = (graph.num_vertices() / 3).max(4);
     let mut golden = h0.clone();
@@ -355,8 +365,16 @@ pub fn verify_layers(
     let mut per_layer_rel_err = Vec::with_capacity(layers.len());
     for (i, layer) in layers.iter().enumerate() {
         golden = layer.forward(graph, &golden);
-        functional =
-            functional_layer(layer, graph, &functional, array_rows, capacity, gamma, exp_mode);
+        functional = functional_layer(
+            layer,
+            graph,
+            &functional,
+            array_rows,
+            capacity,
+            gamma,
+            exp_mode,
+            pool,
+        );
         let scale = golden.as_slice().iter().fold(0.0f32, |m, &x| m.max(x.abs())).max(1e-12);
         per_layer_rel_err.push(golden.max_abs_diff(&functional) / scale);
         if i + 1 < layers.len() {
@@ -412,7 +430,7 @@ mod tests {
         let perm = Permutation::descending_degree(&g);
         let g2 = perm.apply(&g);
         let hw = features(120, 24);
-        let fun = functional_aggregate_gcn(&g2, &hw, 20, 5);
+        let fun = functional_aggregate_gcn(&g2, &hw, 20, 5, &SimPool::serial());
         let gold = aggregate_gcn(&g2, &hw);
         let scale = gold.as_slice().iter().fold(1e-12f32, |m, &x| m.max(x.abs()));
         assert!(
@@ -428,7 +446,7 @@ mod tests {
         let perm = Permutation::descending_degree(&g);
         let g2 = perm.apply(&g);
         let hw = features(200, 8);
-        let fun = functional_aggregate_gcn(&g2, &hw, 8, 5);
+        let fun = functional_aggregate_gcn(&g2, &hw, 8, 5, &SimPool::serial());
         let gold = aggregate_gcn(&g2, &hw);
         let scale = gold.as_slice().iter().fold(1e-12f32, |m, &x| m.max(x.abs()));
         assert!(gold.max_abs_diff(&fun) / scale < 1e-4);
@@ -439,7 +457,8 @@ mod tests {
         let g = generate::erdos_renyi(60, 240, 9);
         let h0 = features(60, 32);
         let params = ModelParams::init(ModelConfig::custom(GnnModel::Gcn, &[32, 16, 4]), 3);
-        let outcome = verify_layers(&params.layers, &g, &h0, 16, 5, &ExpMode::Exact);
+        let outcome =
+            verify_layers(&params.layers, &g, &h0, 16, 5, &ExpMode::Exact, &SimPool::serial());
         assert!(outcome.passed(1e-4), "errors: {:?}", outcome.per_layer_rel_err);
     }
 
@@ -448,7 +467,8 @@ mod tests {
         let g = generate::powerlaw_chung_lu(80, 400, 2.1, 13);
         let h0 = features(80, 24);
         let params = ModelParams::init(ModelConfig::custom(GnnModel::Gat, &[24, 12, 4]), 5);
-        let outcome = verify_layers(&params.layers, &g, &h0, 16, 5, &ExpMode::Exact);
+        let outcome =
+            verify_layers(&params.layers, &g, &h0, 16, 5, &ExpMode::Exact, &SimPool::serial());
         assert!(outcome.passed(2e-4), "errors: {:?}", outcome.per_layer_rel_err);
     }
 
@@ -457,8 +477,15 @@ mod tests {
         let g = generate::erdos_renyi(50, 200, 17);
         let h0 = features(50, 16);
         let params = ModelParams::init(ModelConfig::custom(GnnModel::Gat, &[16, 8]), 7);
-        let outcome =
-            verify_layers(&params.layers, &g, &h0, 16, 5, &ExpMode::Lut(ExpLut::default()));
+        let outcome = verify_layers(
+            &params.layers,
+            &g,
+            &h0,
+            16,
+            5,
+            &ExpMode::Lut(ExpLut::default()),
+            &SimPool::serial(),
+        );
         // LUT exp is approximate; softmax normalization cancels much of
         // the error but not all of it.
         assert!(outcome.passed(0.05), "errors: {:?}", outcome.per_layer_rel_err);
@@ -475,7 +502,8 @@ mod tests {
             vec![-0.02; 6],
         );
         let layers = vec![GnnLayer::Gin(GinLayer::new(0.3, mlp))];
-        let outcome = verify_layers(&layers, &g, &h0, 16, 5, &ExpMode::Exact);
+        let outcome =
+            verify_layers(&layers, &g, &h0, 16, 5, &ExpMode::Exact, &SimPool::serial());
         assert!(outcome.passed(1e-4), "errors: {:?}", outcome.per_layer_rel_err);
     }
 
@@ -489,7 +517,8 @@ mod tests {
             5,
             99,
         ))];
-        let outcome = verify_layers(&layers, &g, &h0, 16, 5, &ExpMode::Exact);
+        let outcome =
+            verify_layers(&layers, &g, &h0, 16, 5, &ExpMode::Exact, &SimPool::serial());
         assert!(outcome.passed(1e-4), "errors: {:?}", outcome.per_layer_rel_err);
     }
 
@@ -507,7 +536,7 @@ mod tests {
         let g2 = perm.apply(&g);
         let h2 = DenseMatrix::from_fn(40, 10, |r, c| h0.get(perm.old_of(r) as usize, c));
         let hw = functional_weighting_dense(&h2, &w_bad, 16);
-        let out2 = functional_aggregate_gcn(&g2, &hw, 8, 5);
+        let out2 = functional_aggregate_gcn(&g2, &hw, 8, 5, &SimPool::serial());
         let out = DenseMatrix::from_fn(40, 5, |r, c| out2.get(perm.new_of(r) as usize, c));
         assert!(golden.max_abs_diff(&out) > 1e-3, "corruption must be detected");
     }

@@ -671,23 +671,9 @@ impl Default for WeightingParams {
     }
 }
 
-/// Runs the Weighting cycle model for one layer, with the sharded loops
-/// sized by `cfg.sim_threads`.
+/// Runs the Weighting cycle model for one layer, its sharded loops on
+/// `pool` (the engine passes its session's pool).
 pub fn simulate_weighting(
-    cfg: &AcceleratorConfig,
-    arr: &CpeArray,
-    profile: &BlockProfile,
-    params: WeightingParams,
-    dram: &mut HbmModel,
-) -> WeightingReport {
-    let pool = SimPool::new(cfg.sim_threads);
-    simulate_weighting_pooled(cfg, arr, profile, params, dram, &pool)
-}
-
-/// [`simulate_weighting`] on an existing worker pool — the engine builds
-/// one pool per [`RunSession`](crate::engine::RunSession) and reuses it
-/// across every phase.
-pub fn simulate_weighting_pooled(
     cfg: &AcceleratorConfig,
     arr: &CpeArray,
     profile: &BlockProfile,
@@ -696,28 +682,15 @@ pub fn simulate_weighting_pooled(
     pool: &SimPool,
 ) -> WeightingReport {
     let mode = WeightingMode::from_config(cfg);
-    simulate_weighting_mode_pooled(cfg, arr, profile, params, mode, dram, pool)
+    simulate_weighting_mode(cfg, arr, profile, params, mode, dram, pool)
 }
 
 /// Like [`simulate_weighting`] with an explicit mode (for the Fig. 16/17
-/// ablations).
-pub fn simulate_weighting_mode(
-    cfg: &AcceleratorConfig,
-    arr: &CpeArray,
-    profile: &BlockProfile,
-    params: WeightingParams,
-    mode: WeightingMode,
-    dram: &mut HbmModel,
-) -> WeightingReport {
-    let pool = SimPool::new(cfg.sim_threads);
-    simulate_weighting_mode_pooled(cfg, arr, profile, params, mode, dram, &pool)
-}
-
-/// The pooled core of the Weighting cycle model. Every sharded loop
-/// merges per-shard results in shard order, so the report is
-/// bit-identical to a serial run at any worker count.
+/// ablations). Every sharded loop merges per-shard results in shard
+/// order, so the report is bit-identical to a serial run at any worker
+/// count.
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_weighting_mode_pooled(
+pub fn simulate_weighting_mode(
     cfg: &AcceleratorConfig,
     arr: &CpeArray,
     profile: &BlockProfile,
@@ -891,12 +864,17 @@ mod tests {
     fn pooled_paths_match_serial_at_any_width() {
         use gnnie_mem::SimThreads;
         let ds = GraphDataset::generate(Dataset::Cora, 0.3, 5);
-        let (mut cfg, arr) = paper_cfg();
+        let (cfg, arr) = paper_cfg();
         let serial = BlockProfile::from_sparse(&ds.features, 16);
-        cfg.sim_threads = SimThreads::Fixed(1);
         let mut dram = HbmModel::hbm2_256gbps(cfg.clock_hz);
-        let serial_report =
-            simulate_weighting(&cfg, &arr, &serial, WeightingParams::default(), &mut dram);
+        let serial_report = simulate_weighting(
+            &cfg,
+            &arr,
+            &serial,
+            WeightingParams::default(),
+            &mut dram,
+            &SimPool::serial(),
+        );
         for width in [2usize, 4, 8] {
             let pool = SimPool::new(SimThreads::Fixed(width));
             let pooled = BlockProfile::from_sparse_pooled(&ds.features, 16, &pool);
@@ -910,10 +888,15 @@ mod tests {
                     "{mode} schedule diverged at width {width}"
                 );
             }
-            cfg.sim_threads = SimThreads::Fixed(width);
             let mut dram = HbmModel::hbm2_256gbps(cfg.clock_hz);
-            let report =
-                simulate_weighting(&cfg, &arr, &pooled, WeightingParams::default(), &mut dram);
+            let report = simulate_weighting(
+                &cfg,
+                &arr,
+                &pooled,
+                WeightingParams::default(),
+                &mut dram,
+                &pool,
+            );
             assert_eq!(report, serial_report, "report diverged at width {width}");
         }
     }
@@ -924,7 +907,14 @@ mod tests {
         let (cfg, arr) = paper_cfg();
         let p = BlockProfile::from_sparse(&ds.features, 16);
         let mut dram = HbmModel::hbm2_256gbps(cfg.clock_hz);
-        let r = simulate_weighting(&cfg, &arr, &p, WeightingParams::default(), &mut dram);
+        let r = simulate_weighting(
+            &cfg,
+            &arr,
+            &p,
+            WeightingParams::default(),
+            &mut dram,
+            &SimPool::serial(),
+        );
         assert_eq!(r.mode, WeightingMode::FmLr);
         assert_eq!(r.passes, 8); // ceil(128/16)
         assert_eq!(r.per_row_cycles.len(), 16);
@@ -950,6 +940,7 @@ mod tests {
                 WeightingParams::default(),
                 WeightingMode::Baseline,
                 &mut dram,
+                &SimPool::serial(),
             );
             // The guarantee is on pure MAC time: with uniformly more
             // MACs per CPE, every pinned block's ⌈nnz/|MAC|⌉ shrinks or
@@ -973,8 +964,14 @@ mod tests {
         let (cfg, arr) = paper_cfg();
         let p = BlockProfile::from_sparse(&ds.features, 16);
         let mut dram_cold = HbmModel::hbm2_256gbps(cfg.clock_hz);
-        let cold =
-            simulate_weighting(&cfg, &arr, &p, WeightingParams::default(), &mut dram_cold);
+        let cold = simulate_weighting(
+            &cfg,
+            &arr,
+            &p,
+            WeightingParams::default(),
+            &mut dram_cold,
+            &SimPool::serial(),
+        );
         let mut dram_hot = HbmModel::hbm2_256gbps(cfg.clock_hz);
         let hot = simulate_weighting(
             &cfg,
@@ -982,6 +979,7 @@ mod tests {
             &p,
             WeightingParams { weights_resident: true, ..WeightingParams::default() },
             &mut dram_hot,
+            &SimPool::serial(),
         );
         assert!(cold.weight_bytes > 0 && cold.weight_dram_cycles > 0);
         assert_eq!(hot.weight_bytes, 0);
@@ -1002,7 +1000,14 @@ mod tests {
         let features = CsrMatrix::from_sparse_rows(64, &vec![SparseVec::zeros(64); 4]);
         let p = BlockProfile::from_sparse(&features, 16);
         let mut dram = HbmModel::hbm2_256gbps(cfg.clock_hz);
-        let r = simulate_weighting(&cfg, &arr, &p, WeightingParams::default(), &mut dram);
+        let r = simulate_weighting(
+            &cfg,
+            &arr,
+            &p,
+            WeightingParams::default(),
+            &mut dram,
+            &SimPool::serial(),
+        );
         assert_eq!(r.macs_issued, 0);
         assert_eq!(r.per_row_cycles.iter().sum::<u64>(), 0);
     }

@@ -1,5 +1,5 @@
-//! Property suite for the parallel-simulation contract: `Engine::run`
-//! reports must be **byte-identical** across `sim_threads ∈ {1, 2, 4, 8}`
+//! Property suite for the parallel-simulation contract: `Engine::run_with`
+//! reports must be **byte-identical** across `RunOptions::sim_threads ∈ {1, 2, 4, 8}`
 //! for arbitrary dataset/model/cache-policy combinations.
 //!
 //! The sharded loops (the per-vertex Weighting profile, the FM counting
@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 use gnnie_core::config::AcceleratorConfig;
 use gnnie_core::engine::{Engine, RunOptions};
-use gnnie_core::SimThreads;
+use gnnie_core::{SimPool, SimThreads};
 use gnnie_gnn::model::{GnnModel, ModelConfig};
 use gnnie_graph::{Dataset, GraphDataset};
 use gnnie_mem::CachePolicyKind;
@@ -41,11 +41,15 @@ proptest! {
         let mc = ModelConfig::paper(model, &ds.spec);
         let mut cfg = AcceleratorConfig::paper(dataset);
         cfg.cache_policy = policy;
-        cfg.sim_threads = SimThreads::Fixed(1);
-        let serial = format!("{:?}", Engine::new(cfg.clone()).run(&mc, &ds));
+        let engine = Engine::new(cfg);
+        let at = |threads: usize| {
+            let opts =
+                RunOptions { sim_threads: Some(SimThreads::Fixed(threads)), ..RunOptions::default() };
+            format!("{:?}", engine.run_with(&mc, &ds, opts))
+        };
+        let serial = at(1);
         for threads in [2usize, 4, 8] {
-            cfg.sim_threads = SimThreads::Fixed(threads);
-            let sharded = format!("{:?}", Engine::new(cfg.clone()).run(&mc, &ds));
+            let sharded = at(threads);
             prop_assert_eq!(
                 &sharded,
                 &serial,
@@ -64,28 +68,32 @@ proptest! {
         dataset_index in 0usize..3,
         seed in 0u64..1_000,
     ) {
-        // The per-run override must land on the same bytes as the config
-        // knob, including with resident weights (the serving path).
+        // The per-run width must not move a byte, with resident weights
+        // (the serving path) and on a pool shared across sessions (the
+        // daemon's `begin_pooled`) alike.
         let (dataset, scale) = DATASETS[dataset_index];
         let ds = GraphDataset::generate(dataset, scale, seed);
         let mc = ModelConfig::paper(GnnModel::Gcn, &ds.spec);
-        let mut cfg = AcceleratorConfig::paper(dataset);
-        cfg.sim_threads = SimThreads::Fixed(1);
-        let engine = Engine::new(cfg);
+        let engine = Engine::new(AcceleratorConfig::paper(dataset));
         let mut renderings = Vec::new();
         for threads in [1usize, 4] {
-            let mut session = engine.begin_with(
-                &mc,
-                &ds,
-                RunOptions {
-                    weights_resident: true,
-                    sim_threads: Some(SimThreads::Fixed(threads)),
-                    ..RunOptions::default()
-                },
-            );
+            let opts = RunOptions {
+                weights_resident: true,
+                sim_threads: Some(SimThreads::Fixed(threads)),
+                ..RunOptions::default()
+            };
+            let mut session = engine.begin_with(&mc, &ds, opts.clone());
             session.run_to_completion();
             renderings.push(format!("{:?}", session.finish()));
+            let pool = SimPool::new(SimThreads::Fixed(threads));
+            for _ in 0..2 {
+                let mut shared = engine.begin_pooled(&mc, &ds, opts.clone(), &pool);
+                shared.run_to_completion();
+                renderings.push(format!("{:?}", shared.finish()));
+            }
         }
-        prop_assert_eq!(&renderings[0], &renderings[1]);
+        for rendering in &renderings[1..] {
+            prop_assert_eq!(&renderings[0], rendering);
+        }
     }
 }

@@ -17,8 +17,8 @@ use gnnie_core::config::{AcceleratorConfig, Design, RowGroup};
 use gnnie_core::cpe::{div_ceil, CpeArray};
 use gnnie_core::mpe;
 use gnnie_core::weighting::{
-    schedule_pooled, simulate_weighting_mode_pooled, BlockProfile, LrMove, RowSchedule,
-    WeightingMode, WeightingParams, WeightingReport,
+    schedule_pooled, simulate_weighting_mode, BlockProfile, LrMove, RowSchedule, WeightingMode,
+    WeightingParams, WeightingReport,
 };
 use gnnie_core::{SimPool, SimThreads};
 use gnnie_graph::{Dataset, GraphDataset};
@@ -327,9 +327,8 @@ fn assert_matches_reference(
                 "{what}: {mode} schedule at width {width}"
             );
             let mut dram = HbmModel::hbm2_256gbps(cfg.clock_hz);
-            let got = simulate_weighting_mode_pooled(
-                cfg, &arr, actual, params, mode, &mut dram, &pool,
-            );
+            let got =
+                simulate_weighting_mode(cfg, &arr, actual, params, mode, &mut dram, &pool);
             let mut ref_dram = HbmModel::hbm2_256gbps(cfg.clock_hz);
             assert_eq!(
                 got,

@@ -36,19 +36,6 @@ pub fn default_shards() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get()).clamp(1, MAX_SHARDS)
 }
 
-/// Serial checked build — [`CsrGraph::try_from_pairs`] by another name,
-/// so benchmarks can call both paths through one module.
-///
-/// # Errors
-///
-/// See [`CsrGraph::try_from_pairs`].
-pub fn build_csr_serial(
-    n: usize,
-    pairs: &[(VertexId, VertexId)],
-) -> Result<(CsrGraph, CsrBuildStats), GraphBuildError> {
-    CsrGraph::try_from_pairs(n, pairs.iter().copied())
-}
-
 /// Raw-pointer handle for the disjoint-slot scatter phase.
 ///
 /// Each `(shard, vertex)` pair owns a reserved, non-overlapping range of
@@ -62,7 +49,8 @@ unsafe impl Sync for ScatterSlots {}
 
 /// Shard-parallel checked build over `n` vertices.
 ///
-/// Produces exactly the graph and stats of [`build_csr_serial`] — same
+/// Produces exactly the graph and stats of the serial
+/// [`CsrGraph::try_from_pairs`] — same
 /// offsets, same neighbor array, same edge count, same self-loop and
 /// duplicate accounting — for every `shards >= 1` (clamped to
 /// [`MAX_SHARDS`]).
@@ -324,7 +312,8 @@ mod tests {
     #[test]
     fn parallel_matches_serial_for_all_shard_counts() {
         let pairs = scrambled_pairs(97, 1500, 0xC0FFEE);
-        let (serial, serial_stats) = build_csr_serial(97, &pairs).unwrap();
+        let (serial, serial_stats) =
+            CsrGraph::try_from_pairs(97, pairs.iter().copied()).unwrap();
         for shards in [1, 2, 3, 4, 7, 8, 16, 64] {
             let (par, stats) = build_csr_parallel(97, &pairs, shards).unwrap();
             assert_eq!(par, serial, "shards={shards}");
@@ -349,7 +338,7 @@ mod tests {
                 "shards={shards}"
             );
         }
-        assert_eq!(build_csr_serial(10, &pairs).unwrap_err(), {
+        assert_eq!(CsrGraph::try_from_pairs(10, pairs.iter().copied()).unwrap_err(), {
             GraphBuildError::VertexOutOfRange { edge_index: 150, vertex: 10, num_vertices: 10 }
         });
     }
@@ -380,7 +369,7 @@ mod tests {
         assert_eq!(stats.input_edges, 6);
         assert_eq!(stats.self_loops, 1);
         assert_eq!(stats.duplicates, 3);
-        let (_, serial_stats) = build_csr_serial(4, &pairs).unwrap();
+        let (_, serial_stats) = CsrGraph::try_from_pairs(4, pairs.iter().copied()).unwrap();
         assert_eq!(stats, serial_stats);
     }
 

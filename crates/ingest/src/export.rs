@@ -116,7 +116,6 @@ pub fn write_binary_csr(path: &Path, graph: &CsrGraph) -> Result<(), IngestError
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::build_csr_serial;
     use crate::parse::{parse_edge_list, read_binary_csr};
     use gnnie_graph::{Dataset, GraphDataset};
 
@@ -137,7 +136,8 @@ mod tests {
             assert_eq!(parsed.num_vertices(), ds.graph.num_vertices(), "{format}");
             assert_eq!(parsed.recorded, Some(rec), "{format}");
             let (rebuilt, stats) =
-                build_csr_serial(parsed.num_vertices(), &parsed.pairs).unwrap();
+                CsrGraph::try_from_pairs(parsed.num_vertices(), parsed.pairs.iter().copied())
+                    .unwrap();
             assert_eq!(rebuilt, ds.graph, "{format}");
             assert_eq!(stats.duplicates, 0, "exports write each edge once");
             std::fs::remove_file(&path).ok();

@@ -28,6 +28,7 @@
 //!
 //! ```
 //! use gnnie_graph::Dataset;
+//! use gnnie_graph::CsrGraph;
 //! use gnnie_ingest::{build, registry::DatasetRegistry};
 //!
 //! // No data directory: names resolve to the Table II synthesizer.
@@ -37,7 +38,7 @@
 //!
 //! // The parallel CSR builder matches the serial path bit-for-bit.
 //! let pairs = vec![(0, 1), (1, 2), (2, 0), (1, 2)];
-//! let (serial, _) = build::build_csr_serial(3, &pairs).unwrap();
+//! let (serial, _) = CsrGraph::try_from_pairs(3, pairs.iter().copied()).unwrap();
 //! let (parallel, stats) = build::build_csr_parallel(3, &pairs, 4).unwrap();
 //! assert_eq!(serial, parallel);
 //! assert_eq!(stats.duplicates, 1);
@@ -56,7 +57,7 @@ pub mod registry;
 pub mod snapshot;
 pub mod source;
 
-pub use build::{build_csr_parallel, build_csr_serial, default_shards, MAX_SHARDS};
+pub use build::{build_csr_parallel, default_shards, MAX_SHARDS};
 pub use chunked::build_csr_chunked;
 pub use error::IngestError;
 pub use export::{export_edge_list, render_edge_list, write_binary_csr};

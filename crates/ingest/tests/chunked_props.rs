@@ -7,8 +7,8 @@
 //! adjacency is a canonical form, so this is bit-identity, not just
 //! isomorphism.
 
-use gnnie_graph::VertexId;
-use gnnie_ingest::build::{build_csr_parallel, build_csr_serial};
+use gnnie_graph::{CsrGraph, VertexId};
+use gnnie_ingest::build::build_csr_parallel;
 use gnnie_ingest::build_csr_chunked;
 use proptest::prelude::*;
 
@@ -31,7 +31,7 @@ proptest! {
         shards in 1usize..6,
     ) {
         let (n, pairs) = input;
-        let (serial, serial_stats) = build_csr_serial(n, &pairs).unwrap();
+        let (serial, serial_stats) = CsrGraph::try_from_pairs(n, pairs.iter().copied()).unwrap();
         let (parallel, parallel_stats) = build_csr_parallel(n, &pairs, shards).unwrap();
         let (chunked, stats) = build_csr_chunked(n, chunk_bytes, None, |sink| {
             for &(u, v) in &pairs {
@@ -59,7 +59,7 @@ proptest! {
         let (n, mut pairs) = input;
         let bad_at = bad_at % (pairs.len() + 1);
         pairs.insert(bad_at, (n as VertexId, 0));
-        let serial = gnnie_graph::CsrGraph::try_from_pairs(n, pairs.iter().copied())
+        let serial = CsrGraph::try_from_pairs(n, pairs.iter().copied())
             .unwrap_err();
         let err = build_csr_chunked(n, chunk_bytes, None, |sink| {
             for &(u, v) in &pairs {

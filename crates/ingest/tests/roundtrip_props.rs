@@ -13,8 +13,8 @@ use std::io::Cursor;
 use std::path::Path;
 
 use gnnie_graph::features::{generate_features, FeatureProfile};
-use gnnie_graph::{Dataset, GraphDataset, VertexId};
-use gnnie_ingest::build::{build_csr_parallel, build_csr_serial};
+use gnnie_graph::{CsrGraph, Dataset, GraphDataset, VertexId};
+use gnnie_ingest::build::build_csr_parallel;
 use gnnie_ingest::export::render_edge_list;
 use gnnie_ingest::parse::{parse_edge_list_reader, RecordedSpec};
 use gnnie_ingest::snapshot::{decode_snapshot, encode_snapshot};
@@ -33,7 +33,8 @@ fn arb_input() -> impl Strategy<Value = (usize, Vec<(VertexId, VertexId)>)> {
 /// A small dataset assembled from arbitrary pairs: CSR graph plus
 /// features sized to it.
 fn dataset_from(n: usize, pairs: &[(VertexId, VertexId)], seed: u64) -> GraphDataset {
-    let (graph, _) = build_csr_serial(n, pairs).expect("ids in range by construction");
+    let (graph, _) = CsrGraph::try_from_pairs(n, pairs.iter().copied())
+        .expect("ids in range by construction");
     let mut spec = Dataset::Cora.spec();
     spec.vertices = graph.num_vertices();
     spec.edges = graph.num_edges();
@@ -48,7 +49,7 @@ proptest! {
     #[test]
     fn parallel_build_equals_serial(input in arb_input(), shards in 1usize..10) {
         let (n, pairs) = input;
-        let (serial, serial_stats) = build_csr_serial(n, &pairs).unwrap();
+        let (serial, serial_stats) = CsrGraph::try_from_pairs(n, pairs.iter().copied()).unwrap();
         let (parallel, stats) = build_csr_parallel(n, &pairs, shards).unwrap();
         prop_assert_eq!(&parallel, &serial);
         prop_assert_eq!(stats, serial_stats);

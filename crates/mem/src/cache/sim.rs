@@ -691,25 +691,20 @@ mod tests {
     #[test]
     fn walk_results_are_identical_at_any_thread_count() {
         use crate::par::SimThreads;
-        // 600 vertices: a width-2 pool shards the per-vertex scans for
-        // real; wider pools run the same ranges inline.
+        // 600 vertices: a width-2 pool shards the per-vertex scans on its
+        // workers; wider pools run the same ranges inline. Each pool walks
+        // every policy, so one set of workers serves many walks.
         let g = reordered(&generate::powerlaw_chung_lu(600, 3600, 2.0, 31));
         let cfg = CacheConfig::with_capacity(40, 64);
-        for kind in CachePolicyKind::ALL {
-            let serial = run_kind(&g, cfg, kind);
-            for threads in [2usize, 4, 8] {
-                let pools = [
-                    SimPool::new(SimThreads::Fixed(threads)),
-                    SimPool::persistent(SimThreads::Fixed(threads)),
-                ];
-                for pool in &pools {
-                    let sharded = run_on(&g, cfg, kind, pool);
-                    assert_eq!(
-                        format!("{serial:?}"),
-                        format!("{sharded:?}"),
-                        "{kind} diverged at {threads} threads ({pool:?})"
-                    );
-                }
+        let serial: Vec<String> = CachePolicyKind::ALL
+            .iter()
+            .map(|&kind| format!("{:?}", run_kind(&g, cfg, kind)))
+            .collect();
+        for threads in [2usize, 4, 8] {
+            let pool = SimPool::new(SimThreads::Fixed(threads));
+            for (kind, serial) in CachePolicyKind::ALL.into_iter().zip(&serial) {
+                let sharded = format!("{:?}", run_on(&g, cfg, kind, &pool));
+                assert_eq!(*serial, sharded, "{kind} diverged at {threads} threads");
             }
         }
     }

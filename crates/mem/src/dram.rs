@@ -187,12 +187,6 @@ impl HbmModel {
     pub fn energy_pj(&self) -> f64 {
         self.counters.total_bytes() as f64 * 8.0 * self.energy_pj_per_bit
     }
-
-    /// Energy for an arbitrary byte count at this model's pJ/bit (used to
-    /// attribute traffic to individual buffers for Fig. 14).
-    pub fn energy_pj_for_bytes(&self, bytes: u64) -> f64 {
-        bytes as f64 * 8.0 * self.energy_pj_per_bit
-    }
 }
 
 #[cfg(test)]

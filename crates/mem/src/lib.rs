@@ -11,8 +11,8 @@
 //!
 //! * [`HbmModel`] — an HBM 2.0 timing/energy model (Ramulator substitute)
 //!   that distinguishes sequential from random transactions.
-//! * [`SramBuffer`] / [`DoubleBuffer`] — on-chip buffer accounting with
-//!   CACTI-like energy scaling and double-buffered fetch overlap.
+//! * [`DoubleBuffer`] — double-buffered fetch overlap for the on-chip
+//!   buffers.
 //! * [`CacheSim`] — the policy-agnostic cache walk, with the replacement
 //!   decision behind the [`CachePolicy`] trait: the paper's §VI α/γ
 //!   policy ([`PaperAlphaGamma`](cache::PaperAlphaGamma)) next to
@@ -27,17 +27,15 @@ pub mod dram;
 pub mod energy;
 pub mod par;
 pub mod psum;
-pub mod scheduler;
 pub mod sram;
 pub mod tier;
 
 pub use cache::{CacheConfig, CachePolicy, CachePolicyKind, CacheSim, CacheSimResult};
 pub use dram::{DramCounters, HbmModel};
 pub use energy::{Component, EnergyLedger};
-pub use par::{shard_ranges, SimPool, SimThreads};
+pub use par::{shard_ranges, SimPool, SimThreads, Task, WorkerSet};
 pub use psum::{PsumBuffer, PsumStats, RetentionPolicy};
-pub use scheduler::MemoryScheduler;
-pub use sram::{DoubleBuffer, SramBuffer};
+pub use sram::DoubleBuffer;
 pub use tier::{
     MemoryHierarchy, SplitMode, TierBudgets, TierConfig, TierSpec, TierStats, VertexMemory,
 };

@@ -4,21 +4,23 @@
 //! The engine's two dominant loops — the per-vertex Weighting profile
 //! (`gnnie-core::weighting`) and the aggregation cache walk
 //! (`crate::cache::CacheSim`) — shard their per-vertex scans across the
-//! run's one [`SimPool`] handle, scoped or persistent (no dependencies,
-//! like the ingest builder). The contract that makes this safe to enable by
-//! default is **determinism**: every sharded computation partitions the
-//! vertices into contiguous ranges, accumulates per-shard results
-//! (histograms, byte counters, cycle profiles), and reduces them in shard
-//! order, so the merged result is *bit-identical* to the serial path at
-//! any thread count.
+//! run's one [`SimPool`] handle, whose channel-fed [`WorkerSet`] is
+//! started once per handle (no dependencies, like the ingest builder).
+//! The contract that makes this safe to enable by default is
+//! **determinism**: every sharded computation partitions the vertices
+//! into contiguous ranges, accumulates per-shard results (histograms,
+//! byte counters, cycle profiles), and reduces them in shard order, so
+//! the merged result is *bit-identical* to the serial path at any thread
+//! count.
 //!
-//! [`SimThreads`] is the knob: it lives in
-//! `AcceleratorConfig::sim_threads`, can be overridden per run through
-//! `RunOptions`, and reaches the CLI as `gnnie run/serve --sim-threads N`
-//! with the `GNNIE_SIM_THREADS` environment variable as the default.
+//! [`SimThreads`] is the knob. It is a run option, not simulated
+//! hardware: `RunOptions::sim_threads` sets it per session, the serving
+//! daemon's `DaemonConfig::sim_threads` per daemon, and the CLI's
+//! `gnnie run/serve --sim-threads N` sets both, with the
+//! `GNNIE_SIM_THREADS` environment variable as the default.
 //! `Auto` resolves to the machine's available parallelism; a `Fixed`
 //! count is honored verbatim — even on a single-core host, where the
-//! workers are still spawned (the sharded code path must stay exercised
+//! workers are still started (the sharded code path must stay exercised
 //! everywhere, which is exactly what CI's `GNNIE_SIM_THREADS` matrix
 //! relies on).
 
@@ -120,64 +122,72 @@ pub fn shard_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
 }
 
 /// Minimum items per worker before [`SimPool::map_ranges`] actually
-/// spawns OS threads: below this the *same* sharded computation (same
-/// ranges, same shard-order merge) runs inline, because scope/spawn
+/// dispatches to the workers: below this the *same* sharded computation
+/// (same ranges, same shard-order merge) runs inline, because dispatch
 /// overhead would dwarf the work being split. This keeps tiny scans
 /// (a few hundred vertices) at serial speed while real workloads still
 /// fan out; it never affects results — the merge is partition-invariant
 /// by contract.
 pub const MIN_ITEMS_PER_WORKER: usize = 256;
 
-/// A lifetime-erased shard task queued to a persistent worker.
-type Task = Box<dyn FnOnce() + Send + 'static>;
+/// A lifetime-erased job queued to a [`WorkerSet`].
+pub type Task = Box<dyn FnOnce() + Send + 'static>;
 
-/// The long-lived worker threads behind a persistent [`SimPool`]: a
-/// channel-fed task queue shared by `width` threads. Dropping the last
-/// pool handle closes the channel and joins every worker (graceful
-/// drain — queued shards still run).
-struct WorkerSet {
-    sender: Mutex<Option<mpsc::Sender<Task>>>,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
+/// Long-lived worker threads fed from one channel: the only place the
+/// simulator's host code starts threads.
+///
+/// A [`SimPool`] of width > 1 owns one set for its shard tasks; the
+/// serving daemon owns another for its request jobs. Workers take tasks
+/// in submission order and run them one at a time; a task that panics is
+/// caught and dropped (its captured values unwind normally), so the
+/// worker survives and a submitter waiting on a reply sees the
+/// disconnect instead of hanging. Dropping the set closes the channel and
+/// joins every worker after the queued tasks have run (graceful drain).
+pub struct WorkerSet {
+    sender: Option<mpsc::Sender<Task>>,
+    handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for WorkerSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let workers = self.handles.lock().map(|h| h.len()).unwrap_or(0);
-        f.debug_struct("WorkerSet").field("workers", &workers).finish()
+        f.debug_struct("WorkerSet").field("workers", &self.handles.len()).finish()
     }
 }
 
 impl WorkerSet {
-    fn spawn(width: usize) -> Arc<WorkerSet> {
+    /// Starts `workers` threads waiting on an empty queue.
+    pub fn new(workers: usize) -> Self {
         let (tx, rx) = mpsc::channel::<Task>();
         let rx = Arc::new(Mutex::new(rx));
-        let handles = (0..width)
+        let handles = (0..workers)
             .map(|_| {
                 let rx = Arc::clone(&rx);
                 std::thread::spawn(move || loop {
                     // Take the next task *outside* the lock so workers
                     // drain the queue concurrently.
-                    let task = {
-                        let queue = rx.lock().expect("worker queue lock poisoned");
-                        queue.recv()
-                    };
+                    let task = rx.lock().expect("worker queue lock poisoned").recv();
                     match task {
-                        Ok(task) => task(),
+                        Ok(task) => {
+                            let _ =
+                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
+                        }
                         Err(_) => break, // channel closed: drain complete
                     }
                 })
             })
             .collect();
-        Arc::new(WorkerSet { sender: Mutex::new(Some(tx)), handles: Mutex::new(handles) })
+        WorkerSet { sender: Some(tx), handles }
     }
 
-    /// Queues a task; hands it back if the channel is already closed so
-    /// the caller can run it inline instead of losing it.
-    fn submit(&self, task: Task) -> Result<(), Task> {
-        match &*self.sender.lock().expect("worker sender lock poisoned") {
-            Some(tx) => tx.send(task).map_err(|e| e.0),
-            None => Err(task),
-        }
+    /// Queues `task` for the next free worker.
+    pub fn submit(&self, task: Task) {
+        // The receiver lives as long as any worker, and workers exit only
+        // after `Drop` closes the channel, so a send cannot fail here.
+        self.sender
+            .as_ref()
+            .expect("worker set is open until dropped")
+            .send(task)
+            .expect("worker threads outlive the set");
     }
 }
 
@@ -185,8 +195,8 @@ impl Drop for WorkerSet {
     fn drop(&mut self) {
         // Close the queue, then join: workers finish whatever is queued
         // and exit on the disconnect.
-        drop(self.sender.lock().expect("worker sender lock poisoned").take());
-        for handle in self.handles.lock().expect("worker handles lock poisoned").drain(..) {
+        drop(self.sender.take());
+        for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
@@ -225,26 +235,21 @@ impl Latch {
 
 /// The sharded worker dispatcher of one simulation run.
 ///
-/// A `SimPool` is a resolved-width handle in one of two modes:
+/// A `SimPool` of width > 1 owns a [`WorkerSet`] of `width` threads,
+/// started once by [`SimPool::new`] and fed shard tasks over its channel.
+/// Clones share the same workers; dropping the last clone drains the
+/// queue and joins them. `Engine::begin_with` builds one pool per
+/// `RunSession`, and the serving daemon shares one across every request
+/// through `Engine::begin_pooled`; either way every phase of a session —
+/// the Weighting scans and the Aggregation cache walk alike — dispatches
+/// through that one handle.
 ///
-/// * **Scoped** ([`SimPool::new`]) — not a set of long-lived threads:
-///   workers are `std::thread::scope`d per parallel region. This is what
-///   `Engine::begin_with` resolves per `RunSession`.
-/// * **Persistent** ([`SimPool::persistent`]) — `width` channel-fed
-///   worker threads that live as long as any clone of the handle, so the
-///   serving daemon (behind every `gnnie serve` path) amortizes the
-///   per-region spawns across every request. Clones share the same
-///   workers; dropping the last clone drains the queue and joins them.
-///
-/// Either way a session holds one handle, and every phase — the
-/// Weighting scans and the Aggregation cache walk alike — dispatches
-/// through it.
-///
-/// Both modes run the *identical* sharded ranges and shard-order merges:
-/// `width == 1` runs inline with zero dispatch cost, and inputs below
-/// [`MIN_ITEMS_PER_WORKER`] per worker run inline too — a forced
+/// `width == 1` starts no thread and runs every region inline, and
+/// inputs below [`MIN_ITEMS_PER_WORKER`] per worker run inline too, over
+/// the *identical* shard ranges and shard-order merge. A forced
 /// `Fixed(4)` therefore engages real threads on large inputs even on a
-/// one-core box, and results are bit-identical everywhere by contract.
+/// one-core box, and results are bit-identical at every width by
+/// contract.
 #[derive(Debug, Clone)]
 pub struct SimPool {
     width: usize,
@@ -252,20 +257,12 @@ pub struct SimPool {
 }
 
 impl SimPool {
-    /// A scoped pool resolving `threads` against the host (see
-    /// [`SimThreads::resolve`]); workers are spawned per parallel region.
+    /// A pool resolving `threads` against the host (see
+    /// [`SimThreads::resolve`]). A width above 1 starts that many workers
+    /// now; they live until the last clone of the handle is dropped.
     pub fn new(threads: SimThreads) -> Self {
-        SimPool { width: threads.resolve(), workers: None }
-    }
-
-    /// A persistent pool: `threads` resolves as in [`SimPool::new`], but
-    /// the workers are spawned once, fed over a channel, and kept alive
-    /// until the last clone of the handle is dropped (which drains the
-    /// queue and joins them). A width of 1 spawns nothing and runs
-    /// inline, exactly like the scoped pool.
-    pub fn persistent(threads: SimThreads) -> Self {
         let width = threads.resolve();
-        let workers = (width > 1).then(|| WorkerSet::spawn(width));
+        let workers = (width > 1).then(|| Arc::new(WorkerSet::new(width)));
         SimPool { width, workers }
     }
 
@@ -279,38 +276,30 @@ impl SimPool {
         self.width
     }
 
-    /// Whether this handle dispatches to long-lived workers.
-    pub fn is_persistent(&self) -> bool {
-        self.workers.is_some()
-    }
-
     /// Runs `f` over the contiguous shards of `0..n` and returns the
     /// per-shard results **in shard order**. `f` must depend only on the
     /// range it is given (not on shard timing); under that contract the
     /// caller's shard-order reduction is bit-identical to a serial pass.
+    ///
+    /// `f` must not call back into this pool (or a clone of it): its
+    /// shards would queue behind the very shards waiting on them, and a
+    /// nested call could deadlock.
     pub fn map_ranges<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(Range<usize>) -> R + Sync,
     {
         let ranges = shard_ranges(n, self.width);
-        if self.width == 1 || ranges.len() <= 1 || n < self.width * MIN_ITEMS_PER_WORKER {
-            return ranges.into_iter().map(f).collect();
+        match &self.workers {
+            Some(workers) if ranges.len() > 1 && n >= self.width * MIN_ITEMS_PER_WORKER => {
+                Self::map_on_workers(workers, ranges, &f)
+            }
+            _ => ranges.into_iter().map(f).collect(),
         }
-        if let Some(workers) = &self.workers {
-            return Self::map_on_workers(workers, ranges, &f);
-        }
-        std::thread::scope(|scope| {
-            let f = &f;
-            let handles: Vec<_> =
-                ranges.into_iter().map(|r| scope.spawn(move || f(r))).collect();
-            handles.into_iter().map(|h| h.join().expect("simulation shard panicked")).collect()
-        })
     }
 
-    /// Dispatches the shards to the persistent workers and blocks until
-    /// all complete; results come back in shard order, same as the
-    /// scoped path.
+    /// Dispatches the shards to the workers and blocks until all
+    /// complete; results come back in shard order.
     fn map_on_workers<R, F>(workers: &WorkerSet, ranges: Vec<Range<usize>>, f: &F) -> Vec<R>
     where
         R: Send,
@@ -339,9 +328,7 @@ impl SimPool {
             // slot writes visible here.
             let task: Task =
                 unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Task>(task) };
-            if let Err(task) = workers.submit(task) {
-                task(); // queue closed (shutdown race): run inline
-            }
+            workers.submit(task);
         }
         if latch.wait() {
             panic!("simulation shard panicked");
@@ -389,8 +376,8 @@ mod tests {
 
     #[test]
     fn map_ranges_is_identical_at_any_width() {
-        // Straddles the spawn threshold: widths 2–3 spawn real threads
-        // for n = 997, width 8 runs the sharded ranges inline — both
+        // Straddles the dispatch threshold: widths 2–3 hand n = 997 to
+        // their workers, width 8 runs the sharded ranges inline — both
         // sides of MIN_ITEMS_PER_WORKER must merge to the same bytes.
         let n = 997usize;
         let serial: Vec<u64> = SimPool::serial()
@@ -410,47 +397,48 @@ mod tests {
 
     #[test]
     fn persistent_pool_matches_scoped_results_across_reuse() {
-        // One persistent pool serves many parallel regions (the daemon's
-        // amortization case) and every merge stays bit-identical to the
-        // serial pass.
+        // One pool reused across many parallel regions (a session's
+        // phases, the daemon's requests) must merge exactly like a fresh
+        // pool scoped to each region, and like the width-1 pass; clones
+        // share the workers and outlive the original.
         let n = 4096usize;
-        let serial: Vec<u64> = SimPool::serial()
-            .map_ranges(n, |r| r.map(|i| (i as u64).wrapping_mul(97)).collect::<Vec<_>>())
-            .concat();
-        let pool = SimPool::persistent(SimThreads::Fixed(3));
-        assert!(pool.is_persistent());
-        assert_eq!(pool.width(), 3);
-        for _ in 0..5 {
-            let got: Vec<u64> = pool
-                .map_ranges(n, |r| r.map(|i| (i as u64).wrapping_mul(97)).collect::<Vec<_>>())
-                .concat();
-            assert_eq!(got, serial);
+        let region = |pool: &SimPool| -> Vec<u64> {
+            pool.map_ranges(n, |r| r.map(|i| (i as u64).wrapping_mul(97)).collect::<Vec<_>>())
+                .concat()
+        };
+        let expect = region(&SimPool::new(SimThreads::Fixed(1)));
+        for width in [2usize, 3] {
+            let pool = SimPool::new(SimThreads::Fixed(width));
+            for _ in 0..5 {
+                assert_eq!(region(&pool), expect, "reused pool, width {width}");
+                assert_eq!(
+                    region(&SimPool::new(SimThreads::Fixed(width))),
+                    expect,
+                    "fresh pool, width {width}"
+                );
+            }
+            let clone = pool.clone();
+            assert!(Arc::ptr_eq(
+                pool.workers.as_ref().expect("width > 1 has workers"),
+                clone.workers.as_ref().expect("clones share them"),
+            ));
+            drop(pool);
+            assert_eq!(region(&clone), expect, "the surviving clone still dispatches");
         }
-        // Clones share the same workers and drop cleanly afterwards.
-        let clone = pool.clone();
-        assert_eq!(clone.sum_ranges(n, |r| r.map(|i| i as u64).sum()), {
-            (n as u64) * (n as u64 - 1) / 2
-        });
-        drop(pool);
-        // The surviving clone still dispatches after the original drops.
-        assert_eq!(
-            clone.sum_ranges(n, |r| r.map(|i| i as u64).sum()),
-            (n as u64) * (n as u64 - 1) / 2
-        );
     }
 
     #[test]
     fn persistent_width_one_is_inline() {
-        let pool = SimPool::persistent(SimThreads::Fixed(1));
-        assert!(!pool.is_persistent(), "width 1 spawns no workers");
+        let pool = SimPool::new(SimThreads::Fixed(1));
+        assert!(pool.workers.is_none(), "width 1 starts no workers");
         assert_eq!(pool.sum_ranges(1000, |r| r.len() as u64), 1000);
     }
 
     #[test]
     fn persistent_pool_survives_concurrent_submitters() {
-        // Several request-level threads sharing one persistent pool (the
-        // daemon topology): every submitter's merge must stay correct.
-        let pool = SimPool::persistent(SimThreads::Fixed(2));
+        // Several request-level threads sharing one pool (the daemon
+        // topology): every submitter's merge must stay correct.
+        let pool = SimPool::new(SimThreads::Fixed(2));
         let n = 2048usize;
         let expect = (n as u64) * (n as u64 - 1) / 2;
         std::thread::scope(|scope| {
@@ -467,7 +455,7 @@ mod tests {
 
     #[test]
     fn persistent_pool_propagates_shard_panics() {
-        let pool = SimPool::persistent(SimThreads::Fixed(2));
+        let pool = SimPool::new(SimThreads::Fixed(2));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.map_ranges(4096, |r| {
                 assert!(r.start != 0, "shard 0 blows up");
@@ -477,6 +465,20 @@ mod tests {
         assert!(result.is_err(), "the panic must reach the submitter");
         // The pool stays usable: the panicked task still counted down.
         assert_eq!(pool.sum_ranges(4096, |r| r.len() as u64), 4096);
+    }
+
+    #[test]
+    fn a_panicking_task_leaves_its_worker_alive_and_drop_drains_the_queue() {
+        let workers = WorkerSet::new(1);
+        let (tx, rx) = mpsc::channel();
+        workers.submit(Box::new(|| panic!("a job blows up")));
+        for i in 0..3 {
+            let tx = tx.clone();
+            workers.submit(Box::new(move || tx.send(i).expect("receiver alive")));
+        }
+        drop(tx);
+        drop(workers); // joins after the queued tasks ran
+        assert_eq!(rx.iter().collect::<Vec<_>>(), vec![0, 1, 2]);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use gnnie_graph::CsrGraph;
 
 use crate::cache::{CacheConfig, CacheSim, PaperAlphaGamma};
 use crate::dram::HbmModel;
-use crate::par::{SimPool, SimThreads};
+use crate::par::SimPool;
 
 /// Which psums the output buffer keeps when full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -213,19 +213,20 @@ impl PsumBuffer {
 
 /// Simulates the output-buffer psum traffic of one Aggregation phase:
 /// the degree-aware cache (§VI) drives the edge order, every edge updates
-/// both endpoint psums, and completed vertices retire. Returns the
-/// policy's counters.
+/// both endpoint psums, and completed vertices retire. The walk's
+/// vertex scans shard across `pool` (the counters are identical at any
+/// width). Returns the policy's counters.
 pub fn simulate_psum_traffic(
     g: &CsrGraph,
     cache_cfg: CacheConfig,
     policy: RetentionPolicy,
     psum_capacity: usize,
+    pool: &SimPool,
 ) -> PsumStats {
     let mut buf = PsumBuffer::new(policy, psum_capacity);
     let mut remaining: Vec<u32> = (0..g.num_vertices()).map(|v| g.degree(v) as u32).collect();
     let mut dram = HbmModel::hbm2_256gbps(1.3e9);
-    let pool = SimPool::new(SimThreads::Auto);
-    let sim = CacheSim::new(g, cache_cfg, &pool);
+    let sim = CacheSim::new(g, cache_cfg, pool);
     let result = sim.run_with(&mut PaperAlphaGamma::new(), &mut dram, |u, v| {
         let (du, dv) = (g.degree(u as usize) as u32, g.degree(v as usize) as u32);
         buf.update(u, du);
@@ -330,9 +331,16 @@ mod tests {
         let raw = generate::powerlaw_chung_lu(2_000, 12_000, 2.0, 13);
         let g = Permutation::descending_degree(&raw).apply(&raw);
         let cfg = CacheConfig::with_capacity(256, 64);
-        let hub = simulate_psum_traffic(&g, cfg, RetentionPolicy::DegreePriority, 128);
+        let hub = simulate_psum_traffic(
+            &g,
+            cfg,
+            RetentionPolicy::DegreePriority,
+            128,
+            &SimPool::serial(),
+        );
         let cfg = CacheConfig::with_capacity(256, 64);
-        let fifo = simulate_psum_traffic(&g, cfg, RetentionPolicy::Fifo, 128);
+        let fifo =
+            simulate_psum_traffic(&g, cfg, RetentionPolicy::Fifo, 128, &SimPool::serial());
         assert_eq!(hub.accesses, fifo.accesses, "same edge order");
         assert!(
             hub.dram_bytes(512) <= fifo.dram_bytes(512),
@@ -346,7 +354,13 @@ mod tests {
         let raw = generate::erdos_renyi(300, 1200, 5);
         let g = Permutation::descending_degree(&raw).apply(&raw);
         let cfg = CacheConfig::with_capacity(64, 64);
-        let s = simulate_psum_traffic(&g, cfg, RetentionPolicy::DegreePriority, 300);
+        let s = simulate_psum_traffic(
+            &g,
+            cfg,
+            RetentionPolicy::DegreePriority,
+            300,
+            &SimPool::serial(),
+        );
         assert_eq!(s.spill_writes, 0);
         assert_eq!(s.refetches, 0);
         assert_eq!(s.hit_rate(), (s.hits as f64) / (s.accesses as f64));
@@ -357,7 +371,7 @@ mod tests {
         let raw = generate::erdos_renyi(200, 800, 9);
         let g = Permutation::descending_degree(&raw).apply(&raw);
         let cfg = CacheConfig::with_capacity(48, 64);
-        let s = simulate_psum_traffic(&g, cfg, RetentionPolicy::Lru, 64);
+        let s = simulate_psum_traffic(&g, cfg, RetentionPolicy::Lru, 64, &SimPool::serial());
         assert_eq!(s.accesses, 2 * g.num_edges() as u64);
     }
 }

@@ -1,129 +1,10 @@
-//! On-chip SRAM buffer accounting and double buffering.
+//! Double buffering of the on-chip SRAM buffers.
 //!
 //! GNNIE's on-chip storage (paper §III, §VIII-A): a 1 MB output buffer,
 //! 128 KB weight buffer, and a 256/512 KB input buffer, all double-buffered
-//! so "off-chip data is fetched while the PE array computes". Access
-//! energies follow a CACTI-like square-root-of-capacity scaling calibrated
-//! at 32 nm.
+//! so "off-chip data is fetched while the PE array computes".
 
 use serde::{Deserialize, Serialize};
-
-/// An on-chip SRAM buffer: capacity, occupancy, and access accounting.
-///
-/// # Example
-///
-/// ```
-/// use gnnie_mem::SramBuffer;
-///
-/// let mut buf = SramBuffer::new("weight", 128 * 1024);
-/// assert!(buf.try_allocate(64 * 1024));
-/// assert!(buf.try_allocate(64 * 1024));
-/// assert!(!buf.try_allocate(1)); // full
-/// buf.read(1024);
-/// assert_eq!(buf.counters().read_bytes, 1024);
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SramBuffer {
-    name: String,
-    capacity_bytes: usize,
-    used_bytes: usize,
-    counters: SramCounters,
-}
-
-/// Read/write byte counters for one buffer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SramCounters {
-    /// Bytes read from the buffer.
-    pub read_bytes: u64,
-    /// Bytes written into the buffer.
-    pub write_bytes: u64,
-}
-
-impl SramBuffer {
-    /// Creates a buffer with the given capacity in bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity_bytes == 0`.
-    pub fn new(name: impl Into<String>, capacity_bytes: usize) -> Self {
-        assert!(capacity_bytes > 0, "buffer capacity must be positive");
-        Self {
-            name: name.into(),
-            capacity_bytes,
-            used_bytes: 0,
-            counters: SramCounters::default(),
-        }
-    }
-
-    /// Buffer name (for reports).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity_bytes
-    }
-
-    /// Currently allocated bytes.
-    pub fn used_bytes(&self) -> usize {
-        self.used_bytes
-    }
-
-    /// Remaining free bytes.
-    pub fn free_bytes(&self) -> usize {
-        self.capacity_bytes - self.used_bytes
-    }
-
-    /// Attempts to reserve `bytes`; returns `false` (unchanged) if it
-    /// doesn't fit.
-    pub fn try_allocate(&mut self, bytes: usize) -> bool {
-        if bytes <= self.free_bytes() {
-            self.used_bytes += bytes;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Releases `bytes` back to the pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more bytes are released than are allocated.
-    pub fn release(&mut self, bytes: usize) {
-        assert!(bytes <= self.used_bytes, "releasing more than allocated");
-        self.used_bytes -= bytes;
-    }
-
-    /// Records a read of `bytes` (accounting only — no timing).
-    pub fn read(&mut self, bytes: u64) {
-        self.counters.read_bytes += bytes;
-    }
-
-    /// Records a write of `bytes`.
-    pub fn write(&mut self, bytes: u64) {
-        self.counters.write_bytes += bytes;
-    }
-
-    /// Access counters.
-    pub fn counters(&self) -> &SramCounters {
-        &self.counters
-    }
-
-    /// Per-byte access energy in pJ: CACTI-like `0.10 + 0.05·√(KB)`
-    /// scaling, calibrated so the paper's buffer mix lands inside its 3.9 W
-    /// power envelope at 32 nm.
-    pub fn energy_pj_per_byte(&self) -> f64 {
-        0.10 + 0.05 * (self.capacity_bytes as f64 / 1024.0).sqrt()
-    }
-
-    /// Total access energy so far, in pJ.
-    pub fn energy_pj(&self) -> f64 {
-        (self.counters.read_bytes + self.counters.write_bytes) as f64
-            * self.energy_pj_per_byte()
-    }
-}
 
 /// Double-buffering overlap model.
 ///
@@ -181,39 +62,6 @@ impl DoubleBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn allocate_and_release() {
-        let mut b = SramBuffer::new("in", 100);
-        assert!(b.try_allocate(60));
-        assert!(!b.try_allocate(50));
-        assert_eq!(b.free_bytes(), 40);
-        b.release(10);
-        assert_eq!(b.used_bytes(), 50);
-    }
-
-    #[test]
-    #[should_panic(expected = "releasing more than allocated")]
-    fn over_release_panics() {
-        let mut b = SramBuffer::new("in", 100);
-        b.release(1);
-    }
-
-    #[test]
-    fn energy_scales_with_capacity() {
-        let small = SramBuffer::new("s", 128 * 1024);
-        let large = SramBuffer::new("l", 1024 * 1024);
-        assert!(large.energy_pj_per_byte() > small.energy_pj_per_byte());
-    }
-
-    #[test]
-    fn energy_counts_both_directions() {
-        let mut b = SramBuffer::new("x", 1024);
-        b.read(100);
-        b.write(50);
-        let expect = 150.0 * b.energy_pj_per_byte();
-        assert!((b.energy_pj() - expect).abs() < 1e-9);
-    }
 
     #[test]
     fn double_buffer_hides_fast_fetches() {

@@ -27,7 +27,7 @@ pub mod trace;
 
 pub use chrome::{chrome_trace_json, CHROME_TIME_UNIT_NOTE};
 pub use flame::flame_summary;
-pub use metrics::{Histogram, Metric, Metrics, MetricsRegistry};
+pub use metrics::{percentile_nearest_rank, Histogram, Metric, Metrics, MetricsRegistry};
 pub use trace::{ArgValue, MemorySink, NopSink, Trace, TraceEvent, TraceSink};
 
 /// The one bundle threaded through the stack: a trace handle and a

@@ -10,9 +10,29 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+/// Nearest-rank percentile of `values` (`q` in [0, 1], clamped; 0.0 on an
+/// empty set).
+///
+/// The rank is `⌈q·n⌉`, computed tolerantly: a `q·n` within 1e-9 of an
+/// integer rounds to it instead of ceiling up. Over the 25 values 1..=25
+/// at q = 0.28, `q·n` is 7.000000000000001 in f64, so the naive ceil
+/// would report 8 instead of 7.
+pub fn percentile_nearest_rank(values: &[f64], q: f64) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * sorted.len() as f64;
+    let nearest = pos.round();
+    let rank =
+        if (pos - nearest).abs() < 1e-9 { nearest as usize } else { pos.ceil() as usize };
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 /// A histogram of observed samples. Samples are kept (runs observe at
-/// most a few thousand values), so percentiles are exact nearest-rank —
-/// the same convention as the serving report's latency percentiles.
+/// most a few thousand values), so percentiles are exact nearest-rank
+/// ([`percentile_nearest_rank`], which the serving reports use too).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Histogram {
     samples: Vec<f64>,
@@ -60,13 +80,7 @@ impl Histogram {
     /// Nearest-rank percentile of the observed samples, `q` in `[0, 1]`
     /// (0 when empty).
     pub fn percentile(&self, q: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("histogram samples must be ordered"));
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
+        percentile_nearest_rank(&self.samples, q)
     }
 }
 
@@ -281,6 +295,13 @@ mod tests {
         assert_eq!(h.max(), 5.0);
         assert_eq!(h.mean(), 3.0);
         assert_eq!(Histogram::default().percentile(0.99), 0.0, "empty histogram reads 0");
+        // 0.28 × 25 is 7.000000000000001 in f64: the tolerant rank is 7.
+        let mut h = Histogram::default();
+        for v in (1..=25).rev() {
+            h.observe(v as f64);
+        }
+        assert_eq!(h.percentile(0.28), 7.0);
+        assert_eq!(percentile_nearest_rank(&[], 0.5), 0.0);
     }
 
     #[test]

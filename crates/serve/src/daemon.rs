@@ -1,30 +1,34 @@
 //! The serving daemon: the one place in this crate that runs the engine.
 //!
-//! A [`Daemon`] spawns its request workers once; each worker drives
-//! sessions through
+//! A [`Daemon`] owns two channel-fed [`WorkerSet`]s, both started once:
+//! `workers` request threads, and the shard threads of one shared
+//! [`SimPool`]. Each request job drives its session through
 //! [`Engine::begin_pooled`](gnnie_core::engine::Engine::begin_pooled)
-//! against one shared persistent [`SimPool`], so the shard threads of
-//! every phase — the Weighting scans and the Aggregation cache walk —
-//! are spawned once per daemon, not once per request. The daemon answers
-//! one question, [`Daemon::profile_costs`]: each request's cold and
-//! resident cost, memoized. Both schedulers are pure functions over that
+//! on that pool, so the shard threads of every phase — the Weighting
+//! scans and the Aggregation cache walk — start once per daemon, not once
+//! per request. Request jobs never run on the pool's own workers: a job
+//! waiting on its shards would then hold the very thread they need.
+//!
+//! The daemon answers one question, [`Daemon::profile_costs`]: each
+//! request's cold and resident cost, memoized. Both schedulers are pure functions over that
 //! oracle: [`schedule_batched`](crate::schedule_batched) for a queue
 //! known at t = 0, and [`schedule_online`] for an arrival trace
 //! ([`Daemon::serve_online`] wraps the latter). Simulated cycle counts
 //! are unaffected by the worker count or the pool width (host-side
 //! parallelism only), which the serving test suites assert.
 //!
-//! Shutdown is a graceful drain: dropping the job sender lets every
-//! worker finish its current request and exit; [`Daemon::shutdown`]
-//! (and `Drop`) then joins them.
+//! Shutdown is a graceful drain: dropping the daemon (or calling
+//! [`Daemon::shutdown`]) closes both queues, lets every queued job
+//! finish, and joins the workers. A job that panics is dropped by its
+//! worker, and the [`Daemon::profile_costs`] call waiting on it panics
+//! instead of hanging.
 
 use std::collections::HashMap;
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{mpsc, Mutex};
 
 use gnnie_core::config::AcceleratorConfig;
 use gnnie_core::engine::{Engine, RunOptions};
-use gnnie_core::{SimPool, SimThreads};
+use gnnie_core::{SimPool, SimThreads, WorkerSet};
 
 use crate::clock::SimClock;
 use crate::online::{schedule_online, OnlineConfig, OnlineReport, RequestCost};
@@ -37,8 +41,8 @@ use crate::server::report_profile;
 pub struct DaemonConfig {
     /// Long-lived request workers (≥ 1). Host-side parallelism only.
     pub workers: usize,
-    /// Width of the shared persistent simulation pool, resolved once at
-    /// spawn. Defaults from `GNNIE_SIM_THREADS`.
+    /// Width of the shared simulation pool, resolved once when the
+    /// daemon starts. Defaults from `GNNIE_SIM_THREADS`.
     pub sim_threads: SimThreads,
     /// Simulated accelerator count each request runs on (1 = the
     /// single-chip engine). Participates in the profile-cache key.
@@ -79,75 +83,61 @@ struct ProfileCache {
     misses: u64,
 }
 
-/// One simulation job: a request run cold or resident, with a slot to
-/// file its profile under.
-struct ProfileJob {
-    request: InferenceRequest,
-    resident: bool,
-    slot: usize,
-    reply: mpsc::Sender<(usize, BatchProfile)>,
-}
-
 /// The persistent serving daemon. See the module docs.
 #[derive(Debug)]
 pub struct Daemon {
     config: DaemonConfig,
-    sender: Option<mpsc::Sender<ProfileJob>>,
-    handles: Vec<JoinHandle<()>>,
+    // Field order is drop order: the request workers drain and join
+    // (dropping their pool clones) before the pool itself goes.
+    jobs: WorkerSet,
+    pool: SimPool,
     cache: Mutex<ProfileCache>,
 }
 
 impl Daemon {
-    /// Spawns the request workers and the shared simulation pool.
+    /// Starts the request workers and the shared simulation pool.
     ///
     /// # Panics
     ///
-    /// Panics if `config.workers` is 0.
+    /// Panics if `config.workers` or `config.chips` is 0.
     pub fn new(config: DaemonConfig) -> Self {
         assert!(config.workers >= 1, "the daemon needs at least one request worker");
         assert!(config.chips >= 1, "the daemon needs at least one simulated chip");
-        let pool = SimPool::persistent(config.sim_threads);
-        let (sender, receiver) = mpsc::channel::<ProfileJob>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let handles = (0..config.workers)
-            .map(|_| {
-                let receiver = Arc::clone(&receiver);
-                let pool = pool.clone();
-                std::thread::spawn(move || loop {
-                    // Take the next job outside the lock so workers run
-                    // requests concurrently; a closed channel is the
-                    // drain signal.
-                    let job = match receiver.lock().expect("daemon queue poisoned").recv() {
-                        Ok(job) => job,
-                        Err(mpsc::RecvError) => break,
-                    };
-                    let ds = job.request.synthesize();
-                    let model = job.request.model_config();
-                    let mut accel = AcceleratorConfig::paper(job.request.dataset);
-                    accel.chips = config.chips;
-                    let engine = Engine::new(accel);
-                    let mut session = engine.begin_pooled(
-                        &model,
-                        &ds,
-                        RunOptions { weights_resident: job.resident, ..RunOptions::default() },
-                        &pool,
-                    );
-                    session.run_to_completion();
-                    // Reply with the cycle profile only: the full report
-                    // (per-iteration walk stats, α histograms) is dropped
-                    // here instead of piling up until the batch completes.
-                    // A dropped collector just means the caller gave up
-                    // on this batch of jobs; keep draining.
-                    let _ = job.reply.send((job.slot, report_profile(&session.finish())));
-                })
-            })
-            .collect();
         Daemon {
             config,
-            sender: Some(sender),
-            handles,
+            jobs: WorkerSet::new(config.workers),
+            pool: SimPool::new(config.sim_threads),
             cache: Mutex::new(ProfileCache::default()),
         }
+    }
+
+    /// Queues one simulation job: `request` run cold or resident on the
+    /// shared pool. The worker replies with the cycle profile only: the
+    /// full report (per-iteration walk stats, α histograms) is dropped
+    /// there instead of piling up until the batch completes. A panicking
+    /// job drops `reply` unsent.
+    fn submit(
+        &self,
+        request: InferenceRequest,
+        resident: bool,
+        slot: usize,
+        reply: mpsc::Sender<(usize, BatchProfile)>,
+    ) {
+        let pool = self.pool.clone();
+        let chips = self.config.chips;
+        self.jobs.submit(Box::new(move || {
+            let ds = request.synthesize();
+            let model = request.model_config();
+            let mut accel = AcceleratorConfig::paper(request.dataset);
+            accel.chips = chips;
+            let engine = Engine::new(accel);
+            let opts = RunOptions { weights_resident: resident, ..RunOptions::default() };
+            let mut session = engine.begin_pooled(&model, &ds, opts, &pool);
+            session.run_to_completion();
+            // A dropped collector just means the caller gave up on this
+            // batch of jobs; keep draining.
+            let _ = reply.send((slot, report_profile(&session.finish())));
+        }));
     }
 
     /// The daemon's parameters.
@@ -155,8 +145,8 @@ impl Daemon {
         &self.config
     }
 
-    /// Pre-simulates every request cold and resident on the resident
-    /// worker pool; returns the cost oracle keyed by request id.
+    /// Pre-simulates every request cold and resident on the request
+    /// workers; returns the cost oracle keyed by request id.
     ///
     /// Profiles are **memoized** across calls: a request whose
     /// (model key, seed, chips) triple was simulated before is answered
@@ -165,10 +155,8 @@ impl Daemon {
     ///
     /// # Panics
     ///
-    /// Panics on duplicate request ids, after [`shutdown`](Self::shutdown),
-    /// or if a worker died mid-batch.
+    /// Panics on duplicate request ids, or if a job panicked mid-batch.
     pub fn profile_costs(&self, requests: &[InferenceRequest]) -> HashMap<u64, RequestCost> {
-        let sender = self.sender.as_ref().expect("daemon already shut down");
         let key =
             |r: &InferenceRequest| -> ProfileKey { (r.model_key(), r.seed, self.config.chips) };
         // Decide hits/misses under the lock, then simulate the distinct
@@ -192,19 +180,13 @@ impl Daemon {
             let (reply, collect) = mpsc::channel();
             for (i, &request) in to_profile.iter().enumerate() {
                 for resident in [false, true] {
-                    let job = ProfileJob {
-                        request,
-                        resident,
-                        slot: 2 * i + resident as usize,
-                        reply: reply.clone(),
-                    };
-                    sender.send(job).expect("daemon workers are gone");
+                    self.submit(request, resident, 2 * i + resident as usize, reply.clone());
                 }
             }
             drop(reply);
             let mut profiles: Vec<Option<BatchProfile>> = vec![None; 2 * to_profile.len()];
             for _ in 0..2 * to_profile.len() {
-                let (slot, profile) = collect.recv().expect("a daemon worker died mid-batch");
+                let (slot, profile) = collect.recv().expect("a daemon job panicked mid-batch");
                 profiles[slot] = Some(profile);
             }
             let mut cache = self.cache.lock().expect("profile cache poisoned");
@@ -230,7 +212,7 @@ impl Daemon {
         ProfileCacheStats { hits: cache.hits, misses: cache.misses, entries: cache.map.len() }
     }
 
-    /// Replays an online arrival trace on the resident workers: profiles
+    /// Replays an online arrival trace on the request workers: profiles
     /// every request's costs, then runs the continuous-batching
     /// scheduler on the clock of the trace's first dataset.
     pub fn serve_online(&self, trace: &[OnlineRequest], cfg: &OnlineConfig) -> OnlineReport {
@@ -244,25 +226,8 @@ impl Daemon {
     }
 
     /// Graceful drain: closes the job queue, lets every worker finish
-    /// its current request, and joins them.
-    pub fn shutdown(mut self) {
-        self.drain();
-    }
-
-    fn drain(&mut self) {
-        drop(self.sender.take());
-        for handle in self.handles.drain(..) {
-            if let Err(panic) = handle.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        self.drain();
-    }
+    /// its queued requests, and joins them (as dropping the daemon does).
+    pub fn shutdown(self) {}
 }
 
 #[cfg(test)]
@@ -311,6 +276,30 @@ mod tests {
         let daemon = Daemon::new(config(4, 1));
         let _ = daemon.profile_costs(&queue(1));
         daemon.shutdown(); // joins without hanging or panicking
+    }
+
+    #[test]
+    fn a_panicking_job_makes_profile_costs_panic_never_hang() {
+        // Scale 2.0 is outside (0, 1]: synthesis panics inside the job.
+        // Run on a watchdog thread so a hang fails the test instead of
+        // stalling the suite.
+        let (done, finished) = mpsc::channel();
+        let watched = std::thread::spawn(move || {
+            let daemon = Daemon::new(config(1, 2));
+            let bad = InferenceRequest::new(0, GnnModel::Gcn, Dataset::Cora, 2.0, 1);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                daemon.profile_costs(&[bad])
+            }));
+            // The worker caught the job's panic and still serves requests.
+            let after = daemon.profile_costs(&queue(1));
+            let _ = done.send((outcome.is_err(), after.len()));
+        });
+        let (panicked, served) = finished
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("profile_costs hung on a panicking job");
+        watched.join().expect("the watched thread caught the panic");
+        assert!(panicked, "a panicking job must make profile_costs panic");
+        assert_eq!(served, 1, "the daemon survives the panicked job");
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //!   Weighting/Aggregation phases: while batch *i* aggregates, batch
 //!   *i+1* weights, and the makespan never loses to back-to-back
 //!   execution;
-//! * **[`daemon`]** — [`Daemon`], the one serving executor: a long-lived
-//!   channel-fed worker pool sharing one persistent
-//!   [`SimPool`](gnnie_core::SimPool) across requests, which simulates
-//!   each request cold and resident once and memoizes the costs;
+//! * **[`daemon`]** — [`Daemon`], the one serving executor: long-lived
+//!   channel-fed request workers ([`WorkerSet`](gnnie_core::WorkerSet))
+//!   sharing one [`SimPool`](gnnie_core::SimPool) across requests, which
+//!   simulate each request cold and resident once and memoize the costs;
 //! * **[`server`]** — [`schedule_batched`] plans a queue known at t = 0
 //!   over those costs and reports throughput, p50/p95/p99 simulated
 //!   latency, and the weight-load cycles batching saved versus a serial

@@ -27,25 +27,7 @@ use crate::pipeline::{pipeline, BatchProfile, PhasePair};
 use crate::request::InferenceRequest;
 use crate::scheduler::{BatchScheduler, SchedulerPolicy};
 
-/// Nearest-rank percentile of `values` (`q` in [0, 1]; 0.0 on an empty
-/// set).
-///
-/// The rank is `⌈q·n⌉`, computed tolerantly: `q·n` values within an ulp
-/// of an integer round to it instead of ceiling up (0.95 × 20 is
-/// 19.000000000000004 in f64 — the naive ceil would report the max as
-/// p95).
-pub fn percentile_nearest_rank(values: &[f64], q: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let pos = q.clamp(0.0, 1.0) * sorted.len() as f64;
-    let nearest = pos.round();
-    let rank =
-        if (pos - nearest).abs() < 1e-9 { nearest as usize } else { pos.ceil() as usize };
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
+pub use gnnie_obs::percentile_nearest_rank;
 
 /// A batch-profile view of one engine report: preprocessing before the
 /// first Weighting pass, per-layer phase pairs, coarsening + writeback
@@ -357,8 +339,8 @@ mod tests {
 
     #[test]
     fn percentiles_use_nearest_rank_on_hand_computed_sets() {
-        // n = 20, values 1..=20: ⌈0.5·20⌉ = 10, ⌈0.95·20⌉ = 19 (the FP
-        // product 19.000000000000004 must not ceil to 20), ⌈0.99·20⌉ = 20.
+        // n = 20, values 1..=20: ⌈0.5·20⌉ = 10, ⌈0.95·20⌉ = 19,
+        // ⌈0.99·20⌉ = 20.
         let twenty: Vec<f64> = (1..=20).map(|v| v as f64).collect();
         assert_eq!(percentile_nearest_rank(&twenty, 0.50), 10.0);
         assert_eq!(percentile_nearest_rank(&twenty, 0.95), 19.0);
@@ -373,6 +355,9 @@ mod tests {
         assert_eq!(percentile_nearest_rank(&[], 0.5), 0.0);
         // Singleton: every percentile is the value itself.
         assert_eq!(percentile_nearest_rank(&[7.5], 0.99), 7.5);
+        // 0.28 × 25 is 7.000000000000001 in f64; the rank is still 7.
+        let twenty_five: Vec<f64> = (1..=25).map(f64::from).collect();
+        assert_eq!(percentile_nearest_rank(&twenty_five, 0.28), 7.0);
     }
 
     #[test]

@@ -14,6 +14,7 @@ use gnnie::core::verify::{verify_layers, ExpMode};
 use gnnie::gnn::layers::{GatLayer, GcnLayer, GnnLayer, SageAggregator, SageLayer};
 use gnnie::gnn::params::glorot;
 use gnnie::graph::generate;
+use gnnie::mem::SimPool;
 use gnnie::tensor::{DenseMatrix, ExpLut};
 
 use rand::rngs::StdRng;
@@ -41,7 +42,7 @@ fn main() {
     );
 
     // Exact exp: numerics should match the golden model to float noise.
-    let exact = verify_layers(&layers, &g, &h0, 16, 5, &ExpMode::Exact);
+    let exact = verify_layers(&layers, &g, &h0, 16, 5, &ExpMode::Exact, &SimPool::serial());
     println!("\nexact-exp datapath:");
     for (i, err) in exact.per_layer_rel_err.iter().enumerate() {
         println!("  layer {i}: max relative error {err:.2e}");
@@ -57,7 +58,7 @@ fn main() {
         lut.entries(),
         lut.max_relative_error(-8.0, 8.0, 10_000)
     );
-    let approx = verify_layers(&layers, &g, &h0, 16, 5, &ExpMode::Lut(lut));
+    let approx = verify_layers(&layers, &g, &h0, 16, 5, &ExpMode::Lut(lut), &SimPool::serial());
     for (i, err) in approx.per_layer_rel_err.iter().enumerate() {
         println!("  layer {i}: max relative error {err:.2e}");
     }

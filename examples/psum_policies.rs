@@ -12,7 +12,7 @@
 use gnnie::graph::reorder::Permutation;
 use gnnie::graph::{generate, CsrGraph};
 use gnnie::mem::psum::{simulate_psum_traffic, RetentionPolicy};
-use gnnie::mem::CacheConfig;
+use gnnie::mem::{CacheConfig, SimPool};
 
 fn study(name: &str, raw: &CsrGraph, psum_slots: usize) {
     let g = Permutation::descending_degree(raw).apply(raw);
@@ -25,7 +25,7 @@ fn study(name: &str, raw: &CsrGraph, psum_slots: usize) {
     );
     for policy in RetentionPolicy::ALL {
         let cache_cfg = CacheConfig::with_capacity(512, 64);
-        let s = simulate_psum_traffic(&g, cache_cfg, policy, psum_slots);
+        let s = simulate_psum_traffic(&g, cache_cfg, policy, psum_slots, &SimPool::serial());
         println!(
             "  {policy:<16} hit rate {:>5.1}%  spills {:>6}  refetches {:>6}  \
              DRAM {:>6} KiB",

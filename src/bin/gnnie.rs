@@ -34,7 +34,7 @@ use gnnie::ingest::{
     default_partition_tables, write_snapshot_with_partitions, DataSource, DatasetRegistry,
     Resolved, SourceKind,
 };
-use gnnie::mem::{CachePolicyKind, SimThreads};
+use gnnie::mem::{CachePolicyKind, SimPool, SimThreads};
 use gnnie::serve::{InferenceRequest, SchedulerPolicy};
 use gnnie::tensor::DenseMatrix;
 use gnnie::{AcceleratorConfig, Dataset, Engine, GnnModel};
@@ -338,8 +338,8 @@ fn parse_cache_policy(
 
 /// Parses `--sim-threads` (`auto` or a positive worker count; 0 is
 /// rejected). `None` means the flag was absent, in which case the
-/// configuration's own default — `GNNIE_SIM_THREADS`, else the machine's
-/// available parallelism — applies. Reports are bit-identical at any
+/// default — `GNNIE_SIM_THREADS`, else the machine's available
+/// parallelism — applies. Reports are bit-identical at any
 /// setting; this is purely a host-side knob.
 fn parse_sim_threads(flags: &HashMap<String, String>) -> Result<Option<SimThreads>, String> {
     match flags.get("sim-threads") {
@@ -664,9 +664,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
     if let Some(kind) = parse_cache_policy(flags)? {
         config.cache_policy = kind;
     }
-    if let Some(threads) = parse_sim_threads(flags)? {
-        config.sim_threads = threads;
-    }
+    let sim_threads = parse_sim_threads(flags)?;
     config.chips = parse_chips(flags)?;
     let vertices = ds.graph.num_vertices();
     if config.chips > vertices {
@@ -698,14 +696,14 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
         ModelConfig::paper(model, &ds.spec)
     };
     let engine = Engine::new(config);
-    // With every flag off `obs` is `Obs::off()` and these options are the
-    // default — the flagless report and stdout are unchanged.
+    // With every observability flag off `obs` is `Obs::off()` — the
+    // flagless report and stdout are unchanged.
     let obs_flags = ObsFlags::from_flags(flags);
     let obs = obs_flags.build();
     let report = engine.run_with(
         &model_config,
         &ds,
-        gnnie::core::engine::RunOptions { obs: obs.clone(), ..Default::default() },
+        gnnie::core::engine::RunOptions { sim_threads, obs: obs.clone(), ..Default::default() },
     );
     let size = match scale {
         Some(s) => {
@@ -1224,7 +1222,8 @@ fn cmd_verify(flags: &HashMap<String, String>) -> Result<(), String> {
     let h0 = DenseMatrix::from_fn(vertices, 32, |r, c| {
         (((r * 13 + c * 29) % 19) as f32 - 9.0) * 0.07
     });
-    let outcome = verify_layers(&params.layers, &g, &h0, 16, 5, &ExpMode::Exact);
+    let pool = SimPool::new(SimThreads::from_env());
+    let outcome = verify_layers(&params.layers, &g, &h0, 16, 5, &ExpMode::Exact, &pool);
     println!(
         "functional datapath vs golden {} on {} vertices / {} edges:",
         model.name(),

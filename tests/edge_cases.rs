@@ -141,7 +141,8 @@ fn two_vertex_graph_verifies_functionally() {
     for model in [GnnModel::Gcn, GnnModel::Gat, GnnModel::GinConv] {
         let params = ModelParams::init(ModelConfig::custom(model, &[6, 4]), 3);
         let h0 = DenseMatrix::from_fn(2, 6, |r, c| (r as f32 - 0.5) * 0.3 + c as f32 * 0.1);
-        let outcome = verify_layers(&params.layers, &g, &h0, 4, 2, &ExpMode::Exact);
+        let outcome =
+            verify_layers(&params.layers, &g, &h0, 4, 2, &ExpMode::Exact, &SimPool::serial());
         assert!(outcome.passed(1e-4), "{model}: {:?}", outcome.per_layer_rel_err);
     }
 }
@@ -153,7 +154,8 @@ fn isolated_vertices_attend_only_to_themselves() {
     let g = CsrGraph::from_edges(10, [(0u32, 1u32)]);
     let params = ModelParams::init(ModelConfig::custom(GnnModel::Gat, &[5, 3]), 9);
     let h0 = DenseMatrix::from_fn(10, 5, |r, c| ((r * 3 + c) % 7) as f32 * 0.1 - 0.3);
-    let outcome = verify_layers(&params.layers, &g, &h0, 4, 3, &ExpMode::Exact);
+    let outcome =
+        verify_layers(&params.layers, &g, &h0, 4, 3, &ExpMode::Exact, &SimPool::serial());
     assert!(outcome.passed(1e-4), "{:?}", outcome.per_layer_rel_err);
 }
 

@@ -7,6 +7,7 @@ use gnnie::core::verify::{verify_layers, ExpMode};
 use gnnie::gnn::model::ModelConfig;
 use gnnie::gnn::params::ModelParams;
 use gnnie::graph::generate;
+use gnnie::mem::SimPool;
 use gnnie::tensor::{DenseMatrix, ExpLut};
 use gnnie::GnnModel;
 
@@ -23,7 +24,8 @@ fn verify_model_on(
 ) {
     let params = ModelParams::init(ModelConfig::custom(model, widths), seed);
     let h0 = features(graph.num_vertices(), widths[0], 0.11);
-    let outcome = verify_layers(&params.layers, graph, &h0, 16, 5, &ExpMode::Exact);
+    let outcome =
+        verify_layers(&params.layers, graph, &h0, 16, 5, &ExpMode::Exact, &SimPool::serial());
     assert!(
         outcome.passed(tol),
         "{model} failed verification: per-layer errors {:?}",
@@ -66,8 +68,15 @@ fn gat_datapath_with_lut_exp_stays_within_hardware_tolerance() {
     let g = generate::erdos_renyi(150, 600, 37);
     let params = ModelParams::init(ModelConfig::custom(GnnModel::Gat, &[16, 8]), 41);
     let h0 = features(150, 16, 0.1);
-    let outcome =
-        verify_layers(&params.layers, &g, &h0, 16, 5, &ExpMode::Lut(ExpLut::default()));
+    let outcome = verify_layers(
+        &params.layers,
+        &g,
+        &h0,
+        16,
+        5,
+        &ExpMode::Lut(ExpLut::default()),
+        &SimPool::serial(),
+    );
     assert!(
         outcome.passed(0.05),
         "LUT-exp softmax should stay within 5%: {:?}",
@@ -133,6 +142,7 @@ fn multihead_gat_hardware_order_matches_golden_concat() {
             &gnnie::core::verify::ExpMode::Exact,
             30,
             5,
+            &SimPool::serial(),
         );
         for r in 0..120 {
             hardware.row_mut(r)[k * 6..(k + 1) * 6].copy_from_slice(out.row(r));

@@ -15,7 +15,7 @@ use gnnie::core::weighting::{schedule, BlockProfile, WeightingMode};
 use gnnie::gnn::model::{GnnModel, ModelConfig};
 use gnnie::gnn::params::ModelParams;
 use gnnie::graph::{CsrGraph, EdgeList, GraphDataset};
-use gnnie::mem::{Component, MemoryScheduler};
+use gnnie::mem::{Component, SimPool};
 use gnnie::tensor::quant::QuantizedMatrix;
 use gnnie::tensor::rlc::{self, RlcDecoder};
 use gnnie::tensor::{DenseMatrix, SparseVec};
@@ -66,7 +66,7 @@ proptest! {
         let h0 = DenseMatrix::from_fn(g.num_vertices(), 12, |r, c| {
             (((r * 31 + c * 7 + seed as usize) % 11) as f32 - 5.0) * 0.13
         });
-        let outcome = verify_layers(&params.layers, &g, &h0, 8, 3, &ExpMode::Exact);
+        let outcome = verify_layers(&params.layers, &g, &h0, 8, 3, &ExpMode::Exact, &SimPool::serial());
         prop_assert!(
             outcome.passed(1e-3),
             "per-layer errors {:?}", outcome.per_layer_rel_err
@@ -85,7 +85,7 @@ proptest! {
         let h0 = DenseMatrix::from_fn(g.num_vertices(), 10, |r, c| {
             (((r * 13 + c * 17 + seed as usize) % 9) as f32 - 4.0) * 0.17
         });
-        let outcome = verify_layers(&params.layers, &g, &h0, 8, 3, &ExpMode::Exact);
+        let outcome = verify_layers(&params.layers, &g, &h0, 8, 3, &ExpMode::Exact, &SimPool::serial());
         prop_assert!(
             outcome.passed(2e-3),
             "per-layer errors {:?}", outcome.per_layer_rel_err
@@ -238,29 +238,6 @@ proptest! {
             q.max_error(&m) <= bound,
             "error {} exceeds half-step {}", q.max_error(&m), bound
         );
-    }
-
-    /// The memory scheduler's overlapped phase time is exactly the max of
-    /// compute and serialized channel time, and utilization is its ratio.
-    #[test]
-    fn scheduler_overlap_is_max_of_sides(
-        input in 0u64..1_000_000,
-        output in 0u64..1_000_000,
-        weight in 0u64..1_000_000,
-        compute in 1u64..2_000_000,
-    ) {
-        use gnnie::mem::scheduler::Requestor;
-        let mut s = MemoryScheduler::new();
-        s.add(Requestor::InputBuffer, input);
-        s.add(Requestor::OutputBuffer, output);
-        s.add(Requestor::WeightBuffer, weight);
-        prop_assert_eq!(s.channel_cycles(), input + output + weight);
-        prop_assert_eq!(
-            s.overlapped_phase_cycles(compute),
-            compute.max(s.channel_cycles())
-        );
-        let util = s.channel_utilization(compute);
-        prop_assert!((util - s.channel_cycles() as f64 / compute as f64).abs() < 1e-12);
     }
 
     /// Topology hop metrics: identity, diameter bound, and the triangle

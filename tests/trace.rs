@@ -31,14 +31,17 @@ fn observed_run(
 ) -> (String, String, String) {
     let ds = GraphDataset::generate(Dataset::Cora, 0.05, seed);
     let mut config = AcceleratorConfig::paper(Dataset::Cora);
-    config.sim_threads = SimThreads::Fixed(threads);
     config.chips = chips;
     config.tiers = Some(TierSpec::Split { total_bytes: 1 << 20, mode: SplitMode::Workload });
     let obs = Obs { trace: Trace::recording(), metrics: Metrics::recording() };
     let report = Engine::new(config).run_with(
         &ModelConfig::paper(model, &ds.spec),
         &ds,
-        RunOptions { obs: obs.clone(), ..RunOptions::default() },
+        RunOptions {
+            sim_threads: Some(SimThreads::Fixed(threads)),
+            obs: obs.clone(),
+            ..RunOptions::default()
+        },
     );
     assert!(report.total_cycles > 0);
     let events = obs.trace.events();
