@@ -24,7 +24,7 @@ use gnnie_ingest::build::build_csr_parallel;
 use gnnie_ingest::chunked::build_csr_chunked;
 use gnnie_ingest::export::{export_edge_list, write_binary_csr};
 use gnnie_ingest::parse::{parse_edge_list, read_binary_csr, scan_edge_list};
-use gnnie_ingest::snapshot::{open_snapshot, read_snapshot, write_snapshot};
+use gnnie_ingest::snapshot::{decode_snapshot, open_snapshot, write_snapshot};
 use gnnie_ingest::EdgeListFormat;
 
 use crate::json::Json;
@@ -187,7 +187,10 @@ pub fn sweep(ctx: &Ctx) -> IngestSweep {
     cache.push(CacheRow { kind: "binary csr", read_ms: bin_ms, text_path_ms });
     let snap = dir.join("bench.gnniecsr");
     write_snapshot(&snap, &ds, true).expect("write snapshot");
-    let (reloaded, snap_ms) = best_ms(3, || read_snapshot(&snap).expect("read snapshot"));
+    let (reloaded, snap_ms) = best_ms(3, || {
+        let bytes = std::fs::read(&snap).expect("read snapshot");
+        decode_snapshot(&bytes, "bench snapshot").expect("decode snapshot")
+    });
     assert_eq!(reloaded.graph, ds.graph);
     assert_eq!(reloaded.features, ds.features);
     cache.push(CacheRow { kind: "gnniecsr snapshot", read_ms: snap_ms, text_path_ms });
@@ -242,13 +245,14 @@ pub fn outofcore(ctx: &Ctx) -> OutOfCoreRow {
 
     let (inmem, inmem_build_ms) = best_ms(reps, || {
         let parsed = parse_edge_list(&path, format).expect("parse");
-        build_csr_parallel(parsed.num_vertices(), &parsed.pairs, 4).expect("parallel build").0
+        build_csr_parallel(parsed.meta.num_vertices(), &parsed.pairs, 4)
+            .expect("parallel build")
+            .0
     });
     let bit_identical = chunked == inmem && chunked == graph;
 
-    // Freeze a v3 snapshot (graph + features + partition tables) and
-    // time loading it back — zero-copy via mmap where supported —
-    // against the text path it replaces.
+    // Freeze a v3 snapshot and time loading it back — zero-copy via
+    // mmap where supported — against the text path it replaces.
     let features = generate_features(vertices, 32, FeatureProfile::Unimodal { mean: 4.0 }, 7);
     let mut spec = Dataset::Pubmed.spec();
     spec.vertices = graph.num_vertices();
@@ -263,7 +267,9 @@ pub fn outofcore(ctx: &Ctx) -> OutOfCoreRow {
 
     let (_, reparse_ms) = best_ms(reps, || {
         let parsed = parse_edge_list(&path, format).expect("parse");
-        build_csr_parallel(parsed.num_vertices(), &parsed.pairs, 4).expect("parallel build").0
+        build_csr_parallel(parsed.meta.num_vertices(), &parsed.pairs, 4)
+            .expect("parallel build")
+            .0
     });
 
     std::fs::remove_dir_all(&dir).ok();

@@ -39,7 +39,7 @@ pub mod traversal;
 pub use coo::EdgeList;
 pub use csr::{CsrBuildStats, CsrGraph, GraphBuildError};
 pub use datasets::{Dataset, DatasetSpec, GraphDataset};
-pub use partition::{GraphPartition, PartitionAssignment, PartitionPart, PartitionerKind};
+pub use partition::{GraphPartition, PartitionPart, PartitionerKind};
 pub use reorder::Permutation;
 
 /// Vertex identifier. Graphs in the paper reach 233 k vertices (Reddit);

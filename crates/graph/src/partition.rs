@@ -43,23 +43,6 @@ impl PartitionerKind {
             PartitionerKind::EdgeCut => "edgecut",
         }
     }
-
-    /// Stable on-disk code for snapshot persistence.
-    pub fn code(self) -> u32 {
-        match self {
-            PartitionerKind::Range => 0,
-            PartitionerKind::EdgeCut => 1,
-        }
-    }
-
-    /// Inverse of [`code`](Self::code); `None` for unknown codes.
-    pub fn from_code(code: u32) -> Option<Self> {
-        match code {
-            0 => Some(PartitionerKind::Range),
-            1 => Some(PartitionerKind::EdgeCut),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for PartitionerKind {
@@ -78,19 +61,6 @@ impl std::str::FromStr for PartitionerKind {
             other => Err(format!("unknown partitioner `{other}` (use range|edgecut)")),
         }
     }
-}
-
-/// A persisted vertex→partition assignment (what `.gnniecsr` snapshots
-/// carry): the strategy that produced it, the partition count, and one
-/// entry per vertex.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionAssignment {
-    /// The strategy that produced the assignment.
-    pub kind: PartitionerKind,
-    /// Number of partitions (all values in `assignment` are below this).
-    pub num_parts: u32,
-    /// `assignment[v]` is vertex `v`'s partition.
-    pub assignment: Vec<u32>,
 }
 
 /// One partition's view: its vertices, the induced subgraph over local
@@ -137,14 +107,13 @@ impl GraphPartition {
         Self::from_assignment(g, assignment, num_parts, kind)
     }
 
-    /// Reassembles partition views from a stored assignment (the snapshot
-    /// reload path).
+    /// Assembles the partition views for a vertex→partition assignment.
     ///
     /// # Panics
     ///
     /// Panics if `num_parts` is 0, the assignment length mismatches the
     /// vertex count, or any entry is `>= num_parts`.
-    pub fn from_assignment(
+    fn from_assignment(
         g: &CsrGraph,
         assignment: Vec<u32>,
         num_parts: usize,
@@ -225,15 +194,6 @@ impl GraphPartition {
     /// Distinct undirected edges crossing partitions (each counted once).
     pub fn cut_edges(&self) -> u64 {
         self.cut_edges
-    }
-
-    /// The stored form of this split.
-    pub fn to_assignment(&self) -> PartitionAssignment {
-        PartitionAssignment {
-            kind: self.kind,
-            num_parts: self.parts.len() as u32,
-            assignment: self.assignment.clone(),
-        }
     }
 }
 
@@ -527,27 +487,11 @@ mod tests {
     }
 
     #[test]
-    fn partitions_round_trip_through_assignments() {
-        let g = sample();
-        let part = GraphPartition::build(&g, 3, PartitionerKind::EdgeCut);
-        let stored = part.to_assignment();
-        let rebuilt = GraphPartition::from_assignment(
-            &g,
-            stored.assignment.clone(),
-            stored.num_parts as usize,
-            stored.kind,
-        );
-        assert_eq!(rebuilt, part);
-    }
-
-    #[test]
     fn partitioner_tokens_round_trip() {
         for kind in PartitionerKind::ALL {
             assert_eq!(kind.name().parse::<PartitionerKind>().unwrap(), kind);
-            assert_eq!(PartitionerKind::from_code(kind.code()), Some(kind));
         }
         assert!("metis".parse::<PartitionerKind>().is_err());
-        assert_eq!(PartitionerKind::from_code(99), None);
     }
 
     #[test]

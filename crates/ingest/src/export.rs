@@ -133,11 +133,13 @@ mod tests {
             let path = tmp(&format!("rt.{}", format.extension()));
             export_edge_list(&path, &ds.graph, format, Some(&rec)).unwrap();
             let parsed = parse_edge_list(&path, format).unwrap();
-            assert_eq!(parsed.num_vertices(), ds.graph.num_vertices(), "{format}");
-            assert_eq!(parsed.recorded, Some(rec), "{format}");
-            let (rebuilt, stats) =
-                CsrGraph::try_from_pairs(parsed.num_vertices(), parsed.pairs.iter().copied())
-                    .unwrap();
+            assert_eq!(parsed.meta.num_vertices(), ds.graph.num_vertices(), "{format}");
+            assert_eq!(parsed.meta.recorded, Some(rec), "{format}");
+            let (rebuilt, stats) = CsrGraph::try_from_pairs(
+                parsed.meta.num_vertices(),
+                parsed.pairs.iter().copied(),
+            )
+            .unwrap();
             assert_eq!(rebuilt, ds.graph, "{format}");
             assert_eq!(stats.duplicates, 0, "exports write each edge once");
             std::fs::remove_file(&path).ok();
@@ -167,7 +169,7 @@ mod tests {
             EdgeListFormat::Whitespace,
         )
         .unwrap();
-        let got = parsed.recorded.unwrap();
+        let got = parsed.meta.recorded.unwrap();
         assert_eq!(got.seed, u64::MAX);
         assert_eq!(got.spec, spec);
         assert_eq!(got.spec.feature_sparsity.to_bits(), spec.feature_sparsity.to_bits());

@@ -15,14 +15,19 @@
 //! * [`build`] — a sharded, `std::thread::scope`-parallel COO→CSR
 //!   builder (per-shard degree counting + prefix-sum merge) that is
 //!   bit-for-bit identical to the serial [`gnnie_graph::CsrGraph`] path;
-//! * [`snapshot`] — the versioned, checksummed, write-once `.gnniecsr`
-//!   snapshot cache; reloading reproduces byte-identical
+//! * [`snapshot`] — the checksummed, write-once `.gnniecsr` snapshot
+//!   cache: one layout, one writer ([`write_snapshot`]), a copying
+//!   reference reader ([`snapshot::decode_snapshot`]) and a zero-copy mmap loader
+//!   ([`open_snapshot`]); reloading reproduces byte-identical
 //!   `InferenceReport`s;
 //! * [`export`] — edge-list / binary-CSR writers (fixtures and the
 //!   round-trip guarantee);
 //! * [`registry`] — [`DatasetRegistry`], resolving a dataset name or
 //!   path to file-backed data when present and falling back to the
-//!   synthesizer offline.
+//!   synthesizer offline;
+//! * [`source`] — [`DataSource`], the one entry point for all three
+//!   resolution paths, returning a [`Resolved`] dataset with its
+//!   [`Provenance`].
 //!
 //! # Example
 //!
@@ -63,13 +68,12 @@ pub use error::IngestError;
 pub use export::{export_edge_list, render_edge_list, write_binary_csr};
 pub use format::{detect_file_format, EdgeListFormat, FileFormat};
 pub use parse::{
-    parse_edge_list, parse_edge_list_path, scan_edge_list, scan_edge_list_reader, EdgeListMeta,
-    ParsedEdgeList, RecordedSpec,
+    parse_edge_list, scan_edge_list, scan_edge_list_reader, EdgeListMeta, ParsedEdgeList,
+    RecordedSpec,
 };
-pub use registry::{DatasetRegistry, LoadOutcome, SourceKind};
+pub use registry::DatasetRegistry;
 pub use snapshot::{
-    default_partition_tables, mmap_supported, open_snapshot, peek_snapshot_info,
-    peek_snapshot_version, read_snapshot, read_snapshot_with_partitions, write_snapshot,
-    write_snapshot_with_partitions, SnapshotInfo, SnapshotLoad,
+    mmap_supported, open_snapshot, peek_snapshot_info, write_snapshot, SnapshotInfo,
+    SnapshotLoad,
 };
 pub use source::{DataSource, Provenance, Resolved};

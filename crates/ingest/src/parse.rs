@@ -16,7 +16,7 @@ use gnnie_graph::{CsrGraph, DatasetSpec, VertexId};
 
 use crate::bytes::{checksum64, ByteReader};
 use crate::error::IngestError;
-use crate::format::{detect_file_format, is_comment, EdgeListFormat, FileFormat};
+use crate::format::{is_comment, EdgeListFormat};
 use crate::format::{BINARY_CSR_MAGIC, SNAPSHOT_MAGIC};
 
 /// Version of the binary CSR layout this crate reads and writes.
@@ -66,59 +66,23 @@ impl EdgeListMeta {
     }
 }
 
-/// The outcome of parsing a text edge list.
+/// The outcome of parsing a text edge list: what the scan learned, plus
+/// the pairs it collected.
 #[derive(Debug, Clone)]
 pub struct ParsedEdgeList {
-    /// The dialect that was parsed.
-    pub format: EdgeListFormat,
-    /// Vertex count from a `gnnie vertices` directive, if present.
-    pub declared_vertices: Option<usize>,
-    /// Spec + seed from a `gnnie spec` directive, if present.
-    pub recorded: Option<RecordedSpec>,
+    /// Dialect, directives, weight-column accounting and vertex count.
+    pub meta: EdgeListMeta,
     /// The raw `(u, v)` pairs in file order (self-loops and duplicates
     /// included — the CSR builder accounts for them).
     pub pairs: Vec<(VertexId, VertexId)>,
-    /// Lines that carried a third (edge weight) column. GNNIE graphs are
-    /// unweighted, so the column is dropped — callers surface a warning
-    /// so users know (see `gnnie ingest`).
-    pub weighted_lines: usize,
-    /// 1-based line number of the first dropped weight column.
-    pub first_weight_line: Option<usize>,
-    /// Largest id seen and the 1-based line it first appeared on.
-    max_seen: Option<(VertexId, usize)>,
-}
-
-impl ParsedEdgeList {
-    /// The vertex count: the declared count when a directive is present,
-    /// otherwise `max id + 1` (0 for an empty file).
-    pub fn num_vertices(&self) -> usize {
-        self.declared_vertices
-            .unwrap_or_else(|| self.max_seen.map_or(0, |(m, _)| m as usize + 1))
-    }
-}
-
-/// Parses the edge list at `path`, auto-detecting the dialect.
-///
-/// # Errors
-///
-/// [`IngestError::Io`] on read failure, [`IngestError::Format`] if the
-/// file is binary, [`IngestError::Parse`] (with line number) on malformed
-/// content.
-pub fn parse_edge_list_path(path: &Path) -> Result<ParsedEdgeList, IngestError> {
-    match detect_file_format(path)? {
-        FileFormat::EdgeList(format) => parse_edge_list(path, format),
-        other => Err(IngestError::Format(format!(
-            "{}: {other}, not a text edge list (load it via the registry instead)",
-            path.display()
-        ))),
-    }
 }
 
 /// Parses the edge list at `path` in a known dialect.
 ///
 /// # Errors
 ///
-/// See [`parse_edge_list_path`].
+/// [`IngestError::Io`] on read failure, [`IngestError::Parse`] (with
+/// line number) on malformed content.
 pub fn parse_edge_list(
     path: &Path,
     format: EdgeListFormat,
@@ -132,7 +96,7 @@ pub fn parse_edge_list(
 ///
 /// # Errors
 ///
-/// See [`parse_edge_list_path`].
+/// See [`parse_edge_list`].
 pub fn parse_edge_list_reader<R: BufRead>(
     reader: R,
     path: &Path,
@@ -140,15 +104,7 @@ pub fn parse_edge_list_reader<R: BufRead>(
 ) -> Result<ParsedEdgeList, IngestError> {
     let mut pairs = Vec::new();
     let meta = scan_edge_list_reader(reader, path, format, |u, v| pairs.push((u, v)))?;
-    Ok(ParsedEdgeList {
-        format: meta.format,
-        declared_vertices: meta.declared_vertices,
-        recorded: meta.recorded,
-        pairs,
-        weighted_lines: meta.weighted_lines,
-        first_weight_line: meta.first_weight_line,
-        max_seen: meta.max_seen,
-    })
+    Ok(ParsedEdgeList { meta, pairs })
 }
 
 /// Streams the edge list at `path` through `sink` without collecting the
@@ -160,7 +116,7 @@ pub fn parse_edge_list_reader<R: BufRead>(
 ///
 /// # Errors
 ///
-/// See [`parse_edge_list_path`].
+/// See [`parse_edge_list`].
 pub fn scan_edge_list(
     path: &Path,
     format: EdgeListFormat,
@@ -175,7 +131,7 @@ pub fn scan_edge_list(
 ///
 /// # Errors
 ///
-/// See [`parse_edge_list_path`].
+/// See [`parse_edge_list`].
 pub fn scan_edge_list_reader<R: BufRead>(
     mut reader: R,
     path: &Path,
@@ -324,8 +280,14 @@ fn parse_directive(
     }
 }
 
+/// Widest feature vector a `gnnie spec` directive may declare. Citeseer,
+/// the widest Table II dataset, has 3,703; the bound keeps feature
+/// synthesis from exhausting memory or wrapping its `u32` column ids.
+const MAX_FEATURE_LEN: usize = 1 << 20;
+
 /// Parses the `k=v` pairs of a `gnnie spec` directive into a
-/// [`RecordedSpec`]. All nine keys are required.
+/// [`RecordedSpec`]. All nine keys are required, and each value must be
+/// one the feature synthesizer can honor.
 fn parse_spec_directive<'a>(
     words: impl Iterator<Item = &'a str>,
     path: &Path,
@@ -349,6 +311,18 @@ fn parse_spec_directive<'a>(
             |v: &str| v.parse::<usize>().map_err(|_| bad(format!("{k}: bad count `{v}`")));
         let parse_f64 =
             |v: &str| v.parse::<f64>().map_err(|_| bad(format!("{k}: bad float `{v}`")));
+        // A value past its bound is refused, naming the key and the text.
+        let check = |ok: bool, bound: &str| {
+            if ok {
+                Ok(())
+            } else {
+                Err(bad(format!("{k}: `{v}` {bound}")))
+            }
+        };
+        let fraction = |v: &str| {
+            let x = parse_f64(v)?;
+            check((0.0..=1.0).contains(&x), "is outside [0, 1]").map(|()| x)
+        };
         match k {
             "dataset" => {
                 dataset = Some(v.parse().map_err(|e: String| bad(format!("dataset: {e}")))?)
@@ -358,11 +332,19 @@ fn parse_spec_directive<'a>(
             }
             "vertices" => vertices = Some(parse_usize(v)?),
             "edges" => edges = Some(parse_usize(v)?),
-            "feature_len" => feature_len = Some(parse_usize(v)?),
+            "feature_len" => {
+                let n = parse_usize(v)?;
+                check(n <= MAX_FEATURE_LEN, "exceeds the 2^20 bound")?;
+                feature_len = Some(n);
+            }
             "labels" => labels = Some(parse_usize(v)?),
-            "feature_sparsity" => feature_sparsity = Some(parse_f64(v)?),
-            "degree_gamma" => degree_gamma = Some(parse_f64(v)?),
-            "uniform_frac" => uniform_frac = Some(parse_f64(v)?),
+            "feature_sparsity" => feature_sparsity = Some(fraction(v)?),
+            "degree_gamma" => {
+                let g = parse_f64(v)?;
+                check(g.is_finite(), "is not finite")?;
+                degree_gamma = Some(g);
+            }
+            "uniform_frac" => uniform_frac = Some(fraction(v)?),
             other => return Err(bad(format!("gnnie spec: unknown key `{other}`"))),
         }
     }
@@ -432,11 +414,8 @@ pub fn read_binary_csr_bytes(data: &[u8], what: &str) -> Result<CsrGraph, Ingest
 }
 
 /// Splits a checksummed buffer into its body, verifying the trailing
-/// checksum64. Shared by the binary CSR and snapshot readers.
-pub(crate) fn verify_checksummed<'a>(
-    data: &'a [u8],
-    what: &str,
-) -> Result<&'a [u8], IngestError> {
+/// checksum64 (the binary CSR layout).
+fn verify_checksummed<'a>(data: &'a [u8], what: &str) -> Result<&'a [u8], IngestError> {
     if data.len() < 8 {
         return Err(IngestError::Snapshot(format!(
             "{what}: {} bytes is too short to hold a checksum",
@@ -473,7 +452,7 @@ mod tests {
         ] {
             let p = parse_str(s, f).unwrap();
             assert_eq!(p.pairs, vec![(0, 1), (1, 2)], "{f}");
-            assert_eq!(p.num_vertices(), 3, "{f}");
+            assert_eq!(p.meta.num_vertices(), 3, "{f}");
         }
     }
 
@@ -488,16 +467,16 @@ mod tests {
     #[test]
     fn dropped_weight_columns_are_counted_with_the_first_line() {
         let p = parse_str("0 1\n1 2 0.5\n2 3\n3 4 1.5\n", EdgeListFormat::Whitespace).unwrap();
-        assert_eq!(p.weighted_lines, 2);
-        assert_eq!(p.first_weight_line, Some(2));
+        assert_eq!(p.meta.weighted_lines, 2);
+        assert_eq!(p.meta.first_weight_line, Some(2));
         let clean = parse_str("0 1\n1 2\n", EdgeListFormat::Whitespace).unwrap();
-        assert_eq!(clean.weighted_lines, 0);
-        assert_eq!(clean.first_weight_line, None);
+        assert_eq!(clean.meta.weighted_lines, 0);
+        assert_eq!(clean.meta.first_weight_line, None);
         // Trailing delimiters produce an empty third field, not a weight.
         let trailing = parse_str("0,1,\n1,2,\n", EdgeListFormat::Csv).unwrap();
         assert_eq!(trailing.pairs, vec![(0, 1), (1, 2)]);
-        assert_eq!(trailing.weighted_lines, 0);
-        assert_eq!(trailing.first_weight_line, None);
+        assert_eq!(trailing.meta.weighted_lines, 0);
+        assert_eq!(trailing.meta.first_weight_line, None);
     }
 
     #[test]
@@ -522,7 +501,7 @@ mod tests {
     #[test]
     fn vertices_directive_declares_and_enforces_the_count() {
         let p = parse_str("# gnnie vertices 10\n0 1\n", EdgeListFormat::Whitespace).unwrap();
-        assert_eq!(p.num_vertices(), 10);
+        assert_eq!(p.meta.num_vertices(), 10);
         let err =
             parse_str("# gnnie vertices 2\n0 5\n", EdgeListFormat::Whitespace).unwrap_err();
         let s = err.to_string();
@@ -534,7 +513,7 @@ mod tests {
         let s = "# gnnie spec dataset=cr vertices=135 edges=520 feature_len=1433 labels=7 \
                  feature_sparsity=0.9873 degree_gamma=2.2 uniform_frac=0 seed=42\n0 1\n";
         let p = parse_str(s, EdgeListFormat::Whitespace).unwrap();
-        let rec = p.recorded.unwrap();
+        let rec = p.meta.recorded.unwrap();
         assert_eq!(rec.seed, 42);
         assert_eq!(rec.spec.vertices, 135);
         assert_eq!(rec.spec.feature_len, 1433);
@@ -552,6 +531,42 @@ mod tests {
             let err = parse_str(s, EdgeListFormat::Whitespace).unwrap_err();
             assert!(err.to_string().contains(":1:"), "{s} -> {err}");
         }
+        // Values the synthesizer cannot honor are refused by key and line.
+        let spec = |kv: &str| {
+            let mut keys = vec![
+                ("dataset", "cr"),
+                ("vertices", "2"),
+                ("edges", "1"),
+                ("feature_len", "1433"),
+                ("labels", "7"),
+                ("feature_sparsity", "0.9873"),
+                ("degree_gamma", "2.2"),
+                ("uniform_frac", "0"),
+                ("seed", "42"),
+            ];
+            let (k, v) = kv.split_once('=').unwrap();
+            keys.iter_mut().find(|(key, _)| *key == k).unwrap().1 = v;
+            let body: Vec<String> = keys.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            format!("0 1\n# gnnie spec {}\n", body.join(" "))
+        };
+        assert!(parse_str(&spec("feature_len=1048576"), EdgeListFormat::Whitespace).is_ok());
+        for kv in [
+            "feature_len=1048577",
+            "feature_len=4294967296",
+            "feature_len=10000000000",
+            "feature_sparsity=NaN",
+            "feature_sparsity=-3",
+            "feature_sparsity=1.5",
+            "uniform_frac=NaN",
+            "uniform_frac=-0.1",
+            "degree_gamma=inf",
+            "degree_gamma=NaN",
+        ] {
+            let err = parse_str(&spec(kv), EdgeListFormat::Whitespace).unwrap_err();
+            let key = kv.split_once('=').unwrap().0;
+            let msg = err.to_string();
+            assert!(msg.contains(":2:") && msg.contains(key), "{kv} -> {msg}");
+        }
         // Ordinary comments are not directives.
         assert!(parse_str("# hello world\n0 1\n", EdgeListFormat::Whitespace).is_ok());
     }
@@ -560,7 +575,7 @@ mod tests {
     fn empty_file_parses_to_zero_vertices() {
         let p = parse_str("", EdgeListFormat::Whitespace).unwrap();
         assert!(p.pairs.is_empty());
-        assert_eq!(p.num_vertices(), 0);
+        assert_eq!(p.meta.num_vertices(), 0);
     }
 
     #[test]

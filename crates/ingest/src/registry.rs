@@ -15,7 +15,6 @@
 //! features synthesized from a fallback dataset's Table II statistics,
 //! sized to the actual graph.
 
-use std::fmt;
 use std::path::{Path, PathBuf};
 
 use gnnie_graph::features::generate_features;
@@ -25,78 +24,16 @@ use crate::build::{build_csr_parallel, default_shards};
 use crate::chunked::build_csr_chunked;
 use crate::error::IngestError;
 use crate::format::{detect_file_format, FileFormat};
-use crate::parse::{parse_edge_list, read_binary_csr, scan_edge_list, RecordedSpec};
+use crate::parse::{
+    parse_edge_list, read_binary_csr, scan_edge_list, EdgeListMeta, RecordedSpec,
+};
 use crate::snapshot::open_snapshot;
+use crate::source::{Provenance, Resolved};
 
 /// The seed-mixing constant of `DatasetSpec::generate`: features are
 /// always generated with `seed ^ FEATURE_SEED_MIX`, so file-backed loads
 /// reproduce synthesized features bit-for-bit.
 const FEATURE_SEED_MIX: u64 = 0xFEA7_0000;
-
-/// Where a resolved dataset comes from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SourceKind {
-    /// The offline Table II synthesizer.
-    Synthetic,
-    /// A text edge list on disk.
-    EdgeList(PathBuf),
-    /// A binary CSR file on disk.
-    BinaryCsr(PathBuf),
-    /// A `.gnniecsr` snapshot on disk.
-    Snapshot(PathBuf),
-}
-
-impl SourceKind {
-    /// The backing file, if any.
-    pub fn path(&self) -> Option<&Path> {
-        match self {
-            SourceKind::Synthetic => None,
-            SourceKind::EdgeList(p) | SourceKind::BinaryCsr(p) | SourceKind::Snapshot(p) => {
-                Some(p)
-            }
-        }
-    }
-}
-
-impl fmt::Display for SourceKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SourceKind::Synthetic => f.write_str("synthetic"),
-            SourceKind::EdgeList(p) => write!(f, "edge list {}", p.display()),
-            SourceKind::BinaryCsr(p) => write!(f, "binary csr {}", p.display()),
-            SourceKind::Snapshot(p) => write!(f, "snapshot {}", p.display()),
-        }
-    }
-}
-
-/// A loaded dataset plus its provenance and (for parsed files) the
-/// build accounting.
-#[derive(Debug, Clone)]
-pub struct LoadOutcome {
-    /// The runnable dataset.
-    pub dataset: GraphDataset,
-    /// Where it came from.
-    pub source: SourceKind,
-    /// Parse/build accounting — present for edge-list loads, `None` for
-    /// snapshots and binary CSR (nothing is dropped on those paths).
-    pub stats: Option<CsrBuildStats>,
-    /// `(count, first 1-based line)` of edge-list lines whose third
-    /// (weight) column was dropped — GNNIE graphs are unweighted. The
-    /// CLI turns this into a one-line warning; `None` when no weights
-    /// appeared (or the source was not a text edge list).
-    pub dropped_weights: Option<(usize, usize)>,
-    /// `true` when `dataset.spec` is authoritative (synthesis, snapshot,
-    /// or a recorded `gnnie spec` header); `false` when it was sized
-    /// from the fallback dataset's statistics (foreign edge list,
-    /// binary CSR).
-    pub recorded_spec: bool,
-    /// The snapshot layout version for snapshot loads, `None` otherwise.
-    pub snapshot_version: Option<u32>,
-    /// `true` when the load was zero-copy via `mmap` (v3 snapshots on
-    /// supported platforms) — the arrays borrow the mapped file instead
-    /// of owning copies.
-    pub mmap: bool,
-}
 
 /// Resolves dataset names and paths to graphs; see the module docs.
 #[derive(Debug, Clone, Default)]
@@ -136,24 +73,26 @@ impl DatasetRegistry {
     }
 
     /// Where `dataset` currently resolves: the first existing candidate
-    /// file, else the synthesizer.
-    pub fn source_for(&self, dataset: Dataset) -> SourceKind {
+    /// file, else the synthesizer. The probe goes by file name and loads
+    /// nothing, so a snapshot reads `mmap: false` here; the load itself
+    /// reports which path it took.
+    pub fn source_for(&self, dataset: Dataset) -> Provenance {
         let Some(dir) = &self.data_dir else {
-            return SourceKind::Synthetic;
+            return Provenance::Synth;
         };
         for ext in EXTENSIONS {
             for stem in stems(dataset) {
                 let path = dir.join(format!("{stem}.{ext}"));
                 if path.is_file() {
                     return match ext {
-                        "gnniecsr" => SourceKind::Snapshot(path),
-                        "bcsr" => SourceKind::BinaryCsr(path),
-                        _ => SourceKind::EdgeList(path),
+                        "gnniecsr" => Provenance::Snapshot { path, mmap: false },
+                        "bcsr" => Provenance::BinaryCsr(path),
+                        _ => Provenance::EdgeList(path),
                     };
                 }
             }
         }
-        SourceKind::Synthetic
+        Provenance::Synth
     }
 
     /// Loads `dataset`: file-backed when a candidate file exists,
@@ -173,49 +112,47 @@ impl DatasetRegistry {
         dataset: Dataset,
         scale: f64,
         seed: u64,
-    ) -> Result<LoadOutcome, IngestError> {
-        match self.source_for(dataset) {
-            SourceKind::Synthetic => Ok(Self::synthesize(dataset, scale, seed)),
-            source => {
-                let path = source.path().expect("file-backed source").to_path_buf();
-                let outcome = self.load_path_with(&path, dataset, seed, default_shards())?;
-                let got = outcome.dataset.spec.dataset;
-                if got != dataset {
-                    return Err(IngestError::Format(format!(
-                        "{}: file records dataset {} but {} was requested",
-                        path.display(),
-                        got.abbrev(),
-                        dataset.abbrev()
-                    )));
-                }
-                Ok(outcome)
-            }
+    ) -> Result<Resolved, IngestError> {
+        let source = self.source_for(dataset);
+        let Some(path) = source.path() else {
+            return Ok(Self::synthesize(dataset, scale, seed));
+        };
+        let resolved = self.load_path(path, dataset, seed, default_shards())?;
+        let got = resolved.dataset.spec.dataset;
+        if got != dataset {
+            return Err(IngestError::Format(format!(
+                "{}: file records dataset {} but {} was requested",
+                path.display(),
+                got.abbrev(),
+                dataset.abbrev()
+            )));
         }
+        Ok(resolved)
     }
 
     /// Synthesizes `dataset` at `scale` with `seed`, bypassing any data
-    /// directory — the canonical [`LoadOutcome`] for the in-process
+    /// directory — the canonical [`Resolved`] for the in-process
     /// synthesizer ([`crate::DataSource::Synth`] resolves through this).
     ///
     /// # Panics
     ///
     /// Panics unless `0 < scale <= 1`.
-    pub fn synthesize(dataset: Dataset, scale: f64, seed: u64) -> LoadOutcome {
-        LoadOutcome {
+    pub fn synthesize(dataset: Dataset, scale: f64, seed: u64) -> Resolved {
+        Resolved {
             dataset: GraphDataset::generate(dataset, scale, seed),
-            source: SourceKind::Synthetic,
+            provenance: Provenance::Synth,
             stats: None,
             dropped_weights: None,
             recorded_spec: true,
-            snapshot_version: None,
-            mmap: false,
         }
     }
 
-    /// Loads the dataset file at `path`, auto-detecting its format.
-    /// Foreign files (no recorded spec) synthesize features from
-    /// `fallback`'s Table II statistics, sized to the actual graph, with
-    /// `seed`.
+    /// Loads the dataset file at `path`, auto-detecting its format. Text
+    /// edge lists are built into CSR over `shards` parallel shards
+    /// (`gnnie ingest --shards`; other callers pass
+    /// [`crate::default_shards`]). Foreign files (no recorded spec)
+    /// synthesize features from `fallback`'s Table II statistics, sized
+    /// to the actual graph, with `seed`.
     ///
     /// # Errors
     ///
@@ -226,56 +163,39 @@ impl DatasetRegistry {
         path: &Path,
         fallback: Dataset,
         seed: u64,
-    ) -> Result<LoadOutcome, IngestError> {
-        self.load_path_with(path, fallback, seed, default_shards())
-    }
-
-    /// [`DatasetRegistry::load_path`] with an explicit shard count for
-    /// the parallel CSR builder.
-    ///
-    /// # Errors
-    ///
-    /// See [`DatasetRegistry::load_path`].
-    pub fn load_path_with(
-        &self,
-        path: &Path,
-        fallback: Dataset,
-        seed: u64,
         shards: usize,
-    ) -> Result<LoadOutcome, IngestError> {
+    ) -> Result<Resolved, IngestError> {
         match detect_file_format(path)? {
             FileFormat::Snapshot => {
                 let load = open_snapshot(path)?;
-                Ok(LoadOutcome {
+                Ok(Resolved {
                     dataset: load.dataset,
-                    source: SourceKind::Snapshot(path.to_path_buf()),
+                    provenance: Provenance::Snapshot {
+                        path: path.to_path_buf(),
+                        mmap: load.mmap,
+                    },
                     stats: None,
                     dropped_weights: None,
                     recorded_spec: true,
-                    snapshot_version: Some(load.version),
-                    mmap: load.mmap,
                 })
             }
             FileFormat::BinaryCsr => {
                 let graph = read_binary_csr(path)?;
                 let spec = spec_sized_to(fallback, graph.num_vertices(), graph.num_edges());
                 let features = regenerate_features(&spec, seed);
-                Ok(LoadOutcome {
+                Ok(Resolved {
                     dataset: GraphDataset::from_parts(spec, graph, features),
-                    source: SourceKind::BinaryCsr(path.to_path_buf()),
+                    provenance: Provenance::BinaryCsr(path.to_path_buf()),
                     stats: None,
                     dropped_weights: None,
                     recorded_spec: false,
-                    snapshot_version: None,
-                    mmap: false,
                 })
             }
             FileFormat::EdgeList(format) => {
                 let parsed = parse_edge_list(path, format)?;
                 let (graph, stats) =
-                    build_csr_parallel(parsed.num_vertices(), &parsed.pairs, shards)?;
-                let dropped = parsed.first_weight_line.map(|l| (parsed.weighted_lines, l));
-                edge_list_outcome(path, graph, stats, parsed.recorded, dropped, fallback, seed)
+                    build_csr_parallel(parsed.meta.num_vertices(), &parsed.pairs, shards)?;
+                resolve_edge_list(path, graph, stats, &parsed.meta, fallback, seed)
             }
         }
     }
@@ -300,10 +220,10 @@ impl DatasetRegistry {
         fallback: Dataset,
         seed: u64,
         chunk_bytes: u64,
-    ) -> Result<LoadOutcome, IngestError> {
+    ) -> Result<Resolved, IngestError> {
         let format = match detect_file_format(path)? {
             FileFormat::EdgeList(f) => f,
-            _ => return self.load_path(path, fallback, seed),
+            _ => return self.load_path(path, fallback, seed, default_shards()),
         };
         // Metadata pass: directives and the vertex count, pairs discarded.
         let meta = scan_edge_list(path, format, |_, _| {})?;
@@ -311,26 +231,23 @@ impl DatasetRegistry {
             build_csr_chunked(meta.num_vertices(), chunk_bytes, None, |sink| {
                 scan_edge_list(path, format, sink).map(|_| ())
             })?;
-        let dropped = meta.first_weight_line.map(|l| (meta.weighted_lines, l));
-        edge_list_outcome(path, graph, stats, meta.recorded, dropped, fallback, seed)
+        resolve_edge_list(path, graph, stats, &meta, fallback, seed)
     }
 }
 
-/// Builds the [`LoadOutcome`] for a parsed-and-built edge list: recorded
+/// Builds the [`Resolved`] for a parsed-and-built edge list: recorded
 /// specs are honored (and cross-checked against the actual vertex
 /// count), foreign files get `fallback`-shaped features. Shared by the
 /// in-memory and chunked load paths so they stay bit-identical.
-fn edge_list_outcome(
+fn resolve_edge_list(
     path: &Path,
     graph: gnnie_graph::CsrGraph,
     stats: CsrBuildStats,
-    recorded: Option<RecordedSpec>,
-    dropped_weights: Option<(usize, usize)>,
+    meta: &EdgeListMeta,
     fallback: Dataset,
     seed: u64,
-) -> Result<LoadOutcome, IngestError> {
-    let recorded_spec = recorded.is_some();
-    let (spec, feature_seed) = match recorded {
+) -> Result<Resolved, IngestError> {
+    let (spec, feature_seed) = match meta.recorded {
         Some(RecordedSpec { spec, seed: recorded_seed }) => {
             if spec.vertices != graph.num_vertices() {
                 return Err(IngestError::Format(format!(
@@ -345,14 +262,12 @@ fn edge_list_outcome(
         None => (spec_sized_to(fallback, graph.num_vertices(), graph.num_edges()), seed),
     };
     let features = regenerate_features(&spec, feature_seed);
-    Ok(LoadOutcome {
+    Ok(Resolved {
         dataset: GraphDataset::from_parts(spec, graph, features),
-        source: SourceKind::EdgeList(path.to_path_buf()),
+        provenance: Provenance::EdgeList(path.to_path_buf()),
         stats: Some(stats),
-        dropped_weights,
-        recorded_spec,
-        snapshot_version: None,
-        mmap: false,
+        dropped_weights: meta.first_weight_line.map(|l| (meta.weighted_lines, l)),
+        recorded_spec: meta.recorded.is_some(),
     })
 }
 
@@ -391,9 +306,9 @@ mod tests {
     #[test]
     fn no_data_dir_means_synthetic() {
         let reg = DatasetRegistry::new(None);
-        assert_eq!(reg.source_for(Dataset::Cora), SourceKind::Synthetic);
+        assert_eq!(reg.source_for(Dataset::Cora), Provenance::Synth);
         let out = reg.load(Dataset::Cora, 0.02, 7).unwrap();
-        assert_eq!(out.source, SourceKind::Synthetic);
+        assert_eq!(out.provenance, Provenance::Synth);
         let direct = GraphDataset::generate(Dataset::Cora, 0.02, 7);
         assert_eq!(out.dataset.graph, direct.graph);
         assert_eq!(out.dataset.features, direct.features);
@@ -412,11 +327,11 @@ mod tests {
         )
         .unwrap();
         let reg = DatasetRegistry::new(Some(dir.clone()));
-        assert!(matches!(reg.source_for(Dataset::Cora), SourceKind::EdgeList(_)));
+        assert!(matches!(reg.source_for(Dataset::Cora), Provenance::EdgeList(_)));
         write_snapshot(&dir.join("cora.gnniecsr"), &ds, false).unwrap();
-        assert!(matches!(reg.source_for(Dataset::Cora), SourceKind::Snapshot(_)));
+        assert!(matches!(reg.source_for(Dataset::Cora), Provenance::Snapshot { .. }));
         // Other datasets still synthesize.
-        assert_eq!(reg.source_for(Dataset::Reddit), SourceKind::Synthetic);
+        assert_eq!(reg.source_for(Dataset::Reddit), Provenance::Synth);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -454,19 +369,19 @@ mod tests {
         let path = dir.join("web.edges");
         std::fs::write(&path, "0 1\n1 2\n2 3\n0 3\n").unwrap();
         let reg = DatasetRegistry::new(None);
-        let out = reg.load_path(&path, Dataset::Cora, 99).unwrap();
+        let out = reg.load_path(&path, Dataset::Cora, 99, default_shards()).unwrap();
         assert_eq!(out.dataset.graph.num_vertices(), 4);
         assert_eq!(out.dataset.spec.dataset, Dataset::Cora);
         assert_eq!(out.dataset.spec.vertices, 4);
         assert_eq!(out.dataset.features.rows(), 4);
         assert_eq!(out.dataset.features.cols(), Dataset::Cora.spec().feature_len);
         // Deterministic in the seed.
-        let again = reg.load_path(&path, Dataset::Cora, 99).unwrap();
+        let again = reg.load_path(&path, Dataset::Cora, 99, default_shards()).unwrap();
         assert_eq!(again.dataset.features, out.dataset.features);
         // Binary CSR takes the same fallback path.
         let bin = dir.join("web.bcsr");
         write_binary_csr(&bin, &out.dataset.graph).unwrap();
-        let from_bin = reg.load_path(&bin, Dataset::Cora, 99).unwrap();
+        let from_bin = reg.load_path(&bin, Dataset::Cora, 99, default_shards()).unwrap();
         assert_eq!(from_bin.dataset.graph, out.dataset.graph);
         assert_eq!(from_bin.dataset.features, out.dataset.features);
         std::fs::remove_dir_all(&dir).ok();
@@ -480,7 +395,7 @@ mod tests {
         let path = dir.join("cr.edges");
         export_edge_list(&path, &ds.graph, EdgeListFormat::Whitespace, Some(&rec)).unwrap();
         let reg = DatasetRegistry::new(None);
-        let whole = reg.load_path(&path, Dataset::Cora, 11).unwrap();
+        let whole = reg.load_path(&path, Dataset::Cora, 11, default_shards()).unwrap();
         // A deliberately tiny chunk budget forces many spill buckets.
         let chunked = reg.load_path_chunked(&path, Dataset::Cora, 11, 1024).unwrap();
         assert_eq!(chunked.dataset.graph, whole.dataset.graph);
@@ -492,7 +407,7 @@ mod tests {
         let snap = dir.join("cr.gnniecsr");
         write_snapshot(&snap, &ds, false).unwrap();
         let via_chunked = reg.load_path_chunked(&snap, Dataset::Cora, 11, 1024).unwrap();
-        assert!(matches!(via_chunked.source, SourceKind::Snapshot(_)));
+        assert!(matches!(via_chunked.provenance, Provenance::Snapshot { .. }));
         assert_eq!(via_chunked.dataset.graph, ds.graph);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -509,7 +424,7 @@ mod tests {
         // The vertices directive (truthful) wins for graph size, so the
         // recorded spec disagrees and the load is rejected.
         let reg = DatasetRegistry::new(None);
-        let err = reg.load_path(&path, Dataset::Cora, 7).unwrap_err();
+        let err = reg.load_path(&path, Dataset::Cora, 7, default_shards()).unwrap_err();
         assert!(err.to_string().contains("recorded spec"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

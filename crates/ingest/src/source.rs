@@ -7,17 +7,17 @@
 //! with a single [`DataSource::resolve`] entry point, and [`Resolved`]
 //! carries uniform [`Provenance`] so every consumer can report *where the
 //! bits actually came from* — synthesizer, edge list, binary CSR, or a
-//! versioned snapshot (and, for v3 snapshots, whether the load was
-//! zero-copy via `mmap`).
+//! snapshot (and whether the snapshot load was zero-copy via `mmap`).
 
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use gnnie_graph::{Dataset, GraphDataset};
+use gnnie_graph::{CsrBuildStats, Dataset, GraphDataset};
 
 use crate::build::default_shards;
 use crate::error::IngestError;
-use crate::registry::{DatasetRegistry, LoadOutcome, SourceKind};
+use crate::registry::DatasetRegistry;
+use crate::snapshot::SNAPSHOT_VERSION;
 
 /// One description of where a dataset should come from.
 ///
@@ -55,8 +55,6 @@ pub enum DataSource {
         fallback: Dataset,
         /// Feature-synthesis seed for foreign files.
         seed: u64,
-        /// Shard count for the parallel CSR builder.
-        shards: usize,
     },
 }
 
@@ -71,9 +69,10 @@ impl DataSource {
         DataSource::Named { dataset, scale, seed }
     }
 
-    /// A source loading an explicit file with the default shard count.
+    /// A source loading an explicit file (text edge lists build over
+    /// [`default_shards`] shards).
     pub fn file(path: impl Into<PathBuf>, fallback: Dataset, seed: u64) -> Self {
-        DataSource::File { path: path.into(), fallback, seed, shards: default_shards() }
+        DataSource::File { path: path.into(), fallback, seed }
     }
 
     /// Resolves this source to a runnable dataset through `registry`.
@@ -84,49 +83,62 @@ impl DataSource {
     /// cannot fail (they panic on an out-of-range `scale`, exactly like
     /// [`GraphDataset::generate`]).
     pub fn resolve(&self, registry: &DatasetRegistry) -> Result<Resolved, IngestError> {
-        let outcome = match self {
+        match self {
             DataSource::Synth { dataset, scale, seed } => {
-                DatasetRegistry::synthesize(*dataset, *scale, *seed)
+                Ok(DatasetRegistry::synthesize(*dataset, *scale, *seed))
             }
             DataSource::Named { dataset, scale, seed } => {
-                registry.load(*dataset, *scale, *seed)?
+                registry.load(*dataset, *scale, *seed)
             }
-            DataSource::File { path, fallback, seed, shards } => {
-                registry.load_path_with(path, *fallback, *seed, *shards)?
+            DataSource::File { path, fallback, seed } => {
+                registry.load_path(path, *fallback, *seed, default_shards())
             }
-        };
-        let provenance = Provenance::of(&outcome);
-        Ok(Resolved { outcome, provenance })
+        }
     }
 }
 
-/// A resolved dataset: the load outcome plus uniform provenance.
+/// A resolved dataset plus where it came from and, for parsed files, the
+/// build accounting.
 #[derive(Debug, Clone)]
 pub struct Resolved {
-    /// The underlying load (dataset, stats, spec authority, …).
-    pub outcome: LoadOutcome,
+    /// The runnable dataset.
+    pub dataset: GraphDataset,
     /// Where the bits came from, in reportable form.
     pub provenance: Provenance,
+    /// Parse/build accounting — present for edge-list loads, `None` for
+    /// synthesis, snapshots and binary CSR (nothing is dropped on those
+    /// paths).
+    pub stats: Option<CsrBuildStats>,
+    /// `(count, first 1-based line)` of edge-list lines whose third
+    /// (weight) column was dropped — GNNIE graphs are unweighted. The
+    /// CLI turns this into a one-line warning; `None` when no weights
+    /// appeared (or the source was not a text edge list).
+    pub dropped_weights: Option<(usize, usize)>,
+    /// `true` when `dataset.spec` is authoritative (synthesis, snapshot,
+    /// or a recorded `gnnie spec` header); `false` when it was sized
+    /// from the fallback dataset's statistics (foreign edge list,
+    /// binary CSR).
+    pub recorded_spec: bool,
 }
 
 impl Resolved {
     /// The runnable dataset.
     pub fn dataset(&self) -> &GraphDataset {
-        &self.outcome.dataset
+        &self.dataset
     }
 
     /// Consumes the resolution, returning the dataset alone.
     pub fn into_dataset(self) -> GraphDataset {
-        self.outcome.dataset
+        self.dataset
     }
 }
 
 /// Where a resolved dataset's bits came from.
 ///
-/// The `Display` form is what `gnnie run` and `gnnie datasets` print:
-/// `synth`, `edge-list <path>`, `binary-csr <path>`, or
-/// `snapshot-v<N> <path>` with an `(mmap)` marker when the load was
-/// zero-copy.
+/// The `Display` form is what `gnnie run`, `gnnie ingest` and `gnnie
+/// datasets` print: `synthetic`, `edge-list <path>`, `binary-csr
+/// <path>`, or `snapshot-v3 <path>` with an `(mmap)` marker when the
+/// load was zero-copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Provenance {
     /// The offline Table II synthesizer.
@@ -139,26 +151,19 @@ pub enum Provenance {
     Snapshot {
         /// The snapshot file.
         path: PathBuf,
-        /// Its layout version (1–3).
-        version: u32,
-        /// `true` when the load was zero-copy via `mmap` (v3 layouts on
-        /// supported platforms).
+        /// `true` when the load was zero-copy via `mmap` (supported
+        /// platforms only).
         mmap: bool,
     },
 }
 
 impl Provenance {
-    /// Derives provenance from a registry load outcome.
-    pub fn of(outcome: &LoadOutcome) -> Self {
-        match &outcome.source {
-            SourceKind::Synthetic => Provenance::Synth,
-            SourceKind::EdgeList(p) => Provenance::EdgeList(p.clone()),
-            SourceKind::BinaryCsr(p) => Provenance::BinaryCsr(p.clone()),
-            SourceKind::Snapshot(p) => Provenance::Snapshot {
-                path: p.clone(),
-                version: outcome.snapshot_version.unwrap_or(0),
-                mmap: outcome.mmap,
-            },
+    /// The backing file, if any.
+    pub fn path(&self) -> Option<&Path> {
+        match self {
+            Provenance::Synth => None,
+            Provenance::EdgeList(p) | Provenance::BinaryCsr(p) => Some(p),
+            Provenance::Snapshot { path, .. } => Some(path),
         }
     }
 }
@@ -166,11 +171,11 @@ impl Provenance {
 impl fmt::Display for Provenance {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Provenance::Synth => f.write_str("synth"),
+            Provenance::Synth => f.write_str("synthetic"),
             Provenance::EdgeList(p) => write!(f, "edge-list {}", p.display()),
             Provenance::BinaryCsr(p) => write!(f, "binary-csr {}", p.display()),
-            Provenance::Snapshot { path, version, mmap } => {
-                write!(f, "snapshot-v{version}")?;
+            Provenance::Snapshot { path, mmap } => {
+                write!(f, "snapshot-v{SNAPSHOT_VERSION}")?;
                 if *mmap {
                     f.write_str(" (mmap)")?;
                 }
@@ -183,7 +188,7 @@ impl fmt::Display for Provenance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{mmap_supported, write_snapshot, SNAPSHOT_VERSION};
+    use crate::snapshot::{mmap_supported, write_snapshot};
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("gnnie-source-test").join(name);
@@ -197,7 +202,7 @@ mod tests {
         let reg = DatasetRegistry::new(None);
         let r = DataSource::synth(Dataset::Cora, 0.02, 7).resolve(&reg).unwrap();
         assert_eq!(r.provenance, Provenance::Synth);
-        assert_eq!(r.provenance.to_string(), "synth");
+        assert_eq!(r.provenance.to_string(), "synthetic");
         let direct = GraphDataset::generate(Dataset::Cora, 0.02, 7);
         assert_eq!(r.dataset().graph, direct.graph);
         assert_eq!(r.dataset().features, direct.features);
@@ -225,13 +230,10 @@ mod tests {
         write_snapshot(&path, &ds, false).unwrap();
         let reg = DatasetRegistry::new(None);
         let r = DataSource::file(&path, Dataset::Citeseer, 42).resolve(&reg).unwrap();
-        match &r.provenance {
-            Provenance::Snapshot { version, mmap, .. } => {
-                assert_eq!(*version, SNAPSHOT_VERSION);
-                assert_eq!(*mmap, mmap_supported());
-            }
-            other => panic!("expected snapshot provenance, got {other}"),
-        }
+        assert_eq!(
+            r.provenance,
+            Provenance::Snapshot { path: path.clone(), mmap: mmap_supported() }
+        );
         let shown = r.provenance.to_string();
         assert!(shown.starts_with("snapshot-v3"), "{shown}");
         assert_eq!(shown.contains("(mmap)"), mmap_supported(), "{shown}");

@@ -75,7 +75,7 @@ proptest! {
         render_edge_list(&mut text, &original.graph, fmt, None).unwrap();
         let parsed =
             parse_edge_list_reader(Cursor::new(&text), Path::new("<mem>"), fmt).unwrap();
-        prop_assert_eq!(parsed.num_vertices(), n);
+        prop_assert_eq!(parsed.meta.num_vertices(), n);
         let (rebuilt, stats) = build_csr_parallel(n, &parsed.pairs, shards).unwrap();
         prop_assert_eq!(&rebuilt, &original.graph);
         // Exports write each edge once, so nothing is dropped.
@@ -109,7 +109,7 @@ proptest! {
             EdgeListFormat::Whitespace,
         )
         .unwrap();
-        prop_assert_eq!(parsed.recorded, Some(rec));
+        prop_assert_eq!(parsed.meta.recorded, Some(rec));
     }
 
     /// Flipping any single byte of a snapshot is detected on reload.

@@ -30,10 +30,7 @@ use gnnie::gnn::flops::ModelWorkload;
 use gnnie::gnn::model::ModelConfig;
 use gnnie::gnn::params::ModelParams;
 use gnnie::graph::{generate, GraphDataset, PartitionerKind};
-use gnnie::ingest::{
-    default_partition_tables, write_snapshot_with_partitions, DataSource, DatasetRegistry,
-    Resolved, SourceKind,
-};
+use gnnie::ingest::{write_snapshot, DataSource, DatasetRegistry, Provenance, Resolved};
 use gnnie::mem::{CachePolicyKind, SimPool, SimThreads};
 use gnnie::serve::{InferenceRequest, SchedulerPolicy};
 use gnnie::tensor::DenseMatrix;
@@ -554,13 +551,13 @@ fn note_loaded(r: &Resolved) {
         r.dataset().graph.num_edges(),
         r.provenance
     );
-    warn_dropped_weights(&r.outcome);
+    warn_dropped_weights(r);
 }
 
 /// One-line stderr warning when an edge list carried a third (weight)
 /// column: GNNIE graphs are unweighted, so the column was dropped — say
 /// so, with the first affected line, instead of ignoring it silently.
-fn warn_dropped_weights(out: &gnnie::ingest::LoadOutcome) {
+fn warn_dropped_weights(out: &Resolved) {
     if let Some((count, first_line)) = out.dropped_weights {
         eprintln!(
             "warning: dropped the third (weight) column on {count} line(s) — gnnie graphs \
@@ -592,8 +589,8 @@ fn resolve_run_dataset(flags: &HashMap<String, String>) -> Result<RunDataset, St
         let r = DataSource::named(dataset, scale, seed)
             .resolve(&registry)
             .map_err(|e| e.to_string())?;
-        let scale = match r.outcome.source {
-            SourceKind::Synthetic => scale,
+        let scale = match r.provenance {
+            Provenance::Synth => scale,
             _ => {
                 if flags.contains_key("scale") {
                     eprintln!("[note: --scale ignored, {} is file-backed]", dataset.abbrev());
@@ -622,7 +619,7 @@ fn resolve_run_dataset(flags: &HashMap<String, String>) -> Result<RunDataset, St
         return Err(format!("--graph {path}: the graph has no vertices"));
     }
     note_loaded(&r);
-    if r.outcome.recorded_spec {
+    if r.recorded_spec {
         let recorded = r.dataset().spec.dataset;
         if flags.contains_key("dataset") && recorded != fallback {
             return Err(format!(
@@ -811,21 +808,17 @@ fn cmd_ingest(path: &str, flags: &HashMap<String, String>) -> Result<(), String>
     let t0 = Instant::now();
     let loaded = match chunk_mb {
         Some(bytes) => registry.load_path_chunked(input, fallback, seed, bytes),
-        None => registry.load_path_with(input, fallback, seed, shards),
+        None => registry.load_path(input, fallback, seed, shards),
     }
     .map_err(|e| e.to_string())?;
     let load_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t1 = Instant::now();
-    // Freeze the scale-out partition tables alongside the graph so a
-    // later `--chips` run can reuse them without re-partitioning.
-    let tables = default_partition_tables(&loaded.dataset.graph);
-    write_snapshot_with_partitions(&out_path, &loaded.dataset, &tables, force)
-        .map_err(|e| e.to_string())?;
+    write_snapshot(&out_path, &loaded.dataset, force).map_err(|e| e.to_string())?;
     let write_ms = t1.elapsed().as_secs_f64() * 1e3;
 
     warn_dropped_weights(&loaded);
     let ds = &loaded.dataset;
-    println!("ingested {} ({})", input.display(), loaded.source);
+    println!("ingested {} ({})", input.display(), loaded.provenance);
     println!(
         "  graph    {:>10} vertices  {:>12} edges  (max degree {})",
         ds.graph.num_vertices(),
@@ -844,7 +837,6 @@ fn cmd_ingest(path: &str, flags: &HashMap<String, String>) -> Result<(), String>
         ds.features.cols(),
         ds.features.sparsity() * 100.0
     );
-    println!("  partitions {:>8} tables frozen (range+edgecut at 2/4/8 chips)", tables.len());
     match chunk_mb {
         Some(bytes) => {
             println!(
@@ -1297,12 +1289,12 @@ fn cmd_datasets() -> Result<(), String> {
     for dataset in Dataset::ALL {
         let s = dataset.spec();
         let source = registry.source_for(dataset);
-        // Snapshot layout version: v2+ carries partition tables for
-        // `--chips` runs, v1 does not; non-snapshot sources show `-`.
-        // A trailing `*` marks v3 snapshots eligible for zero-copy
-        // mmap loading on this platform.
+        // The layout version a snapshot's header declares (only v3
+        // loads; an older file needs `gnnie ingest --force`), with a
+        // trailing `*` when this platform loads it zero-copy via mmap.
+        // Non-snapshot sources show `-`.
         let snap = match source.path().and_then(gnnie::ingest::peek_snapshot_info) {
-            Some(info) if matches!(source, SourceKind::Snapshot(_)) => {
+            Some(info) if matches!(source, Provenance::Snapshot { .. }) => {
                 let mark = if info.mmap_eligible { "*" } else { "" };
                 format!("v{}{}", info.version, mark)
             }

@@ -29,7 +29,7 @@ fn fixtures(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("gnnie-cli-boundaries").join(name);
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let files: [(&str, &[u8]); 8] = [
+    let files: [(&str, &[u8]); 10] = [
         ("empty.txt", b""),
         ("header.txt", b"# gnnie edgelist v1\n"),
         ("header5.txt", b"# gnnie edgelist v1\n# gnnie vertices 5\n"),
@@ -38,12 +38,45 @@ fn fixtures(name: &str) -> PathBuf {
         ("tiny.txt", b"0 1\n1 2\n"),
         ("magic.gcsr", b"GCSRBIN1"),
         ("magic.gnniecsr", b"GNNIECSR\x03\x00\x00\x00"),
+        // Headers of the retired single-stream layouts.
+        ("v1.gnniecsr", b"GNNIECSR\x01\x00\x00\x00"),
+        ("v2.gnniecsr", b"GNNIECSR\x02\x00\x00\x00"),
     ];
     for (file, bytes) in files {
         std::fs::write(dir.join(file), bytes).unwrap();
     }
+    // `gnnie spec` headers with one value at or past its bound.
+    for (file, key, value) in SPEC_FILES {
+        let mut spec: Vec<(&str, &str)> = vec![
+            ("dataset", "cr"),
+            ("vertices", "3"),
+            ("edges", "2"),
+            ("feature_len", "1433"),
+            ("labels", "7"),
+            ("feature_sparsity", "0.9873"),
+            ("degree_gamma", "2.2"),
+            ("uniform_frac", "0"),
+            ("seed", "42"),
+        ];
+        spec.iter_mut().find(|(k, _)| *k == key).expect("a spec key").1 = value;
+        let spec: Vec<String> = spec.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        let text = format!("# gnnie spec {}\n0 1\n1 2\n", spec.join(" "));
+        std::fs::write(dir.join(file), text).unwrap();
+    }
     dir
 }
+
+/// `(file, spec key, value)` for the `gnnie spec` bound cases.
+const SPEC_FILES: [(&str, &str, &str); 8] = [
+    ("feat_max.txt", "feature_len", "1048576"),
+    ("feat_over.txt", "feature_len", "1048577"),
+    ("feat_u32.txt", "feature_len", "4294967296"),
+    ("feat_huge.txt", "feature_len", "10000000000"),
+    ("sparsity_nan.txt", "feature_sparsity", "NaN"),
+    ("sparsity_neg.txt", "feature_sparsity", "-3"),
+    ("uniform_over.txt", "uniform_frac", "1.5"),
+    ("gamma_inf.txt", "degree_gamma", "inf"),
+];
 
 /// Runs every case in `dir` and checks its exit status and error.
 fn check(dir: &Path, cases: &[(&[&str], Expect)]) {
@@ -123,7 +156,15 @@ fn run_boundaries() {
         (file("huge_vertices.txt"), Rejects("huge_vertices.txt")),
         (file("magic.gcsr"), Rejects("magic.gcsr")),
         (file("magic.gnniecsr"), Rejects("magic.gnniecsr")),
+        (file("v1.gnniecsr"), Rejects("gnnie ingest --force")),
+        (file("v2.gnniecsr"), Rejects("v2.gnniecsr")),
         (file("missing.txt"), Rejects("missing.txt")),
+        (file("feat_u32.txt"), Rejects("feature_len")),
+        (file("feat_huge.txt"), Rejects("feature_len")),
+        (file("sparsity_nan.txt"), Rejects("feature_sparsity")),
+        (file("sparsity_neg.txt"), Rejects("feature_sparsity")),
+        (file("uniform_over.txt"), Rejects("uniform_frac")),
+        (file("gamma_inf.txt"), Rejects("degree_gamma")),
     ];
     check(&dir, &cases);
 }
@@ -144,7 +185,18 @@ fn ingest_boundaries() {
         (&["ingest", "huge_vertices.txt", "--chunk-mb", "1"], Rejects("huge_vertices.txt")),
         (&["ingest", "magic.gcsr"], Rejects("magic.gcsr")),
         (&["ingest", "magic.gnniecsr"], Rejects("magic.gnniecsr")),
+        (&["ingest", "v1.gnniecsr", "--out", "v1-again.gnniecsr"], Rejects("version 1")),
+        (
+            &["ingest", "v2.gnniecsr", "--out", "v2-again.gnniecsr"],
+            Rejects("gnnie ingest --force"),
+        ),
         (&["ingest", "missing.txt"], Rejects("missing.txt")),
+        (&["ingest", "feat_max.txt", "--out", "feat_max.gnniecsr"], Ok),
+        (&["ingest", "feat_over.txt"], Rejects("feature_len")),
+        (&["ingest", "feat_u32.txt", "--chunk-mb", "1"], Rejects("feature_len")),
+        (&["ingest", "sparsity_nan.txt"], Rejects("feature_sparsity")),
+        (&["ingest", "uniform_over.txt", "--chunk-mb", "1"], Rejects("uniform_frac")),
+        (&["ingest", "gamma_inf.txt"], Rejects("degree_gamma")),
         (with(&tiny("s0.gnniecsr"), &["--shards", "0"]), Rejects("--shards")),
         (with(&tiny("s1.gnniecsr"), &["--shards", "1"]), Ok),
         (with(&tiny("sh.gnniecsr"), &["--shards", HUGE]), Ok),

@@ -12,9 +12,10 @@ use gnnie::core::config::AcceleratorConfig;
 use gnnie::core::engine::Engine;
 use gnnie::gnn::model::ModelConfig;
 use gnnie::graph::{Dataset, GraphDataset};
+use gnnie::ingest::snapshot::decode_snapshot;
 use gnnie::ingest::{
-    build_csr_chunked, export_edge_list, mmap_supported, open_snapshot,
-    read_snapshot_with_partitions, scan_edge_list, write_snapshot, EdgeListFormat,
+    build_csr_chunked, export_edge_list, mmap_supported, open_snapshot, scan_edge_list,
+    write_snapshot, EdgeListFormat,
 };
 use gnnie::GnnModel;
 
@@ -32,9 +33,8 @@ fn mmap_and_copying_loads_produce_byte_identical_reports() {
     let snap = dir.join("cora.gnniecsr");
     write_snapshot(&snap, &ds, true).unwrap();
 
-    let (copied, _) = read_snapshot_with_partitions(&snap).unwrap();
+    let copied = decode_snapshot(&std::fs::read(&snap).unwrap(), "cora").unwrap();
     let load = open_snapshot(&snap).unwrap();
-    assert_eq!(load.version, 3);
     assert_eq!(load.mmap, mmap_supported(), "v3 loads zero-copy where the platform allows");
     assert_eq!(load.dataset.graph.is_memory_mapped(), mmap_supported());
     assert!(!copied.graph.is_memory_mapped());

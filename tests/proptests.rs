@@ -194,16 +194,6 @@ proptest! {
         // or cut (counted once globally, once from each side per part).
         prop_assert_eq!(induced + part.cut_edges(), g.num_edges() as u64);
         prop_assert_eq!(directed_cut, 2 * part.cut_edges());
-
-        // The stored assignment rebuilds the identical split.
-        let stored = part.to_assignment();
-        let rebuilt = GraphPartition::from_assignment(
-            &g,
-            stored.assignment,
-            stored.num_parts as usize,
-            stored.kind,
-        );
-        prop_assert_eq!(rebuilt, part);
     }
 
     /// RLC round-trips arbitrary sparse vectors through the codec the
