@@ -7,7 +7,8 @@
 //! and FM/LR scheduler, the cache walk, preprocessing) may be optimized
 //! freely, but the simulated report must not move by a single byte. All
 //! five models run on small Cora, Citeseer and Pubmed synthetics, cold and
-//! with the layer weights already resident (the serving path).
+//! with the layer weights already resident (the serving path); three-head
+//! GAT and a small DiffPool are pinned beside them.
 //!
 //! When a change is *meant* to move simulated numbers, the failure
 //! message prints the regenerated table to paste below.
@@ -41,11 +42,57 @@ const GOLDEN: &[(&str, &str, [u64; 2])] = &[
     ("DiffPool", "Pubmed", [0x39b383a879951c3f, 0xed853b5f38a7df6b]),
 ];
 
+/// `(label, dataset, [cold digest, weights-resident digest])` for model
+/// shapes the paper configs do not reach: three-head GAT, whose heads
+/// share one cache walk per layer, and DiffPool at a scale where its
+/// cluster count (`|V| / 4`) falls below the 128-wide hidden layer, so
+/// the embedding and pooling GCNs walk two different payload widths.
+#[rustfmt::skip]
+const SHAPE_GOLDEN: &[(&str, &str, [u64; 2])] = &[
+    ("GAT x3", "Cora", [0xf11cf81265a95979, 0xd2118f449db28c33]),
+    ("GAT x3", "Citeseer", [0xf2b6f75cf8774fb6, 0xa18cff2c86474634]),
+    ("DiffPool small", "Cora", [0xb08b471f0f5a2c0a, 0xf592107d9681d9c1]),
+    ("DiffPool small", "Citeseer", [0xeb6f81927ed10cb9, 0x620ec0e92f5218bd]),
+];
+
 /// FNV-1a, 64-bit.
 fn fnv64(bytes: &[u8]) -> u64 {
     bytes
         .iter()
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// The cold and weights-resident digests of `mc` over `ds`.
+fn digests(engine: &Engine, mc: &ModelConfig, ds: &GraphDataset) -> [u64; 2] {
+    [false, true].map(|weights_resident| {
+        let opts = RunOptions { weights_resident, ..RunOptions::default() };
+        fnv64(format!("{:?}", engine.run_with(mc, ds, opts)).as_bytes())
+    })
+}
+
+/// Fails unless `actual` matches `golden` row for row, printing the
+/// regenerated table when it does not.
+fn assert_golden(actual: &[(String, String, [u64; 2])], golden: &[(&str, &str, [u64; 2])]) {
+    let moved: Vec<String> = actual
+        .iter()
+        .filter(|(label, dataset, got)| {
+            let want =
+                golden.iter().find(|row| (row.0, row.1) == (label.as_str(), dataset.as_str()));
+            want.map_or(true, |row| row.2 != *got)
+        })
+        .map(|(label, dataset, _)| format!("{label} on {dataset}"))
+        .collect();
+    let table: String = actual
+        .iter()
+        .map(|(label, dataset, [cold, hot])| {
+            format!("    ({label:?}, {dataset:?}, [0x{cold:016x}, 0x{hot:016x}]),\n")
+        })
+        .collect();
+    assert!(
+        moved.is_empty() && actual.len() == golden.len(),
+        "engine reports moved:\n  {}\nregenerated table:\n{table}",
+        moved.join("\n  ")
+    );
 }
 
 #[test]
@@ -56,31 +103,32 @@ fn engine_reports_match_the_golden_digests() {
         let engine = Engine::new(AcceleratorConfig::paper(dataset));
         for model in GnnModel::ALL {
             let mc = ModelConfig::paper(model, &ds.spec);
-            let digests = [false, true].map(|weights_resident| {
-                let opts = RunOptions { weights_resident, ..RunOptions::default() };
-                fnv64(format!("{:?}", engine.run_with(&mc, &ds, opts)).as_bytes())
-            });
-            actual.push((model.to_string(), format!("{dataset:?}"), digests));
+            actual.push((
+                model.to_string(),
+                format!("{dataset:?}"),
+                digests(&engine, &mc, &ds),
+            ));
         }
     }
-    let moved: Vec<String> = actual
-        .iter()
-        .filter(|(model, dataset, got)| {
-            let want =
-                GOLDEN.iter().find(|row| (row.0, row.1) == (model.as_str(), dataset.as_str()));
-            want.map_or(true, |row| row.2 != *got)
-        })
-        .map(|(model, dataset, _)| format!("{model} on {dataset}"))
-        .collect();
-    let table: String = actual
-        .iter()
-        .map(|(model, dataset, [cold, hot])| {
-            format!("    ({model:?}, {dataset:?}, [0x{cold:016x}, 0x{hot:016x}]),\n")
-        })
-        .collect();
-    assert!(
-        moved.is_empty() && actual.len() == GOLDEN.len(),
-        "engine reports moved:\n  {}\nregenerated table:\n{table}",
-        moved.join("\n  ")
-    );
+    assert_golden(&actual, GOLDEN);
+}
+
+#[test]
+fn multihead_gat_and_small_diffpool_match_the_golden_digests() {
+    let mut actual = Vec::new();
+    for (dataset, scale) in [(Dataset::Cora, 0.5), (Dataset::Citeseer, 0.5)] {
+        let ds = GraphDataset::generate(dataset, scale, SEED);
+        let engine = Engine::new(AcceleratorConfig::paper(dataset));
+        let mc = ModelConfig::gat_multihead(&ds.spec, 3);
+        actual.push(("GAT x3".to_string(), format!("{dataset:?}"), digests(&engine, &mc, &ds)));
+    }
+    for (dataset, scale) in [(Dataset::Cora, 0.1), (Dataset::Citeseer, 0.1)] {
+        let ds = GraphDataset::generate(dataset, scale, SEED);
+        let engine = Engine::new(AcceleratorConfig::paper(dataset));
+        let mc = ModelConfig::paper(GnnModel::DiffPool, &ds.spec);
+        assert!(mc.diffpool_clusters.unwrap() < mc.hidden, "two distinct DiffPool walks");
+        let label = "DiffPool small".to_string();
+        actual.push((label, format!("{dataset:?}"), digests(&engine, &mc, &ds)));
+    }
+    assert_golden(&actual, SHAPE_GOLDEN);
 }
