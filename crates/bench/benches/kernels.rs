@@ -15,7 +15,7 @@ use gnnie_core::weighting::{
 use gnnie_graph::generate;
 use gnnie_graph::reorder::Permutation;
 use gnnie_graph::{Dataset, GraphDataset};
-use gnnie_mem::cache::PaperAlphaGamma;
+use gnnie_mem::cache::{build_edge_index, PaperAlphaGamma};
 use gnnie_mem::{CacheConfig, CacheSim, HbmModel, SimPool, SimThreads};
 use gnnie_tensor::rlc;
 use gnnie_tensor::SparseVec;
@@ -56,6 +56,7 @@ fn bench_block_profile(c: &mut Criterion) {
 fn bench_cache_walk(c: &mut Criterion) {
     let ds = GraphDataset::generate(Dataset::Cora, 0.5, 7);
     let graph = Permutation::descending_degree(&ds.graph).apply(&ds.graph);
+    let ids = build_edge_index(&graph);
     let pool = SimPool::new(SimThreads::Auto);
     let mut g = c.benchmark_group("cache_walk");
     for capacity in [64usize, 256, 1024] {
@@ -63,7 +64,7 @@ fn bench_cache_walk(c: &mut Criterion) {
             b.iter(|| {
                 let mut dram = HbmModel::hbm2_256gbps(1.3e9);
                 let cfg = CacheConfig::with_capacity(capacity, 512);
-                CacheSim::new(black_box(&graph), cfg, &pool)
+                CacheSim::new(black_box(&graph), &ids, cfg, &pool)
                     .run(&mut PaperAlphaGamma::new(), &mut dram)
             });
         });

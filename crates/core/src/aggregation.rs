@@ -24,9 +24,10 @@ use std::borrow::Cow;
 use serde::{Deserialize, Serialize};
 
 use gnnie_graph::{CsrGraph, GraphPartition, Permutation};
-use gnnie_mem::cache::IterationStats;
+use gnnie_mem::cache::{build_edge_index, IterationStats};
 use gnnie_mem::{
-    CacheConfig, CacheSim, CacheSimResult, DoubleBuffer, HbmModel, MemoryHierarchy, SimPool,
+    CacheConfig, CacheSim, CacheSimResult, DoubleBuffer, DramCounters, HbmModel,
+    MemoryHierarchy, SimPool,
 };
 
 use crate::config::AcceleratorConfig;
@@ -39,7 +40,7 @@ use crate::gat::AttentionCost;
 pub const MAX_CACHED_NEIGHBORS_PER_VERTEX: u64 = 64;
 
 /// Parameters of one Aggregation invocation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AggregationParams {
     /// Feature width being aggregated (`F_out` of the layer).
     pub f_out: usize,
@@ -189,18 +190,70 @@ pub fn simulate_aggregation(
     dram: &mut HbmModel,
     pool: &SimPool,
 ) -> AggregationReport {
-    if cfg.chips > 1 {
-        simulate_scaleout(cfg, arr, graph, params, dram, pool)
+    let (report, counters) = simulate_aggregation_batch(cfg, arr, graph, &[params], dram, pool)
+        .pop()
+        .expect("one walk per parameter set");
+    dram.absorb_counters(&counters);
+    report
+}
+
+/// Runs [`simulate_aggregation`] once per entry of `params`, every walk
+/// over the same `graph`, and returns each report with the DRAM counters
+/// its walk charged, in `params` order.
+///
+/// The walks are independent, so they run side by side, one per worker
+/// of `pool` ([`SimPool::map_items`]), over one shared edge index of
+/// `graph`. Each task hands its walk [`SimPool::serial`] for the sharded
+/// vertex scans, since a task must not call back into `pool`; a lone
+/// walk, or any walk at width 1, runs on the calling thread with `pool`
+/// as before. Each walk charges a counter-zeroed clone of `dram`. That is
+/// exact because [`HbmModel`] cycles are a stateless function of the
+/// bytes moved: the caller absorbs a walk's counters into its own channel
+/// when it charges that phase. Reports are bit-identical to one
+/// `simulate_aggregation` call per entry, at any pool width.
+pub fn simulate_aggregation_batch(
+    cfg: &AcceleratorConfig,
+    arr: &CpeArray,
+    graph: &CsrGraph,
+    params: &[AggregationParams],
+    dram: &HbmModel,
+    pool: &SimPool,
+) -> Vec<(AggregationReport, DramCounters)> {
+    // Scale-out walks index each chip's own partition instead.
+    let edge_ids = if cfg.chips > 1 { Vec::new() } else { edge_index(cfg, graph) };
+    let walk = |params: &AggregationParams, pool: &SimPool| {
+        let mut channel = dram.clone();
+        channel.take_counters();
+        let report = if cfg.chips > 1 {
+            simulate_scaleout(cfg, arr, graph, *params, &mut channel, pool)
+        } else {
+            simulate_single_chip(cfg, arr, graph, &edge_ids, *params, &mut channel, pool)
+        };
+        (report, *channel.counters())
+    };
+    match params {
+        [one] => vec![walk(one, pool)],
+        _ => pool.map_items(params, |p| walk(p, &SimPool::serial())),
+    }
+}
+
+/// The undirected edge index the cache walk borrows; empty when the
+/// cache policy is off, since the id-order baseline reads none.
+fn edge_index(cfg: &AcceleratorConfig, graph: &CsrGraph) -> Vec<u32> {
+    if cfg.enable_cache_policy {
+        build_edge_index(graph)
     } else {
-        simulate_single_chip(cfg, arr, graph, params, dram, pool)
+        Vec::new()
     }
 }
 
 /// The single-chip cycle model (the only path when `chips <= 1`).
+/// `edge_ids` is [`edge_index`] of `graph`.
 fn simulate_single_chip(
     cfg: &AcceleratorConfig,
     arr: &CpeArray,
     graph: &CsrGraph,
+    edge_ids: &[u32],
     params: AggregationParams,
     dram: &mut HbmModel,
     pool: &SimPool,
@@ -223,7 +276,7 @@ fn simulate_single_chip(
     let capacity = (cfg.input_buffer_bytes as u64 / (payload + connectivity_bytes + 4).max(1))
         .max(4) as usize;
 
-    let (iteration_stats, cache, cache_dram_cycles) = if cfg.enable_cache_policy {
+    let (baseline_stats, cache, cache_dram_cycles) = if cfg.enable_cache_policy {
         let mut cache_cfg = CacheConfig::with_capacity(capacity, payload);
         cache_cfg.gamma = cfg.gamma;
         // The replacement decision is pluggable (`AcceleratorConfig::
@@ -258,20 +311,21 @@ fn simulate_single_chip(
                     graph.num_vertices() as u32,
                     line,
                 );
-                let r = CacheSim::new(graph, tiered_cfg, pool)
+                let r = CacheSim::new(graph, edge_ids, tiered_cfg, pool)
                     .run_tiered(policy.as_mut(), &mut hier);
                 dram.absorb_counters(&hier.dram_counters());
                 r
             }
-            None => CacheSim::new(graph, cache_cfg, pool).run(policy.as_mut(), dram),
+            None => CacheSim::new(graph, edge_ids, cache_cfg, pool).run(policy.as_mut(), dram),
         };
         let cycles = result.dram_cycles;
-        (result.iteration_stats.clone(), Some(result), cycles)
+        (Vec::new(), Some(result), cycles)
     } else {
         let (stats, cycles, _) =
             gnnie_mem::cache::simulate_id_order_baseline(graph, capacity, payload, dram);
         (stats, None, cycles)
     };
+    let iteration_stats = cache.as_ref().map_or(&baseline_stats, |c| &c.iteration_stats);
 
     let total_arrivals: u64 =
         iteration_stats.iter().map(|s| s.arrivals as u64).sum::<u64>().max(1);
@@ -282,7 +336,7 @@ fn simulate_single_chip(
     let mut sfu_cycles_total = 0u64;
     let mut edge_updates = 0u64;
     let mut overlap = DoubleBuffer::new();
-    for s in &iteration_stats {
+    for s in iteration_stats {
         let (iter_compute, iter_sfu) =
             iteration_cycles(s, f as u64, params.is_gat, cfg, total_macs, min_macs);
         compute_cycles += iter_compute;
@@ -390,7 +444,16 @@ fn simulate_scaleout(
             }
             None => Cow::Borrowed(cfg),
         };
-        let r = simulate_single_chip(&chip_cfg, arr, &chip_graph, params, &mut chip_dram, pool);
+        let chip_ids = edge_index(cfg, &chip_graph);
+        let r = simulate_single_chip(
+            &chip_cfg,
+            arr,
+            &chip_graph,
+            &chip_ids,
+            params,
+            &mut chip_dram,
+            pool,
+        );
         dram.absorb_counters(chip_dram.counters());
 
         // Every distinct external neighbor's feature crosses the link once.
@@ -545,6 +608,51 @@ mod tests {
         assert_eq!(two.exp_evals, 2 * one.exp_evals);
         assert_eq!(two.macs_issued, 2 * one.macs_issued);
         assert_eq!(two.vertices, one.vertices, "vertex set is shared, not doubled");
+    }
+
+    #[test]
+    fn a_batch_matches_one_call_per_shape_at_any_width() {
+        // Repeated and distinct shapes, on one chip, two chips and a
+        // tiered store: each batched walk must report, and charge, exactly
+        // what its own `simulate_aggregation` call does.
+        let g = degree_ordered(&generate::powerlaw_chung_lu(700, 4200, 2.0, 19));
+        let shapes = [
+            AggregationParams { f_out: 32, is_gat: false },
+            AggregationParams { f_out: 64, is_gat: true },
+            AggregationParams { f_out: 32, is_gat: false },
+        ];
+        for variant in 0..3 {
+            let (mut cfg, arr) = paper_setup();
+            match variant {
+                1 => cfg.chips = 2,
+                2 => {
+                    cfg.tiers = Some(gnnie_mem::TierSpec::Split {
+                        total_bytes: 64 * 1024,
+                        mode: gnnie_mem::SplitMode::Workload,
+                    })
+                }
+                _ => {}
+            }
+            let expect: Vec<String> = shapes
+                .iter()
+                .map(|&p| {
+                    let mut dram = HbmModel::hbm2_256gbps(cfg.clock_hz);
+                    let r =
+                        simulate_aggregation(&cfg, &arr, &g, p, &mut dram, &SimPool::serial());
+                    format!("{r:?} {:?}", dram.counters())
+                })
+                .collect();
+            let mut session_dram = HbmModel::hbm2_256gbps(cfg.clock_hz);
+            session_dram.read_seq(4096); // earlier phases' traffic stays out
+            for width in [1usize, 2, 3] {
+                let pool = SimPool::new(SimThreads::Fixed(width));
+                let batch =
+                    simulate_aggregation_batch(&cfg, &arr, &g, &shapes, &session_dram, &pool);
+                let got: Vec<String> =
+                    batch.iter().map(|(r, c)| format!("{r:?} {c:?}")).collect();
+                assert_eq!(got, expect, "variant {variant}, width {width}");
+            }
+        }
     }
 
     #[test]

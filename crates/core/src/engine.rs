@@ -24,7 +24,9 @@ use gnnie_mem::{DramCounters, EnergyLedger, HbmModel, SimPool, SimThreads};
 use gnnie_obs::Obs;
 use gnnie_tensor::rlc;
 
-use crate::aggregation::{simulate_aggregation, AggregationParams, AggregationReport};
+use crate::aggregation::{
+    simulate_aggregation, simulate_aggregation_batch, AggregationParams, AggregationReport,
+};
 use crate::config::AcceleratorConfig;
 use crate::cpe::{div_ceil, CpeArray};
 use crate::energy::{static_energy_pj, ActivityCounts, OpEnergy};
@@ -186,6 +188,7 @@ impl Engine {
             // the session's pool handle.
             pool: pool.clone(),
             agg_graph,
+            walks: None,
             dram,
             counts: ActivityCounts::default(),
             layers: Vec::new(),
@@ -241,6 +244,10 @@ pub struct RunSession<'a> {
     /// The run's worker pool, shared across every phase.
     pool: SimPool,
     agg_graph: CsrGraph,
+    /// The distinct Aggregation walks over `agg_graph`, all run by the
+    /// first Aggregation phase (`None` before it); see
+    /// [`RunSession::planned_walk`].
+    walks: Option<Vec<PlannedWalk>>,
     dram: HbmModel,
     counts: ActivityCounts,
     layers: Vec<LayerReport>,
@@ -567,14 +574,20 @@ impl<'a> RunSession<'a> {
         is_gat: bool,
     ) -> AggregationReport {
         let engine = self.engine;
-        let report = simulate_aggregation(
-            &engine.config,
-            &engine.array,
-            sampled.unwrap_or(&self.agg_graph),
-            AggregationParams { f_out, is_gat },
-            &mut self.dram,
-            &self.pool,
-        );
+        let params = AggregationParams { f_out, is_gat };
+        let report = match sampled {
+            // A sampled graph serves one layer only: it is walked alone,
+            // on the session pool, so only one such graph is ever live.
+            Some(graph) => simulate_aggregation(
+                &engine.config,
+                &engine.array,
+                graph,
+                params,
+                &mut self.dram,
+                &self.pool,
+            ),
+            None => self.planned_walk(params),
+        };
         let counts = &mut self.counts;
         counts.macs += report.macs_issued;
         counts.sfu_ops +=
@@ -591,6 +604,89 @@ impl<'a> RunSession<'a> {
         report
     }
 
+    /// The walk of one Aggregation phase over the session's relabeled
+    /// graph, charging its DRAM counters to the session channel.
+    ///
+    /// The first call runs the whole plan ([`RunSession::walk_plan`]):
+    /// each distinct `(f_out, is_gat)` is walked once, and the distinct
+    /// walks run side by side on the session pool
+    /// ([`simulate_aggregation_batch`]). Every later phase of the same
+    /// shape reuses its walk, whose report is a pure function of the
+    /// graph, the configuration and the shape. The first phase's host time
+    /// therefore also carries its sibling walks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` is not in the session's plan.
+    fn planned_walk(&mut self, params: AggregationParams) -> AggregationReport {
+        if self.walks.is_none() {
+            let mut distinct: Vec<(AggregationParams, usize)> = Vec::new();
+            for p in self.walk_plan() {
+                match distinct.iter_mut().find(|(q, _)| *q == p) {
+                    Some((_, uses)) => *uses += 1,
+                    None => distinct.push((p, 1)),
+                }
+            }
+            let shapes: Vec<AggregationParams> = distinct.iter().map(|&(p, _)| p).collect();
+            let engine = self.engine;
+            let walks = simulate_aggregation_batch(
+                &engine.config,
+                &engine.array,
+                &self.agg_graph,
+                &shapes,
+                &self.dram,
+                &self.pool,
+            );
+            self.walks = Some(
+                distinct
+                    .into_iter()
+                    .zip(walks)
+                    .map(|((params, uses), (report, counters))| PlannedWalk {
+                        params,
+                        report,
+                        counters,
+                        uses,
+                    })
+                    .collect(),
+            );
+        }
+        let walks = self.walks.as_mut().expect("planned above");
+        let i = walks
+            .iter()
+            .position(|w| w.params == params)
+            .unwrap_or_else(|| panic!("{params:?} is not in the session's walk plan"));
+        self.dram.absorb_counters(&walks[i].counters);
+        walks[i].uses -= 1;
+        if walks[i].uses == 0 {
+            walks.swap_remove(i).report
+        } else {
+            walks[i].report.clone()
+        }
+    }
+
+    /// Every Aggregation phase the session runs over its relabeled graph,
+    /// in phase order: each layer once per GAT head, or DiffPool's
+    /// embedding and pooling GCNs. GraphSAGE walks its sampled graphs
+    /// instead, so its plan is empty.
+    fn walk_plan(&self) -> Vec<AggregationParams> {
+        let model = self.model;
+        match model.model {
+            GnnModel::GraphSage => Vec::new(),
+            GnnModel::DiffPool => [model.hidden, model.diffpool_clusters.unwrap_or(1)]
+                .map(|f_out| AggregationParams { f_out, is_gat: false })
+                .to_vec(),
+            m => model
+                .layers
+                .iter()
+                .flat_map(|spec| {
+                    let params =
+                        AggregationParams { f_out: spec.f_out, is_gat: m == GnnModel::Gat };
+                    std::iter::repeat(params).take(self.heads())
+                })
+                .collect(),
+        }
+    }
+
     /// Independent attention heads per layer (1 for non-GAT models).
     fn heads(&self) -> usize {
         if self.model.model == GnnModel::Gat {
@@ -599,6 +695,16 @@ impl<'a> RunSession<'a> {
             1
         }
     }
+}
+
+/// One distinct Aggregation walk of a session: its report, the DRAM
+/// counters it charged, and how many phases have yet to charge it.
+#[derive(Debug)]
+struct PlannedWalk {
+    params: AggregationParams,
+    report: AggregationReport,
+    counters: DramCounters,
+    uses: usize,
 }
 
 /// Builds the undirected union of sampled neighborhoods: edge `(u, v)` is

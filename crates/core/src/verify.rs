@@ -14,6 +14,7 @@
 use gnnie_gnn::layers::{GatLayer, GnnLayer, SageAggregator};
 use gnnie_graph::reorder::Permutation;
 use gnnie_graph::CsrGraph;
+use gnnie_mem::cache::build_edge_index;
 use gnnie_mem::cache::PaperAlphaGamma;
 use gnnie_mem::{CacheConfig, CacheSim, HbmModel, SimPool};
 use gnnie_tensor::activations::{leaky_relu, relu, GAT_LEAKY_SLOPE};
@@ -106,7 +107,8 @@ fn cache_edge_walk(
     let mut cfg = CacheConfig::with_capacity(capacity.max(4), 64);
     cfg.gamma = gamma;
     let mut dram = HbmModel::hbm2_256gbps(1.3e9);
-    let result = CacheSim::new(graph, cfg, pool).run_with(
+    let ids = build_edge_index(graph);
+    let result = CacheSim::new(graph, &ids, cfg, pool).run_with(
         &mut PaperAlphaGamma::new(),
         &mut dram,
         &mut on_edge,

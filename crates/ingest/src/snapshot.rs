@@ -441,6 +441,15 @@ fn parse_layout(data: &[u8], what: &str, verify_arrays: bool) -> Result<Layout, 
             meta.rows, meta.n
         )));
     }
+    // The spec names the shape every report prints; it must describe the
+    // arrays the load returns.
+    if (spec.vertices, spec.feature_len) != (meta.n, meta.cols) {
+        return Err(IngestError::Snapshot(format!(
+            "{what}: SPEC declares {} vertices and {} feature columns, but the arrays hold {} \
+             and {}",
+            spec.vertices, spec.feature_len, meta.n, meta.cols
+        )));
+    }
     let shapes = [
         (meta.n.checked_add(1), 8),
         (meta.num_edges.checked_mul(2), 4),
@@ -671,6 +680,38 @@ mod tests {
             // The bare 12-byte header is enough to be refused by version.
             let msg = decode_snapshot(&old[..12], "mem").unwrap_err().to_string();
             assert!(msg.contains(&format!("version {version}")), "{msg}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_spec_that_disagrees_with_the_arrays_is_refused() {
+        // Checksum-valid snapshots whose SPEC misstates the vertex count
+        // or the feature width fail on both load paths, naming the file.
+        let dir = tmpdir("specmeta");
+        let ds = tiny();
+        let edits: [fn(&mut DatasetSpec); 2] = [|s| s.vertices = 7, |s| s.feature_len = 5];
+        for (i, edit) in edits.into_iter().enumerate() {
+            let mut spec = ds.spec.clone();
+            edit(&mut spec);
+            let bytes = encode_snapshot(&GraphDataset::from_parts(
+                spec,
+                ds.graph.clone(),
+                ds.features.clone(),
+            ));
+            let path = dir.join(format!("edited{i}.gnniecsr"));
+            std::fs::write(&path, &bytes).unwrap();
+            let errors = [
+                decode_snapshot(&bytes, "mem").unwrap_err(),
+                open_snapshot(&path).unwrap_err(),
+            ];
+            for err in errors {
+                let msg = err.to_string();
+                assert!(matches!(err, IngestError::Snapshot(_)), "{msg}");
+                assert!(msg.contains("SPEC declares"), "{msg}");
+            }
+            let msg = open_snapshot(&path).unwrap_err().to_string();
+            assert!(msg.contains(&path.display().to_string()), "{msg}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

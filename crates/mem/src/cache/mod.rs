@@ -286,7 +286,9 @@ mod tests {
 
     fn run_on(g: &CsrGraph, cfg: CacheConfig) -> CacheSimResult {
         let mut dram = HbmModel::hbm2_256gbps(1.3e9);
-        CacheSim::new(g, cfg, &SimPool::serial()).run(&mut PaperAlphaGamma::new(), &mut dram)
+        let ids = build_edge_index(g);
+        CacheSim::new(g, &ids, cfg, &SimPool::serial())
+            .run(&mut PaperAlphaGamma::new(), &mut dram)
     }
 
     #[test]
@@ -506,8 +508,10 @@ mod tests {
         for kind in CachePolicyKind::ALL {
             let mut dram = HbmModel::hbm2_256gbps(1.3e9);
             let mut policy = kind.instantiate();
-            let r = CacheSim::new(&g, CacheConfig::with_capacity(3, 32), &SimPool::serial())
-                .run(policy.as_mut(), &mut dram);
+            let ids = build_edge_index(&g);
+            let r =
+                CacheSim::new(&g, &ids, CacheConfig::with_capacity(3, 32), &SimPool::serial())
+                    .run(policy.as_mut(), &mut dram);
             assert!(r.completed, "{kind}: 3-vertex cache must still finish");
             assert!(r.evictions > 0, "{kind}: a tiny cache must evict");
         }

@@ -93,7 +93,7 @@ impl PolicyCtx<'_> {
 /// use std::collections::VecDeque;
 ///
 /// use gnnie_graph::CsrGraph;
-/// use gnnie_mem::cache::{CacheConfig, CachePolicy, CacheSim, PolicyCtx};
+/// use gnnie_mem::cache::{build_edge_index, CacheConfig, CachePolicy, CacheSim, PolicyCtx};
 /// use gnnie_mem::{HbmModel, SimPool};
 ///
 /// #[derive(Default)]
@@ -129,7 +129,8 @@ impl PolicyCtx<'_> {
 ///
 /// let g = CsrGraph::from_edges(8, (0..7u32).map(|i| (i, i + 1)));
 /// let mut dram = HbmModel::hbm2_256gbps(1.3e9);
-/// let result = CacheSim::new(&g, CacheConfig::with_capacity(4, 32), &SimPool::serial())
+/// let ids = build_edge_index(&g);
+/// let result = CacheSim::new(&g, &ids, CacheConfig::with_capacity(4, 32), &SimPool::serial())
 ///     .run(&mut Fifo::default(), &mut dram);
 /// assert!(result.completed);
 /// assert_eq!(result.policy, "fifo");

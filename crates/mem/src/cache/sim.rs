@@ -35,8 +35,10 @@ use crate::dram::HbmModel;
 use crate::par::SimPool;
 use crate::tier::{MemoryHierarchy, VertexMemory};
 
+#[cfg(doc)]
+use super::build_edge_index;
 use super::policy::{CachePolicy, PolicyCtx};
-use super::{build_edge_index, CacheConfig, CacheSimResult, IterationStats};
+use super::{CacheConfig, CacheSimResult, IterationStats};
 
 /// Locality class of a vertex's spilled partial sum, set at eviction time
 /// and consumed (as the reload's traffic class) at refetch time.
@@ -95,32 +97,51 @@ fn writeback<M: VertexMemory>(
 
 /// The shared cache walk, parameterized by a [`CachePolicy`].
 ///
-/// Construct once per graph (the undirected edge index is precomputed)
-/// and [`run`](CacheSim::run) any number of policies over it; each run is
-/// independent and starts from a cold cache.
+/// Construct over a graph and its undirected edge index
+/// ([`build_edge_index`]), then [`run`](CacheSim::run) any number of
+/// policies over it; each run is independent and starts from a cold
+/// cache. The simulator only borrows the index, so several walks over
+/// one graph share a single copy: the engine builds it once per session
+/// and runs that session's distinct walks side by side, one per worker of
+/// its [`SimPool`].
+///
+/// One walk is a serial state machine. Its per-vertex scans (α
+/// initialization, the per-Round α histograms) shard across the pool it
+/// is given.
 #[derive(Debug)]
 pub struct CacheSim<'a> {
     graph: &'a CsrGraph,
     config: CacheConfig,
-    edge_ids: Vec<u32>,
-    /// The caller's worker pool for the sharded per-vertex scans (α
-    /// initialization, the per-Round α histograms); the walk itself is a
-    /// serial state machine.
+    edge_ids: &'a [u32],
+    /// The caller's worker pool for the sharded per-vertex scans.
     pool: &'a SimPool,
 }
 
 impl<'a> CacheSim<'a> {
     /// Creates a simulator for `graph`, which **must already be relabeled
     /// into descending-degree order** (vertex id = DRAM stream position).
-    /// The sharded scans dispatch through `pool` — the engine passes its
-    /// session's pool; results are bit-identical at any width.
+    /// `edge_ids` must be `build_edge_index(graph)`. The sharded scans
+    /// dispatch through `pool`; results are bit-identical at any width.
+    /// A walk that itself runs as a task on a pool's workers must be
+    /// handed [`SimPool::serial`], not that pool (see
+    /// [`SimPool::map_items`]).
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid.
-    pub fn new(graph: &'a CsrGraph, config: CacheConfig, pool: &'a SimPool) -> Self {
+    /// Panics if the configuration is invalid, or if `edge_ids` does not
+    /// have one entry per CSR neighbor slot of `graph`.
+    pub fn new(
+        graph: &'a CsrGraph,
+        edge_ids: &'a [u32],
+        config: CacheConfig,
+        pool: &'a SimPool,
+    ) -> Self {
         config.validate();
-        let edge_ids = build_edge_index(graph);
+        assert_eq!(
+            edge_ids.len(),
+            graph.neighbors_flat().len(),
+            "edge index does not belong to this graph"
+        );
         Self { graph, config, edge_ids, pool }
     }
 
@@ -131,7 +152,7 @@ impl<'a> CacheSim<'a> {
 
     /// The CSR-position → undirected-edge-id map.
     pub fn edge_ids(&self) -> &[u32] {
-        &self.edge_ids
+        self.edge_ids
     }
 
     /// Runs the walk under `policy`, charging DRAM traffic to `dram`.
@@ -507,7 +528,7 @@ impl<'a> CacheSim<'a> {
                     alpha: &alpha,
                     in_cache: &in_cache,
                     edge_done: &edge_done,
-                    edge_ids: &self.edge_ids,
+                    edge_ids: self.edge_ids,
                     stream_pos,
                     round: result.rounds,
                 };
@@ -596,6 +617,7 @@ fn alpha_histogram(alpha: &[u32], max_alpha0: u32, pool: &SimPool) -> Histogram 
 
 #[cfg(test)]
 mod tests {
+    use super::super::build_edge_index;
     use super::super::policy::{BeladyOracle, CachePolicyKind, PaperAlphaGamma};
     use super::*;
     use gnnie_graph::generate;
@@ -617,7 +639,8 @@ mod tests {
     ) -> CacheSimResult {
         let mut dram = HbmModel::hbm2_256gbps(1.3e9);
         let mut policy = kind.instantiate();
-        CacheSim::new(g, cfg, pool).run(policy.as_mut(), &mut dram)
+        let ids = build_edge_index(g);
+        CacheSim::new(g, &ids, cfg, pool).run(policy.as_mut(), &mut dram)
     }
 
     #[test]
@@ -682,7 +705,9 @@ mod tests {
         let via_sim = run_kind(&g, cfg, CachePolicyKind::Paper);
         let mut dram = HbmModel::hbm2_256gbps(1.3e9);
         let mut policy = PaperAlphaGamma::new();
-        let direct = CacheSim::new(&g, cfg, &SimPool::serial()).run(&mut policy, &mut dram);
+        let ids = build_edge_index(&g);
+        let direct =
+            CacheSim::new(&g, &ids, cfg, &SimPool::serial()).run(&mut policy, &mut dram);
         assert_eq!(via_sim.iterations, direct.iterations);
         assert_eq!(via_sim.evictions, direct.evictions);
         assert_eq!(via_sim.counters, direct.counters);
@@ -716,7 +741,8 @@ mod tests {
         let mut dram = HbmModel::hbm2_256gbps(1.3e9);
         let mut policy = BeladyOracle::new();
         let pool = SimPool::serial();
-        let r = CacheSim::new(&g, CacheConfig::with_capacity(16, 32), &pool)
+        let ids = build_edge_index(&g);
+        let r = CacheSim::new(&g, &ids, CacheConfig::with_capacity(16, 32), &pool)
             .run(&mut policy, &mut dram);
         assert!(r.completed);
     }

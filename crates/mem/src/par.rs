@@ -1,17 +1,22 @@
-//! Simulation-thread policy and the sharded worker pool the hot loops
-//! run on.
+//! Simulation-thread policy and the worker pool the hot loops run on.
 //!
-//! The engine's two dominant loops — the per-vertex Weighting profile
-//! (`gnnie-core::weighting`) and the aggregation cache walk
-//! (`crate::cache::CacheSim`) — shard their per-vertex scans across the
-//! run's one [`SimPool`] handle, whose channel-fed [`WorkerSet`] is
-//! started once per handle (no dependencies, like the ingest builder).
+//! Everything parallel in a run goes through its one [`SimPool`] handle,
+//! whose channel-fed [`WorkerSet`] is started once per handle (no
+//! dependencies, like the ingest builder). There are two dispatches:
+//!
+//! * [`SimPool::map_ranges`] shards a per-vertex scan — the Weighting
+//!   block profile (`gnnie-core::weighting`), a cache walk's α
+//!   initialization and α histograms (`crate::cache::CacheSim`) — into
+//!   contiguous ranges;
+//! * [`SimPool::map_items`] runs a few coarse, independent jobs one per
+//!   task: the engine's distinct cache walks over one session graph.
+//!
 //! The contract that makes this safe to enable by default is
 //! **determinism**: every sharded computation partitions the vertices
 //! into contiguous ranges, accumulates per-shard results (histograms,
-//! byte counters, cycle profiles), and reduces them in shard order, so
-//! the merged result is *bit-identical* to the serial path at any thread
-//! count.
+//! byte counters, cycle profiles), and reduces them in shard order, and
+//! per-item results come back in item order, so the merged result is
+//! *bit-identical* to the serial path at any thread count.
 //!
 //! [`SimThreads`] is the knob. It is a run option, not simulated
 //! hardware: `RunOptions::sim_threads` sets it per session, the serving
@@ -241,12 +246,13 @@ impl Latch {
 /// queue and joins them. `Engine::begin_with` builds one pool per
 /// `RunSession`, and the serving daemon shares one across every request
 /// through `Engine::begin_pooled`; either way every phase of a session —
-/// the Weighting scans and the Aggregation cache walk alike — dispatches
-/// through that one handle.
+/// the Weighting scans, the session's fanned-out cache walks and a lone
+/// walk's scans alike — dispatches through that one handle.
 ///
-/// `width == 1` starts no thread and runs every region inline, and
-/// inputs below [`MIN_ITEMS_PER_WORKER`] per worker run inline too, over
-/// the *identical* shard ranges and shard-order merge. A forced
+/// `width == 1` starts no thread and runs every region inline. In
+/// [`map_ranges`](SimPool::map_ranges), inputs below
+/// [`MIN_ITEMS_PER_WORKER`] per worker run inline too, over the
+/// *identical* shard ranges and shard-order merge. A forced
 /// `Fixed(4)` therefore engages real threads on large inputs even on a
 /// one-core box, and results are bit-identical at every width by
 /// contract.
@@ -295,6 +301,31 @@ impl SimPool {
                 Self::map_on_workers(workers, ranges, &f)
             }
             _ => ranges.into_iter().map(f).collect(),
+        }
+    }
+
+    /// Runs `f` once per item, each item as its own task on the workers,
+    /// and returns the results **in item order**. This is the dispatch
+    /// for a few coarse, independent jobs (a session's cache walks), where
+    /// [`map_ranges`](SimPool::map_ranges) would run inline below
+    /// [`MIN_ITEMS_PER_WORKER`] items per worker. Width 1, and a single
+    /// item, run inline on the calling thread.
+    ///
+    /// As with `map_ranges`, `f` must not call back into this pool: hand
+    /// any nested sharded work [`SimPool::serial`]. A panicking item
+    /// panics the caller once every item has finished.
+    pub fn map_items<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync,
+    {
+        match &self.workers {
+            Some(workers) if items.len() > 1 => {
+                let ranges = (0..items.len()).map(|i| i..i + 1).collect();
+                Self::map_on_workers(workers, ranges, &|r: Range<usize>| f(&items[r.start]))
+            }
+            _ => items.iter().map(f).collect(),
         }
     }
 
@@ -479,6 +510,62 @@ mod tests {
         drop(tx);
         drop(workers); // joins after the queued tasks ran
         assert_eq!(rx.iter().collect::<Vec<_>>(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn map_items_returns_results_in_item_order_at_any_width() {
+        // Uneven item costs finish out of order on the workers; the
+        // results must still come back in item order.
+        let items: Vec<u64> = (0..7).collect();
+        let work = |&i: &u64| (0..(7 - i) * 20_000).fold(i, |h, x| h.wrapping_mul(31) ^ x);
+        let expect: Vec<u64> = items.iter().map(work).collect();
+        for width in [1usize, 2, 3] {
+            let pool = SimPool::new(SimThreads::Fixed(width));
+            assert_eq!(pool.map_items(&items, work), expect, "width {width}");
+        }
+        assert!(SimPool::serial().map_items(&[] as &[u64], work).is_empty());
+    }
+
+    #[test]
+    fn map_items_runs_inline_at_width_one() {
+        let caller = std::thread::current().id();
+        for pool in [SimPool::serial(), SimPool::new(SimThreads::Fixed(1))] {
+            let threads = pool.map_items(&[0u8, 1, 2], |_| std::thread::current().id());
+            assert!(threads.iter().all(|&t| t == caller), "width 1 never leaves the caller");
+        }
+        // Wider pools hand two or more items to their workers.
+        let pool = SimPool::new(SimThreads::Fixed(2));
+        let threads = pool.map_items(&[0u8, 1], |_| std::thread::current().id());
+        assert!(threads.iter().all(|&t| t != caller), "items run on the workers");
+    }
+
+    #[test]
+    fn map_items_propagates_a_panicking_item() {
+        let pool = SimPool::new(SimThreads::Fixed(2));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.map_items(&[1u32, 0, 3], |&i| {
+                assert!(i != 0, "item 1 blows up");
+                i
+            })
+        }));
+        assert!(result.is_err(), "the panic must reach the caller, not hang it");
+        // The pool stays usable afterwards.
+        assert_eq!(pool.map_items(&[1u32, 2, 3], |&i| 2 * i), vec![2, 4, 6]);
+    }
+
+    #[test]
+    fn map_items_on_a_reused_pool_matches_a_fresh_one() {
+        let items: Vec<usize> = (0..5).collect();
+        let job = |&i: &usize| (0..1000 * (i + 1)).map(|x| x as u64 * 7).sum::<u64>();
+        for width in [2usize, 3] {
+            let reused = SimPool::new(SimThreads::Fixed(width));
+            for _ in 0..4 {
+                let fresh = SimPool::new(SimThreads::Fixed(width)).map_items(&items, job);
+                assert_eq!(reused.map_items(&items, job), fresh, "width {width}");
+                // Interleave a sharded region on the same workers.
+                assert_eq!(reused.sum_ranges(4096, |r| r.len() as u64), 4096);
+            }
+        }
     }
 
     #[test]

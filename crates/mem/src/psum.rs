@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 
 use gnnie_graph::CsrGraph;
 
-use crate::cache::{CacheConfig, CacheSim, PaperAlphaGamma};
+use crate::cache::{build_edge_index, CacheConfig, CacheSim, PaperAlphaGamma};
 use crate::dram::HbmModel;
 use crate::par::SimPool;
 
@@ -226,7 +226,8 @@ pub fn simulate_psum_traffic(
     let mut buf = PsumBuffer::new(policy, psum_capacity);
     let mut remaining: Vec<u32> = (0..g.num_vertices()).map(|v| g.degree(v) as u32).collect();
     let mut dram = HbmModel::hbm2_256gbps(1.3e9);
-    let sim = CacheSim::new(g, cache_cfg, pool);
+    let ids = build_edge_index(g);
+    let sim = CacheSim::new(g, &ids, cache_cfg, pool);
     let result = sim.run_with(&mut PaperAlphaGamma::new(), &mut dram, |u, v| {
         let (du, dv) = (g.degree(u as usize) as u32, g.degree(v as usize) as u32);
         buf.update(u, du);

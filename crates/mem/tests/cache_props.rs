@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use gnnie_graph::reorder::Permutation;
 use gnnie_graph::CsrGraph;
-use gnnie_mem::cache::{CacheConfig, CachePolicyKind, CacheSim};
+use gnnie_mem::cache::{build_edge_index, CacheConfig, CachePolicyKind, CacheSim};
 use gnnie_mem::{HbmModel, MemoryHierarchy, SimPool, TierConfig};
 
 /// Random small graphs: up to 48 vertices, up to 160 raw edge draws
@@ -50,7 +50,8 @@ proptest! {
         let mut alpha: Vec<i64> = (0..g.num_vertices()).map(|v| g.degree(v) as i64).collect();
         let mut underflow = false;
         let pool = SimPool::serial();
-        let sim = CacheSim::new(&g, cfg, &pool);
+        let ids = build_edge_index(&g);
+        let sim = CacheSim::new(&g, &ids, cfg, &pool);
         let result = sim.run_with(policy.as_mut(), &mut dram, |u, v| {
             for w in [u as usize, v as usize] {
                 alpha[w] -= 1;
@@ -121,14 +122,15 @@ proptest! {
         let mut dram = HbmModel::hbm2_256gbps(1.3e9);
         let mut flat_policy = kind.instantiate();
         let pool = SimPool::serial();
-        let flat = CacheSim::new(&g, cfg, &pool).run(flat_policy.as_mut(), &mut dram);
+        let ids = build_edge_index(&g);
+        let flat = CacheSim::new(&g, &ids, cfg, &pool).run(flat_policy.as_mut(), &mut dram);
 
         let tiers = [TierConfig::dram(0)];
         let mut hier =
             MemoryHierarchy::new(&tiers, 1.3e9, g.num_vertices() as u32, 64);
         let mut tiered_policy = kind.instantiate();
         let mut tiered =
-            CacheSim::new(&g, cfg, &pool).run_tiered(tiered_policy.as_mut(), &mut hier);
+            CacheSim::new(&g, &ids, cfg, &pool).run_tiered(tiered_policy.as_mut(), &mut hier);
 
         prop_assert_eq!(tiered.tiers.len(), 1, "{}: one tier surfaced", kind);
         tiered.tiers.clear(); // the flat path reports no tier stats
@@ -164,7 +166,8 @@ proptest! {
             MemoryHierarchy::new(&tiers, 1.3e9, g.num_vertices() as u32, 64);
         let mut policy = kind.instantiate();
         let pool = SimPool::serial();
-        let result = CacheSim::new(&g, cfg, &pool).run_tiered(policy.as_mut(), &mut hier);
+        let ids = build_edge_index(&g);
+        let result = CacheSim::new(&g, &ids, cfg, &pool).run_tiered(policy.as_mut(), &mut hier);
 
         prop_assert!(result.completed, "{kind}: walk did not complete");
         prop_assert_eq!(result.edges_processed, g.num_edges() as u64);

@@ -15,7 +15,7 @@
 use gnnie_graph::generate;
 use gnnie_graph::reorder::Permutation;
 use gnnie_graph::CsrGraph;
-use gnnie_mem::cache::{CacheConfig, CachePolicyKind, CacheSim};
+use gnnie_mem::cache::{build_edge_index, CacheConfig, CachePolicyKind, CacheSim};
 use gnnie_mem::{HbmModel, MemoryHierarchy, SimPool, SplitMode, TierSpec};
 
 const FEATURE_BYTES: u64 = 32;
@@ -69,7 +69,8 @@ fn graphs() -> Vec<(&'static str, CsrGraph)> {
 fn digests(g: &CsrGraph, capacity: usize, channel: &str) -> [u64; 6] {
     let cfg = CacheConfig::with_capacity(capacity, FEATURE_BYTES);
     let pool = SimPool::serial();
-    let sim = CacheSim::new(g, cfg, &pool);
+    let ids = build_edge_index(g);
+    let sim = CacheSim::new(g, &ids, cfg, &pool);
     CachePolicyKind::ALL.map(|kind| {
         let mut policy = kind.instantiate();
         let result = match channel {

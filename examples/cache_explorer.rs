@@ -9,15 +9,16 @@
 
 use gnnie::graph::reorder::Permutation;
 use gnnie::graph::{generate, CsrGraph};
-use gnnie::mem::cache::{simulate_id_order_baseline, PaperAlphaGamma};
+use gnnie::mem::cache::{build_edge_index, simulate_id_order_baseline, PaperAlphaGamma};
 use gnnie::mem::{CacheConfig, CacheSim, HbmModel, SimPool};
 
 fn run_cache(g: &CsrGraph, capacity: usize, gamma: u32) {
     let mut cfg = CacheConfig::with_capacity(capacity, 512);
     cfg.gamma = gamma;
     let mut dram = HbmModel::hbm2_256gbps(1.3e9);
-    let r =
-        CacheSim::new(g, cfg, &SimPool::serial()).run(&mut PaperAlphaGamma::new(), &mut dram);
+    let ids = build_edge_index(g);
+    let r = CacheSim::new(g, &ids, cfg, &SimPool::serial())
+        .run(&mut PaperAlphaGamma::new(), &mut dram);
     assert!(r.completed);
     println!(
         "capacity {:>5}  γ {:>2}: rounds {:>2}  refetches {:>6}  dram {:>7} KB \
@@ -67,8 +68,10 @@ fn main() {
         cycles
     );
     let mut dram2 = HbmModel::hbm2_256gbps(1.3e9);
-    let policy = CacheSim::new(&g, CacheConfig::with_capacity(1024, 512), &SimPool::serial())
-        .run(&mut PaperAlphaGamma::new(), &mut dram2);
+    let ids = build_edge_index(&g);
+    let policy =
+        CacheSim::new(&g, &ids, CacheConfig::with_capacity(1024, 512), &SimPool::serial())
+            .run(&mut PaperAlphaGamma::new(), &mut dram2);
     println!(
         "policy:   dram {} KB, all sequential, {} dram cycles ({:.1}x fewer)",
         policy.counters.total_bytes() / 1024,

@@ -1,10 +1,13 @@
 //! Table-driven boundary tests of every `gnnie` subcommand: 0, 1 and huge
-//! flag values, `--chips` above the vertex count, and empty, header-only
-//! and malformed input files. Each case must exit 0, or exit 1 with an
+//! flag values, `--chips` above the vertex count, and empty, header-only,
+//! malformed and self-contradicting input files. Each case must exit 0, or exit 1 with an
 //! error naming the offending flag or file. None may panic (exit 101).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use gnnie::graph::{Dataset, DatasetSpec, GraphDataset};
+use gnnie::ingest::snapshot::encode_snapshot;
 
 const BIN: &str = env!("CARGO_BIN_EXE_gnnie");
 
@@ -44,6 +47,19 @@ fn fixtures(name: &str) -> PathBuf {
     ];
     for (file, bytes) in files {
         std::fs::write(dir.join(file), bytes).unwrap();
+    }
+    // Checksum-valid snapshots of Cora at 0.05 (135 vertices, 1,433
+    // feature columns) whose SPEC states another shape.
+    let cora = GraphDataset::generate(Dataset::Cora, 0.05, 42);
+    let edits: [(&str, fn(&mut DatasetSpec)); 2] = [
+        ("spec_vertices.gnniecsr", |s| s.vertices = 7),
+        ("spec_features.gnniecsr", |s| s.feature_len = 5),
+    ];
+    for (file, edit) in edits {
+        let mut spec = cora.spec.clone();
+        edit(&mut spec);
+        let edited = GraphDataset::from_parts(spec, cora.graph.clone(), cora.features.clone());
+        std::fs::write(dir.join(file), encode_snapshot(&edited)).unwrap();
     }
     // `gnnie spec` headers with one value at or past its bound.
     for (file, key, value) in SPEC_FILES {
@@ -158,6 +174,8 @@ fn run_boundaries() {
         (file("magic.gnniecsr"), Rejects("magic.gnniecsr")),
         (file("v1.gnniecsr"), Rejects("gnnie ingest --force")),
         (file("v2.gnniecsr"), Rejects("v2.gnniecsr")),
+        (file("spec_vertices.gnniecsr"), Rejects("spec_vertices.gnniecsr")),
+        (file("spec_features.gnniecsr"), Rejects("spec_features.gnniecsr")),
         (file("missing.txt"), Rejects("missing.txt")),
         (file("feat_u32.txt"), Rejects("feature_len")),
         (file("feat_huge.txt"), Rejects("feature_len")),

@@ -11,14 +11,15 @@ use gnnie::gnn::model::{GnnModel, ModelConfig};
 use gnnie::gnn::params::ModelParams;
 use gnnie::graph::reorder::Permutation;
 use gnnie::graph::{CsrGraph, DatasetSpec, GraphDataset};
-use gnnie::mem::cache::PaperAlphaGamma;
+use gnnie::mem::cache::{build_edge_index, PaperAlphaGamma};
 use gnnie::mem::{CacheConfig, CacheSim, CacheSimResult, HbmModel, SimPool};
 use gnnie::tensor::{CsrMatrix, DenseMatrix, SparseVec};
 use gnnie::Dataset;
 
 /// The paper's α/γ cache walk over a degree-ordered graph.
 fn paper_walk(g: &CsrGraph, cfg: CacheConfig, dram: &mut HbmModel) -> CacheSimResult {
-    CacheSim::new(g, cfg, &SimPool::serial()).run(&mut PaperAlphaGamma::new(), dram)
+    let ids = build_edge_index(g);
+    CacheSim::new(g, &ids, cfg, &SimPool::serial()).run(&mut PaperAlphaGamma::new(), dram)
 }
 
 /// Wraps a custom graph + features into an engine-consumable dataset.

@@ -72,7 +72,7 @@ proptest! {
         let index = gnnie::mem::cache::build_edge_index(&ordered);
         let offsets = ordered.offsets().to_vec();
         let pool = SimPool::serial();
-        let sim = CacheSim::new(&ordered, cfg, &pool);
+        let sim = CacheSim::new(&ordered, &index, cfg, &pool);
         let result = sim.run_with(&mut PaperAlphaGamma::new(), &mut dram, |u, v| {
             // Identify the undirected edge id via the index.
             let pos = ordered
