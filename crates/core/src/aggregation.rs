@@ -201,17 +201,18 @@ pub fn simulate_aggregation(
 /// over the same `graph`, and returns each report with the DRAM counters
 /// its walk charged, in `params` order.
 ///
-/// The walks are independent, so they run side by side, one per worker
-/// of `pool` ([`SimPool::map_items`]), over one shared edge index of
-/// `graph`. Each task hands its walk [`SimPool::serial`] for the sharded
-/// vertex scans, since a task must not call back into `pool`; a lone
-/// walk, or any walk at width 1, runs on the calling thread with `pool`
-/// as before. Each walk charges a counter-zeroed clone of `dram`. That is
+/// The walks are independent, so they run side by side over one shared
+/// edge index of `graph`: the calling thread takes the first and the
+/// workers of `pool` the rest ([`SimPool::map_items`]). Each of these
+/// walks gets [`SimPool::serial`] for its sharded vertex scans, since a
+/// task must not call back into `pool`. A lone walk runs on the calling
+/// thread with `pool` for its scans, and at width 1 every walk runs on
+/// the calling thread. Each walk charges a counter-zeroed clone of `dram`. That is
 /// exact because [`HbmModel`] cycles are a stateless function of the
 /// bytes moved: the caller absorbs a walk's counters into its own channel
 /// when it charges that phase. Reports are bit-identical to one
 /// `simulate_aggregation` call per entry, at any pool width.
-pub fn simulate_aggregation_batch(
+pub(crate) fn simulate_aggregation_batch(
     cfg: &AcceleratorConfig,
     arr: &CpeArray,
     graph: &CsrGraph,

@@ -690,10 +690,9 @@ mod tests {
         // or the feature width fail on both load paths, naming the file.
         let dir = tmpdir("specmeta");
         let ds = tiny();
-        let edits: [fn(&mut DatasetSpec); 2] = [|s| s.vertices = 7, |s| s.feature_len = 5];
-        for (i, edit) in edits.into_iter().enumerate() {
-            let mut spec = ds.spec.clone();
-            edit(&mut spec);
+        let specs =
+            [DatasetSpec { vertices: 7, ..ds.spec }, DatasetSpec { feature_len: 5, ..ds.spec }];
+        for (i, spec) in specs.into_iter().enumerate() {
             let bytes = encode_snapshot(&GraphDataset::from_parts(
                 spec,
                 ds.graph.clone(),

@@ -241,7 +241,8 @@ impl Latch {
 /// The sharded worker dispatcher of one simulation run.
 ///
 /// A `SimPool` of width > 1 owns a [`WorkerSet`] of `width` threads,
-/// started once by [`SimPool::new`] and fed shard tasks over its channel.
+/// started once by [`SimPool::new`] and fed shard tasks over its channel;
+/// the submitting thread runs the first shard of each region itself.
 /// Clones share the same workers; dropping the last clone drains the
 /// queue and joins them. `Engine::begin_with` builds one pool per
 /// `RunSession`, and the serving daemon shares one across every request
@@ -304,12 +305,13 @@ impl SimPool {
         }
     }
 
-    /// Runs `f` once per item, each item as its own task on the workers,
-    /// and returns the results **in item order**. This is the dispatch
-    /// for a few coarse, independent jobs (a session's cache walks), where
+    /// Runs `f` once per item, each item as its own task, and returns the
+    /// results **in item order**. This is the dispatch for a few coarse,
+    /// independent jobs (a session's cache walks), where
     /// [`map_ranges`](SimPool::map_ranges) would run inline below
-    /// [`MIN_ITEMS_PER_WORKER`] items per worker. Width 1, and a single
-    /// item, run inline on the calling thread.
+    /// [`MIN_ITEMS_PER_WORKER`] items per worker. The calling thread runs
+    /// the first item while the workers take the rest. Width 1, and a
+    /// single item, run inline on the calling thread.
     ///
     /// As with `map_ranges`, `f` must not call back into this pool: hand
     /// any nested sharded work [`SimPool::serial`]. A panicking item
@@ -329,18 +331,21 @@ impl SimPool {
         }
     }
 
-    /// Dispatches the shards to the workers and blocks until all
-    /// complete; results come back in shard order.
+    /// Runs the first shard on the calling thread while the workers take
+    /// the rest, then blocks until all complete; results come back in
+    /// shard order. `ranges` holds at least two shards.
     fn map_on_workers<R, F>(workers: &WorkerSet, ranges: Vec<Range<usize>>, f: &F) -> Vec<R>
     where
         R: Send,
         F: Fn(Range<usize>) -> R + Sync,
     {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-        let count = ranges.len();
-        let latch = Latch::new(count);
-        let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(count).collect();
+        let mut ranges = ranges.into_iter();
+        let first = ranges.next().expect("a parallel region has shards");
+        let latch = Latch::new(ranges.len());
+        let mut slots: Vec<Option<R>> =
+            std::iter::repeat_with(|| None).take(ranges.len()).collect();
         for (slot, range) in slots.iter_mut().zip(ranges) {
             let latch = &latch;
             let task: Box<dyn FnOnce() + Send + '_> =
@@ -353,18 +358,27 @@ impl SimPool {
                 });
             // SAFETY: the tasks borrow `f`, `slots`, and `latch` from this
             // frame; `latch.wait()` below blocks until every task has run
-            // (each task counts down exactly once, panics included), so
-            // the borrows outlive all task execution. The latch's mutex
-            // provides the release/acquire edge that makes the workers'
-            // slot writes visible here.
+            // (each task counts down exactly once, panics included), and
+            // the caller's own shard cannot unwind past it (its panic is
+            // caught first), so the borrows outlive all task execution.
+            // The latch's mutex provides the release/acquire edge that
+            // makes the workers' slot writes visible here.
             let task: Task =
                 unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Task>(task) };
             workers.submit(task);
         }
-        if latch.wait() {
+        // The caller works too: a region of `width` shards keeps `width`
+        // threads busy, and the first shard's allocations stay with the
+        // calling thread.
+        let first = catch_unwind(AssertUnwindSafe(|| f(first)));
+        let worker_panicked = latch.wait();
+        let first = first.unwrap_or_else(|payload| resume_unwind(payload));
+        if worker_panicked {
             panic!("simulation shard panicked");
         }
-        slots.into_iter().map(|s| s.expect("completed shard has a result")).collect()
+        std::iter::once(first)
+            .chain(slots.into_iter().map(|s| s.expect("completed shard has a result")))
+            .collect()
     }
 
     /// Sharded `u64` reduction over `0..n`: the per-shard sums are added
@@ -486,14 +500,18 @@ mod tests {
 
     #[test]
     fn persistent_pool_propagates_shard_panics() {
+        // Shard 0 runs on the caller, the others on the workers; a panic
+        // on either side must reach the submitter.
         let pool = SimPool::new(SimThreads::Fixed(2));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.map_ranges(4096, |r| {
-                assert!(r.start != 0, "shard 0 blows up");
-                r.len()
-            })
-        }));
-        assert!(result.is_err(), "the panic must reach the submitter");
+        for caller_side in [true, false] {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.map_ranges(4096, |r| {
+                    assert!((r.start == 0) != caller_side, "one shard blows up");
+                    r.len()
+                })
+            }));
+            assert!(result.is_err(), "the panic must reach the submitter");
+        }
         // The pool stays usable: the panicked task still counted down.
         assert_eq!(pool.sum_ranges(4096, |r| r.len() as u64), 4096);
     }
@@ -533,22 +551,26 @@ mod tests {
             let threads = pool.map_items(&[0u8, 1, 2], |_| std::thread::current().id());
             assert!(threads.iter().all(|&t| t == caller), "width 1 never leaves the caller");
         }
-        // Wider pools hand two or more items to their workers.
+        // Wider pools keep the first item and hand the rest to workers.
         let pool = SimPool::new(SimThreads::Fixed(2));
-        let threads = pool.map_items(&[0u8, 1], |_| std::thread::current().id());
-        assert!(threads.iter().all(|&t| t != caller), "items run on the workers");
+        let threads = pool.map_items(&[0u8, 1, 2], |_| std::thread::current().id());
+        assert_eq!(threads[0], caller, "the caller runs the first item");
+        assert!(threads[1..].iter().all(|&t| t != caller), "the rest run on the workers");
     }
 
     #[test]
     fn map_items_propagates_a_panicking_item() {
+        // A worker's item and the caller's own first item alike.
         let pool = SimPool::new(SimThreads::Fixed(2));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.map_items(&[1u32, 0, 3], |&i| {
-                assert!(i != 0, "item 1 blows up");
-                i
-            })
-        }));
-        assert!(result.is_err(), "the panic must reach the caller, not hang it");
+        for items in [[1u32, 0, 3], [0, 1, 3]] {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.map_items(&items, |&i| {
+                    assert!(i != 0, "an item blows up");
+                    i
+                })
+            }));
+            assert!(result.is_err(), "{items:?}: the panic must reach the caller, not hang it");
+        }
         // The pool stays usable afterwards.
         assert_eq!(pool.map_items(&[1u32, 2, 3], |&i| 2 * i), vec![2, 4, 6]);
     }

@@ -51,13 +51,11 @@ fn fixtures(name: &str) -> PathBuf {
     // Checksum-valid snapshots of Cora at 0.05 (135 vertices, 1,433
     // feature columns) whose SPEC states another shape.
     let cora = GraphDataset::generate(Dataset::Cora, 0.05, 42);
-    let edits: [(&str, fn(&mut DatasetSpec)); 2] = [
-        ("spec_vertices.gnniecsr", |s| s.vertices = 7),
-        ("spec_features.gnniecsr", |s| s.feature_len = 5),
+    let specs = [
+        ("spec_vertices.gnniecsr", DatasetSpec { vertices: 7, ..cora.spec }),
+        ("spec_features.gnniecsr", DatasetSpec { feature_len: 5, ..cora.spec }),
     ];
-    for (file, edit) in edits {
-        let mut spec = cora.spec.clone();
-        edit(&mut spec);
+    for (file, spec) in specs {
         let edited = GraphDataset::from_parts(spec, cora.graph.clone(), cora.features.clone());
         std::fs::write(dir.join(file), encode_snapshot(&edited)).unwrap();
     }
