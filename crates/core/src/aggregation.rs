@@ -207,10 +207,12 @@ pub fn simulate_aggregation(
 /// walks gets [`SimPool::serial`] for its sharded vertex scans, since a
 /// task must not call back into `pool`. A lone walk runs on the calling
 /// thread with `pool` for its scans, and at width 1 every walk runs on
-/// the calling thread. Each walk charges a counter-zeroed clone of `dram`. That is
-/// exact because [`HbmModel`] cycles are a stateless function of the
-/// bytes moved: the caller absorbs a walk's counters into its own channel
-/// when it charges that phase. Reports are bit-identical to one
+/// the calling thread.
+///
+/// Each walk charges a counter-zeroed clone of `dram`. That is exact
+/// because [`HbmModel`] cycles are a stateless function of the bytes
+/// moved: the caller absorbs a walk's counters into its own channel when
+/// it charges that phase. Reports are bit-identical to one
 /// `simulate_aggregation` call per entry, at any pool width.
 pub(crate) fn simulate_aggregation_batch(
     cfg: &AcceleratorConfig,

@@ -620,14 +620,13 @@ impl<'a> RunSession<'a> {
     /// Panics if `params` is not in the session's plan.
     fn planned_walk(&mut self, params: AggregationParams) -> AggregationReport {
         if self.walks.is_none() {
-            let mut distinct: Vec<(AggregationParams, usize)> = Vec::new();
-            for p in self.walk_plan() {
-                match distinct.iter_mut().find(|(q, _)| *q == p) {
-                    Some((_, uses)) => *uses += 1,
-                    None => distinct.push((p, 1)),
+            let plan = self.walk_plan();
+            let mut shapes: Vec<AggregationParams> = Vec::new();
+            for p in &plan {
+                if !shapes.contains(p) {
+                    shapes.push(*p);
                 }
             }
-            let shapes: Vec<AggregationParams> = distinct.iter().map(|&(p, _)| p).collect();
             let engine = self.engine;
             let walks = simulate_aggregation_batch(
                 &engine.config,
@@ -637,18 +636,11 @@ impl<'a> RunSession<'a> {
                 &self.dram,
                 &self.pool,
             );
-            self.walks = Some(
-                distinct
-                    .into_iter()
-                    .zip(walks)
-                    .map(|((params, uses), (report, counters))| PlannedWalk {
-                        params,
-                        report,
-                        counters,
-                        uses,
-                    })
-                    .collect(),
-            );
+            let planned = shapes.into_iter().zip(walks).map(|(params, (report, counters))| {
+                let uses = plan.iter().filter(|&&p| p == params).count();
+                PlannedWalk { params, report, counters, uses }
+            });
+            self.walks = Some(planned.collect());
         }
         let walks = self.walks.as_mut().expect("planned above");
         let i = walks

@@ -35,8 +35,6 @@ use crate::dram::HbmModel;
 use crate::par::SimPool;
 use crate::tier::{MemoryHierarchy, VertexMemory};
 
-#[cfg(doc)]
-use super::build_edge_index;
 use super::policy::{CachePolicy, PolicyCtx};
 use super::{CacheConfig, CacheSimResult, IterationStats};
 
@@ -98,12 +96,12 @@ fn writeback<M: VertexMemory>(
 /// The shared cache walk, parameterized by a [`CachePolicy`].
 ///
 /// Construct over a graph and its undirected edge index
-/// ([`build_edge_index`]), then [`run`](CacheSim::run) any number of
+/// ([`build_edge_index`](super::build_edge_index)), then [`run`](CacheSim::run) any number of
 /// policies over it; each run is independent and starts from a cold
 /// cache. The simulator only borrows the index, so several walks over
 /// one graph share a single copy: the engine builds it once per session
-/// and runs that session's distinct walks side by side, one per worker of
-/// its [`SimPool`].
+/// and runs that session's distinct walks side by side on its
+/// [`SimPool`].
 ///
 /// One walk is a serial state machine. Its per-vertex scans (α
 /// initialization, the per-Round α histograms) shard across the pool it
