@@ -305,7 +305,7 @@ impl SimPool {
         }
     }
 
-    /// Runs `f` once per item, each item as its own task, and returns the
+    /// Runs `f` once per item, each item as its own job, and returns the
     /// results **in item order**. This is the dispatch for a few coarse,
     /// independent jobs (a session's cache walks), where
     /// [`map_ranges`](SimPool::map_ranges) would run inline below
