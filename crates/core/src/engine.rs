@@ -19,14 +19,12 @@
 
 use gnnie_gnn::model::{GnnModel, ModelConfig};
 use gnnie_graph::reorder::Permutation;
-use gnnie_graph::{CsrGraph, EdgeList, GraphDataset};
+use gnnie_graph::{CsrGraph, GraphDataset, VertexId};
 use gnnie_mem::{DramCounters, EnergyLedger, HbmModel, SimPool, SimThreads};
 use gnnie_obs::Obs;
 use gnnie_tensor::rlc;
 
-use crate::aggregation::{
-    simulate_aggregation, simulate_aggregation_batch, AggregationParams, AggregationReport,
-};
+use crate::aggregation::{simulate_aggregation_batch, AggregationParams, AggregationReport};
 use crate::config::AcceleratorConfig;
 use crate::cpe::{div_ceil, CpeArray};
 use crate::energy::{static_energy_pj, ActivityCounts, OpEnergy};
@@ -189,6 +187,7 @@ impl Engine {
             pool: pool.clone(),
             agg_graph,
             walks: None,
+            begin_dram: dram.clone(),
             dram,
             counts: ActivityCounts::default(),
             layers: Vec::new(),
@@ -234,7 +233,10 @@ pub struct RunOptions {
 /// and [`run_aggregation`](RunSession::run_aggregation) so that, across
 /// concurrent sessions, batch *i+1*'s Weighting overlaps batch *i*'s
 /// Aggregation on the two engine resources. [`finish`](RunSession::finish)
-/// charges writeback and energy and emits the [`InferenceReport`].
+/// charges writeback and energy and emits the [`InferenceReport`];
+/// [`finish_and_rewind`](RunSession::finish_and_rewind) emits it too, then
+/// rewinds the session to run again under new options, reusing its graph
+/// and Aggregation walks.
 #[derive(Debug)]
 pub struct RunSession<'a> {
     engine: &'a Engine,
@@ -244,10 +246,13 @@ pub struct RunSession<'a> {
     /// The run's worker pool, shared across every phase.
     pool: SimPool,
     agg_graph: CsrGraph,
-    /// The distinct Aggregation walks over `agg_graph`, all run by the
-    /// first Aggregation phase (`None` before it); see
-    /// [`RunSession::planned_walk`].
-    walks: Option<Vec<PlannedWalk>>,
+    /// Every Aggregation walk simulated so far (`None` before the first
+    /// Aggregation phase); see [`RunSession::walk`]. Kept across
+    /// [`RunSession::finish_and_rewind`].
+    walks: Option<Vec<StoredWalk>>,
+    /// The DRAM channel as preprocessing left it: the state a rewind
+    /// restores.
+    begin_dram: HbmModel,
     dram: HbmModel,
     counts: ActivityCounts,
     layers: Vec<LayerReport>,
@@ -337,18 +342,12 @@ impl<'a> RunSession<'a> {
             self.pending_weighting.take().expect("run_weighting must precede run_aggregation");
         let spec = self.model.layers[self.cursor];
         let is_gat = self.model.model == GnnModel::Gat;
-        // GraphSAGE aggregates over its sampled neighborhoods; every
-        // other model walks the session's relabeled graph in place.
-        let sampled = (self.model.model == GnnModel::GraphSage).then(|| {
-            sampled_union_graph(
-                &self.agg_graph,
-                self.model.sample_size.unwrap_or(25),
-                SAGE_ENGINE_SEED ^ ((self.cursor as u64 + 1) << 32),
-            )
-        });
-        let mut aggregation = self.aggregation_phase(sampled.as_ref(), spec.f_out, is_gat);
+        // GraphSAGE aggregates over the layer's sampled neighborhoods;
+        // every other model walks the session's relabeled graph in place.
+        let sampled = (self.model.model == GnnModel::GraphSage).then_some(self.cursor);
+        let mut aggregation = self.aggregation_phase(sampled, spec.f_out, is_gat);
         for _ in 1..self.heads() {
-            let a = self.aggregation_phase(sampled.as_ref(), spec.f_out, true);
+            let a = self.aggregation_phase(sampled, spec.f_out, true);
             aggregation.absorb(&a);
         }
         let cycles = aggregation.total_cycles;
@@ -454,7 +453,46 @@ impl<'a> RunSession<'a> {
     /// Panics if phases are still outstanding (see
     /// [`is_complete`](RunSession::is_complete)).
     pub fn finish(mut self) -> InferenceReport {
-        assert!(self.is_complete(), "phases still outstanding at finish");
+        self.emit_report("finish")
+    }
+
+    /// Emits the finished report like [`finish`](RunSession::finish), then
+    /// rewinds the session to where [`Engine::begin_pooled`] left it, to
+    /// run again under `opts`.
+    ///
+    /// The rewind restores the DRAM channel as preprocessing left it and
+    /// clears every per-run count, layer and phase cursor. It keeps the
+    /// relabeled graph, the pool (`opts.sim_threads` is ignored, as in
+    /// `begin_pooled`) and every Aggregation walk already simulated: a
+    /// walk's report is a pure function of the graph, the configuration
+    /// and the shape, and no option changes any of them. The next run's
+    /// report is therefore byte-identical to a fresh `begin_pooled` under
+    /// `opts`, but its Aggregation phases walk nothing. This is how the
+    /// serving daemon profiles one request cold and then with resident
+    /// weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if phases are still outstanding (see
+    /// [`is_complete`](RunSession::is_complete)).
+    pub fn finish_and_rewind(&mut self, opts: RunOptions) -> InferenceReport {
+        let report = self.emit_report("finish_and_rewind");
+        self.opts = opts;
+        self.dram = self.begin_dram.clone();
+        self.counts = ActivityCounts::default();
+        self.coarsening_cycles = 0;
+        self.cursor = 0;
+        self.pending_weighting = None;
+        self.diffpool_done = false;
+        report
+    }
+
+    /// The report builder behind [`finish`](RunSession::finish) and
+    /// [`finish_and_rewind`](RunSession::finish_and_rewind): charges the
+    /// writeback and energy and moves the layers out. `caller` names the
+    /// public method in the panic message.
+    fn emit_report(&mut self, caller: &str) -> InferenceReport {
+        assert!(self.is_complete(), "phases still outstanding at {caller}");
         let v = self.ds.graph.num_vertices();
         let e = self.ds.graph.num_edges();
 
@@ -502,7 +540,7 @@ impl<'a> RunSession<'a> {
             vertices: v as u64,
             edges: e as u64,
             preprocessing_cycles: self.preprocessing_cycles,
-            layers: self.layers,
+            layers: std::mem::take(&mut self.layers),
             coarsening_cycles: self.coarsening_cycles,
             writeback_cycles,
             total_cycles,
@@ -565,29 +603,16 @@ impl<'a> RunSession<'a> {
         counts.dram_weight_bytes += report.weight_bytes;
     }
 
-    /// One Aggregation phase over `sampled`, or over the session's
-    /// relabeled graph when `None`, with activity accounting.
+    /// One Aggregation phase over the sampled graph of GraphSAGE layer
+    /// `sampled`, or over the session's relabeled graph when `None`, with
+    /// activity accounting.
     fn aggregation_phase(
         &mut self,
-        sampled: Option<&CsrGraph>,
+        sampled: Option<usize>,
         f_out: usize,
         is_gat: bool,
     ) -> AggregationReport {
-        let engine = self.engine;
-        let params = AggregationParams { f_out, is_gat };
-        let report = match sampled {
-            // A sampled graph serves one layer only: it is walked alone,
-            // on the session pool, so only one such graph is ever live.
-            Some(graph) => simulate_aggregation(
-                &engine.config,
-                &engine.array,
-                graph,
-                params,
-                &mut self.dram,
-                &self.pool,
-            ),
-            None => self.planned_walk(params),
-        };
+        let report = self.walk(sampled, AggregationParams { f_out, is_gat });
         let counts = &mut self.counts;
         counts.macs += report.macs_issued;
         counts.sfu_ops +=
@@ -604,30 +629,30 @@ impl<'a> RunSession<'a> {
         report
     }
 
-    /// The walk of one Aggregation phase over the session's relabeled
-    /// graph, charging its DRAM counters to the session channel.
+    /// The walk of one Aggregation phase, charging its DRAM counters to
+    /// the session channel. `sampled` names the GraphSAGE layer whose
+    /// sampled graph is walked; `None` walks the session's relabeled graph.
     ///
-    /// The first call runs the whole plan ([`RunSession::walk_plan`]):
-    /// each distinct `(f_out, is_gat)` is walked once, and the distinct
-    /// walks run side by side on the session pool
-    /// ([`simulate_aggregation_batch`]). Every later phase of the same
-    /// shape reuses its walk, whose report is a pure function of the
-    /// graph, the configuration and the shape. The first phase's host time
-    /// therefore also carries its sibling walks.
+    /// The first call runs the whole plan over the relabeled graph
+    /// ([`RunSession::walk_plan`]): each distinct `(f_out, is_gat)` is
+    /// walked once, and the distinct walks run side by side on the session
+    /// pool ([`simulate_aggregation_batch`]). The first phase's host time
+    /// therefore also carries its sibling walks. A GraphSAGE layer samples
+    /// its graph the first time it aggregates and walks it alone on the
+    /// session pool, so only one sampled graph is ever live; only the
+    /// walk's report and counters are kept.
+    ///
+    /// Every walk stays stored for the session's life, rewinds included,
+    /// and each phase of its shape charges a copy: a walk's report is a
+    /// pure function of the graph, the configuration and the shape.
     ///
     /// # Panics
     ///
     /// Panics if `params` is not in the session's plan.
-    fn planned_walk(&mut self, params: AggregationParams) -> AggregationReport {
+    fn walk(&mut self, sampled: Option<usize>, params: AggregationParams) -> AggregationReport {
+        let engine = self.engine;
         if self.walks.is_none() {
-            let plan = self.walk_plan();
-            let mut shapes: Vec<AggregationParams> = Vec::new();
-            for p in &plan {
-                if !shapes.contains(p) {
-                    shapes.push(*p);
-                }
-            }
-            let engine = self.engine;
+            let shapes = self.walk_plan();
             let walks = simulate_aggregation_batch(
                 &engine.config,
                 &engine.array,
@@ -637,46 +662,59 @@ impl<'a> RunSession<'a> {
                 &self.pool,
             );
             let planned = shapes.into_iter().zip(walks).map(|(params, (report, counters))| {
-                let uses = plan.iter().filter(|&&p| p == params).count();
-                PlannedWalk { params, report, counters, uses }
+                StoredWalk { sampled: None, params, report, counters }
             });
             self.walks = Some(planned.collect());
         }
         let walks = self.walks.as_mut().expect("planned above");
-        let i = walks
-            .iter()
-            .position(|w| w.params == params)
-            .unwrap_or_else(|| panic!("{params:?} is not in the session's walk plan"));
+        let i = match walks.iter().position(|w| w.sampled == sampled && w.params == params) {
+            Some(i) => i,
+            None => {
+                let layer = sampled
+                    .unwrap_or_else(|| panic!("{params:?} is not in the session's walk plan"));
+                let graph = sampled_union_graph(
+                    &self.agg_graph,
+                    self.model.sample_size.unwrap_or(25),
+                    SAGE_ENGINE_SEED ^ ((layer as u64 + 1) << 32),
+                );
+                let (report, counters) = simulate_aggregation_batch(
+                    &engine.config,
+                    &engine.array,
+                    &graph,
+                    &[params],
+                    &self.dram,
+                    &self.pool,
+                )
+                .pop()
+                .expect("one walk per shape");
+                walks.push(StoredWalk { sampled, params, report, counters });
+                walks.len() - 1
+            }
+        };
         self.dram.absorb_counters(&walks[i].counters);
-        walks[i].uses -= 1;
-        if walks[i].uses == 0 {
-            walks.swap_remove(i).report
-        } else {
-            walks[i].report.clone()
-        }
+        walks[i].report.clone()
     }
 
-    /// Every Aggregation phase the session runs over its relabeled graph,
-    /// in phase order: each layer once per GAT head, or DiffPool's
-    /// embedding and pooling GCNs. GraphSAGE walks its sampled graphs
-    /// instead, so its plan is empty.
+    /// The distinct shapes of every Aggregation phase the session runs
+    /// over its relabeled graph, in first-use order: each layer's (every
+    /// GAT head shares it), or DiffPool's embedding and pooling GCNs.
+    /// GraphSAGE walks its sampled graphs instead, so its plan is empty.
     fn walk_plan(&self) -> Vec<AggregationParams> {
         let model = self.model;
-        match model.model {
+        let phases: Vec<usize> = match model.model {
             GnnModel::GraphSage => Vec::new(),
-            GnnModel::DiffPool => [model.hidden, model.diffpool_clusters.unwrap_or(1)]
-                .map(|f_out| AggregationParams { f_out, is_gat: false })
-                .to_vec(),
-            m => model
-                .layers
-                .iter()
-                .flat_map(|spec| {
-                    let params =
-                        AggregationParams { f_out: spec.f_out, is_gat: m == GnnModel::Gat };
-                    std::iter::repeat(params).take(self.heads())
-                })
-                .collect(),
+            GnnModel::DiffPool => vec![model.hidden, model.diffpool_clusters.unwrap_or(1)],
+            _ => model.layers.iter().map(|spec| spec.f_out).collect(),
+        };
+        let is_gat = model.model == GnnModel::Gat;
+        let mut shapes: Vec<AggregationParams> = Vec::new();
+        for f_out in phases {
+            let params = AggregationParams { f_out, is_gat };
+            if !shapes.contains(&params) {
+                shapes.push(params);
+            }
         }
+        shapes
     }
 
     /// Independent attention heads per layer (1 for non-GAT models).
@@ -689,28 +727,82 @@ impl<'a> RunSession<'a> {
     }
 }
 
-/// One distinct Aggregation walk of a session: its report, the DRAM
-/// counters it charged, and how many phases have yet to charge it.
+/// One simulated Aggregation walk of a session: the graph and shape it
+/// walked, its report, and the DRAM counters it charged.
 #[derive(Debug)]
-struct PlannedWalk {
+struct StoredWalk {
+    /// The GraphSAGE layer whose sampled graph was walked, or `None` for
+    /// the session's relabeled graph.
+    sampled: Option<usize>,
     params: AggregationParams,
     report: AggregationReport,
     counters: DramCounters,
-    uses: usize,
 }
 
 /// Builds the undirected union of sampled neighborhoods: edge `(u, v)` is
 /// present if `u` sampled `v` or `v` sampled `u`. This is the edge
 /// workload GraphSAGE aggregation executes on the array.
+///
+/// Built in linear passes, with no global sort: each vertex's sample row
+/// (already sorted), the transpose of those rows by scatter (each row
+/// fills in ascending source order, so it comes out sorted), and a
+/// per-vertex merge of the two rows that drops duplicates.
 pub fn sampled_union_graph(g: &CsrGraph, k: usize, seed: u64) -> CsrGraph {
-    let mut edges = EdgeList::new(g.num_vertices());
-    for u in 0..g.num_vertices() {
-        for vtx in gnnie_gnn::layers::sample_neighbors(g, u, k, seed) {
-            edges.push(u as u32, vtx);
+    let n = g.num_vertices();
+    let sampled: usize = (0..n).map(|u| g.degree(u).min(k)).sum();
+    let mut out_offsets = Vec::with_capacity(n + 1);
+    out_offsets.push(0);
+    let mut out = Vec::with_capacity(sampled);
+    for u in 0..n {
+        out.extend(gnnie_gnn::layers::sample_neighbors(g, u, k, seed));
+        out_offsets.push(out.len());
+    }
+    let out_row = |u: usize| &out[out_offsets[u]..out_offsets[u + 1]];
+
+    let mut in_offsets = vec![0; n + 1];
+    for &v in &out {
+        in_offsets[v as usize + 1] += 1;
+    }
+    for v in 0..n {
+        in_offsets[v + 1] += in_offsets[v];
+    }
+    let mut cursor = in_offsets.clone();
+    let mut inn = vec![0 as VertexId; out.len()];
+    for u in 0..n {
+        for &v in out_row(u) {
+            inn[cursor[v as usize]] = u as VertexId;
+            cursor[v as usize] += 1;
         }
     }
-    edges.dedup();
-    CsrGraph::from_edge_list(edges)
+    let in_row = |v: usize| &inn[in_offsets[v]..in_offsets[v + 1]];
+
+    // Count each merged row, then fill the exact-size neighbor array.
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    for v in 0..n {
+        let mut degree = 0;
+        merge_union(out_row(v), in_row(v), |_| degree += 1);
+        offsets.push(offsets[v] + degree);
+    }
+    let mut neighbors = Vec::with_capacity(offsets[n]);
+    for v in 0..n {
+        merge_union(out_row(v), in_row(v), |w| neighbors.push(w));
+    }
+    let edges = neighbors.len() / 2;
+    CsrGraph::from_raw_parts_trusted(offsets, neighbors, edges)
+}
+
+/// Calls `emit` on every id of the union of two ascending rows, once each,
+/// in ascending order.
+fn merge_union(a: &[VertexId], b: &[VertexId], mut emit: impl FnMut(VertexId)) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        emit(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    a[i..].iter().chain(&b[j..]).for_each(|&w| emit(w));
 }
 
 #[cfg(test)]

@@ -106,6 +106,10 @@ impl CsrGraph {
         for d in &degree {
             offsets.push(offsets.last().expect("nonempty") + d);
         }
+        // After `dedup` the pairs are sorted `(min, max)`, so every pair
+        // `(u, v)` with `u < v` precedes every pair `(v, w)`. The scatter
+        // therefore fills each list with its smaller neighbors ascending,
+        // then its larger ones ascending: every list comes out sorted.
         let mut cursor = offsets.clone();
         let mut neighbors = vec![0 as VertexId; offsets[n]];
         for (u, v) in edges.iter() {
@@ -113,11 +117,6 @@ impl CsrGraph {
             cursor[u as usize] += 1;
             neighbors[cursor[v as usize]] = u;
             cursor[v as usize] += 1;
-        }
-        // Sort each adjacency list for deterministic iteration and fast
-        // membership tests.
-        for v in 0..n {
-            neighbors[offsets[v]..offsets[v + 1]].sort_unstable();
         }
         Self { offsets: offsets.into(), neighbors: neighbors.into(), num_edges: edges.len() }
     }
@@ -402,6 +401,12 @@ impl CsrGraph {
 
     /// Relabels vertices: new vertex `i` is old vertex `order[i]`.
     ///
+    /// The offsets follow from `order` alone (new vertex `i` keeps old
+    /// vertex `order[i]`'s degree). The lists are filled by one scatter in
+    /// ascending new-id order: new vertex `u` appends itself to the list
+    /// of each of its neighbors, so every list comes out sorted without a
+    /// sort.
+    ///
     /// # Panics
     ///
     /// Panics if `order` is not a permutation of `0..n`.
@@ -416,11 +421,21 @@ impl CsrGraph {
             );
             inverse[old_id as usize] = new_id as VertexId;
         }
-        let mut el = EdgeList::with_capacity(n, self.num_edges);
-        for (u, v) in self.edges() {
-            el.push(inverse[u as usize], inverse[v as usize]);
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        for (new_id, &old_id) in order.iter().enumerate() {
+            offsets.push(offsets[new_id] + self.degree(old_id as usize));
         }
-        Self::from_edge_list(el)
+        let mut cursor = offsets.clone();
+        let mut neighbors = vec![0 as VertexId; self.neighbors.len()];
+        for (u, &old_id) in order.iter().enumerate() {
+            for &w in self.neighbors(old_id as usize) {
+                let v = inverse[w as usize] as usize;
+                neighbors[cursor[v]] = u as VertexId;
+                cursor[v] += 1;
+            }
+        }
+        Self { offsets: offsets.into(), neighbors: neighbors.into(), num_edges: self.num_edges }
     }
 
     /// Estimated DRAM footprint of the CSR structure in bytes

@@ -230,3 +230,82 @@ proptest! {
         prop_assert!((g.edge_coverage_of_top_vertices(1.0) - 1.0).abs() < 1e-9);
     }
 }
+
+/// Strategy: a graph with isolated vertices past the last edge endpoint
+/// and up to three hubs (vertex `h` joined to every multiple of `h + 2`),
+/// over random edges, possibly none.
+fn arb_graph_with_hubs() -> impl Strategy<Value = CsrGraph> {
+    (1usize..50, 0usize..8, 0usize..4).prop_flat_map(|(n, isolated, hubs)| {
+        prop::collection::vec((0..n as VertexId, 0..n as VertexId), 0..150).prop_map(
+            move |mut pairs| {
+                for h in 0..hubs.min(n) as VertexId {
+                    pairs.extend(
+                        (0..n as VertexId).filter(|v| v % (h + 2) == 0).map(|v| (h, v)),
+                    );
+                }
+                CsrGraph::from_edges(n + isolated, pairs)
+            },
+        )
+    })
+}
+
+/// A pseudo-random permutation of `0..n` from `seed`.
+fn permutation(n: usize, seed: u64) -> Vec<VertexId> {
+    let mut order: Vec<VertexId> = (0..n as VertexId).collect();
+    for i in (1..n).rev() {
+        let j = ((seed.wrapping_mul(i as u64 + 1).wrapping_mul(2654435761)) >> 16) as usize
+            % (i + 1);
+        order.swap(i, j);
+    }
+    order
+}
+
+/// The reference relabel: every edge mapped through the inverse
+/// permutation into an `EdgeList`, then sorted and rebuilt.
+fn relabel_reference(g: &CsrGraph, order: &[VertexId]) -> CsrGraph {
+    let mut inverse = vec![0; order.len()];
+    for (new_id, &old_id) in order.iter().enumerate() {
+        inverse[old_id as usize] = new_id as VertexId;
+    }
+    let mut el = EdgeList::new(g.num_vertices());
+    for (u, v) in g.edges() {
+        el.push(inverse[u as usize], inverse[v as usize]);
+    }
+    CsrGraph::from_edge_list(el)
+}
+
+/// Every structural invariant, by the validating constructor: monotone
+/// offsets, strictly increasing lists, symmetry, no self-loops.
+fn is_valid_csr(g: &CsrGraph) -> bool {
+    CsrGraph::from_raw_parts(g.offsets().to_vec(), g.neighbors_flat().to_vec(), g.num_edges())
+        .is_ok()
+}
+
+proptest! {
+    /// `from_edge_list` fills each list by one scatter over the sorted
+    /// pairs, with no per-list sort: the lists must still come out
+    /// strictly increasing.
+    #[test]
+    fn from_edge_list_lists_come_out_sorted(g in arb_graph_with_hubs()) {
+        prop_assert!(is_valid_csr(&g));
+    }
+
+    /// The scatter relabel equals the `EdgeList` rebuild, and the
+    /// descending-degree relabel too.
+    #[test]
+    fn relabel_matches_the_edge_list_reference(g in arb_graph_with_hubs(), seed in 0u64..1_000) {
+        let order = permutation(g.num_vertices(), seed);
+        let h = g.relabel(&order);
+        prop_assert!(is_valid_csr(&h));
+        prop_assert_eq!(&h, &relabel_reference(&g, &order));
+        let by_degree = Permutation::descending_degree(&g);
+        prop_assert_eq!(by_degree.apply(&g), relabel_reference(&g, by_degree.order()));
+    }
+}
+
+#[test]
+fn relabel_of_an_empty_graph_is_empty() {
+    let g = CsrGraph::from_edges(0, []);
+    assert_eq!(g.relabel(&[]), relabel_reference(&g, &[]));
+    assert_eq!(g.relabel(&[]).num_vertices(), 0);
+}

@@ -10,9 +10,13 @@
 //! waiting on its shards would then hold the very thread they need.
 //!
 //! The daemon answers one question, [`Daemon::profile_costs`]: each
-//! request's cold and resident cost, memoized. Both schedulers are pure functions over that
-//! oracle: [`schedule_batched`](crate::schedule_batched) for a queue
-//! known at t = 0, and [`schedule_online`] for an arrival trace
+//! request's cold and resident cost, memoized. One job per distinct key
+//! answers both: it synthesizes the dataset once, runs its session cold,
+//! rewinds it with resident weights and runs it again, so the graph, the
+//! preprocessing and every Aggregation walk are paid once per key. Both
+//! schedulers are pure functions over that oracle:
+//! [`schedule_batched`](crate::schedule_batched) for a queue known at
+//! t = 0, and [`schedule_online`] for an arrival trace
 //! ([`Daemon::serve_online`] wraps the latter). Simulated cycle counts
 //! are unaffected by the worker count or the pool width (host-side
 //! parallelism only), which the serving test suites assert.
@@ -32,7 +36,6 @@ use gnnie_core::{SimPool, SimThreads, WorkerSet};
 
 use crate::clock::SimClock;
 use crate::online::{schedule_online, OnlineConfig, OnlineReport, RequestCost};
-use crate::pipeline::BatchProfile;
 use crate::request::{InferenceRequest, ModelKey, OnlineRequest};
 use crate::server::report_profile;
 
@@ -111,17 +114,22 @@ impl Daemon {
         }
     }
 
-    /// Queues one simulation job: `request` run cold or resident on the
-    /// shared pool. The worker replies with the cycle profile only: the
-    /// full report (per-iteration walk stats, α histograms) is dropped
-    /// there instead of piling up until the batch completes. A panicking
-    /// job drops `reply` unsent.
+    /// Queues one simulation job: `request`'s cold and resident costs on
+    /// the shared pool. The job synthesizes the dataset and begins one
+    /// session, runs it cold, rewinds it with resident weights
+    /// ([`RunSession::finish_and_rewind`](gnnie_core::engine::RunSession::finish_and_rewind))
+    /// and runs it again. Residency changes only the Weighting phases'
+    /// weight loads, so the second run reuses the first run's graph,
+    /// preprocessing and every Aggregation walk. The worker replies with
+    /// the cycle profiles only: the full reports (per-iteration walk
+    /// stats, α histograms) are dropped there instead of piling up until
+    /// the batch completes. The reply carries `key`, the request's cache
+    /// key. A panicking job drops `reply` unsent.
     fn submit(
         &self,
+        key: ProfileKey,
         request: InferenceRequest,
-        resident: bool,
-        slot: usize,
-        reply: mpsc::Sender<(usize, BatchProfile)>,
+        reply: mpsc::Sender<(ProfileKey, RequestCost)>,
     ) {
         let pool = self.pool.clone();
         let chips = self.config.chips;
@@ -131,12 +139,15 @@ impl Daemon {
             let mut accel = AcceleratorConfig::paper(request.dataset);
             accel.chips = chips;
             let engine = Engine::new(accel);
-            let opts = RunOptions { weights_resident: resident, ..RunOptions::default() };
-            let mut session = engine.begin_pooled(&model, &ds, opts, &pool);
+            let mut session = engine.begin_pooled(&model, &ds, RunOptions::default(), &pool);
             session.run_to_completion();
+            let resident = RunOptions { weights_resident: true, ..RunOptions::default() };
+            let cold = report_profile(&session.finish_and_rewind(resident));
+            session.run_to_completion();
+            let resident = report_profile(&session.finish());
             // A dropped collector just means the caller gave up on this
             // batch of jobs; keep draining.
-            let _ = reply.send((slot, report_profile(&session.finish())));
+            let _ = reply.send((key, RequestCost::new(cold, resident)));
         }));
     }
 
@@ -146,7 +157,8 @@ impl Daemon {
     }
 
     /// Pre-simulates every request cold and resident on the request
-    /// workers; returns the cost oracle keyed by request id.
+    /// workers, one job per distinct (model key, seed, chips) triple;
+    /// returns the cost oracle keyed by request id.
     ///
     /// Profiles are **memoized** across calls: a request whose
     /// (model key, seed, chips) triple was simulated before is answered
@@ -178,23 +190,14 @@ impl Daemon {
         };
         if !to_profile.is_empty() {
             let (reply, collect) = mpsc::channel();
-            for (i, &request) in to_profile.iter().enumerate() {
-                for resident in [false, true] {
-                    self.submit(request, resident, 2 * i + resident as usize, reply.clone());
-                }
+            for &request in &to_profile {
+                self.submit(key(&request), request, reply.clone());
             }
             drop(reply);
-            let mut profiles: Vec<Option<BatchProfile>> = vec![None; 2 * to_profile.len()];
-            for _ in 0..2 * to_profile.len() {
-                let (slot, profile) = collect.recv().expect("a daemon job panicked mid-batch");
-                profiles[slot] = Some(profile);
-            }
-            let mut cache = self.cache.lock().expect("profile cache poisoned");
-            for (i, request) in to_profile.iter().enumerate() {
-                let cold = profiles[2 * i].take().expect("cold profile filed");
-                let resident = profiles[2 * i + 1].take().expect("resident profile filed");
-                cache.map.insert(key(request), RequestCost::new(cold, resident));
-            }
+            let costs: Vec<(ProfileKey, RequestCost)> = (0..to_profile.len())
+                .map(|_| collect.recv().expect("a daemon job panicked mid-batch"))
+                .collect();
+            self.cache.lock().expect("profile cache poisoned").map.extend(costs);
         }
         let cache = self.cache.lock().expect("profile cache poisoned");
         let mut map = HashMap::new();
