@@ -1,4 +1,4 @@
-//! Ingest-throughput sweep — file format × shard count, parallel CSR
+//! Ingest-throughput sweep — file format × pool width, parallel CSR
 //! build vs the serial `CsrGraph` path, plus the snapshot-cache payoff.
 //!
 //! Ingest is the throughput-critical path for real graphs (DGI/Ginex):
@@ -6,9 +6,9 @@
 //!
 //! * **parse cost per text dialect** — whitespace/CSV/TSV streaming
 //!   parse of the same edge set;
-//! * **parallel build speedup** — `build_csr_parallel` at 1/2/4/8
-//!   shards against `CsrGraph::try_from_pairs` (the sort-based serial
-//!   path), with bit-for-bit equality checked on every row;
+//! * **parallel build speedup** — `build_csr_parallel` on `SimPool`s of
+//!   width 1/2/4/8 against `CsrGraph::try_from_pairs` (the sort-based
+//!   serial path), with bit-for-bit equality checked on every row;
 //! * **cache payoff** — reading back the binary CSR file and the
 //!   `.gnniecsr` snapshot vs re-parsing + rebuilding from text.
 //!
@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use gnnie_graph::features::{generate_features, FeatureProfile};
-use gnnie_graph::{generate, CsrGraph, Dataset, GraphDataset, VertexId};
+use gnnie_graph::{generate, CsrGraph, Dataset, GraphDataset, SimPool, SimThreads, VertexId};
 use gnnie_ingest::build::build_csr_parallel;
 use gnnie_ingest::chunked::build_csr_chunked;
 use gnnie_ingest::export::{export_edge_list, write_binary_csr};
@@ -35,16 +35,16 @@ use crate::{Ctx, ExperimentResult, Metric, Table};
 const BASE_VERTICES: usize = 40_000;
 const BASE_EDGES: usize = 400_000;
 
-/// Shard counts swept for the parallel builder.
-pub const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
+/// Pool widths swept for the parallel builder.
+pub const WIDTH_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
-/// One (format, shard-count) measurement.
+/// One (format, pool width) measurement.
 #[derive(Debug, Clone)]
 pub struct IngestRow {
     /// Text dialect parsed.
     pub format: EdgeListFormat,
-    /// Shard count of the parallel build.
-    pub shards: usize,
+    /// Width of the pool the parallel build ran on.
+    pub width: usize,
     /// Streaming parse time, ms (best of repeats).
     pub parse_ms: f64,
     /// Parallel build time, ms (best of repeats).
@@ -68,7 +68,7 @@ pub struct CacheRow {
     pub kind: &'static str,
     /// Read-back time, ms (best of repeats).
     pub read_ms: f64,
-    /// The text path it replaces: best parse + best 1-shard build, ms.
+    /// The text path it replaces: best parse + best width-1 build, ms.
     pub text_path_ms: f64,
 }
 
@@ -101,10 +101,10 @@ pub struct OutOfCoreRow {
     pub mmap: bool,
 }
 
-/// The sweep outcome: per-(format, shards) rows plus cache rows.
+/// The sweep outcome: per-(format, width) rows plus cache rows.
 #[derive(Debug, Clone)]
 pub struct IngestSweep {
-    /// format × shard measurements.
+    /// format × width measurements.
     pub rows: Vec<IngestRow>,
     /// Cached-format read-back measurements.
     pub cache: Vec<CacheRow>,
@@ -153,12 +153,13 @@ pub fn sweep(ctx: &Ctx) -> IngestSweep {
             CsrGraph::try_from_pairs(n, pairs.iter().copied()).expect("serial build").0
         });
         assert_eq!(serial, ds.graph, "parse must reproduce the exported graph");
-        for shards in SHARD_SWEEP {
+        for width in WIDTH_SWEEP {
+            let pool = SimPool::new(SimThreads::Fixed(width));
             let (parallel, build_ms) =
-                best_ms(3, || build_csr_parallel(n, &pairs, shards).expect("parallel build").0);
+                best_ms(3, || build_csr_parallel(n, &pairs, &pool).expect("parallel build").0);
             rows.push(IngestRow {
                 format,
-                shards,
+                width,
                 parse_ms,
                 build_ms,
                 serial_build_ms,
@@ -167,8 +168,8 @@ pub fn sweep(ctx: &Ctx) -> IngestSweep {
                 vertices: n,
                 input_edges: pairs.len(),
             });
-            // Matches the CacheRow doc: best parse + best *1-shard* build.
-            if shards == 1 {
+            // Matches the CacheRow doc: best parse + best *width-1* build.
+            if width == 1 {
                 text_path_ms = text_path_ms.min(parse_ms + build_ms);
             }
         }
@@ -230,6 +231,7 @@ pub fn outofcore(ctx: &Ctx) -> OutOfCoreRow {
     // Large inputs get one repetition (the interesting regime is tens
     // of millions of edges, where repeats would dominate bench time).
     let reps = if edges > 2_000_000 { 1 } else { 2 };
+    let pool = SimPool::new(SimThreads::Fixed(4));
 
     // The chunked path never materializes the COO: a metadata pass to
     // learn |V|, then the degree-count and scatter passes re-stream the
@@ -245,7 +247,7 @@ pub fn outofcore(ctx: &Ctx) -> OutOfCoreRow {
 
     let (inmem, inmem_build_ms) = best_ms(reps, || {
         let parsed = parse_edge_list(&path, format).expect("parse");
-        build_csr_parallel(parsed.meta.num_vertices(), &parsed.pairs, 4)
+        build_csr_parallel(parsed.meta.num_vertices(), &parsed.pairs, &pool)
             .expect("parallel build")
             .0
     });
@@ -267,7 +269,7 @@ pub fn outofcore(ctx: &Ctx) -> OutOfCoreRow {
 
     let (_, reparse_ms) = best_ms(reps, || {
         let parsed = parse_edge_list(&path, format).expect("parse");
-        build_csr_parallel(parsed.meta.num_vertices(), &parsed.pairs, 4)
+        build_csr_parallel(parsed.meta.num_vertices(), &parsed.pairs, &pool)
             .expect("parallel build")
             .0
     });
@@ -297,21 +299,21 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
 }
 
 /// The gated headline: deterministic bit-identity flags and wall-clock
-/// speedups. The build maximum skips the `shards = 1` rows, which
+/// speedups. The build maximum skips the `width = 1` rows, which
 /// measure the serial path against itself (~1x), so a broken
-/// multi-shard path cannot hide behind them.
+/// multi-worker path cannot hide behind them.
 ///
 /// # Errors
 ///
-/// A sweep without multi-shard rows.
+/// A sweep without multi-worker rows.
 pub fn headline(sweep: &IngestSweep) -> Result<Vec<Metric>, String> {
     let max_speedup = sweep
         .rows
         .iter()
-        .filter(|r| r.shards > 1)
+        .filter(|r| r.width > 1)
         .map(|r| r.speedup)
         .reduce(f64::max)
-        .ok_or("ingest: no multi-shard rows to gate")?;
+        .ok_or("ingest: no multi-worker rows to gate")?;
     let oc = &sweep.outofcore;
     Ok(vec![
         Metric::flag("bit_identical", sweep.rows.iter().all(|r| r.matches_serial)),
@@ -321,12 +323,12 @@ pub fn headline(sweep: &IngestSweep) -> Result<Vec<Metric>, String> {
     ])
 }
 
-/// The artifact rows: one `build` row per (format, shards), one `cache`
+/// The artifact rows: one `build` row per (format, width), one `cache`
 /// row per cached format, and the `outofcore` row.
 fn json_rows(sweep: &IngestSweep) -> Vec<Json> {
     let build = sweep.rows.iter().map(|r| {
         crate::json_obj! {
-            "table": "build", "format": r.format.to_string(), "shards": r.shards,
+            "table": "build", "format": r.format.to_string(), "width": r.width,
             "parse_ms": r.parse_ms, "build_ms": r.build_ms,
             "serial_build_ms": r.serial_build_ms, "speedup_vs_serial": r.speedup,
             "matches_serial": r.matches_serial, "vertices": r.vertices,
@@ -355,7 +357,7 @@ fn json_rows(sweep: &IngestSweep) -> Vec<Json> {
 pub fn render(sweep: &IngestSweep) -> ExperimentResult {
     let mut t = Table::new(&[
         "format",
-        "shards",
+        "width",
         "parse ms",
         "build ms",
         "serial ms",
@@ -367,7 +369,7 @@ pub fn render(sweep: &IngestSweep) -> ExperimentResult {
     for r in &sweep.rows {
         t.row(vec![
             r.format.to_string(),
-            r.shards.to_string(),
+            r.width.to_string(),
             format!("{:.2}", r.parse_ms),
             format!("{:.2}", r.build_ms),
             format!("{:.2}", r.serial_build_ms),
@@ -409,7 +411,7 @@ pub fn render(sweep: &IngestSweep) -> ExperimentResult {
     ));
     lines.push(String::new());
     lines.push(
-        "the sharded counting-sort builder replaces the serial sort-based path \
+        "the pool-parallel counting-sort builder replaces the serial sort-based path \
          (O(E) passes vs O(E log E)); every row is checked bit-for-bit against \
          the serial result, and the .gnniecsr snapshot amortizes parsing to one \
          checksummed read"
@@ -427,9 +429,9 @@ mod tests {
     fn sweep_rows_are_bit_identical_and_complete() {
         let ctx = Ctx::with_scale(0.02);
         let mut s = sweep(&ctx);
-        assert_eq!(s.rows.len(), EdgeListFormat::ALL.len() * SHARD_SWEEP.len());
+        assert_eq!(s.rows.len(), EdgeListFormat::ALL.len() * WIDTH_SWEEP.len());
         for r in &s.rows {
-            assert!(r.matches_serial, "{} @ {} shards diverged", r.format, r.shards);
+            assert!(r.matches_serial, "{} @ width {} diverged", r.format, r.width);
             assert!(r.parse_ms >= 0.0 && r.build_ms >= 0.0);
             assert!(r.speedup.is_finite());
         }
@@ -437,15 +439,15 @@ mod tests {
         for c in &s.cache {
             assert!(c.read_ms > 0.0, "{} read not timed", c.kind);
         }
-        // The headline's build maximum skips the shards = 1 rows (~1x by
-        // construction): a broken multi-shard path cannot hide behind them.
-        s.rows.iter_mut().filter(|r| r.shards == 1).for_each(|r| r.speedup = f64::MAX);
+        // The headline's build maximum skips the width = 1 rows (~1x by
+        // construction): a broken multi-worker path cannot hide behind them.
+        s.rows.iter_mut().filter(|r| r.width == 1).for_each(|r| r.speedup = f64::MAX);
         let m = headline(&s).unwrap();
         assert_eq!(m[0], Metric::flag("bit_identical", true));
         assert!(m[1].value < f64::MAX && m[1].kind == crate::MetricKind::WallClock, "{m:?}");
         let oc_speedup = s.outofcore.load_speedup_vs_reparse;
         assert_eq!(m[3], Metric::wall_clock("outofcore_load_speedup_vs_reparse", oc_speedup));
-        s.rows.retain(|r| r.shards == 1);
+        s.rows.retain(|r| r.width == 1);
         assert!(headline(&s).is_err(), "a sweep of trivial rows cannot be gated");
     }
 

@@ -367,12 +367,12 @@ mod tests {
         use crate::experiments::parallel_speedup::{self, SpeedupRow};
         use gnnie_graph::Dataset;
         use gnnie_ingest::EdgeListFormat;
-        // The shards=1 / threads=1 rows rerun the serial path (~1x by
+        // The width=1 / threads=1 rows rerun the serial path (~1x by
         // construction) and must NOT feed the wall-clock maximum — a
         // broken parallel path cannot hide behind them.
-        let build = |shards: usize, speedup: f64| IngestRow {
+        let build = |width: usize, speedup: f64| IngestRow {
             format: EdgeListFormat::Whitespace,
-            shards,
+            width,
             parse_ms: 1.0,
             build_ms: 1.0,
             serial_build_ms: speedup,
@@ -408,7 +408,7 @@ mod tests {
                 Metric::wall_clock("outofcore_load_speedup_vs_reparse", 12.5),
             ]
         );
-        ingest.rows.retain(|r| r.shards == 1);
+        ingest.rows.retain(|r| r.width == 1);
         assert!(gated_headline(&ingest_throughput::render(&ingest)).is_err());
 
         let run = |threads: usize, speedup: f64, identical: bool| SpeedupRow {

@@ -21,7 +21,6 @@ use gnnie_gnn::model::{GnnModel, ModelConfig};
 use gnnie_graph::reorder::Permutation;
 use gnnie_graph::{CsrGraph, GraphDataset, VertexId};
 use gnnie_mem::{DramCounters, EnergyLedger, HbmModel, SimPool, SimThreads};
-use gnnie_obs::Obs;
 use gnnie_tensor::rlc;
 
 use crate::aggregation::{simulate_aggregation_batch, AggregationParams, AggregationReport};
@@ -88,12 +87,12 @@ impl Engine {
     }
 
     /// The options-driven single-shot entry point: one inference of
-    /// `model` over `ds` under `opts` — weight residency, a sim-thread
-    /// override, and the observability bundle all ride on
-    /// [`RunOptions`]. [`Engine::run`] is exactly
-    /// `run_with(m, ds, RunOptions::default())`; every option is
-    /// host-side only, so the report is bit-identical across `sim_threads`
-    /// settings and untouched by an enabled `obs` bundle.
+    /// `model` over `ds` under `opts` — weight residency and a
+    /// sim-thread override ride on [`RunOptions`]. [`Engine::run`] is
+    /// exactly `run_with(m, ds, RunOptions::default())`; the report is
+    /// bit-identical across `sim_threads` settings. Observability is
+    /// recorded from the finished report
+    /// ([`InferenceReport::record_obs`]).
     pub fn run_with(
         &self,
         model: &ModelConfig,
@@ -216,10 +215,6 @@ pub struct RunOptions {
     /// setting. [`Engine::begin_pooled`] ignores it in favour of the
     /// caller's pool.
     pub sim_threads: Option<SimThreads>,
-    /// Observability bundle: the finished report's span timeline and
-    /// metrics land here. The default ([`Obs::off`]) records nothing and
-    /// changes nothing.
-    pub obs: Obs,
 }
 
 /// A phased inference run: the per-run mutable state of one
@@ -533,7 +528,7 @@ impl<'a> RunSession<'a> {
             self.layers.iter().map(|l| l.weighting.weight_dram_cycles).sum();
 
         let dram_counters: DramCounters = *self.dram.counters();
-        let report = InferenceReport {
+        InferenceReport {
             model: self.model.model,
             dataset: self.ds.spec.dataset,
             scale: self.ds.spec.vertices as f64 / self.ds.spec.dataset.spec().vertices as f64,
@@ -550,9 +545,7 @@ impl<'a> RunSession<'a> {
             effective_ops,
             weight_load_cycles,
             weights_resident: self.opts.weights_resident,
-        };
-        report.record_obs(&self.opts.obs);
-        report
+        }
     }
 
     /// One Weighting phase over the session's vertices, with activity

@@ -162,7 +162,7 @@ impl InferenceReport {
         }
     }
 
-    /// Both surfaces at once (the engine's `finish` hook).
+    /// Both surfaces at once: how `gnnie run` records a finished report.
     pub fn record_obs(&self, obs: &Obs) {
         self.emit_trace(&obs.trace);
         self.record_metrics(&obs.metrics);

@@ -134,11 +134,8 @@ proptest! {
         let engine = Engine::new(AcceleratorConfig::paper(dataset));
         let mut renderings = Vec::new();
         for threads in [1usize, 4] {
-            let opts = RunOptions {
-                weights_resident: true,
-                sim_threads: Some(SimThreads::Fixed(threads)),
-                ..RunOptions::default()
-            };
+            let opts =
+                RunOptions { weights_resident: true, sim_threads: Some(SimThreads::Fixed(threads)) };
             let mut session = engine.begin_with(&mc, &ds, opts.clone());
             session.run_to_completion();
             renderings.push(format!("{:?}", session.finish()));

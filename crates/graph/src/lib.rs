@@ -15,6 +15,9 @@
 //!   relabeling (the preprocessing of §VI).
 //! * [`partition`] — induced-subgraph edge iteration used by the cache,
 //!   and the k-way partitioner behind multi-accelerator scale-out.
+//! * [`par`] — [`SimPool`], the one worker pool every parallel host loop
+//!   in the workspace runs on, from ingest's CSR build up to the
+//!   simulator's sharded scans.
 //!
 //! # Example
 //!
@@ -32,6 +35,7 @@ pub mod csr;
 pub mod datasets;
 pub mod features;
 pub mod generate;
+pub mod par;
 pub mod partition;
 pub mod reorder;
 pub mod traversal;
@@ -39,6 +43,7 @@ pub mod traversal;
 pub use coo::EdgeList;
 pub use csr::{CsrBuildStats, CsrGraph, GraphBuildError};
 pub use datasets::{Dataset, DatasetSpec, GraphDataset};
+pub use par::{SimPool, SimThreads};
 pub use partition::{GraphPartition, PartitionPart, PartitionerKind};
 pub use reorder::Permutation;
 

@@ -1,15 +1,20 @@
-//! Simulation-thread policy and the worker pool the hot loops run on.
+//! Host-thread policy and the one worker pool every parallel loop in the
+//! workspace runs on.
 //!
-//! Everything parallel in a run goes through its one [`SimPool`] handle,
-//! whose channel-fed [`WorkerSet`] is started once per handle (no
-//! dependencies, like the ingest builder). There are two dispatches:
+//! Everything parallel — a dataset load's CSR build as much as a
+//! simulation run — goes through one [`SimPool`] handle, whose
+//! channel-fed [`WorkerSet`] is started once per handle. It lives in
+//! `gnnie-graph`, the lowest crate that both `gnnie-ingest` and
+//! `gnnie-mem` depend on, so graph loading and the simulator share it.
+//! There are two dispatches:
 //!
-//! * [`SimPool::map_ranges`] shards a per-vertex scan — the Weighting
+//! * [`SimPool::map_ranges`] shards a scan into contiguous ranges — the
+//!   CSR builder's degree count (`gnnie-ingest::build`), the Weighting
 //!   block profile (`gnnie-core::weighting`), a cache walk's α
-//!   initialization and α histograms (`crate::cache::CacheSim`) — into
-//!   contiguous ranges;
+//!   initialization and α histograms (`gnnie-mem::cache::CacheSim`);
 //! * [`SimPool::map_items`] runs a few coarse, independent jobs one per
-//!   task: the engine's distinct cache walks over one session graph.
+//!   task: the CSR builder's scatter shards and sort/dedup slabs, and
+//!   the engine's distinct cache walks over one session graph.
 //!
 //! The contract that makes this safe to enable by default is
 //! **determinism**: every sharded computation partitions the vertices
@@ -21,8 +26,9 @@
 //! [`SimThreads`] is the knob. It is a run option, not simulated
 //! hardware: `RunOptions::sim_threads` sets it per session, the serving
 //! daemon's `DaemonConfig::sim_threads` per daemon, and the CLI's
-//! `gnnie run/serve --sim-threads N` sets both, with the
-//! `GNNIE_SIM_THREADS` environment variable as the default.
+//! `gnnie run/serve/ingest --sim-threads N` sets the run's, the
+//! daemon's and the load's alike, with the `GNNIE_SIM_THREADS`
+//! environment variable as the default.
 //! `Auto` resolves to the machine's available parallelism; a `Fixed`
 //! count is honored verbatim — even on a single-core host, where the
 //! workers are still started (the sharded code path must stay exercised

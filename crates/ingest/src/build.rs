@@ -1,40 +1,34 @@
-//! Shard-parallel COO → CSR construction.
+//! Pool-parallel COO → CSR construction.
 //!
 //! The serial path ([`CsrGraph::from_edge_list`]) sorts the whole edge
 //! list (`O(E log E)`) before building adjacency. Ingest is
 //! throughput-critical for large graphs (DGI and Ginex both report load
 //! time as a first-order cost), so this module builds the same CSR with
-//! a counting-sort-style pipeline over `S` shards of the input, using
-//! only `std::thread::scope` — no dependencies:
+//! a counting-sort-style pipeline on the workspace's one [`SimPool`]:
 //!
-//! 1. **per-shard degree counting** — each shard validates its slice of
-//!    the edge array, drops and counts self-loops, and accumulates a
-//!    local degree histogram;
+//! 1. **per-shard degree counting** — each contiguous shard of the edge
+//!    array is validated, its self-loops dropped and counted, and its
+//!    local degree histogram accumulated ([`SimPool::map_ranges`]);
 //! 2. **prefix-sum merge** — local histograms are summed and prefix-
 //!    summed into provisional offsets, and every `(shard, vertex)` pair
 //!    gets a reserved, disjoint slot range;
 //! 3. **parallel scatter** — each shard writes both directions of its
 //!    edges into its reserved slots (no atomics, no locks);
 //! 4. **parallel per-vertex sort + dedup** — vertex ranges (balanced by
-//!    entry count) are sorted, deduplicated, and compacted in place.
+//!    entry count) are sorted, deduplicated, and compacted in place by
+//!    `sort_dedup_compact`, the one sort/dedup the out-of-core builder
+//!    shares.
 //!
-//! The result is **bit-for-bit identical** to the serial path for any
-//! shard count — per-vertex sorted unique adjacency is canonical, so the
+//! The result is **bit-for-bit identical** to the serial path at any
+//! pool width — per-vertex sorted unique adjacency is canonical, so the
 //! scatter order cannot leak through. The property suite checks this for
-//! arbitrary inputs and shard counts; `gnnie-bench ingest_throughput`
-//! records the measured speedup.
+//! arbitrary inputs and widths; `gnnie-bench ingest_throughput` records
+//! the measured speedup.
 
-use gnnie_graph::{CsrBuildStats, CsrGraph, GraphBuildError, VertexId};
+use std::ops::Range;
+use std::sync::Mutex;
 
-/// Hard cap on the shard count (beyond this, per-shard degree arrays
-/// dominate and the scatter gains nothing).
-pub const MAX_SHARDS: usize = 64;
-
-/// The shard count to use by default: the machine's available
-/// parallelism, clamped to [`MAX_SHARDS`].
-pub fn default_shards() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get()).clamp(1, MAX_SHARDS)
-}
+use gnnie_graph::{CsrBuildStats, CsrGraph, GraphBuildError, SimPool, VertexId};
 
 /// Raw-pointer handle for the disjoint-slot scatter phase.
 ///
@@ -47,13 +41,12 @@ struct ScatterSlots(*mut VertexId);
 // two threads never write the same index.
 unsafe impl Sync for ScatterSlots {}
 
-/// Shard-parallel checked build over `n` vertices.
+/// Pool-parallel checked build over `n` vertices.
 ///
 /// Produces exactly the graph and stats of the serial
-/// [`CsrGraph::try_from_pairs`] — same
-/// offsets, same neighbor array, same edge count, same self-loop and
-/// duplicate accounting — for every `shards >= 1` (clamped to
-/// [`MAX_SHARDS`]).
+/// [`CsrGraph::try_from_pairs`] — same offsets, same neighbor array, same
+/// edge count, same self-loop and duplicate accounting — at every pool
+/// width.
 ///
 /// # Errors
 ///
@@ -62,31 +55,22 @@ unsafe impl Sync for ScatterSlots {}
 pub fn build_csr_parallel(
     n: usize,
     pairs: &[(VertexId, VertexId)],
-    shards: usize,
+    pool: &SimPool,
 ) -> Result<(CsrGraph, CsrBuildStats), GraphBuildError> {
-    let shards = shards.clamp(1, MAX_SHARDS).min(pairs.len().max(1));
-    let chunk = pairs.len().div_ceil(shards);
-    let chunks: Vec<&[(VertexId, VertexId)]> =
-        pairs.chunks(chunk.max(1)).take(shards).collect();
-    let shards = chunks.len();
-    // Shards partition the *data* (deterministically — the result is
-    // identical either way); threads are spawned only when the machine
-    // can actually run them concurrently, so a single-core host never
-    // pays scope/spawn overhead for zero parallelism.
-    let threaded =
-        shards > 1 && std::thread::available_parallelism().map_or(1, |p| p.get()) > 1;
-
     // Phase 1: per-shard validation, self-loop counting, degree counting.
-    type ShardCount = Result<(Vec<usize>, usize), (usize, VertexId)>;
-    let count_shard = |chunk: &[(VertexId, VertexId)]| -> ShardCount {
+    // Each shard reports its *first* bad edge; shards cover contiguous
+    // input ranges in order, so the earliest report is the globally
+    // first — matching serial.
+    let counted = pool.map_ranges(pairs.len(), |range: Range<usize>| {
         let mut deg = vec![0usize; n];
         let mut self_loops = 0usize;
-        for (i, &(u, v)) in chunk.iter().enumerate() {
-            if u as usize >= n {
-                return Err((i, u));
-            }
-            if v as usize >= n {
-                return Err((i, v));
+        for (i, &(u, v)) in pairs[range.clone()].iter().enumerate() {
+            if let Some(vertex) = [u, v].into_iter().find(|&x| x as usize >= n) {
+                return Err(GraphBuildError::VertexOutOfRange {
+                    edge_index: range.start + i,
+                    vertex,
+                    num_vertices: n,
+                });
             }
             if u == v {
                 self_loops += 1;
@@ -95,164 +79,81 @@ pub fn build_csr_parallel(
                 deg[v as usize] += 1;
             }
         }
-        Ok((deg, self_loops))
-    };
-    let shard_results: Vec<ShardCount> = if threaded {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> =
-                chunks.iter().map(|chunk| scope.spawn(move || count_shard(chunk))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("degree-count shard panicked"))
-                .collect()
-        })
-    } else {
-        chunks.iter().map(|chunk| count_shard(chunk)).collect()
-    };
-    let mut local_degrees: Vec<Vec<usize>> = Vec::with_capacity(shards);
-    let mut self_loops = 0usize;
-    for (s, res) in shard_results.into_iter().enumerate() {
-        match res {
-            Ok((deg, loops)) => {
-                local_degrees.push(deg);
-                self_loops += loops;
-            }
-            Err((local_index, vertex)) => {
-                // Shards cover contiguous input ranges in order, and each
-                // shard reports its *first* bad edge, so the earliest
-                // shard's report is the globally first — matching serial.
-                let edge_index =
-                    chunks[..s].iter().map(|c| c.len()).sum::<usize>() + local_index;
-                return Err(GraphBuildError::VertexOutOfRange {
-                    edge_index,
-                    vertex,
-                    num_vertices: n,
-                });
-            }
-        }
-    }
+        Ok((range, deg, self_loops))
+    });
+    let counted = counted.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let self_loops = counted.iter().map(|(_, _, loops)| loops).sum();
 
-    // Phase 2: prefix-sum merge. `starts[s][v]` is shard s's write cursor
-    // for vertex v; cursors partition each vertex's slot range by shard.
+    // Phase 2: prefix-sum merge. Each shard's cursor starts at its
+    // reserved slot for every vertex; cursors partition each vertex's
+    // slot range by shard.
     let mut offsets = vec![0usize; n + 1];
     for v in 0..n {
-        let total: usize = local_degrees.iter().map(|d| d[v]).sum();
+        let total: usize = counted.iter().map(|(_, d, _)| d[v]).sum();
         offsets[v + 1] = offsets[v] + total;
     }
     let total_entries = offsets[n];
-    let mut starts: Vec<Vec<usize>> = Vec::with_capacity(shards);
-    {
-        let mut cursor = offsets[..n].to_vec();
-        for deg in &local_degrees {
+    let mut cursor = offsets[..n].to_vec();
+    let shards: Vec<(Range<usize>, Vec<usize>)> = counted
+        .into_iter()
+        .map(|(range, deg, _)| {
             let mine = cursor.clone();
-            for v in 0..n {
-                cursor[v] += deg[v];
-            }
-            starts.push(mine);
-        }
-    }
-    drop(local_degrees);
+            cursor.iter_mut().zip(&deg).for_each(|(c, d)| *c += d);
+            (range, mine)
+        })
+        .collect();
 
     // Phase 3: parallel scatter into reserved slots.
     let mut neighbors = vec![0 as VertexId; total_entries];
-    {
-        let slots = ScatterSlots(neighbors.as_mut_ptr());
-        let slots = &slots;
-        let scatter_shard = |chunk: &[(VertexId, VertexId)], mut cursor: Vec<usize>| {
-            for &(u, v) in chunk.iter() {
-                if u == v {
-                    continue;
-                }
-                // SAFETY: `cursor[u]` walks this shard's reserved range
-                // for vertex u (disjoint across shards and vertices by
-                // the phase-2 partition); same for v.
-                unsafe {
-                    *slots.0.add(cursor[u as usize]) = v;
-                    cursor[u as usize] += 1;
-                    *slots.0.add(cursor[v as usize]) = u;
-                    cursor[v as usize] += 1;
-                }
+    let slots = &ScatterSlots(neighbors.as_mut_ptr());
+    pool.map_items(&shards, |(range, start)| {
+        let mut cursor = start.clone();
+        for &(u, v) in &pairs[range.clone()] {
+            if u == v {
+                continue;
             }
-        };
-        if threaded {
-            std::thread::scope(|scope| {
-                for (chunk, cursor) in chunks.iter().zip(starts) {
-                    scope.spawn(move || scatter_shard(chunk, cursor));
-                }
-            });
-        } else {
-            for (chunk, cursor) in chunks.iter().zip(starts) {
-                scatter_shard(chunk, cursor);
+            // SAFETY: `cursor[u]` walks this shard's reserved range for
+            // vertex u (disjoint across shards and vertices by the
+            // phase-2 partition); same for v.
+            unsafe {
+                *slots.0.add(cursor[u as usize]) = v;
+                cursor[u as usize] += 1;
+                *slots.0.add(cursor[v as usize]) = u;
+                cursor[v as usize] += 1;
             }
         }
-    }
+    });
 
     // Phase 4: parallel per-vertex sort + dedup, compacted within each
-    // thread's slab of contiguous vertices (balanced by entry count).
-    let ranges = balanced_vertex_ranges(&offsets, shards);
-    let mut slabs: Vec<&mut [VertexId]> = Vec::with_capacity(ranges.len());
-    {
-        let mut rest = neighbors.as_mut_slice();
-        for &(lo, hi) in &ranges {
-            let len = offsets[hi] - offsets[lo];
-            let (slab, tail) = rest.split_at_mut(len);
-            slabs.push(slab);
-            rest = tail;
-        }
+    // slab of contiguous vertices (balanced by entry count).
+    let ranges = balanced_vertex_ranges(&offsets, pool.width());
+    let mut slabs = Vec::with_capacity(ranges.len());
+    let mut rest = neighbors.as_mut_slice();
+    for &(lo, hi) in &ranges {
+        let (slab, tail) = rest.split_at_mut(offsets[hi] - offsets[lo]);
+        slabs.push(((lo, hi), Mutex::new(slab)));
+        rest = tail;
     }
-    let sort_range = |lo: usize, hi: usize, slab: &mut [VertexId]| {
-        let base = offsets[lo];
-        let mut new_deg = Vec::with_capacity(hi - lo);
-        let mut w = 0usize;
-        for v in lo..hi {
-            let (start, end) = (offsets[v] - base, offsets[v + 1] - base);
-            slab[start..end].sort_unstable();
-            let mut kept = 0usize;
-            for i in start..end {
-                let x = slab[i];
-                // Write index never passes the read index, so in-place
-                // compaction is safe.
-                if kept == 0 || slab[w + kept - 1] != x {
-                    slab[w + kept] = x;
-                    kept += 1;
-                }
-            }
-            new_deg.push(kept);
-            w += kept;
-        }
-        (new_deg, w)
-    };
-    let per_range: Vec<(Vec<usize>, usize)> = if threaded {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .zip(slabs)
-                .map(|(&(lo, hi), slab)| scope.spawn(move || sort_range(lo, hi, slab)))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("sort-dedup shard panicked")).collect()
-        })
-    } else {
-        ranges.iter().zip(slabs).map(|(&(lo, hi), slab)| sort_range(lo, hi, slab)).collect()
-    };
+    let degrees = pool.map_items(&slabs, |((lo, hi), slab)| {
+        sort_dedup_compact(&mut slab.lock().expect("slab lock poisoned"), &offsets[*lo..=*hi])
+    });
+    drop(slabs);
 
     // Stitch: final offsets from compacted degrees, slab prefixes moved
     // left into their final contiguous positions.
     let mut final_offsets = Vec::with_capacity(n + 1);
     final_offsets.push(0usize);
-    for (deg, _) in &per_range {
+    let mut write = 0usize;
+    for (&(lo, _), deg) in ranges.iter().zip(&degrees) {
+        let kept: usize = deg.iter().sum();
+        neighbors.copy_within(offsets[lo]..offsets[lo] + kept, write);
         for &d in deg {
             final_offsets.push(final_offsets.last().expect("nonempty") + d);
         }
-    }
-    debug_assert_eq!(final_offsets.len(), n + 1);
-    let mut write = 0usize;
-    for (&(lo, _), (_, kept)) in ranges.iter().zip(&per_range) {
-        let read = offsets[lo];
-        neighbors.copy_within(read..read + kept, write);
         write += kept;
     }
+    debug_assert_eq!(final_offsets.len(), n + 1);
     neighbors.truncate(write);
-    debug_assert_eq!(write, *final_offsets.last().expect("nonempty"));
 
     let duplicates = (total_entries - write) / 2;
     let num_edges = write / 2;
@@ -263,6 +164,35 @@ pub fn build_csr_parallel(
         graph,
         CsrBuildStats { input_edges: pairs.len(), self_loops, duplicates, edges: num_edges },
     ))
+}
+
+/// Sorts and deduplicates every adjacency list of `slab`, delimited by
+/// `bounds` (`bounds.len() - 1` lists; list `i` spans
+/// `bounds[i] - bounds[0] .. bounds[i + 1] - bounds[0]`), and compacts
+/// the kept entries to the front of `slab` in list order. Returns each
+/// list's kept degree. Both CSR builders run this: the in-memory one per
+/// vertex slab, the out-of-core one per spill bucket.
+pub(crate) fn sort_dedup_compact(slab: &mut [VertexId], bounds: &[usize]) -> Vec<usize> {
+    let base = bounds[0];
+    let mut write = 0usize;
+    bounds
+        .windows(2)
+        .map(|w| {
+            let list = w[0] - base..w[1] - base;
+            slab[list.clone()].sort_unstable();
+            let start = write;
+            for i in list {
+                let x = slab[i];
+                // The write index never passes the read index, so
+                // in-place compaction is safe.
+                if write == start || slab[write - 1] != x {
+                    slab[write] = x;
+                    write += 1;
+                }
+            }
+            write - start
+        })
+        .collect()
 }
 
 /// Splits `0..n` into at most `want` contiguous vertex ranges with
@@ -297,6 +227,8 @@ fn balanced_vertex_ranges(offsets: &[usize], want: usize) -> Vec<(usize, usize)>
 
 #[cfg(test)]
 mod tests {
+    use gnnie_graph::SimThreads;
+
     use super::*;
 
     fn scrambled_pairs(n: VertexId, count: usize, seed: u64) -> Vec<(VertexId, VertexId)> {
@@ -309,68 +241,88 @@ mod tests {
         (0..count).map(|_| (next() % n, next() % n)).collect()
     }
 
+    /// Pools of widths 1–4: width 1 runs inline, the rest on workers.
+    fn pools() -> impl Iterator<Item = SimPool> {
+        (1..=4).map(|w| SimPool::new(SimThreads::Fixed(w)))
+    }
+
     #[test]
-    fn parallel_matches_serial_for_all_shard_counts() {
+    fn parallel_matches_serial_at_every_pool_width() {
+        // 1,500 pairs: wide pools really dispatch the degree count
+        // (at least MIN_ITEMS_PER_WORKER pairs per worker).
         let pairs = scrambled_pairs(97, 1500, 0xC0FFEE);
         let (serial, serial_stats) =
             CsrGraph::try_from_pairs(97, pairs.iter().copied()).unwrap();
-        for shards in [1, 2, 3, 4, 7, 8, 16, 64] {
-            let (par, stats) = build_csr_parallel(97, &pairs, shards).unwrap();
-            assert_eq!(par, serial, "shards={shards}");
-            assert_eq!(stats, serial_stats, "shards={shards}");
+        for pool in pools() {
+            let (par, stats) = build_csr_parallel(97, &pairs, &pool).unwrap();
+            assert_eq!(par, serial, "width {}", pool.width());
+            assert_eq!(stats, serial_stats, "width {}", pool.width());
         }
     }
 
     #[test]
     fn out_of_range_reports_the_first_bad_edge() {
-        let mut pairs = scrambled_pairs(10, 200, 7);
-        pairs[150] = (3, 10);
-        pairs[170] = (11, 0);
-        for shards in [1, 3, 8] {
-            let err = build_csr_parallel(10, &pairs, shards).unwrap_err();
+        let mut pairs = scrambled_pairs(10, 2000, 7);
+        pairs[1500] = (3, 10);
+        pairs[1700] = (11, 0);
+        for pool in pools() {
+            let err = build_csr_parallel(10, &pairs, &pool).unwrap_err();
             assert_eq!(
                 err,
                 GraphBuildError::VertexOutOfRange {
-                    edge_index: 150,
+                    edge_index: 1500,
                     vertex: 10,
                     num_vertices: 10
                 },
-                "shards={shards}"
+                "width {}",
+                pool.width()
             );
         }
         assert_eq!(CsrGraph::try_from_pairs(10, pairs.iter().copied()).unwrap_err(), {
-            GraphBuildError::VertexOutOfRange { edge_index: 150, vertex: 10, num_vertices: 10 }
+            GraphBuildError::VertexOutOfRange { edge_index: 1500, vertex: 10, num_vertices: 10 }
         });
     }
 
     #[test]
     fn degenerate_inputs() {
-        // Empty input, zero vertices.
-        let (g, stats) = build_csr_parallel(0, &[], 4).unwrap();
-        assert_eq!(g.num_vertices(), 0);
-        assert_eq!(stats, CsrBuildStats::default());
-        // Isolated vertices only.
-        let (g, _) = build_csr_parallel(5, &[], 4).unwrap();
-        assert_eq!((g.num_vertices(), g.num_edges()), (5, 0));
-        // All self-loops.
-        let (g, stats) = build_csr_parallel(3, &[(0, 0), (1, 1), (2, 2)], 2).unwrap();
-        assert_eq!(g.num_edges(), 0);
-        assert_eq!(stats.self_loops, 3);
-        // One edge, many shards (shards clamp to input length).
-        let (g, _) = build_csr_parallel(2, &[(0, 1)], 16).unwrap();
-        assert_eq!(g.num_edges(), 1);
+        for pool in pools() {
+            // Empty input, zero vertices.
+            let (g, stats) = build_csr_parallel(0, &[], &pool).unwrap();
+            assert_eq!(g.num_vertices(), 0);
+            assert_eq!(stats, CsrBuildStats::default());
+            // Isolated vertices only.
+            let (g, _) = build_csr_parallel(5, &[], &pool).unwrap();
+            assert_eq!((g.num_vertices(), g.num_edges()), (5, 0));
+            // All self-loops.
+            let (g, stats) = build_csr_parallel(3, &[(0, 0), (1, 1), (2, 2)], &pool).unwrap();
+            assert_eq!(g.num_edges(), 0);
+            assert_eq!(stats.self_loops, 3);
+            // One edge, more workers than pairs.
+            let (g, _) = build_csr_parallel(2, &[(0, 1)], &pool).unwrap();
+            assert_eq!(g.num_edges(), 1);
+        }
     }
 
     #[test]
     fn duplicate_accounting_matches_serial() {
         let pairs = vec![(0, 1), (1, 0), (0, 1), (2, 3), (3, 2), (1, 1)];
-        let (g, stats) = build_csr_parallel(4, &pairs, 3).unwrap();
-        assert_eq!(g.num_edges(), 2);
-        assert_eq!(stats.input_edges, 6);
-        assert_eq!(stats.self_loops, 1);
-        assert_eq!(stats.duplicates, 3);
         let (_, serial_stats) = CsrGraph::try_from_pairs(4, pairs.iter().copied()).unwrap();
-        assert_eq!(stats, serial_stats);
+        for pool in pools() {
+            let (g, stats) = build_csr_parallel(4, &pairs, &pool).unwrap();
+            assert_eq!(g.num_edges(), 2);
+            assert_eq!(stats.input_edges, 6);
+            assert_eq!(stats.self_loops, 1);
+            assert_eq!(stats.duplicates, 3);
+            assert_eq!(stats, serial_stats);
+        }
+    }
+
+    #[test]
+    fn sort_dedup_compact_packs_lists_in_order() {
+        // Two lists at an offset base of 10: [3, 1, 3] and [2, 2].
+        let mut slab = vec![3, 1, 3, 2, 2];
+        assert_eq!(sort_dedup_compact(&mut slab, &[10, 13, 15]), vec![2, 1]);
+        assert_eq!(&slab[..3], &[1, 3, 2]);
     }
 
     #[test]

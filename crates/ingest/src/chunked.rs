@@ -17,8 +17,9 @@
 //!    `(owner, neighbor)` record to its owner's bucket file in a temporary
 //!    spill directory (8 bytes per record, buffered writes).
 //! 4. **Per-bucket build** — load one bucket at a time, scatter its records
-//!    into place, sort + dedup each adjacency list, and append the
-//!    compacted lists to the final CSR arrays.
+//!    into place, sort + dedup each adjacency list with the in-memory
+//!    builder's own sort/dedup pass, and append the compacted lists to the
+//!    final CSR arrays.
 //!
 //! Sorted-deduplicated per-vertex adjacency is a canonical form, so the
 //! result cannot depend on bucket size or spill order — that is what makes
@@ -32,6 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use gnnie_graph::{CsrBuildStats, CsrGraph, GraphBuildError, VertexId};
 
+use crate::build::sort_dedup_compact;
 use crate::error::IngestError;
 
 /// Spill files never exceed this many buckets: with a tiny chunk budget on
@@ -98,6 +100,7 @@ impl Drop for SpillDir {
 /// # Example
 ///
 /// ```
+/// use gnnie_graph::SimPool;
 /// use gnnie_ingest::{build_csr_chunked, build_csr_parallel};
 ///
 /// let pairs = vec![(0u32, 1u32), (1, 2), (2, 0), (1, 2), (3, 3)];
@@ -108,7 +111,7 @@ impl Drop for SpillDir {
 ///     Ok(())
 /// })
 /// .unwrap();
-/// let (in_memory, expect) = build_csr_parallel(4, &pairs, 4).unwrap();
+/// let (in_memory, expect) = build_csr_parallel(4, &pairs, &SimPool::serial()).unwrap();
 /// assert_eq!(chunked, in_memory);
 /// assert_eq!(stats, expect);
 /// ```
@@ -262,19 +265,12 @@ where
             scatter[*slot] = neighbor;
             *slot += 1;
         }
-        for v in lo..hi {
-            let list = &mut scatter[local[v - lo]..local[v - lo + 1]];
-            list.sort_unstable();
-            let mut write = 0usize;
-            for idx in 0..list.len() {
-                if write == 0 || list[idx] != list[write - 1] {
-                    list[write] = list[idx];
-                    write += 1;
-                }
-            }
-            neighbors.extend_from_slice(&list[..write]);
-            offsets.push(neighbors.len());
+        let mut kept = 0usize;
+        for d in sort_dedup_compact(&mut scatter, &local) {
+            kept += d;
+            offsets.push(neighbors.len() + kept);
         }
+        neighbors.extend_from_slice(&scatter[..kept]);
     }
     drop(spill);
 
@@ -291,6 +287,8 @@ where
 
 #[cfg(test)]
 mod tests {
+    use gnnie_graph::{SimPool, SimThreads};
+
     use super::*;
     use crate::build::build_csr_parallel;
 
@@ -319,7 +317,8 @@ mod tests {
     fn matches_the_in_memory_builder_at_many_chunk_sizes() {
         let n = 500;
         let pairs = scrambled_pairs(n, 4000, 0xC0FFEE);
-        let (expect_g, expect_s) = build_csr_parallel(n, &pairs, 4).unwrap();
+        let pool = SimPool::new(SimThreads::Fixed(4));
+        let (expect_g, expect_s) = build_csr_parallel(n, &pairs, &pool).unwrap();
         for chunk_bytes in [1, 512, 4096, 1 << 20, u64::MAX / 16] {
             let (g, s) = build_csr_chunked(n, chunk_bytes, None, vec_stream(&pairs)).unwrap();
             assert_eq!(g, expect_g, "chunk_bytes={chunk_bytes}");

@@ -12,9 +12,10 @@
 //!   (with line-numbered errors and self-describing `gnnie` header
 //!   directives) and an ogbn-style binary CSR layout;
 //! * [`mod@format`] — on-disk format auto-detection from leading bytes;
-//! * [`build`] — a sharded, `std::thread::scope`-parallel COO→CSR
-//!   builder (per-shard degree counting + prefix-sum merge) that is
-//!   bit-for-bit identical to the serial [`gnnie_graph::CsrGraph`] path;
+//! * [`build`] — a COO→CSR builder on the workspace's one worker pool
+//!   ([`gnnie_graph::SimPool`]; per-shard degree counting + prefix-sum
+//!   merge) that is bit-for-bit identical to the serial
+//!   [`gnnie_graph::CsrGraph`] path;
 //! * [`snapshot`] — the checksummed, write-once `.gnniecsr` snapshot
 //!   cache: one layout, one writer ([`write_snapshot`]), a copying
 //!   reference reader ([`snapshot::decode_snapshot`]) and a zero-copy mmap loader
@@ -33,7 +34,7 @@
 //!
 //! ```
 //! use gnnie_graph::Dataset;
-//! use gnnie_graph::CsrGraph;
+//! use gnnie_graph::{CsrGraph, SimPool, SimThreads};
 //! use gnnie_ingest::{build, registry::DatasetRegistry};
 //!
 //! // No data directory: names resolve to the Table II synthesizer.
@@ -44,7 +45,8 @@
 //! // The parallel CSR builder matches the serial path bit-for-bit.
 //! let pairs = vec![(0, 1), (1, 2), (2, 0), (1, 2)];
 //! let (serial, _) = CsrGraph::try_from_pairs(3, pairs.iter().copied()).unwrap();
-//! let (parallel, stats) = build::build_csr_parallel(3, &pairs, 4).unwrap();
+//! let pool = SimPool::new(SimThreads::Fixed(4));
+//! let (parallel, stats) = build::build_csr_parallel(3, &pairs, &pool).unwrap();
 //! assert_eq!(serial, parallel);
 //! assert_eq!(stats.duplicates, 1);
 //! ```
@@ -62,7 +64,7 @@ pub mod registry;
 pub mod snapshot;
 pub mod source;
 
-pub use build::{build_csr_parallel, default_shards, MAX_SHARDS};
+pub use build::build_csr_parallel;
 pub use chunked::build_csr_chunked;
 pub use error::IngestError;
 pub use export::{export_edge_list, render_edge_list, write_binary_csr};

@@ -18,9 +18,9 @@
 use std::path::{Path, PathBuf};
 
 use gnnie_graph::features::generate_features;
-use gnnie_graph::{CsrBuildStats, Dataset, DatasetSpec, GraphDataset};
+use gnnie_graph::{CsrBuildStats, Dataset, DatasetSpec, GraphDataset, SimPool, SimThreads};
 
-use crate::build::{build_csr_parallel, default_shards};
+use crate::build::build_csr_parallel;
 use crate::chunked::build_csr_chunked;
 use crate::error::IngestError;
 use crate::format::{detect_file_format, FileFormat};
@@ -117,7 +117,7 @@ impl DatasetRegistry {
         let Some(path) = source.path() else {
             return Ok(Self::synthesize(dataset, scale, seed));
         };
-        let resolved = self.load_path(path, dataset, seed, default_shards())?;
+        let resolved = self.load_path(path, dataset, seed, None)?;
         let got = resolved.dataset.spec.dataset;
         if got != dataset {
             return Err(IngestError::Format(format!(
@@ -148,11 +148,12 @@ impl DatasetRegistry {
     }
 
     /// Loads the dataset file at `path`, auto-detecting its format. Text
-    /// edge lists are built into CSR over `shards` parallel shards
-    /// (`gnnie ingest --shards`; other callers pass
-    /// [`crate::default_shards`]). Foreign files (no recorded spec)
-    /// synthesize features from `fallback`'s Table II statistics, sized
-    /// to the actual graph, with `seed`.
+    /// edge lists are built into CSR on `pool` (`gnnie ingest
+    /// --sim-threads`); `None` builds a pool from
+    /// [`SimThreads::from_env`] for that build, as `Engine::begin_with`
+    /// does for a run. Foreign files (no recorded spec) synthesize
+    /// features from `fallback`'s Table II statistics, sized to the
+    /// actual graph, with `seed`.
     ///
     /// # Errors
     ///
@@ -163,7 +164,7 @@ impl DatasetRegistry {
         path: &Path,
         fallback: Dataset,
         seed: u64,
-        shards: usize,
+        pool: Option<&SimPool>,
     ) -> Result<Resolved, IngestError> {
         match detect_file_format(path)? {
             FileFormat::Snapshot => {
@@ -193,8 +194,10 @@ impl DatasetRegistry {
             }
             FileFormat::EdgeList(format) => {
                 let parsed = parse_edge_list(path, format)?;
+                let pool =
+                    pool.cloned().unwrap_or_else(|| SimPool::new(SimThreads::from_env()));
                 let (graph, stats) =
-                    build_csr_parallel(parsed.meta.num_vertices(), &parsed.pairs, shards)?;
+                    build_csr_parallel(parsed.meta.num_vertices(), &parsed.pairs, &pool)?;
                 resolve_edge_list(path, graph, stats, &parsed.meta, fallback, seed)
             }
         }
@@ -223,7 +226,7 @@ impl DatasetRegistry {
     ) -> Result<Resolved, IngestError> {
         let format = match detect_file_format(path)? {
             FileFormat::EdgeList(f) => f,
-            _ => return self.load_path(path, fallback, seed, default_shards()),
+            _ => return self.load_path(path, fallback, seed, None),
         };
         // Metadata pass: directives and the vertex count, pairs discarded.
         let meta = scan_edge_list(path, format, |_, _| {})?;
@@ -369,19 +372,19 @@ mod tests {
         let path = dir.join("web.edges");
         std::fs::write(&path, "0 1\n1 2\n2 3\n0 3\n").unwrap();
         let reg = DatasetRegistry::new(None);
-        let out = reg.load_path(&path, Dataset::Cora, 99, default_shards()).unwrap();
+        let out = reg.load_path(&path, Dataset::Cora, 99, None).unwrap();
         assert_eq!(out.dataset.graph.num_vertices(), 4);
         assert_eq!(out.dataset.spec.dataset, Dataset::Cora);
         assert_eq!(out.dataset.spec.vertices, 4);
         assert_eq!(out.dataset.features.rows(), 4);
         assert_eq!(out.dataset.features.cols(), Dataset::Cora.spec().feature_len);
         // Deterministic in the seed.
-        let again = reg.load_path(&path, Dataset::Cora, 99, default_shards()).unwrap();
+        let again = reg.load_path(&path, Dataset::Cora, 99, None).unwrap();
         assert_eq!(again.dataset.features, out.dataset.features);
         // Binary CSR takes the same fallback path.
         let bin = dir.join("web.bcsr");
         write_binary_csr(&bin, &out.dataset.graph).unwrap();
-        let from_bin = reg.load_path(&bin, Dataset::Cora, 99, default_shards()).unwrap();
+        let from_bin = reg.load_path(&bin, Dataset::Cora, 99, None).unwrap();
         assert_eq!(from_bin.dataset.graph, out.dataset.graph);
         assert_eq!(from_bin.dataset.features, out.dataset.features);
         std::fs::remove_dir_all(&dir).ok();
@@ -395,7 +398,7 @@ mod tests {
         let path = dir.join("cr.edges");
         export_edge_list(&path, &ds.graph, EdgeListFormat::Whitespace, Some(&rec)).unwrap();
         let reg = DatasetRegistry::new(None);
-        let whole = reg.load_path(&path, Dataset::Cora, 11, default_shards()).unwrap();
+        let whole = reg.load_path(&path, Dataset::Cora, 11, None).unwrap();
         // A deliberately tiny chunk budget forces many spill buckets.
         let chunked = reg.load_path_chunked(&path, Dataset::Cora, 11, 1024).unwrap();
         assert_eq!(chunked.dataset.graph, whole.dataset.graph);
@@ -424,7 +427,7 @@ mod tests {
         // The vertices directive (truthful) wins for graph size, so the
         // recorded spec disagrees and the load is rejected.
         let reg = DatasetRegistry::new(None);
-        let err = reg.load_path(&path, Dataset::Cora, 7, default_shards()).unwrap_err();
+        let err = reg.load_path(&path, Dataset::Cora, 7, None).unwrap_err();
         assert!(err.to_string().contains("recorded spec"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -529,25 +529,69 @@ mod zerocopy {
         unsafe { Backing::from_shared(owner, ptr, len) }
     }
 
+    /// Part of the one linear pass the trusted constructors rely on, as
+    /// the array checksums go unread here: `offsets` start at 0, never
+    /// decrease, and end at `len`, the length of the array they index.
+    fn check_offsets(
+        section: &str,
+        offsets: &[usize],
+        len: usize,
+        what: &str,
+    ) -> Result<(), IngestError> {
+        let monotone = offsets.iter().zip(offsets.iter().skip(1)).all(|(a, b)| a <= b);
+        if offsets.first() == Some(&0) && offsets.last() == Some(&len) && monotone {
+            return Ok(());
+        }
+        Err(IngestError::Snapshot(format!(
+            "{what}: section {section} is not a CSR offset array (must start at 0, never \
+             decrease, and end at {len}) — corrupted?"
+        )))
+    }
+
+    /// The rest of that pass: every id in `ids` is below `bound`.
+    fn check_ids(
+        section: &str,
+        kind: &str,
+        ids: &[u32],
+        bound: usize,
+        what: &str,
+    ) -> Result<(), IngestError> {
+        // A max-fold vectorizes; the bad entry is sought only on failure.
+        if ids.iter().max().map_or(true, |&max| (max as usize) < bound) {
+            return Ok(());
+        }
+        let i = ids
+            .iter()
+            .position(|&id| id as usize >= bound)
+            .expect("the maximum is out of range");
+        Err(IngestError::Snapshot(format!(
+            "{what}: section {section} entry {i} is {kind} {}, not below {bound} — corrupted?",
+            ids[i]
+        )))
+    }
+
     /// Decodes a snapshot from an established mapping, borrowing the
-    /// array sections zero-copy. The array payloads are handed to the
-    /// trusted constructors (full validation still runs in debug builds).
+    /// array sections zero-copy. The array payloads pass one linear
+    /// structural check, then go to the trusted constructors (full
+    /// validation still runs in debug builds).
     pub(super) fn decode_mmap(
         map: &Arc<MmapFile>,
         what: &str,
     ) -> Result<GraphDataset, IngestError> {
         let Layout { spec, meta, arrays: [goff, gnbr, foff, fcol, fval] } =
             parse_layout(map.as_slice(), what, false)?;
-        let graph = gnnie_graph::CsrGraph::from_raw_parts_trusted(
-            shared::<usize>(map, &goff),
-            shared::<u32>(map, &gnbr),
-            meta.num_edges,
-        );
+        let (goff, gnbr) = (shared::<usize>(map, &goff), shared::<u32>(map, &gnbr));
+        let (foff, fcol) = (shared::<usize>(map, &foff), shared::<u32>(map, &fcol));
+        check_offsets("GOFF", &goff, gnbr.len(), what)?;
+        check_ids("GNBR", "neighbour id", &gnbr, meta.n, what)?;
+        check_offsets("FOFF", &foff, fcol.len(), what)?;
+        check_ids("FCOL", "feature column", &fcol, meta.cols, what)?;
+        let graph = gnnie_graph::CsrGraph::from_raw_parts_trusted(goff, gnbr, meta.num_edges);
         let features = CsrMatrix::from_raw_parts_trusted(
             meta.rows,
             meta.cols,
-            shared::<usize>(map, &foff),
-            shared::<u32>(map, &fcol),
+            foff,
+            fcol,
             shared::<f32>(map, &fval),
         );
         Ok(GraphDataset::from_parts(spec, graph, features))
@@ -785,6 +829,37 @@ mod tests {
             let path = dir.join("flipped.gnniecsr");
             std::fs::write(&path, &bad).unwrap();
             assert!(open_snapshot(&path).is_err(), "{name}: open_snapshot missed the flip");
+            std::fs::remove_file(&path).ok();
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn structurally_bad_arrays_are_rejected_on_both_load_paths() {
+        // The array sections' checksums go unread on the mmap path, so a
+        // bad offset or id there must fail the structural check rather
+        // than reach the trusted constructors.
+        let dir = tmpdir("structure");
+        let bytes = encode_snapshot(&tiny());
+        let entries = parse_header(&bytes, "t").unwrap();
+        let at = |id: u32| entries.iter().find(|e| e.id == id).unwrap();
+        let foff_last = at(SEC_FOFF).offset + at(SEC_FOFF).len - 8;
+        let cases: [(usize, &[u8], &str); 4] = [
+            (at(SEC_GOFF).offset, &1u64.to_le_bytes(), "GOFF"),
+            (at(SEC_GNBR).offset, &0x7fff_ffffu32.to_le_bytes(), "neighbour id"),
+            (foff_last, &u64::MAX.to_le_bytes(), "FOFF"),
+            (at(SEC_FCOL).offset, &u32::MAX.to_le_bytes(), "feature column"),
+        ];
+        for (pos, value, names) in cases {
+            let mut bad = bytes.clone();
+            bad[pos..pos + value.len()].copy_from_slice(value);
+            assert!(decode_snapshot(&bad, "mem").is_err(), "{names}: copy path accepted it");
+            let path = dir.join("bad.gnniecsr");
+            std::fs::write(&path, &bad).unwrap();
+            let err = open_snapshot(&path).unwrap_err().to_string();
+            if mmap_supported() {
+                assert!(err.contains(names) && err.contains("bad.gnniecsr"), "{err}");
+            }
             std::fs::remove_file(&path).ok();
         }
         std::fs::remove_dir_all(&dir).ok();

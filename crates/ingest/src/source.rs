@@ -14,7 +14,6 @@ use std::path::{Path, PathBuf};
 
 use gnnie_graph::{CsrBuildStats, Dataset, GraphDataset};
 
-use crate::build::default_shards;
 use crate::error::IngestError;
 use crate::registry::DatasetRegistry;
 use crate::snapshot::SNAPSHOT_VERSION;
@@ -69,8 +68,8 @@ impl DataSource {
         DataSource::Named { dataset, scale, seed }
     }
 
-    /// A source loading an explicit file (text edge lists build over
-    /// [`default_shards`] shards).
+    /// A source loading an explicit file (text edge lists build on a
+    /// pool of `GNNIE_SIM_THREADS` workers).
     pub fn file(path: impl Into<PathBuf>, fallback: Dataset, seed: u64) -> Self {
         DataSource::File { path: path.into(), fallback, seed }
     }
@@ -91,7 +90,7 @@ impl DataSource {
                 registry.load(*dataset, *scale, *seed)
             }
             DataSource::File { path, fallback, seed } => {
-                registry.load_path(path, *fallback, *seed, default_shards())
+                registry.load_path(path, *fallback, *seed, None)
             }
         }
     }

@@ -7,7 +7,7 @@
 //! adjacency is a canonical form, so this is bit-identity, not just
 //! isomorphism.
 
-use gnnie_graph::{CsrGraph, VertexId};
+use gnnie_graph::{CsrGraph, SimPool, SimThreads, VertexId};
 use gnnie_ingest::build::build_csr_parallel;
 use gnnie_ingest::build_csr_chunked;
 use proptest::prelude::*;
@@ -23,16 +23,17 @@ fn arb_input() -> impl Strategy<Value = (usize, Vec<(VertexId, VertexId)>)> {
 
 proptest! {
     /// Chunked external build ≡ serial ≡ parallel, bit for bit, for
-    /// arbitrary chunk budgets — graph *and* stats.
+    /// arbitrary chunk budgets and pool widths 1–4 — graph *and* stats.
     #[test]
     fn chunked_build_equals_in_memory(
         input in arb_input(),
         chunk_bytes in 1u64..8192,
-        shards in 1usize..6,
+        width in 1usize..5,
     ) {
         let (n, pairs) = input;
         let (serial, serial_stats) = CsrGraph::try_from_pairs(n, pairs.iter().copied()).unwrap();
-        let (parallel, parallel_stats) = build_csr_parallel(n, &pairs, shards).unwrap();
+        let pool = SimPool::new(SimThreads::Fixed(width));
+        let (parallel, parallel_stats) = build_csr_parallel(n, &pairs, &pool).unwrap();
         let (chunked, stats) = build_csr_chunked(n, chunk_bytes, None, |sink| {
             for &(u, v) in &pairs {
                 sink(u, v);
@@ -49,18 +50,21 @@ proptest! {
     }
 
     /// Out-of-range ids produce the serial builder's exact error, at any
-    /// chunk budget.
+    /// chunk budget and pool width.
     #[test]
     fn chunked_build_reports_serial_errors(
         input in arb_input(),
         chunk_bytes in 1u64..8192,
         bad_at in 0usize..200,
+        width in 1usize..5,
     ) {
         let (n, mut pairs) = input;
         let bad_at = bad_at % (pairs.len() + 1);
         pairs.insert(bad_at, (n as VertexId, 0));
         let serial = CsrGraph::try_from_pairs(n, pairs.iter().copied())
             .unwrap_err();
+        let pool = SimPool::new(SimThreads::Fixed(width));
+        prop_assert_eq!(build_csr_parallel(n, &pairs, &pool).unwrap_err(), serial.clone());
         let err = build_csr_chunked(n, chunk_bytes, None, |sink| {
             for &(u, v) in &pairs {
                 sink(u, v);

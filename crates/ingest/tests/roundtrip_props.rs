@@ -2,9 +2,9 @@
 //!
 //! Two invariants anchor the whole subsystem:
 //!
-//! 1. **parallel ≡ serial** — the sharded CSR builder produces the exact
-//!    graph and accounting of the serial path for *arbitrary* inputs
-//!    (duplicates, self-loops, isolated vertices) and shard counts;
+//! 1. **parallel ≡ serial** — the pool-parallel CSR builder produces the
+//!    exact graph and accounting of the serial path for *arbitrary* inputs
+//!    (duplicates, self-loops, isolated vertices) at pool widths 1–4;
 //! 2. **the round trip is lossless** — edge list → parse → CSR →
 //!    `.gnniecsr` snapshot → reload reproduces identical offsets,
 //!    neighbors, and features, in every text dialect.
@@ -13,7 +13,7 @@ use std::io::Cursor;
 use std::path::Path;
 
 use gnnie_graph::features::{generate_features, FeatureProfile};
-use gnnie_graph::{CsrGraph, Dataset, GraphDataset, VertexId};
+use gnnie_graph::{CsrGraph, Dataset, GraphDataset, SimPool, SimThreads, VertexId};
 use gnnie_ingest::build::build_csr_parallel;
 use gnnie_ingest::export::render_edge_list;
 use gnnie_ingest::parse::{parse_edge_list_reader, RecordedSpec};
@@ -44,13 +44,14 @@ fn dataset_from(n: usize, pairs: &[(VertexId, VertexId)], seed: u64) -> GraphDat
 }
 
 proptest! {
-    /// Parallel CSR build ≡ serial build, bit for bit, for arbitrary
-    /// shard counts — graph *and* stats.
+    /// Parallel CSR build ≡ serial build, bit for bit, at pool widths
+    /// 1–4 — graph *and* stats.
     #[test]
-    fn parallel_build_equals_serial(input in arb_input(), shards in 1usize..10) {
+    fn parallel_build_equals_serial(input in arb_input(), width in 1usize..5) {
         let (n, pairs) = input;
         let (serial, serial_stats) = CsrGraph::try_from_pairs(n, pairs.iter().copied()).unwrap();
-        let (parallel, stats) = build_csr_parallel(n, &pairs, shards).unwrap();
+        let pool = SimPool::new(SimThreads::Fixed(width));
+        let (parallel, stats) = build_csr_parallel(n, &pairs, &pool).unwrap();
         prop_assert_eq!(&parallel, &serial);
         prop_assert_eq!(stats, serial_stats);
         prop_assert_eq!(parallel.offsets(), serial.offsets());
@@ -63,7 +64,7 @@ proptest! {
     fn full_roundtrip_is_lossless(
         input in arb_input(),
         fmt_idx in 0usize..EdgeListFormat::ALL.len(),
-        shards in 1usize..6,
+        width in 1usize..5,
         seed in 0u64..1000,
     ) {
         let (n, pairs) = input;
@@ -76,7 +77,8 @@ proptest! {
         let parsed =
             parse_edge_list_reader(Cursor::new(&text), Path::new("<mem>"), fmt).unwrap();
         prop_assert_eq!(parsed.meta.num_vertices(), n);
-        let (rebuilt, stats) = build_csr_parallel(n, &parsed.pairs, shards).unwrap();
+        let pool = SimPool::new(SimThreads::Fixed(width));
+        let (rebuilt, stats) = build_csr_parallel(n, &parsed.pairs, &pool).unwrap();
         prop_assert_eq!(&rebuilt, &original.graph);
         // Exports write each edge once, so nothing is dropped.
         prop_assert_eq!(stats.duplicates, 0);

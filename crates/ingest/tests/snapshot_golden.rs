@@ -14,7 +14,7 @@
 
 use std::path::{Path, PathBuf};
 
-use gnnie_graph::{Dataset, GraphDataset};
+use gnnie_graph::{Dataset, GraphDataset, SimPool, SimThreads};
 use gnnie_ingest::snapshot::{decode_snapshot, encode_snapshot};
 use gnnie_ingest::{mmap_supported, open_snapshot, DatasetRegistry, Provenance};
 
@@ -60,7 +60,12 @@ fn a_snapshot_with_partition_tables_loads_on_both_paths() {
     let bytes = std::fs::read(&path).unwrap();
     // `gnnie ingest`'s defaults: Cora fallback features, seed 42.
     let fresh = DatasetRegistry::new(None)
-        .load_path(&fixture("ring.edges"), Dataset::Cora, 42, 4)
+        .load_path(
+            &fixture("ring.edges"),
+            Dataset::Cora,
+            42,
+            Some(&SimPool::new(SimThreads::Fixed(4))),
+        )
         .unwrap();
     assert_eq!(fresh.provenance, Provenance::EdgeList(fixture("ring.edges")));
     let fresh = fresh.dataset;

@@ -25,7 +25,6 @@
 pub mod cache;
 pub mod dram;
 pub mod energy;
-pub mod par;
 pub mod psum;
 pub mod sram;
 pub mod tier;
@@ -33,6 +32,9 @@ pub mod tier;
 pub use cache::{CacheConfig, CachePolicy, CachePolicyKind, CacheSim, CacheSimResult};
 pub use dram::{DramCounters, HbmModel};
 pub use energy::{Component, EnergyLedger};
+/// The workspace's one worker pool, defined in `gnnie-graph` so ingest
+/// can reach it too.
+pub use gnnie_graph::par;
 pub use par::{shard_ranges, SimPool, SimThreads, Task, WorkerSet};
 pub use psum::{PsumBuffer, PsumStats, RetentionPolicy};
 pub use sram::DoubleBuffer;

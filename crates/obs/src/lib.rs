@@ -14,7 +14,7 @@
 //!
 //! Both are **zero-cost when off**: the handles are `Option`-backed, the
 //! disabled state holds no allocation and every recording call returns
-//! before building a single string (see [`NopSink`]). And because every
+//! before building a single string (see [`Trace::off`]). And because every
 //! timestamp is a simulated cycle emitted from replay-stable report data,
 //! traces and metric dumps are bit-identical at any `--sim-threads`
 //! width — the same contract every report path in this workspace obeys,
@@ -28,9 +28,9 @@ pub mod trace;
 pub use chrome::{chrome_trace_json, CHROME_TIME_UNIT_NOTE};
 pub use flame::flame_summary;
 pub use metrics::{percentile_nearest_rank, Histogram, Metric, Metrics, MetricsRegistry};
-pub use trace::{ArgValue, MemorySink, NopSink, Trace, TraceEvent, TraceSink};
+pub use trace::{ArgValue, MemorySink, Trace, TraceEvent, TraceSink};
 
-/// The one bundle threaded through the stack: a trace handle and a
+/// The one bundle a front end records into: a trace handle and a
 /// metrics handle, each independently on or off. `Obs::default()` is
 /// fully disabled and free to clone and pass around.
 #[derive(Debug, Clone, Default)]

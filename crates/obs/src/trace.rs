@@ -99,19 +99,6 @@ pub trait TraceSink: Send {
     fn events(&self) -> Vec<TraceEvent>;
 }
 
-/// The disabled sink: discards everything. Exists so code paths can hold
-/// a sink unconditionally; the [`Trace`] handle goes one step further and
-/// skips event construction entirely when off.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NopSink;
-
-impl TraceSink for NopSink {
-    fn record(&mut self, _event: TraceEvent) {}
-    fn events(&self) -> Vec<TraceEvent> {
-        Vec::new()
-    }
-}
-
 /// The recording sink: an in-memory event log in emission order.
 #[derive(Debug, Default)]
 pub struct MemorySink {
@@ -143,8 +130,7 @@ impl std::fmt::Debug for Trace {
 }
 
 impl Trace {
-    /// The disabled handle (equivalent to [`NopSink`], minus even the
-    /// event construction).
+    /// The disabled handle: records nothing and builds no event.
     pub fn off() -> Self {
         Trace(None)
     }
@@ -263,13 +249,5 @@ mod tests {
         }
         assert_eq!(events[1].process(), "serve");
         assert_eq!(events[2].track(), "onchip");
-    }
-
-    #[test]
-    fn the_nop_sink_discards() {
-        let t = Trace::with_sink(Box::new(NopSink));
-        assert!(t.enabled(), "a nop sink is still a live sink");
-        t.span("p", "t", "s", 0, 1, &[]);
-        assert!(t.events().is_empty());
     }
 }

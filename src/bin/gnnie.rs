@@ -6,8 +6,8 @@
 //!                [--sim-threads auto|N] [--chips 4] [--partitioner range|edgecut]
 //!                [--tiers onchip:256KB,dram:16MB,ssd:4GB | auto:SIZE | even:SIZE]
 //!                [--trace out.json] [--trace-summary] [--metrics]
-//! gnnie ingest   <path> [--out snapshot.gnniecsr] [--shards N] [--dataset cora]
-//!                [--seed 42] [--force]
+//! gnnie ingest   <path> [--out snapshot.gnniecsr] [--sim-threads auto|N] [--dataset cora]
+//!                [--seed 42] [--force] [--chunk-mb N]
 //! gnnie serve    [--requests 16] [--models gcn,gat] [--datasets cora,pubmed] [--scale 0.25]
 //!                [--batch 8] [--policy fifo|affinity] [--workers 4] [--seed 42]
 //!                [--sim-threads auto|N] [--trace out.json] [--metrics]
@@ -80,7 +80,7 @@ fn allowed_flags(command: &str) -> &'static [&'static str] {
             "trace-summary",
             "metrics",
         ],
-        "ingest" => &["out", "shards", "dataset", "seed", "force", "chunk-mb"],
+        "ingest" => &["out", "sim-threads", "dataset", "seed", "force", "chunk-mb"],
         "serve" => &[
             "requests",
             "models",
@@ -196,9 +196,11 @@ fn usage() {
          \x20          (--trace writes the simulated timeline as Chrome trace-event JSON\n\
          \x20          — open in Perfetto; timestamps are cycles. --trace-summary prints\n\
          \x20          a text flamegraph, --metrics dumps the metrics registry)\n\
-         \x20 ingest   <path> [--out <snapshot.gnniecsr>] [--shards N] [--dataset <...>]\n\
-         \x20          [--seed N] [--force] [--chunk-mb N]\n\
+         \x20 ingest   <path> [--out <snapshot.gnniecsr>] [--sim-threads auto|N]\n\
+         \x20          [--dataset <...>] [--seed N] [--force] [--chunk-mb N]\n\
          \x20          parse an edge list / binary CSR and freeze a .gnniecsr snapshot\n\
+         \x20          (--sim-threads sizes the pool the CSR build runs on; the\n\
+         \x20          snapshot is byte-identical at any setting)\n\
          \x20          (--chunk-mb builds the CSR out-of-core: the edge list is streamed\n\
          \x20          and spilled in ~N MB chunks, for graphs larger than memory;\n\
          \x20          the result is bit-identical to the in-memory build)\n\
@@ -693,15 +695,16 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
         ModelConfig::paper(model, &ds.spec)
     };
     let engine = Engine::new(config);
+    let report = engine.run_with(
+        &model_config,
+        &ds,
+        gnnie::core::engine::RunOptions { sim_threads, ..Default::default() },
+    );
     // With every observability flag off `obs` is `Obs::off()` — the
     // flagless report and stdout are unchanged.
     let obs_flags = ObsFlags::from_flags(flags);
     let obs = obs_flags.build();
-    let report = engine.run_with(
-        &model_config,
-        &ds,
-        gnnie::core::engine::RunOptions { sim_threads, obs: obs.clone(), ..Default::default() },
-    );
+    report.record_obs(&obs);
     let size = match scale {
         Some(s) => {
             format!("scale {s:.2}: {} vertices, {} edges", report.vertices, report.edges)
@@ -774,7 +777,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_ingest(path: &str, flags: &HashMap<String, String>) -> Result<(), String> {
     let input = Path::new(path);
     let seed = parse_seed(flags)?;
-    let shards = parse_positive(flags, "shards", gnnie::ingest::default_shards())?;
+    let threads = parse_sim_threads(flags)?.unwrap_or_else(SimThreads::from_env);
     let force = flags.contains_key("force");
     // Fallback dataset whose Table II statistics size the synthesized
     // features when the file carries no recorded spec.
@@ -808,7 +811,7 @@ fn cmd_ingest(path: &str, flags: &HashMap<String, String>) -> Result<(), String>
     let t0 = Instant::now();
     let loaded = match chunk_mb {
         Some(bytes) => registry.load_path_chunked(input, fallback, seed, bytes),
-        None => registry.load_path(input, fallback, seed, shards),
+        None => registry.load_path(input, fallback, seed, Some(&SimPool::new(threads))),
     }
     .map_err(|e| e.to_string())?;
     let load_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -845,7 +848,9 @@ fn cmd_ingest(path: &str, flags: &HashMap<String, String>) -> Result<(), String>
                 bytes >> 20
             )
         }
-        None => println!("  parse+build {:>8.1} ms over {} shard(s)", load_ms, shards),
+        None => {
+            println!("  parse+build {:>8.1} ms on {} sim thread(s)", load_ms, threads.resolve())
+        }
     }
     let bytes = std::fs::metadata(&out_path).map(|m| m.len()).unwrap_or(0);
     println!(
@@ -1386,13 +1391,13 @@ mod tests {
     #[test]
     fn boolean_flags_take_no_value() {
         let f = parse_flags(
-            &args(&["--force", "--shards", "4"]),
+            &args(&["--force", "--sim-threads", "4"]),
             allowed_flags("ingest"),
             boolean_flags("ingest"),
         )
         .unwrap();
         assert_eq!(f.get("force").map(String::as_str), Some("true"));
-        assert_eq!(f.get("shards").map(String::as_str), Some("4"));
+        assert_eq!(f.get("sim-threads").map(String::as_str), Some("4"));
         // Without the boolean table, --force would swallow the next flag.
         assert!(parse_flags(&args(&["--force"]), allowed_flags("ingest"), &[]).is_err());
     }
@@ -1549,6 +1554,7 @@ mod tests {
         assert!(parse_sim_threads(&flags(&[("sim-threads", "lots")])).is_err());
         assert!(allowed_flags("run").contains(&"sim-threads"));
         assert!(allowed_flags("serve").contains(&"sim-threads"));
+        assert!(allowed_flags("ingest").contains(&"sim-threads"));
     }
 
     #[test]

@@ -597,7 +597,7 @@ fn run_graph_reproduces_run_dataset_byte_for_byte() {
 
     // Ingest to a snapshot and run from that, too.
     let snap = dir.join("cora-export.gnniecsr");
-    let ingest = run_args(&["ingest", edges.to_str().unwrap(), "--shards", "3"]);
+    let ingest = run_args(&["ingest", edges.to_str().unwrap(), "--sim-threads", "3"]);
     assert!(ingest.status.success(), "ingest: {}", String::from_utf8_lossy(&ingest.stderr));
     let istdout = String::from_utf8_lossy(&ingest.stdout);
     assert!(istdout.contains("self-loops dropped"), "{istdout}");

@@ -59,6 +59,20 @@ fn fixtures(name: &str) -> PathBuf {
         let edited = GraphDataset::from_parts(spec, cora.graph.clone(), cora.features.clone());
         std::fs::write(dir.join(file), encode_snapshot(&edited)).unwrap();
     }
+    // The committed ring snapshot with its first neighbour id (GNBR) set
+    // to 0x7fffffff. Array checksums go unread on the mmap load path, so
+    // only the structural check stands between this id and a panic.
+    let ring =
+        concat!(env!("CARGO_MANIFEST_DIR"), "/crates/ingest/tests/fixtures/ring.gnniecsr");
+    let mut bytes = std::fs::read(ring).unwrap();
+    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let gnbr = (0..count)
+        .map(|i| 16 + 32 * i)
+        .find(|&entry| &bytes[entry..entry + 4] == b"GNBR")
+        .map(|entry| u64::from_le_bytes(bytes[entry + 8..entry + 16].try_into().unwrap()))
+        .expect("a GNBR section") as usize;
+    bytes[gnbr..gnbr + 4].copy_from_slice(&0x7fff_ffffu32.to_le_bytes());
+    std::fs::write(dir.join("bad_gnbr.gnniecsr"), bytes).unwrap();
     // `gnnie spec` headers with one value at or past its bound.
     for (file, key, value) in SPEC_FILES {
         let mut spec: Vec<(&str, &str)> = vec![
@@ -174,6 +188,7 @@ fn run_boundaries() {
         (file("v2.gnniecsr"), Rejects("v2.gnniecsr")),
         (file("spec_vertices.gnniecsr"), Rejects("spec_vertices.gnniecsr")),
         (file("spec_features.gnniecsr"), Rejects("spec_features.gnniecsr")),
+        (file("bad_gnbr.gnniecsr"), Rejects("bad_gnbr.gnniecsr")),
         (file("missing.txt"), Rejects("missing.txt")),
         (file("feat_u32.txt"), Rejects("feature_len")),
         (file("feat_huge.txt"), Rejects("feature_len")),
@@ -213,10 +228,11 @@ fn ingest_boundaries() {
         (&["ingest", "sparsity_nan.txt"], Rejects("feature_sparsity")),
         (&["ingest", "uniform_over.txt", "--chunk-mb", "1"], Rejects("uniform_frac")),
         (&["ingest", "gamma_inf.txt"], Rejects("degree_gamma")),
-        (with(&tiny("s0.gnniecsr"), &["--shards", "0"]), Rejects("--shards")),
-        (with(&tiny("s1.gnniecsr"), &["--shards", "1"]), Ok),
-        (with(&tiny("sh.gnniecsr"), &["--shards", HUGE]), Ok),
-        (with(&tiny("so.gnniecsr"), &["--shards", OVERFLOW]), Rejects("--shards")),
+        (with(&tiny("s0.gnniecsr"), &["--sim-threads", "0"]), Rejects("--sim-threads")),
+        (with(&tiny("s1.gnniecsr"), &["--sim-threads", "1"]), Ok),
+        (with(&tiny("sh.gnniecsr"), &["--sim-threads", HUGE]), Ok),
+        (with(&tiny("so.gnniecsr"), &["--sim-threads", OVERFLOW]), Rejects("--sim-threads")),
+        (with(&tiny("sx.gnniecsr"), &["--shards", "4"]), Rejects("--shards")),
         (with(&tiny("c0.gnniecsr"), &["--chunk-mb", "0"]), Rejects("--chunk-mb")),
         (with(&tiny("c1.gnniecsr"), &["--chunk-mb", "1"]), Ok),
         (with(&tiny("cm.gnniecsr"), &["--chunk-mb", "17592186044415"]), Ok),
