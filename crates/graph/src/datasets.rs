@@ -16,6 +16,7 @@ use gnnie_tensor::CsrMatrix;
 use crate::csr::CsrGraph;
 use crate::features::{generate_features, FeatureProfile};
 use crate::generate;
+use crate::par::{SimPool, SimThreads};
 
 /// The five benchmark datasets of paper Table II.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -193,18 +194,32 @@ impl DatasetSpec {
         }
     }
 
-    /// Generates the synthetic dataset for this spec.
+    /// Generates the synthetic dataset for this spec, drawing the graph on
+    /// a pool of [`SimThreads::from_env`] workers.
     pub fn generate(&self, seed: u64) -> GraphDataset {
+        self.generate_on(seed, &SimPool::new(SimThreads::from_env()))
+    }
+
+    /// Generates the synthetic dataset for this spec, splitting the graph's
+    /// draws across `pool`. The dataset is the same at every pool width.
+    pub fn generate_on(&self, seed: u64, pool: &SimPool) -> GraphDataset {
         let graph = if self.uniform_frac > 0.0 {
-            generate::mixed_powerlaw(
+            generate::mixed_powerlaw_on(
                 self.vertices,
                 self.edges,
                 self.degree_gamma,
                 self.uniform_frac,
                 seed,
+                pool,
             )
         } else {
-            generate::powerlaw_chung_lu(self.vertices, self.edges, self.degree_gamma, seed)
+            generate::powerlaw_chung_lu_on(
+                self.vertices,
+                self.edges,
+                self.degree_gamma,
+                seed,
+                pool,
+            )
         };
         let features = generate_features(
             self.vertices,
@@ -235,13 +250,24 @@ pub struct GraphDataset {
 }
 
 impl GraphDataset {
-    /// Convenience: generate `dataset` at `scale` with `seed`.
+    /// Convenience: generate `dataset` at `scale` with `seed`, on a pool of
+    /// [`SimThreads::from_env`] workers.
     ///
     /// # Panics
     ///
     /// Panics unless `0 < scale <= 1`.
     pub fn generate(dataset: Dataset, scale: f64, seed: u64) -> Self {
         dataset.spec().scaled(scale).generate(seed)
+    }
+
+    /// [`GraphDataset::generate`] on `pool`; the dataset is the same at
+    /// every pool width.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < scale <= 1`.
+    pub fn generate_on(dataset: Dataset, scale: f64, seed: u64, pool: &SimPool) -> Self {
+        dataset.spec().scaled(scale).generate_on(seed, pool)
     }
 
     /// Assembles a dataset from loader-produced parts (the `gnnie-ingest`

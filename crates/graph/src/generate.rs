@@ -24,12 +24,22 @@
 //!
 //! Both consume the RNG draw for draw alike, so the graph does not depend
 //! on which one ran.
+//!
+//! The `_on` variants split each round's draws across a [`SimPool`]: every
+//! shard jumps a clone of the round's RNG straight to its first pair with
+//! [`StdRng::advance`] and draws into its own share of the membership
+//! structure, and the shares merge into one set. The graph is identical at
+//! every pool width; the plain functions run on [`SimPool::serial`].
+
+use std::ops::Range;
+use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::coo::EdgeList;
 use crate::csr::CsrGraph;
+use crate::par::{shard_ranges, SimPool, MIN_ITEMS_PER_WORKER};
 use crate::VertexId;
 
 /// Walker alias table for O(1) sampling from a discrete distribution.
@@ -56,6 +66,11 @@ pub struct AliasTable {
 }
 
 impl AliasTable {
+    /// The RNG words one [`AliasTable::sample`] consumes: one for the
+    /// column, one for the coin. Exact, because the shim's `random_range`
+    /// never rejects, so a sampler can be jumped ahead by draws.
+    pub const WORDS_PER_SAMPLE: u64 = 2;
+
     /// Builds an alias table from nonnegative weights.
     ///
     /// # Panics
@@ -114,11 +129,21 @@ impl AliasTable {
 ///
 /// Panics if `n < 2` and `m > 0` (no non-loop edge exists).
 pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> CsrGraph {
+    erdos_renyi_on(n, m, seed, &SimPool::serial())
+}
+
+/// [`erdos_renyi`] with each round's draws split across `pool`; the graph
+/// is the same at every width.
+///
+/// # Panics
+///
+/// Panics if `n < 2` and `m > 0` (no non-loop edge exists).
+pub fn erdos_renyi_on(n: usize, m: usize, seed: u64, pool: &SimPool) -> CsrGraph {
     assert!(m == 0 || n >= 2, "need at least two vertices to place edges");
     let mut rng = StdRng::seed_from_u64(seed);
     let max_possible = n.saturating_mul(n.saturating_sub(1)) / 2;
     let plan = TopUp { max_rounds: 100, overdraw: 4, widen_after: None };
-    top_up(n, m.min(max_possible), plan, &mut rng, |rng| rng.random_range(0..n) as VertexId)
+    top_up(n, m.min(max_possible), plan, &mut rng, &uniform(n), pool)
 }
 
 /// Chung–Lu power-law graph: `m` edges whose endpoints are drawn with
@@ -132,6 +157,22 @@ pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> CsrGraph {
 ///
 /// Panics if `n < 2` or `gamma <= 1.0`.
 pub fn powerlaw_chung_lu(n: usize, m: usize, gamma: f64, seed: u64) -> CsrGraph {
+    powerlaw_chung_lu_on(n, m, gamma, seed, &SimPool::serial())
+}
+
+/// [`powerlaw_chung_lu`] with each round's draws split across `pool`; the
+/// graph is the same at every width.
+///
+/// # Panics
+///
+/// Panics if `n < 2` or `gamma <= 1.0`.
+pub fn powerlaw_chung_lu_on(
+    n: usize,
+    m: usize,
+    gamma: f64,
+    seed: u64,
+    pool: &SimPool,
+) -> CsrGraph {
     assert!(n >= 2, "need at least two vertices");
     assert!(gamma > 1.0, "power-law exponent must exceed 1");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -144,7 +185,8 @@ pub fn powerlaw_chung_lu(n: usize, m: usize, gamma: f64, seed: u64) -> CsrGraph 
     // Heavy tails cause many duplicate hub-hub edges; widen the
     // distribution slightly if we stall near saturation.
     let plan = TopUp { max_rounds: 200, overdraw: 3, widen_after: Some(50) };
-    top_up(n, m.min(max_possible), plan, &mut rng, |rng| table.sample(rng) as VertexId)
+    let endpoints = weighted(&table);
+    top_up(n, m.min(max_possible), plan, &mut rng, &endpoints, pool)
 }
 
 /// Barabási–Albert preferential attachment: each new vertex attaches to
@@ -203,12 +245,29 @@ pub fn mixed_powerlaw(
     uniform_frac: f64,
     seed: u64,
 ) -> CsrGraph {
+    mixed_powerlaw_on(n, m, gamma, uniform_frac, seed, &SimPool::serial())
+}
+
+/// [`mixed_powerlaw`] with both halves' rounds split across `pool`; the
+/// graph is the same at every width.
+///
+/// # Panics
+///
+/// Panics if `uniform_frac` is outside `[0, 1]` or `n < 2`.
+pub fn mixed_powerlaw_on(
+    n: usize,
+    m: usize,
+    gamma: f64,
+    uniform_frac: f64,
+    seed: u64,
+    pool: &SimPool,
+) -> CsrGraph {
     assert!((0.0..=1.0).contains(&uniform_frac), "uniform_frac must be in [0,1]");
     assert!(n >= 2, "need at least two vertices");
     let m_uniform = (m as f64 * uniform_frac) as usize;
     let m_power = m - m_uniform;
-    let a = erdos_renyi(n, m_uniform, seed ^ 0xA5A5_A5A5);
-    let b = powerlaw_chung_lu(n, m_power.max(1), gamma, seed ^ 0x5A5A_5A5A);
+    let a = erdos_renyi_on(n, m_uniform, seed ^ 0xA5A5_A5A5, pool);
+    let b = powerlaw_chung_lu_on(n, m_power.max(1), gamma, seed ^ 0x5A5A_5A5A, pool);
     // `edges()` yields sorted, unique pairs, so the union is one merge.
     // Inputs and scratch are freed before the CSR build allocates.
     let mut edges: Vec<Edge> = Vec::with_capacity(a.num_edges() + b.num_edges());
@@ -223,6 +282,27 @@ pub fn mixed_powerlaw(
 /// One undirected edge, normalised to `(min, max)`.
 type Edge = (VertexId, VertexId);
 
+/// An endpoint sampler and the RNG words each of its draws consumes. The
+/// count is exact, so a shard can jump straight to its first pair.
+struct Endpoints<F> {
+    /// RNG words per call of `draw`.
+    words: u64,
+    draw: F,
+}
+
+/// Uniform endpoints over `0..n`: one word each.
+fn uniform(n: usize) -> Endpoints<impl Fn(&mut StdRng) -> VertexId + Sync> {
+    Endpoints { words: 1, draw: move |rng: &mut StdRng| rng.random_range(0..n) as VertexId }
+}
+
+/// Endpoints drawn from `table`: [`AliasTable::WORDS_PER_SAMPLE`] each.
+fn weighted(table: &AliasTable) -> Endpoints<impl Fn(&mut StdRng) -> VertexId + Sync + '_> {
+    Endpoints {
+        words: AliasTable::WORDS_PER_SAMPLE,
+        draw: move |rng: &mut StdRng| table.sample(rng) as VertexId,
+    }
+}
+
 /// How [`top_up`] draws its rounds.
 struct TopUp {
     /// Rounds after which the graph counts as saturated and drawing stops.
@@ -236,9 +316,9 @@ struct TopUp {
     widen_after: Option<usize>,
 }
 
-/// The sampling generators' shared loop: draws endpoint pairs from `sample`
-/// in rounds until `target` distinct edges exist or `plan.max_rounds` have
-/// run, then keeps the `target` smallest edges.
+/// The sampling generators' shared loop: draws endpoint pairs from
+/// `endpoints` in rounds until `target` distinct edges exist or
+/// `plan.max_rounds` have run, then keeps the `target` smallest edges.
 ///
 /// A round starting `need` edges short draws `need + need / overdraw + 1`
 /// pairs; the widening edge counts toward `need` before it is inserted,
@@ -254,31 +334,33 @@ struct TopUp {
 /// - [`SortedPrefix`] otherwise. A sparse graph's bitmap would dwarf its
 ///   edge list (full-scale Reddit's would be 3.4 GB), so the distinct edges
 ///   stay a sorted, unique prefix that each round's draws are merged into.
-fn top_up(
+fn top_up<F: Fn(&mut StdRng) -> VertexId + Sync>(
     n: usize,
     target: usize,
     plan: TopUp,
     rng: &mut StdRng,
-    sample: impl FnMut(&mut StdRng) -> VertexId,
+    endpoints: &Endpoints<F>,
+    pool: &SimPool,
 ) -> CsrGraph {
     let buffer = target + target / plan.overdraw + 1;
     let edges = if n.saturating_mul(n.saturating_sub(1)) / 2 <= buffer.saturating_mul(64) {
-        draw_rounds(n, target, &plan, rng, sample, PairBitmap::new(n))
+        draw_rounds(n, target, &plan, rng, endpoints, PairBitmap::new(n), pool)
     } else {
-        draw_rounds(n, target, &plan, rng, sample, SortedPrefix::new(target, buffer))
+        draw_rounds(n, target, &plan, rng, endpoints, SortedPrefix::new(target, buffer), pool)
     };
     truncate_to(n, edges, target)
 }
 
 /// [`top_up`]'s rounds over one membership structure; returns the sorted,
 /// unique edges.
-fn draw_rounds(
+fn draw_rounds<F: Fn(&mut StdRng) -> VertexId + Sync>(
     n: usize,
     target: usize,
     plan: &TopUp,
     rng: &mut StdRng,
-    mut sample: impl FnMut(&mut StdRng) -> VertexId,
+    endpoints: &Endpoints<F>,
     mut set: impl EdgeSet,
+    pool: &SimPool,
 ) -> Vec<Edge> {
     // The widening edge drawn at the end of the last round, not yet inserted.
     let mut pending: Option<Edge> = None;
@@ -289,18 +371,15 @@ fn draw_rounds(
             break;
         }
         let need = target - held;
-        let draws = need + need / plan.overdraw + 1;
+        let mut draws = need + need / plan.overdraw + 1;
         if let Some(edge) = pending.take() {
-            set.insert(edge);
+            insert(&mut set, edge);
         }
-        for _ in 0..draws {
-            let u = sample(rng);
-            let v = sample(rng);
-            if u != v {
-                set.insert((u.min(v), u.max(v)));
-            }
+        while draws > 0 {
+            let pairs = draws.min(set.segment());
+            draw_segment(&mut set, pairs, rng, endpoints, pool);
+            draws -= pairs;
         }
-        set.settle();
         rounds += 1;
         if plan.widen_after.is_some_and(|after| rounds > after) && set.len() < target {
             let u = rng.random_range(0..n) as VertexId;
@@ -311,19 +390,92 @@ fn draw_rounds(
         }
     }
     if let Some(edge) = pending {
-        set.insert(edge);
-        set.settle();
+        insert(&mut set, edge);
     }
     set.into_sorted()
 }
 
-/// A set of distinct edges that [`draw_rounds`] inserts into.
-trait EdgeSet {
-    /// Adds `edge`; a duplicate is a no-op.
-    fn insert(&mut self, edge: Edge);
-    /// Ends a round: after this, [`EdgeSet::len`] is exact.
-    fn settle(&mut self);
-    /// The number of distinct edges, as of the last [`EdgeSet::settle`].
+/// Draws the next `pairs` endpoint pairs of `rng` into `set` on `pool`.
+///
+/// The pairs split into contiguous shard ranges, one per worker once the
+/// segment reaches [`EdgeSet::min_split`] pairs. Each shard clones `rng`,
+/// jumps it to the shard's first pair, and draws into its own
+/// [`EdgeSet::Part`]; `rng` ends where the last shard's clone did. Which
+/// part a draw lands in cannot change the merged set, so neither does the
+/// width. One shard draws from `rng`'s own position and never jumps.
+fn draw_segment<S: EdgeSet, F: Fn(&mut StdRng) -> VertexId + Sync>(
+    set: &mut S,
+    pairs: usize,
+    rng: &mut StdRng,
+    endpoints: &Endpoints<F>,
+    pool: &SimPool,
+) {
+    let width = if pairs >= set.min_split() { pool.width() } else { 1 };
+    let ranges = shard_ranges(pairs, width);
+    let parts = set.take_parts(&ranges);
+    // Each shard moves its part onto its own stack: parts side by side in
+    // one Vec would share cache lines that both threads write per draw.
+    let jobs: Vec<_> =
+        ranges.into_iter().zip(parts.into_iter().map(|p| Mutex::new(Some(p)))).collect();
+    // A small segment runs the same shards inline: dispatch would cost
+    // more than the draws.
+    let serial = SimPool::serial();
+    let pool = if pairs >= pool.width() * MIN_ITEMS_PER_WORKER { pool } else { &serial };
+    let (start, shared) = (&*rng, &*set);
+    let (ends, parts): (Vec<StdRng>, Vec<S::Part>) = pool
+        .map_items(&jobs, |(range, slot)| {
+            let mut part = slot.lock().expect("one shard per part").take().expect("taken once");
+            let mut rng = start.clone();
+            if range.start > 0 {
+                rng.advance(2 * endpoints.words * range.start as u64);
+            }
+            for _ in range.clone() {
+                let u = (endpoints.draw)(&mut rng);
+                let v = (endpoints.draw)(&mut rng);
+                if u != v {
+                    shared.record(&mut part, (u.min(v), u.max(v)));
+                }
+            }
+            shared.seal(&mut part);
+            (rng, part)
+        })
+        .into_iter()
+        .unzip();
+    *rng = ends.into_iter().last().expect("a segment has at least one shard");
+    set.absorb(parts);
+}
+
+/// Adds one edge to `set` outside any round's draws; a duplicate is a
+/// no-op.
+fn insert(set: &mut impl EdgeSet, edge: Edge) {
+    let mut parts = set.take_parts(std::slice::from_ref(&(0..1)));
+    set.record(&mut parts[0], edge);
+    set.seal(&mut parts[0]);
+    set.absorb(parts);
+}
+
+/// A set of distinct edges that [`draw_rounds`] draws into, shard by
+/// shard: [`EdgeSet::take_parts`] hands each shard of a segment its own
+/// part, shards [`record`](EdgeSet::record) into their parts concurrently,
+/// and [`EdgeSet::absorb`] merges the parts back.
+trait EdgeSet: Sync {
+    /// One shard's share of the set.
+    type Part: Send;
+    /// The most pairs one segment draws; a round runs in segments.
+    fn segment(&self) -> usize;
+    /// The fewest pairs a segment needs before it splits into shards.
+    fn min_split(&self) -> usize;
+    /// One part for each shard, in shard order; shard `i` draws the
+    /// pairs `shards[i]`.
+    fn take_parts(&mut self, shards: &[Range<usize>]) -> Vec<Self::Part>;
+    /// Adds `edge` to `part`.
+    fn record(&self, part: &mut Self::Part, edge: Edge);
+    /// Ends a shard's draws into `part`, on the shard's thread.
+    fn seal(&self, part: &mut Self::Part);
+    /// Merges the parts of one segment back; after this,
+    /// [`EdgeSet::len`] is exact.
+    fn absorb(&mut self, parts: Vec<Self::Part>);
+    /// The number of distinct edges.
     fn len(&self) -> usize;
     /// The distinct edges in ascending order.
     fn into_sorted(self) -> Vec<Edge>;
@@ -335,12 +487,21 @@ struct PairBitmap {
     n: usize,
     words: Vec<u64>,
     count: usize,
+    /// Zeroed bitmaps for the shards after the first, kept across segments.
+    spare: Vec<Vec<u64>>,
+}
+
+/// A shard's bitmap: the first shard gets the set's own words, the others
+/// a zeroed spare. `fresh` counts the bits the shard turned on.
+struct BitPart {
+    words: Vec<u64>,
+    fresh: usize,
 }
 
 impl PairBitmap {
     fn new(n: usize) -> Self {
         let pairs = n * n.saturating_sub(1) / 2;
-        Self { n, words: vec![0; pairs.div_ceil(64)], count: 0 }
+        Self { n, words: vec![0; pairs.div_ceil(64)], count: 0, spare: Vec::new() }
     }
 
     /// Bit index of row `u`'s first pair, `(u, u + 1)`.
@@ -350,14 +511,51 @@ impl PairBitmap {
 }
 
 impl EdgeSet for PairBitmap {
-    fn insert(&mut self, (u, v): Edge) {
+    type Part = BitPart;
+
+    fn segment(&self) -> usize {
+        usize::MAX
+    }
+
+    /// Each shard after the first costs one pass over the bitmap to merge,
+    /// well under a nanosecond a word against tens per drawn pair, so a
+    /// segment splits once it draws a pair per four bitmap words.
+    fn min_split(&self) -> usize {
+        self.words.len() / 4
+    }
+
+    fn take_parts(&mut self, shards: &[Range<usize>]) -> Vec<BitPart> {
+        let words = std::mem::take(&mut self.words);
+        let len = words.len();
+        let rest = (1..shards.len()).map(|_| self.spare.pop().unwrap_or_else(|| vec![0; len]));
+        std::iter::once(words).chain(rest).map(|words| BitPart { words, fresh: 0 }).collect()
+    }
+
+    fn record(&self, part: &mut BitPart, (u, v): Edge) {
         let bit = self.row_start(u as usize) + (v - u - 1) as usize;
-        let word = &mut self.words[bit / 64];
-        self.count += (!*word >> (bit % 64) & 1) as usize;
+        let word = &mut part.words[bit / 64];
+        part.fresh += (!*word >> (bit % 64) & 1) as usize;
         *word |= 1 << (bit % 64);
     }
 
-    fn settle(&mut self) {}
+    fn seal(&self, _: &mut BitPart) {}
+
+    /// ORs the later shards' bitmaps into the first, counting the bits
+    /// each adds, and zeroes them for reuse.
+    fn absorb(&mut self, parts: Vec<BitPart>) {
+        let mut parts = parts.into_iter();
+        let first = parts.next().expect("a segment has at least one shard");
+        self.words = first.words;
+        self.count += first.fresh;
+        for mut part in parts {
+            for (word, bits) in self.words.iter_mut().zip(&mut part.words) {
+                let bits = std::mem::take(bits);
+                self.count += (bits & !*word).count_ones() as usize;
+                *word |= bits;
+            }
+            self.spare.push(part.words);
+        }
+    }
 
     fn len(&self) -> usize {
         self.count
@@ -384,42 +582,69 @@ impl EdgeSet for PairBitmap {
     }
 }
 
-/// The distinct edges as a sorted, unique prefix. Draws collect in a
-/// scratch buffer, which is sorted and merged in place (see
-/// [`merge_fresh`]) at the end of a round, or sooner whenever a quarter of
-/// the target has accumulated, to bound it; a round's merged set does not
-/// depend on where it is split. A round costs a sort of its draws plus one
-/// pass over the prefix, not a sort of the whole list.
+/// The distinct edges as a sorted, unique prefix. Each shard collects its
+/// draws in a run of its own, which it sorts and dedups; the runs then
+/// merge into the prefix in shard order (see [`merge_fresh`]). The first
+/// round draws in one segment, and shard 0's run, sized for the whole
+/// round, becomes the prefix. Later rounds draw in segments of a quarter of
+/// the target, to bound the runs. A round costs a sort of its draws plus
+/// one pass over the prefix per run, not a sort of the whole list, and its
+/// merged set does not depend on where it is split.
 struct SortedPrefix {
     edges: Vec<Edge>,
-    fresh: Vec<Edge>,
+    buffer: usize,
     chunk: usize,
 }
 
 impl SortedPrefix {
     /// A round starting `need` short adds at most `need + need / overdraw +
     /// 1` edges, so with a `buffer` of that size for `need = target` the
-    /// prefix, which is this buffer after the first merge, never outgrows
-    /// it and merges never reallocate.
+    /// prefix, which is the first round's first run, never outgrows it and
+    /// merges never reallocate.
     fn new(target: usize, buffer: usize) -> Self {
-        Self {
-            edges: Vec::new(),
-            fresh: Vec::with_capacity(buffer),
-            chunk: (target / 4).max(1024),
-        }
+        Self { edges: Vec::new(), buffer, chunk: (target / 4).max(1024) }
     }
 }
 
 impl EdgeSet for SortedPrefix {
-    fn insert(&mut self, edge: Edge) {
-        self.fresh.push(edge);
-        if self.fresh.len() == self.chunk && !self.edges.is_empty() {
-            merge_fresh(&mut self.edges, &mut self.fresh);
+    type Part = Vec<Edge>;
+
+    fn segment(&self) -> usize {
+        if self.edges.is_empty() {
+            usize::MAX
+        } else {
+            self.chunk
         }
     }
 
-    fn settle(&mut self) {
-        merge_fresh(&mut self.edges, &mut self.fresh);
+    fn min_split(&self) -> usize {
+        0
+    }
+
+    /// Each run is sized for its shard's pairs, except that shard 0's run
+    /// becomes the prefix while there is none, so it gets the prefix's
+    /// `buffer`.
+    fn take_parts(&mut self, shards: &[Range<usize>]) -> Vec<Vec<Edge>> {
+        let prefix = if self.edges.is_empty() { self.buffer } else { 0 };
+        let size =
+            |i: usize, r: &Range<usize>| if i == 0 { r.len().max(prefix) } else { r.len() };
+        shards.iter().enumerate().map(|(i, r)| Vec::with_capacity(size(i, r))).collect()
+    }
+
+    fn record(&self, part: &mut Vec<Edge>, edge: Edge) {
+        part.push(edge);
+    }
+
+    fn seal(&self, part: &mut Vec<Edge>) {
+        part.sort_unstable();
+        part.dedup();
+    }
+
+    fn absorb(&mut self, parts: Vec<Vec<Edge>>) {
+        // Each run is freed once merged.
+        for mut part in parts {
+            merge_fresh(&mut self.edges, &mut part);
+        }
     }
 
     fn len(&self) -> usize {
@@ -427,19 +652,16 @@ impl EdgeSet for SortedPrefix {
     }
 
     fn into_sorted(self) -> Vec<Edge> {
-        // The scratch buffer is dropped here, before the CSR build allocates.
         self.edges
     }
 }
 
-/// Merges `fresh` (any order, duplicates allowed) into the sorted, unique
-/// `edges` without a second full-size buffer: sort and dedup `fresh`, drop
-/// what `edges` already holds in one two-pointer pass, then merge backward
-/// into `edges`' own spare capacity. Into an empty `edges`, `fresh` moves
-/// whole. `fresh` is left empty.
+/// Merges the sorted, unique `fresh` into the sorted, unique `edges`
+/// without a second full-size buffer: drop what `edges` already holds in
+/// one two-pointer pass, then merge backward into `edges`' own spare
+/// capacity. Into an empty `edges`, `fresh` moves whole. `fresh` is left
+/// empty.
 fn merge_fresh(edges: &mut Vec<Edge>, fresh: &mut Vec<Edge>) {
-    fresh.sort_unstable();
-    fresh.dedup();
     if edges.is_empty() {
         std::mem::swap(edges, fresh);
         return;
@@ -528,12 +750,32 @@ mod tests {
     #[test]
     fn merge_fresh_keeps_the_prefix_sorted_and_unique() {
         let mut edges = vec![(0, 2), (1, 3), (4, 5)];
-        let mut fresh = vec![(4, 5), (0, 1), (2, 3), (0, 1), (6, 7), (1, 3)];
+        let mut fresh = vec![(0, 1), (1, 3), (2, 3), (4, 5), (6, 7)];
         merge_fresh(&mut edges, &mut fresh);
         assert_eq!(edges, [(0, 1), (0, 2), (1, 3), (2, 3), (4, 5), (6, 7)]);
+        assert!(fresh.is_empty());
         let mut empty = Vec::new();
-        merge_fresh(&mut empty, &mut vec![(1, 2), (0, 1), (1, 2)]);
+        merge_fresh(&mut empty, &mut vec![(0, 1), (1, 2)]);
         assert_eq!(empty, [(0, 1), (1, 2)]);
+    }
+
+    #[test]
+    fn sorted_prefix_merges_overlapping_runs() {
+        let mut set = SortedPrefix::new(100, 134);
+        let shards = [0..3, 3..6];
+        for runs in
+            [[&[(4, 5), (0, 1), (0, 1)][..], &[(2, 3), (0, 1)]], [&[(1, 2), (2, 3)], &[]]]
+        {
+            let mut parts = set.take_parts(&shards);
+            for (part, run) in parts.iter_mut().zip(runs) {
+                run.iter().for_each(|&e| set.record(part, e));
+                set.seal(part);
+            }
+            set.absorb(parts);
+        }
+        assert_eq!(set.len(), 4);
+        assert!(set.edges.capacity() >= 134, "the first run is sized for the prefix");
+        assert_eq!(set.into_sorted(), [(0, 1), (1, 2), (2, 3), (4, 5)]);
     }
 
     #[test]
@@ -549,14 +791,55 @@ mod tests {
         // Every third pair, inserted backward and twice over.
         let picked: Vec<Edge> = all.iter().copied().step_by(3).collect();
         for &e in picked.iter().rev().chain(&picked) {
-            set.insert(e);
+            insert(&mut set, e);
         }
         assert_eq!(set.len(), picked.len());
         assert_eq!(set.into_sorted(), picked);
         let mut set = PairBitmap::new(n as usize);
-        all.iter().for_each(|&e| set.insert(e));
+        all.iter().for_each(|&e| insert(&mut set, e));
         assert_eq!(set.len(), all.len());
         assert_eq!(set.into_sorted(), all);
+    }
+
+    #[test]
+    fn pair_bitmap_counts_bits_merged_from_later_shards() {
+        let mut set = PairBitmap::new(20);
+        insert(&mut set, (0, 1));
+        let mut parts = set.take_parts(&[0..2, 2..4, 4..6]);
+        // The first shard repeats a held edge; the others overlap it and
+        // each other.
+        for (part, edges) in parts.iter_mut().zip([
+            &[(0, 1), (2, 3)][..],
+            &[(2, 3), (4, 19), (0, 1)],
+            &[(4, 19), (18, 19)],
+        ]) {
+            edges.iter().for_each(|&e| set.record(part, e));
+        }
+        set.absorb(parts);
+        assert_eq!(set.len(), 4);
+        assert!(
+            set.spare.iter().all(|words| words.iter().all(|&w| w == 0)),
+            "spares are zeroed"
+        );
+        assert_eq!(set.into_sorted(), [(0, 1), (2, 3), (4, 19), (18, 19)]);
+    }
+
+    #[test]
+    fn samplers_consume_their_stated_words() {
+        // A shard's jump is `2 × words` per pair it skips; a sampler that
+        // drew a word more or less would silently reshuffle every graph.
+        let table = AliasTable::new(&[0.5, 3.0, 1.0, 0.0, 7.0]);
+        let uniform = uniform(1000);
+        let weighted = weighted(&table);
+        for seed in 0..64 {
+            let mut drawn = StdRng::seed_from_u64(seed);
+            let mut jumped = drawn.clone();
+            (uniform.draw)(&mut drawn);
+            jumped.advance(uniform.words);
+            (weighted.draw)(&mut drawn);
+            jumped.advance(weighted.words);
+            assert_eq!(drawn, jumped, "seed {seed}");
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! * [`partition`] — induced-subgraph edge iteration used by the cache,
 //!   and the k-way partitioner behind multi-accelerator scale-out.
 //! * [`par`] — [`SimPool`], the one worker pool every parallel host loop
-//!   in the workspace runs on, from ingest's CSR build up to the
-//!   simulator's sharded scans.
+//!   in the workspace runs on, from synthesis rounds and ingest's CSR
+//!   build up to the simulator's sharded scans.
 //!
 //! # Example
 //!

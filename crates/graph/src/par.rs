@@ -13,8 +13,9 @@
 //!   block profile (`gnnie-core::weighting`), a cache walk's α
 //!   initialization and α histograms (`gnnie-mem::cache::CacheSim`);
 //! * [`SimPool::map_items`] runs a few coarse, independent jobs one per
-//!   task: the CSR builder's scatter shards and sort/dedup slabs, and
-//!   the engine's distinct cache walks over one session graph.
+//!   task: the CSR builder's scatter shards and sort/dedup slabs, the
+//!   synthesizer's per-round draw shards (`generate`), and the engine's
+//!   distinct cache walks over one session graph.
 //!
 //! The contract that makes this safe to enable by default is
 //! **determinism**: every sharded computation partitions the vertices
@@ -27,8 +28,8 @@
 //! hardware: `RunOptions::sim_threads` sets it per session, the serving
 //! daemon's `DaemonConfig::sim_threads` per daemon, and the CLI's
 //! `gnnie run/serve/ingest --sim-threads N` sets the run's, the
-//! daemon's and the load's alike, with the `GNNIE_SIM_THREADS`
-//! environment variable as the default.
+//! daemon's and the load's or synthesis's alike, with the
+//! `GNNIE_SIM_THREADS` environment variable as the default.
 //! `Auto` resolves to the machine's available parallelism; a `Fixed`
 //! count is honored verbatim — even on a single-core host, where the
 //! workers are still started (the sharded code path must stay exercised

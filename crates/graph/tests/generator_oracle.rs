@@ -6,9 +6,14 @@
 //! or in a sorted prefix that each round's draws are merged into (sparse
 //! graphs). Both must consume the RNG identically and produce equal
 //! graphs, or every synthesized dataset, report and baseline would move.
+//! Each round's draws are also split across a worker pool, every shard
+//! jumping the RNG ahead to its first pair, so the library runs at pool
+//! widths 1 to 4 against one oracle graph.
+
+use std::sync::OnceLock;
 
 use gnnie_graph::datasets::Dataset;
-use gnnie_graph::generate;
+use gnnie_graph::{generate, CsrGraph, SimPool, SimThreads};
 use proptest::prelude::*;
 
 /// Frozen copies of the re-sort-every-round generators. The only addition
@@ -27,6 +32,9 @@ mod oracle {
         /// `true` if the loop exited with a widening edge not yet deduped,
         /// so only the final `truncate_to` merged it.
         pub pending_at_exit: bool,
+        /// `true` if the loop stopped at its 200-round limit, short of the
+        /// target.
+        pub hit_max_rounds: bool,
     }
 
     pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> CsrGraph {
@@ -97,6 +105,7 @@ mod oracle {
             }
         }
         widening.pending_at_exit = pending;
+        widening.hit_max_rounds = guard == 200 && el.len() < target;
         (truncate_to(el, target), widening)
     }
 
@@ -135,6 +144,28 @@ mod oracle {
     }
 }
 
+/// Pools of widths 1 to 4, started once for the whole file.
+fn pools() -> &'static [SimPool] {
+    static POOLS: OnceLock<Vec<SimPool>> = OnceLock::new();
+    POOLS.get_or_init(|| (1..=4).map(|w| SimPool::new(SimThreads::Fixed(w))).collect())
+}
+
+/// Asserts that `generate` builds `oracle` on every pool of [`pools`];
+/// `case` names the inputs in the failure message.
+fn same_at_every_width(
+    case: impl std::fmt::Display,
+    oracle: &CsrGraph,
+    generate: impl Fn(&SimPool) -> CsrGraph,
+) {
+    for pool in pools() {
+        assert!(
+            generate(pool) == *oracle,
+            "{case}: differs from the oracle at width {}",
+            pool.width()
+        );
+    }
+}
+
 /// The library's choice of membership structure, restated: the pair bitmap
 /// when its `n(n−1)/2` bits are no more than 64 × the sorted path's draw
 /// buffer of `target + target / overdraw + 1` edges. Chung–Lu draws with
@@ -154,10 +185,10 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         // m spans both sides of n(n-1)/2, so saturated graphs are covered.
-        prop_assert_eq!(
-            generate::powerlaw_chung_lu(n, m, gamma, seed),
-            oracle::powerlaw_chung_lu(n, m, gamma, seed),
-            "n {} m {} gamma {} seed {}", n, m, gamma, seed
+        same_at_every_width(
+            format!("chung-lu n {n} m {m} gamma {gamma} seed {seed}"),
+            &oracle::powerlaw_chung_lu(n, m, gamma, seed),
+            |pool| generate::powerlaw_chung_lu_on(n, m, gamma, seed, pool),
         );
     }
 
@@ -167,10 +198,10 @@ proptest! {
         m in 0usize..2500,
         seed in 0u64..1_000_000,
     ) {
-        prop_assert_eq!(
-            generate::erdos_renyi(n, m, seed),
-            oracle::erdos_renyi(n, m, seed),
-            "n {} m {} seed {}", n, m, seed
+        same_at_every_width(
+            format!("erdos-renyi n {n} m {m} seed {seed}"),
+            &oracle::erdos_renyi(n, m, seed),
+            |pool| generate::erdos_renyi_on(n, m, seed, pool),
         );
     }
 
@@ -181,10 +212,10 @@ proptest! {
         uniform_frac in 0.0f64..=1.0,
         seed in 0u64..1_000_000,
     ) {
-        prop_assert_eq!(
-            generate::mixed_powerlaw(n, m, 2.5, uniform_frac, seed),
-            oracle::mixed_powerlaw(n, m, 2.5, uniform_frac, seed),
-            "n {} m {} uniform_frac {} seed {}", n, m, uniform_frac, seed
+        same_at_every_width(
+            format!("mixed n {n} m {m} uniform_frac {uniform_frac} seed {seed}"),
+            &oracle::mixed_powerlaw(n, m, 2.5, uniform_frac, seed),
+            |pool| generate::mixed_powerlaw_on(n, m, 2.5, uniform_frac, seed, pool),
         );
     }
 }
@@ -202,15 +233,15 @@ proptest! {
         // m around n(n-1)/128; the bitmap takes over near n(n-1)/171 for
         // Chung–Lu and n(n-1)/160 for Erdős–Rényi, i.e. factor 0.75 / 0.8.
         let m = (factor * (n * (n - 1)) as f64 / 128.0) as usize;
-        prop_assert_eq!(
-            generate::powerlaw_chung_lu(n, m, gamma, seed),
-            oracle::powerlaw_chung_lu(n, m, gamma, seed),
-            "chung-lu n {} m {} gamma {} seed {}", n, m, gamma, seed
+        same_at_every_width(
+            format!("chung-lu n {n} m {m} gamma {gamma} seed {seed}"),
+            &oracle::powerlaw_chung_lu(n, m, gamma, seed),
+            |pool| generate::powerlaw_chung_lu_on(n, m, gamma, seed, pool),
         );
-        prop_assert_eq!(
-            generate::erdos_renyi(n, m, seed),
-            oracle::erdos_renyi(n, m, seed),
-            "erdos-renyi n {} m {} seed {}", n, m, seed
+        same_at_every_width(
+            format!("erdos-renyi n {n} m {m} seed {seed}"),
+            &oracle::erdos_renyi(n, m, seed),
+            |pool| generate::erdos_renyi_on(n, m, seed, pool),
         );
     }
 }
@@ -243,16 +274,16 @@ fn grid_on_both_sides_of_the_rule_matches_the_oracle() {
             // The heavier tail draws more duplicates, so the sparse cases
             // take several merge rounds.
             for gamma in [1.5, 2.0] {
-                assert_eq!(
-                    generate::powerlaw_chung_lu(n, m, gamma, seed),
-                    oracle::powerlaw_chung_lu(n, m, gamma, seed),
-                    "chung-lu n {n} m {m} gamma {gamma} seed {seed}"
+                same_at_every_width(
+                    format!("chung-lu n {n} m {m} gamma {gamma} seed {seed}"),
+                    &oracle::powerlaw_chung_lu(n, m, gamma, seed),
+                    |pool| generate::powerlaw_chung_lu_on(n, m, gamma, seed, pool),
                 );
             }
-            assert_eq!(
-                generate::erdos_renyi(n, m, seed),
-                oracle::erdos_renyi(n, m, seed),
-                "erdos-renyi n {n} m {m} seed {seed}"
+            same_at_every_width(
+                format!("erdos-renyi n {n} m {m} seed {seed}"),
+                &oracle::erdos_renyi(n, m, seed),
+                |pool| generate::erdos_renyi_on(n, m, seed, pool),
             );
         }
     }
@@ -265,15 +296,15 @@ fn small_grid_matches_the_oracle() {
     for n in [2, 3, 5, 40] {
         for m in [0, 1, 10, 1000] {
             for seed in [1, 2, 7919] {
-                assert_eq!(
-                    generate::powerlaw_chung_lu(n, m, 2.0, seed),
-                    oracle::powerlaw_chung_lu(n, m, 2.0, seed),
-                    "chung-lu n {n} m {m} seed {seed}"
+                same_at_every_width(
+                    format!("chung-lu n {n} m {m} seed {seed}"),
+                    &oracle::powerlaw_chung_lu(n, m, 2.0, seed),
+                    |pool| generate::powerlaw_chung_lu_on(n, m, 2.0, seed, pool),
                 );
-                assert_eq!(
-                    generate::erdos_renyi(n, m, seed),
-                    oracle::erdos_renyi(n, m, seed),
-                    "erdos-renyi n {n} m {m} seed {seed}"
+                same_at_every_width(
+                    format!("erdos-renyi n {n} m {m} seed {seed}"),
+                    &oracle::erdos_renyi(n, m, seed),
+                    |pool| generate::erdos_renyi_on(n, m, seed, pool),
                 );
             }
         }
@@ -295,21 +326,20 @@ fn table_ii_graphs_match_the_oracle() {
     ];
     for (dataset, scale) in cases {
         let spec = dataset.spec().scaled(scale);
-        let seed = 1;
-        let (new, old) = if spec.uniform_frac > 0.0 {
-            let args = (spec.vertices, spec.edges, spec.degree_gamma, spec.uniform_frac, seed);
-            (
-                generate::mixed_powerlaw(args.0, args.1, args.2, args.3, args.4),
-                oracle::mixed_powerlaw(args.0, args.1, args.2, args.3, args.4),
-            )
+        let (n, m, gamma, seed) = (spec.vertices, spec.edges, spec.degree_gamma, 1);
+        let case = format!("{} at scale {scale}", dataset.name());
+        if spec.uniform_frac > 0.0 {
+            let frac = spec.uniform_frac;
+            same_at_every_width(
+                case,
+                &oracle::mixed_powerlaw(n, m, gamma, frac, seed),
+                |pool| generate::mixed_powerlaw_on(n, m, gamma, frac, seed, pool),
+            );
         } else {
-            let args = (spec.vertices, spec.edges, spec.degree_gamma, seed);
-            (
-                generate::powerlaw_chung_lu(args.0, args.1, args.2, args.3),
-                oracle::powerlaw_chung_lu(args.0, args.1, args.2, args.3),
-            )
-        };
-        assert!(new == old, "{} at scale {scale} differs from the oracle", dataset.name());
+            same_at_every_width(case, &oracle::powerlaw_chung_lu(n, m, gamma, seed), |pool| {
+                generate::powerlaw_chung_lu_on(n, m, gamma, seed, pool)
+            });
+        }
     }
 }
 
@@ -317,15 +347,31 @@ fn table_ii_graphs_match_the_oracle() {
 fn widening_edge_paths_match_the_oracle() {
     // Saturated heavy-tailed graphs outlast 50 rounds, so the widening
     // branch fires. Both ways the pending edge can be merged must occur:
-    // by the next round's dedup, and by the final truncation only.
-    let mut pushed = false;
-    let mut pending_at_exit = false;
-    for (n, m, gamma, seed) in [(40, 1000, 2.0, 1), (64, 2016, 1.5, 2), (30, 400, 2.0, 7919)] {
+    // by the next round's dedup, and by the final truncation only; and the
+    // 200-round limit must be hit. The first three graphs take the bitmap,
+    // the last two (gamma 1.1 piles nearly every draw onto a few hubs) the
+    // sorted prefix; (100, 39) reaches its target with the pending edge
+    // held, (300, 358) runs out of rounds.
+    let cases = [
+        (40, 1000, 2.0, 1),
+        (64, 2016, 1.5, 2),
+        (30, 400, 2.0, 7919),
+        (100, 39, 1.1, 1),
+        (300, 358, 1.1, 1),
+    ];
+    let mut seen = [[false; 3]; 2];
+    for (n, m, gamma, seed) in cases {
         let (old, widening) = oracle::powerlaw_chung_lu_traced(n, m, gamma, seed);
-        assert_eq!(generate::powerlaw_chung_lu(n, m, gamma, seed), old, "n {n} m {m}");
-        pushed |= widening.pushed > 0;
-        pending_at_exit |= widening.pending_at_exit;
+        same_at_every_width(format!("n {n} m {m} gamma {gamma}"), &old, |pool| {
+            generate::powerlaw_chung_lu_on(n, m, gamma, seed, pool)
+        });
+        let side = &mut seen[usize::from(takes_bitmap(n, m, 3))];
+        side[0] |= widening.pushed > 0;
+        side[1] |= widening.pending_at_exit;
+        side[2] |= widening.hit_max_rounds;
     }
-    assert!(pushed, "no case reached the widening branch");
-    assert!(pending_at_exit, "no case exited with an unmerged widening edge");
+    assert_eq!(
+        seen, [[true; 3]; 2],
+        "[pushed, pending at exit, 200 rounds] per [sorted, bitmap]"
+    );
 }

@@ -4,7 +4,7 @@ use gnnie_graph::generate;
 use gnnie_graph::partition::{count_induced_edges, induced_edges};
 use gnnie_graph::reorder::{degree_bins, Permutation};
 use gnnie_graph::traversal::connected_components;
-use gnnie_graph::{CsrGraph, EdgeList, VertexId};
+use gnnie_graph::{CsrGraph, EdgeList, SimPool, SimThreads, VertexId};
 use proptest::prelude::*;
 
 /// Strategy: a random edge list over 2..40 vertices.
@@ -172,17 +172,20 @@ proptest! {
     }
 
     /// Every generator honors its vertex count, never exceeds the
-    /// requested edge budget, and produces a simple symmetric graph.
+    /// requested edge budget, and produces a simple symmetric graph, at
+    /// every pool width.
     #[test]
     fn generators_honor_their_contracts(
         n in 10usize..80,
         m in 10usize..200,
         seed in 0u64..500,
+        width in 1usize..=4,
     ) {
+        let pool = SimPool::new(SimThreads::Fixed(width));
         for g in [
-            generate::erdos_renyi(n, m, seed),
-            generate::powerlaw_chung_lu(n, m, 2.0, seed),
-            generate::mixed_powerlaw(n, m, 2.2, 0.4, seed),
+            generate::erdos_renyi_on(n, m, seed, &pool),
+            generate::powerlaw_chung_lu_on(n, m, 2.0, seed, &pool),
+            generate::mixed_powerlaw_on(n, m, 2.2, 0.4, seed, &pool),
         ] {
             prop_assert_eq!(g.num_vertices(), n);
             prop_assert!(g.num_edges() <= m, "{} > {m}", g.num_edges());

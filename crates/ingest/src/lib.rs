@@ -39,7 +39,7 @@
 //!
 //! // No data directory: names resolve to the Table II synthesizer.
 //! let reg = DatasetRegistry::new(None);
-//! let out = reg.load(Dataset::Cora, 0.02, 42).unwrap();
+//! let out = reg.load(Dataset::Cora, 0.02, 42, None).unwrap();
 //! assert!(out.dataset.graph.num_edges() > 0);
 //!
 //! // The parallel CSR builder matches the serial path bit-for-bit.

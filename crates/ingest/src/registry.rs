@@ -97,7 +97,9 @@ impl DatasetRegistry {
 
     /// Loads `dataset`: file-backed when a candidate file exists,
     /// otherwise synthesized at `scale` with `seed` (file-backed loads
-    /// ignore `scale` — the file is what it is).
+    /// ignore `scale` — the file is what it is). Synthesis and edge-list
+    /// builds run on `pool`, or on a pool of [`SimThreads::from_env`]
+    /// workers when it is `None`.
     ///
     /// # Errors
     ///
@@ -112,12 +114,13 @@ impl DatasetRegistry {
         dataset: Dataset,
         scale: f64,
         seed: u64,
+        pool: Option<&SimPool>,
     ) -> Result<Resolved, IngestError> {
         let source = self.source_for(dataset);
         let Some(path) = source.path() else {
-            return Ok(Self::synthesize(dataset, scale, seed));
+            return Ok(Self::synthesize(dataset, scale, seed, pool));
         };
-        let resolved = self.load_path(path, dataset, seed, None)?;
+        let resolved = self.load_path(path, dataset, seed, pool)?;
         let got = resolved.dataset.spec.dataset;
         if got != dataset {
             return Err(IngestError::Format(format!(
@@ -133,13 +136,25 @@ impl DatasetRegistry {
     /// Synthesizes `dataset` at `scale` with `seed`, bypassing any data
     /// directory — the canonical [`Resolved`] for the in-process
     /// synthesizer ([`crate::DataSource::Synth`] resolves through this).
+    /// The graph's draws run on `pool`, or on a pool of
+    /// [`SimThreads::from_env`] workers when it is `None`; the dataset is
+    /// the same either way.
     ///
     /// # Panics
     ///
     /// Panics unless `0 < scale <= 1`.
-    pub fn synthesize(dataset: Dataset, scale: f64, seed: u64) -> Resolved {
+    pub fn synthesize(
+        dataset: Dataset,
+        scale: f64,
+        seed: u64,
+        pool: Option<&SimPool>,
+    ) -> Resolved {
+        let dataset = match pool {
+            Some(pool) => GraphDataset::generate_on(dataset, scale, seed, pool),
+            None => GraphDataset::generate(dataset, scale, seed),
+        };
         Resolved {
-            dataset: GraphDataset::generate(dataset, scale, seed),
+            dataset,
             provenance: Provenance::Synth,
             stats: None,
             dropped_weights: None,
@@ -310,7 +325,7 @@ mod tests {
     fn no_data_dir_means_synthetic() {
         let reg = DatasetRegistry::new(None);
         assert_eq!(reg.source_for(Dataset::Cora), Provenance::Synth);
-        let out = reg.load(Dataset::Cora, 0.02, 7).unwrap();
+        let out = reg.load(Dataset::Cora, 0.02, 7, None).unwrap();
         assert_eq!(out.provenance, Provenance::Synth);
         let direct = GraphDataset::generate(Dataset::Cora, 0.02, 7);
         assert_eq!(out.dataset.graph, direct.graph);
@@ -346,7 +361,7 @@ mod tests {
         export_edge_list(&dir.join("cs.csv"), &ds.graph, EdgeListFormat::Csv, Some(&rec))
             .unwrap();
         let reg = DatasetRegistry::new(Some(dir.clone()));
-        let out = reg.load(Dataset::Citeseer, 0.9, 1234).unwrap(); // scale/seed ignored
+        let out = reg.load(Dataset::Citeseer, 0.9, 1234, None).unwrap(); // scale/seed ignored
         assert_eq!(out.dataset.graph, ds.graph);
         assert_eq!(out.dataset.features, ds.features);
         assert_eq!(out.dataset.spec, ds.spec);
@@ -361,7 +376,7 @@ mod tests {
         // A Cora snapshot masquerading under the Pubmed stem.
         write_snapshot(&dir.join("pubmed.gnniecsr"), &ds, false).unwrap();
         let reg = DatasetRegistry::new(Some(dir.clone()));
-        let err = reg.load(Dataset::Pubmed, 1.0, 7).unwrap_err();
+        let err = reg.load(Dataset::Pubmed, 1.0, 7, None).unwrap_err();
         assert!(err.to_string().contains("records dataset CR"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

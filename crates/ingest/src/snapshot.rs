@@ -570,10 +570,57 @@ mod zerocopy {
         )))
     }
 
+    /// And the last part: within each list of `ids` that the already
+    /// checked `offsets` delimit, ids strictly increase — the canonical
+    /// order every reader of a CSR list relies on.
+    fn check_sorted(
+        section: &str,
+        kind: &str,
+        offsets: &[usize],
+        ids: &[u32],
+        what: &str,
+    ) -> Result<(), IngestError> {
+        // Every descent in the whole array must sit where a nonempty list
+        // starts. Counting descents is one pass that vectorizes; the list
+        // starts are one per vertex, and the bad entry is sought only on
+        // failure.
+        let (heads, tails) = (&ids[..ids.len().saturating_sub(1)], ids.get(1..).unwrap_or(&[]));
+        // Counted in `u32` lanes, a block at a time so the count cannot wrap.
+        let descents: usize = heads
+            .chunks(1 << 20)
+            .zip(tails.chunks(1 << 20))
+            .map(|(a, b)| a.iter().zip(b).map(|(a, b)| u32::from(a >= b)).sum::<u32>() as usize)
+            .sum();
+        let at_starts: usize = offsets
+            .windows(2)
+            .filter(|w| 0 < w[0] && w[0] < w[1])
+            .map(|w| usize::from(ids[w[0] - 1] >= ids[w[0]]))
+            .sum();
+        if descents == at_starts {
+            return Ok(());
+        }
+        let (list, start, at) = offsets
+            .windows(2)
+            .enumerate()
+            .find_map(|(i, w)| {
+                ids[w[0]..w[1]].windows(2).position(|p| p[0] >= p[1]).map(|j| (i, w[0], j))
+            })
+            .expect("some list is out of order");
+        Err(IngestError::Snapshot(format!(
+            "{what}: section {section} list {list} does not strictly increase: entry {} is \
+             {kind} {} after {} — corrupted?",
+            start + at + 1,
+            ids[start + at + 1],
+            ids[start + at]
+        )))
+    }
+
     /// Decodes a snapshot from an established mapping, borrowing the
     /// array sections zero-copy. The array payloads pass one linear
-    /// structural check, then go to the trusted constructors (full
-    /// validation still runs in debug builds).
+    /// structural check (offsets, id bounds, and ids strictly increasing
+    /// within each list), then go to the trusted constructors (full
+    /// validation still runs in debug builds). Adjacency symmetry is not
+    /// checked: it is trusted to the file, as its checksums go unread.
     pub(super) fn decode_mmap(
         map: &Arc<MmapFile>,
         what: &str,
@@ -584,8 +631,10 @@ mod zerocopy {
         let (foff, fcol) = (shared::<usize>(map, &foff), shared::<u32>(map, &fcol));
         check_offsets("GOFF", &goff, gnbr.len(), what)?;
         check_ids("GNBR", "neighbour id", &gnbr, meta.n, what)?;
+        check_sorted("GNBR", "neighbour id", &goff, &gnbr, what)?;
         check_offsets("FOFF", &foff, fcol.len(), what)?;
         check_ids("FCOL", "feature column", &fcol, meta.cols, what)?;
+        check_sorted("FCOL", "feature column", &foff, &fcol, what)?;
         let graph = gnnie_graph::CsrGraph::from_raw_parts_trusted(goff, gnbr, meta.num_edges);
         let features = CsrMatrix::from_raw_parts_trusted(
             meta.rows,
@@ -844,11 +893,19 @@ mod tests {
         let entries = parse_header(&bytes, "t").unwrap();
         let at = |id: u32| entries.iter().find(|e| e.id == id).unwrap();
         let foff_last = at(SEC_FOFF).offset + at(SEC_FOFF).len - 8;
-        let cases: [(usize, &[u8], &str); 4] = [
+        // The first two ids of the first list, swapped: both lists hold
+        // at least two.
+        let swapped = |id: u32| {
+            let p = at(id).offset;
+            [&bytes[p + 4..p + 8], &bytes[p..p + 4]].concat()
+        };
+        let cases: [(usize, &[u8], &str); 6] = [
             (at(SEC_GOFF).offset, &1u64.to_le_bytes(), "GOFF"),
             (at(SEC_GNBR).offset, &0x7fff_ffffu32.to_le_bytes(), "neighbour id"),
+            (at(SEC_GNBR).offset, &swapped(SEC_GNBR), "GNBR list 0 does not strictly increase"),
             (foff_last, &u64::MAX.to_le_bytes(), "FOFF"),
             (at(SEC_FCOL).offset, &u32::MAX.to_le_bytes(), "feature column"),
+            (at(SEC_FCOL).offset, &swapped(SEC_FCOL), "FCOL list 0 does not strictly increase"),
         ];
         for (pos, value, names) in cases {
             let mut bad = bytes.clone();

@@ -12,7 +12,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use gnnie_graph::{CsrBuildStats, Dataset, GraphDataset};
+use gnnie_graph::{CsrBuildStats, Dataset, GraphDataset, SimPool};
 
 use crate::error::IngestError;
 use crate::registry::DatasetRegistry;
@@ -75,6 +75,8 @@ impl DataSource {
     }
 
     /// Resolves this source to a runnable dataset through `registry`.
+    /// Synthesis and text edge-list builds run on a pool of
+    /// `GNNIE_SIM_THREADS` workers.
     ///
     /// # Errors
     ///
@@ -82,15 +84,30 @@ impl DataSource {
     /// cannot fail (they panic on an out-of-range `scale`, exactly like
     /// [`GraphDataset::generate`]).
     pub fn resolve(&self, registry: &DatasetRegistry) -> Result<Resolved, IngestError> {
+        self.resolve_on(registry, None)
+    }
+
+    /// [`DataSource::resolve`] with synthesis and text edge-list builds on
+    /// `pool` (`None`: a pool of `GNNIE_SIM_THREADS` workers). The dataset
+    /// is the same at every pool width.
+    ///
+    /// # Errors
+    ///
+    /// As [`DataSource::resolve`].
+    pub fn resolve_on(
+        &self,
+        registry: &DatasetRegistry,
+        pool: Option<&SimPool>,
+    ) -> Result<Resolved, IngestError> {
         match self {
             DataSource::Synth { dataset, scale, seed } => {
-                Ok(DatasetRegistry::synthesize(*dataset, *scale, *seed))
+                Ok(DatasetRegistry::synthesize(*dataset, *scale, *seed, pool))
             }
             DataSource::Named { dataset, scale, seed } => {
-                registry.load(*dataset, *scale, *seed)
+                registry.load(*dataset, *scale, *seed, pool)
             }
             DataSource::File { path, fallback, seed } => {
-                registry.load_path(path, *fallback, *seed, None)
+                registry.load_path(path, *fallback, *seed, pool)
             }
         }
     }

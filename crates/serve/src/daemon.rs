@@ -115,8 +115,9 @@ impl Daemon {
     }
 
     /// Queues one simulation job: `request`'s cold and resident costs on
-    /// the shared pool. The job synthesizes the dataset and begins one
-    /// session, runs it cold, rewinds it with resident weights
+    /// the shared pool. The job synthesizes the dataset on that pool too,
+    /// so no job starts threads of its own. It then begins one session,
+    /// runs it cold, rewinds it with resident weights
     /// ([`RunSession::finish_and_rewind`](gnnie_core::engine::RunSession::finish_and_rewind))
     /// and runs it again. Residency changes only the Weighting phases'
     /// weight loads, so the second run reuses the first run's graph,
@@ -134,7 +135,7 @@ impl Daemon {
         let pool = self.pool.clone();
         let chips = self.config.chips;
         self.jobs.submit(Box::new(move || {
-            let ds = request.synthesize();
+            let ds = request.synthesize_on(&pool);
             let model = request.model_config();
             let mut accel = AcceleratorConfig::paper(request.dataset);
             accel.chips = chips;

@@ -4,7 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 use gnnie_gnn::model::{GnnModel, ModelConfig};
-use gnnie_graph::{Dataset, GraphDataset};
+use gnnie_graph::{Dataset, GraphDataset, SimPool};
 
 use crate::clock::Cycle;
 
@@ -48,9 +48,16 @@ impl InferenceRequest {
         ModelConfig::paper(self.model, &self.dataset.spec().scaled(self.scale))
     }
 
-    /// Synthesizes the request's graph + features.
+    /// Synthesizes the request's graph + features on a pool of
+    /// `GNNIE_SIM_THREADS` workers.
     pub fn synthesize(&self) -> GraphDataset {
         GraphDataset::generate(self.dataset, self.scale, self.seed)
+    }
+
+    /// Synthesizes the request's graph + features on `pool`; the dataset is
+    /// the same at every pool width.
+    pub fn synthesize_on(&self, pool: &SimPool) -> GraphDataset {
+        GraphDataset::generate_on(self.dataset, self.scale, self.seed, pool)
     }
 }
 

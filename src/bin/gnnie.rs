@@ -184,6 +184,8 @@ fn usage() {
          \x20          [--design a|b|c|d|e] [--seed N] [--heads K]\n\
          \x20          [--cache-policy paper|lru|lfu|belady|pinned|split]\n\
          \x20          [--sim-threads auto|N]\n\
+         \x20          (--sim-threads sizes the pool synthesis and the simulation run\n\
+         \x20          on; output is identical at any setting)\n\
          \x20          [--chips N] [--partitioner range|edgecut]\n\
          \x20          (--chips shards the cache walk across N simulated accelerators\n\
          \x20          and charges boundary features to an inter-chip link; --chips 1\n\
@@ -203,7 +205,8 @@ fn usage() {
          \x20          snapshot is byte-identical at any setting)\n\
          \x20          (--chunk-mb builds the CSR out-of-core: the edge list is streamed\n\
          \x20          and spilled in ~N MB chunks, for graphs larger than memory;\n\
-         \x20          the result is bit-identical to the in-memory build)\n\
+         \x20          the result is bit-identical to the in-memory build; the\n\
+         \x20          out-of-core build is serial, so it refuses --sim-threads)\n\
          \x20 serve    [--requests N] [--models gcn,gat] [--datasets cr,pb] [--scale ...]\n\
          \x20          [--batch N] [--policy fifo|affinity] [--workers N] [--seed N]\n\
          \x20          [--sim-threads auto|N]\n\
@@ -581,15 +584,17 @@ fn derived_scale(ds: &GraphDataset) -> f64 {
 /// <name>` goes through the registry too, so a file in `GNNIE_DATA_DIR`
 /// wins over synthesis (exactly what `gnnie datasets` advertises). With
 /// `--graph`, `--dataset` selects the fallback feature profile for files
-/// that carry no recorded spec.
+/// that carry no recorded spec. Synthesis and text edge-list builds run
+/// on a pool sized by `--sim-threads`.
 fn resolve_run_dataset(flags: &HashMap<String, String>) -> Result<RunDataset, String> {
     let seed = parse_seed(flags)?;
     let registry = DatasetRegistry::from_env();
+    let pool = SimPool::new(parse_sim_threads(flags)?.unwrap_or_else(SimThreads::from_env));
     let Some(path) = flags.get("graph") else {
         let dataset = parse_dataset(flags)?;
         let scale = parse_scale(flags, dataset)?;
         let r = DataSource::named(dataset, scale, seed)
-            .resolve(&registry)
+            .resolve_on(&registry, Some(&pool))
             .map_err(|e| e.to_string())?;
         let scale = match r.provenance {
             Provenance::Synth => scale,
@@ -615,7 +620,7 @@ fn resolve_run_dataset(flags: &HashMap<String, String>) -> Result<RunDataset, St
         None => Dataset::Cora,
     };
     let r = DataSource::file(Path::new(path), fallback, seed)
-        .resolve(&registry)
+        .resolve_on(&registry, Some(&pool))
         .map_err(|e| e.to_string())?;
     if r.dataset().graph.num_vertices() == 0 {
         return Err(format!("--graph {path}: the graph has no vertices"));
@@ -806,6 +811,13 @@ fn cmd_ingest(path: &str, flags: &HashMap<String, String>) -> Result<(), String>
                 })
         })
         .transpose()?;
+    if chunk_mb.is_some() && flags.contains_key("sim-threads") {
+        // The out-of-core builder is serial, so accepting a pool size for
+        // it would silently do nothing.
+        return Err("--sim-threads has no effect with --chunk-mb (the out-of-core build is \
+                    serial; drop one of the two)"
+            .into());
+    }
 
     let registry = DatasetRegistry::from_env();
     let t0 = Instant::now();

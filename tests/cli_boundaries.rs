@@ -59,20 +59,26 @@ fn fixtures(name: &str) -> PathBuf {
         let edited = GraphDataset::from_parts(spec, cora.graph.clone(), cora.features.clone());
         std::fs::write(dir.join(file), encode_snapshot(&edited)).unwrap();
     }
-    // The committed ring snapshot with its first neighbour id (GNBR) set
-    // to 0x7fffffff. Array checksums go unread on the mmap load path, so
-    // only the structural check stands between this id and a panic.
+    // The committed ring snapshot with its neighbour ids (GNBR) edited:
+    // the first set to 0x7fffffff, or the first two swapped so vertex 0's
+    // list runs backward. Array checksums go unread on the mmap load path,
+    // so only the structural check stands between these ids and a panic.
     let ring =
         concat!(env!("CARGO_MANIFEST_DIR"), "/crates/ingest/tests/fixtures/ring.gnniecsr");
-    let mut bytes = std::fs::read(ring).unwrap();
+    let bytes = std::fs::read(ring).unwrap();
     let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
     let gnbr = (0..count)
         .map(|i| 16 + 32 * i)
         .find(|&entry| &bytes[entry..entry + 4] == b"GNBR")
         .map(|entry| u64::from_le_bytes(bytes[entry + 8..entry + 16].try_into().unwrap()))
         .expect("a GNBR section") as usize;
-    bytes[gnbr..gnbr + 4].copy_from_slice(&0x7fff_ffffu32.to_le_bytes());
-    std::fs::write(dir.join("bad_gnbr.gnniecsr"), bytes).unwrap();
+    let mut bad = bytes.clone();
+    bad[gnbr..gnbr + 4].copy_from_slice(&0x7fff_ffffu32.to_le_bytes());
+    std::fs::write(dir.join("bad_gnbr.gnniecsr"), bad).unwrap();
+    let mut unsorted = bytes.clone();
+    unsorted[gnbr..gnbr + 8]
+        .copy_from_slice(&[&bytes[gnbr + 4..gnbr + 8], &bytes[gnbr..gnbr + 4]].concat());
+    std::fs::write(dir.join("unsorted_gnbr.gnniecsr"), unsorted).unwrap();
     // `gnnie spec` headers with one value at or past its bound.
     for (file, key, value) in SPEC_FILES {
         let mut spec: Vec<(&str, &str)> = vec![
@@ -189,6 +195,7 @@ fn run_boundaries() {
         (file("spec_vertices.gnniecsr"), Rejects("spec_vertices.gnniecsr")),
         (file("spec_features.gnniecsr"), Rejects("spec_features.gnniecsr")),
         (file("bad_gnbr.gnniecsr"), Rejects("bad_gnbr.gnniecsr")),
+        (file("unsorted_gnbr.gnniecsr"), Rejects("unsorted_gnbr.gnniecsr")),
         (file("missing.txt"), Rejects("missing.txt")),
         (file("feat_u32.txt"), Rejects("feature_len")),
         (file("feat_huge.txt"), Rejects("feature_len")),
@@ -238,6 +245,11 @@ fn ingest_boundaries() {
         (with(&tiny("cm.gnniecsr"), &["--chunk-mb", "17592186044415"]), Ok),
         (with(&tiny("cx.gnniecsr"), &["--chunk-mb", "17592186044416"]), Rejects("--chunk-mb")),
         (with(&tiny("ch.gnniecsr"), &["--chunk-mb", HUGE]), Rejects("--chunk-mb")),
+        // The out-of-core build is serial: a pool size for it is refused by name.
+        (
+            with(&tiny("cs.gnniecsr"), &["--chunk-mb", "1", "--sim-threads", "2"]),
+            Rejects("--sim-threads"),
+        ),
         (with(&tiny("z0.gnniecsr"), &["--seed", "0"]), Ok),
         (with(&tiny("zh.gnniecsr"), &["--seed", HUGE]), Ok),
         (with(&tiny("zh.gnniecsr"), &["--seed", HUGE]), Rejects("zh.gnniecsr")),
