@@ -27,9 +27,10 @@
 //!
 //! The `_on` variants split each round's draws across a [`SimPool`]: every
 //! shard jumps a clone of the round's RNG straight to its first pair with
-//! [`StdRng::advance`] and draws into its own share of the membership
-//! structure, and the shares merge into one set. The graph is identical at
-//! every pool width; the plain functions run on [`SimPool::serial`].
+//! [`StdRng::advance`] and draws into the one membership structure, by
+//! atomic bit test-and-set or into its own slice of one draw buffer. The
+//! graph is identical at every pool width; the plain functions run on
+//! [`SimPool::serial`].
 
 use std::ops::Range;
 use std::sync::Mutex;
@@ -344,7 +345,7 @@ fn top_up<F: Fn(&mut StdRng) -> VertexId + Sync>(
 ) -> CsrGraph {
     let buffer = target + target / plan.overdraw + 1;
     let edges = if n.saturating_mul(n.saturating_sub(1)) / 2 <= buffer.saturating_mul(64) {
-        draw_rounds(n, target, &plan, rng, endpoints, PairBitmap::new(n), pool)
+        draw_rounds(n, target, &plan, rng, endpoints, PairBitmap::new(n, target), pool)
     } else {
         draw_rounds(n, target, &plan, rng, endpoints, SortedPrefix::new(target, buffer), pool)
     };
@@ -372,12 +373,10 @@ fn draw_rounds<F: Fn(&mut StdRng) -> VertexId + Sync>(
         }
         let need = target - held;
         let mut draws = need + need / plan.overdraw + 1;
-        if let Some(edge) = pending.take() {
-            insert(&mut set, edge);
-        }
         while draws > 0 {
             let pairs = draws.min(set.segment());
-            draw_segment(&mut set, pairs, rng, endpoints, pool);
+            // The pending edge goes in with the round's first segment.
+            draw_segment(&mut set, pending.take(), pairs, rng, endpoints, pool);
             draws -= pairs;
         }
         rounds += 1;
@@ -389,92 +388,87 @@ fn draw_rounds<F: Fn(&mut StdRng) -> VertexId + Sync>(
             }
         }
     }
-    if let Some(edge) = pending {
-        insert(&mut set, edge);
+    if pending.is_some() {
+        draw_segment(&mut set, pending, 0, rng, endpoints, pool);
     }
     set.into_sorted()
 }
 
-/// Draws the next `pairs` endpoint pairs of `rng` into `set` on `pool`.
+/// Adds `extra` and the next `pairs` endpoint pairs of `rng` to `set` on
+/// `pool`, leaving `rng` past the last pair.
 ///
-/// The pairs split into contiguous shard ranges, one per worker once the
-/// segment reaches [`EdgeSet::min_split`] pairs. Each shard clones `rng`,
-/// jumps it to the shard's first pair, and draws into its own
-/// [`EdgeSet::Part`]; `rng` ends where the last shard's clone did. Which
-/// part a draw lands in cannot change the merged set, so neither does the
-/// width. One shard draws from `rng`'s own position and never jumps.
-fn draw_segment<S: EdgeSet, F: Fn(&mut StdRng) -> VertexId + Sync>(
-    set: &mut S,
+/// The pairs split into as many contiguous shard ranges as
+/// [`EdgeSet::shards`] asks for, at most one per worker; a segment too
+/// small to be worth dispatching runs as one shard inline. Which shard
+/// draws a pair cannot change the set, so neither does the width.
+fn draw_segment<F: Fn(&mut StdRng) -> VertexId + Sync>(
+    set: &mut impl EdgeSet,
+    extra: Option<Edge>,
     pairs: usize,
     rng: &mut StdRng,
     endpoints: &Endpoints<F>,
     pool: &SimPool,
 ) {
-    let width = if pairs >= set.min_split() { pool.width() } else { 1 };
-    let ranges = shard_ranges(pairs, width);
-    let parts = set.take_parts(&ranges);
-    // Each shard moves its part onto its own stack: parts side by side in
-    // one Vec would share cache lines that both threads write per draw.
-    let jobs: Vec<_> =
-        ranges.into_iter().zip(parts.into_iter().map(|p| Mutex::new(Some(p)))).collect();
-    // A small segment runs the same shards inline: dispatch would cost
-    // more than the draws.
     let serial = SimPool::serial();
     let pool = if pairs >= pool.width() * MIN_ITEMS_PER_WORKER { pool } else { &serial };
-    let (start, shared) = (&*rng, &*set);
-    let (ends, parts): (Vec<StdRng>, Vec<S::Part>) = pool
-        .map_items(&jobs, |(range, slot)| {
-            let mut part = slot.lock().expect("one shard per part").take().expect("taken once");
-            let mut rng = start.clone();
-            if range.start > 0 {
-                rng.advance(2 * endpoints.words * range.start as u64);
-            }
-            for _ in range.clone() {
-                let u = (endpoints.draw)(&mut rng);
-                let v = (endpoints.draw)(&mut rng);
-                if u != v {
-                    shared.record(&mut part, (u.min(v), u.max(v)));
-                }
-            }
-            shared.seal(&mut part);
-            (rng, part)
-        })
-        .into_iter()
-        .unzip();
-    *rng = ends.into_iter().last().expect("a segment has at least one shard");
-    set.absorb(parts);
+    let shards = shard_ranges(pairs, set.shards(pairs, pool.width()));
+    let segment = Segment { start: rng, endpoints, shards };
+    if let Some(end) = set.add(extra, &segment, pool) {
+        *rng = end;
+    }
 }
 
-/// Adds one edge to `set` outside any round's draws; a duplicate is a
-/// no-op.
-fn insert(set: &mut impl EdgeSet, edge: Edge) {
-    let mut parts = set.take_parts(std::slice::from_ref(&(0..1)));
-    set.record(&mut parts[0], edge);
-    set.seal(&mut parts[0]);
-    set.absorb(parts);
+/// One segment of a round: the pairs `shards` cover, drawn from `start`.
+struct Segment<'a, F> {
+    start: &'a StdRng,
+    endpoints: &'a Endpoints<F>,
+    /// Contiguous pair ranges from 0, one per shard.
+    shards: Vec<Range<usize>>,
 }
 
-/// A set of distinct edges that [`draw_rounds`] draws into, shard by
-/// shard: [`EdgeSet::take_parts`] hands each shard of a segment its own
-/// part, shards [`record`](EdgeSet::record) into their parts concurrently,
-/// and [`EdgeSet::absorb`] merges the parts back.
-trait EdgeSet: Sync {
-    /// One shard's share of the set.
-    type Part: Send;
+impl<F: Fn(&mut StdRng) -> VertexId> Segment<'_, F> {
+    fn pairs(&self) -> usize {
+        self.shards.last().map_or(0, |shard| shard.end)
+    }
+
+    /// Draws the pairs in `shard` from a clone of the start jumped to the
+    /// shard's first pair, passing each one that is not a self-loop to `f`
+    /// as an edge; returns the clone, past the shard's last pair. The
+    /// first shard never jumps.
+    fn draw(&self, shard: &Range<usize>, mut f: impl FnMut(Edge)) -> StdRng {
+        let mut rng = self.start.clone();
+        if shard.start > 0 {
+            rng.advance(2 * self.endpoints.words * shard.start as u64);
+        }
+        for _ in shard.clone() {
+            let u = (self.endpoints.draw)(&mut rng);
+            let v = (self.endpoints.draw)(&mut rng);
+            if u != v {
+                f((u.min(v), u.max(v)));
+            }
+        }
+        rng
+    }
+}
+
+/// A set of distinct edges that [`draw_rounds`] draws into, one
+/// [`Segment`] at a time.
+trait EdgeSet {
     /// The most pairs one segment draws; a round runs in segments.
     fn segment(&self) -> usize;
-    /// The fewest pairs a segment needs before it splits into shards.
-    fn min_split(&self) -> usize;
-    /// One part for each shard, in shard order; shard `i` draws the
-    /// pairs `shards[i]`.
-    fn take_parts(&mut self, shards: &[Range<usize>]) -> Vec<Self::Part>;
-    /// Adds `edge` to `part`.
-    fn record(&self, part: &mut Self::Part, edge: Edge);
-    /// Ends a shard's draws into `part`, on the shard's thread.
-    fn seal(&self, part: &mut Self::Part);
-    /// Merges the parts of one segment back; after this,
-    /// [`EdgeSet::len`] is exact.
-    fn absorb(&mut self, parts: Vec<Self::Part>);
+    /// How many shards a segment of `pairs` splits into on `width`
+    /// workers.
+    fn shards(&self, pairs: usize, width: usize) -> usize;
+    /// Adds `extra` and every edge the segment's shards draw, running the
+    /// shards on `pool`. Returns the RNG where the last shard ended, or
+    /// `None` for a segment of no pairs. After this, [`EdgeSet::len`] is
+    /// exact.
+    fn add<F: Fn(&mut StdRng) -> VertexId + Sync>(
+        &mut self,
+        extra: Option<Edge>,
+        segment: &Segment<'_, F>,
+        pool: &SimPool,
+    ) -> Option<StdRng>;
     /// The number of distinct edges.
     fn len(&self) -> usize;
     /// The distinct edges in ascending order.
@@ -483,78 +477,105 @@ trait EdgeSet: Sync {
 
 /// One bit per vertex pair `u < v`, row-major over the upper triangle, so
 /// bit order is edge order.
+///
+/// Shards need bitmaps of their own: one shared bitmap set with atomic
+/// test-and-set ran Reddit 0.01's synthesis at 0.70–0.88 s on two workers
+/// against 0.43–0.46 s with private ones, since both workers write the
+/// same cache lines, and at 0.62 s against 0.52 s on one. So the first
+/// shard draws into the set's own words and each other one into a zeroed
+/// spare, which merges back with one serial pass of OR and popcount.
 struct PairBitmap {
     n: usize,
     words: Vec<u64>,
     count: usize,
-    /// Zeroed bitmaps for the shards after the first, kept across segments.
+    /// Zeroed bitmaps for the shards after the first, kept across segments
+    /// and dropped before the scan allocates the edge list.
     spare: Vec<Vec<u64>>,
-}
-
-/// A shard's bitmap: the first shard gets the set's own words, the others
-/// a zeroed spare. `fresh` counts the bits the shard turned on.
-struct BitPart {
-    words: Vec<u64>,
-    fresh: usize,
+    /// `1 + target / words`, so that the spares together never outweigh
+    /// the edge list: splitting does not raise the peak memory.
+    max_shards: usize,
 }
 
 impl PairBitmap {
-    fn new(n: usize) -> Self {
-        let pairs = n * n.saturating_sub(1) / 2;
-        Self { n, words: vec![0; pairs.div_ceil(64)], count: 0, spare: Vec::new() }
+    fn new(n: usize, target: usize) -> Self {
+        let words = (n * n.saturating_sub(1) / 2).div_ceil(64);
+        let max_shards = 1 + target / words.max(1);
+        Self { n, words: vec![0; words], count: 0, spare: Vec::new(), max_shards }
     }
 
-    /// Bit index of row `u`'s first pair, `(u, u + 1)`.
-    fn row_start(&self, u: usize) -> usize {
-        u * (2 * self.n - u - 1) / 2
+    /// Sets `edge`'s bit in `words`, a bitmap over `n` vertices; true if it
+    /// was clear.
+    fn set(n: usize, words: &mut [u64], (u, v): Edge) -> bool {
+        let (u, v) = (u as usize, v as usize);
+        let bit = u * (2 * n - u - 1) / 2 + (v - u - 1);
+        let (word, mask) = (&mut words[bit / 64], 1 << (bit % 64));
+        let fresh = *word & mask == 0;
+        *word |= mask;
+        fresh
     }
 }
 
 impl EdgeSet for PairBitmap {
-    type Part = BitPart;
-
     fn segment(&self) -> usize {
         usize::MAX
     }
 
-    /// Each shard after the first costs one pass over the bitmap to merge,
-    /// well under a nanosecond a word against tens per drawn pair, so a
-    /// segment splits once it draws a pair per four bitmap words.
-    fn min_split(&self) -> usize {
-        self.words.len() / 4
+    /// `k` shards save `(1 − 1/k)` of the draws, at `c` a pair, and add
+    /// `k − 1` merge passes, at `m` a word: they pay once `pairs > k ×
+    /// words × m / c`. Measured, `m` is 1.0–1.4 ns a word with the bitmap
+    /// in cache and 2.1 ns out of it, and `c` 7–12 ns for a uniform pair
+    /// and 19–35 ns for an alias pair, so `m / c` stays below 1/5 and a
+    /// segment splits `k` ways from `k × words / 4` pairs.
+    fn shards(&self, pairs: usize, width: usize) -> usize {
+        let k = width.min(self.max_shards);
+        if pairs >= k * self.words.len() / 4 {
+            k
+        } else {
+            1
+        }
     }
 
-    fn take_parts(&mut self, shards: &[Range<usize>]) -> Vec<BitPart> {
-        let words = std::mem::take(&mut self.words);
-        let len = words.len();
-        let rest = (1..shards.len()).map(|_| self.spare.pop().unwrap_or_else(|| vec![0; len]));
-        std::iter::once(words).chain(rest).map(|words| BitPart { words, fresh: 0 }).collect()
-    }
-
-    fn record(&self, part: &mut BitPart, (u, v): Edge) {
-        let bit = self.row_start(u as usize) + (v - u - 1) as usize;
-        let word = &mut part.words[bit / 64];
-        part.fresh += (!*word >> (bit % 64) & 1) as usize;
-        *word |= 1 << (bit % 64);
-    }
-
-    fn seal(&self, _: &mut BitPart) {}
-
-    /// ORs the later shards' bitmaps into the first, counting the bits
-    /// each adds, and zeroes them for reuse.
-    fn absorb(&mut self, parts: Vec<BitPart>) {
-        let mut parts = parts.into_iter();
-        let first = parts.next().expect("a segment has at least one shard");
-        self.words = first.words;
-        self.count += first.fresh;
-        for mut part in parts {
-            for (word, bits) in self.words.iter_mut().zip(&mut part.words) {
+    fn add<F: Fn(&mut StdRng) -> VertexId + Sync>(
+        &mut self,
+        extra: Option<Edge>,
+        segment: &Segment<'_, F>,
+        pool: &SimPool,
+    ) -> Option<StdRng> {
+        let n = self.n;
+        if let Some(edge) = extra {
+            self.count += usize::from(Self::set(n, &mut self.words, edge));
+        }
+        let len = self.words.len();
+        let spares =
+            (1..segment.shards.len()).map(|_| self.spare.pop().unwrap_or_else(|| vec![0; len]));
+        let parts: Vec<_> = std::iter::once(std::mem::take(&mut self.words))
+            .chain(spares)
+            .map(Mutex::new)
+            .collect();
+        let jobs: Vec<_> = segment.shards.iter().zip(&parts).collect();
+        let mut shards = pool.map_items(&jobs, |(shard, part)| {
+            let words = &mut **part.lock().expect("one job per part");
+            let mut fresh = 0;
+            let end =
+                segment.draw(shard, |edge| fresh += usize::from(Self::set(n, words, edge)));
+            (fresh, end)
+        });
+        drop(jobs);
+        // Only the first shard's fresh bits are new to the set; the merge
+        // counts the others'.
+        self.count += shards.first().map_or(0, |(fresh, _)| *fresh);
+        let mut parts =
+            parts.into_iter().map(|part| part.into_inner().expect("no job panicked"));
+        self.words = parts.next().expect("the set's own words");
+        for mut spare in parts {
+            for (word, bits) in self.words.iter_mut().zip(&mut spare) {
                 let bits = std::mem::take(bits);
                 self.count += (bits & !*word).count_ones() as usize;
                 *word |= bits;
             }
-            self.spare.push(part.words);
+            self.spare.push(spare);
         }
+        shards.pop().map(|(_, rng)| rng)
     }
 
     fn len(&self) -> usize {
@@ -562,10 +583,12 @@ impl EdgeSet for PairBitmap {
     }
 
     fn into_sorted(self) -> Vec<Edge> {
-        let mut edges = Vec::with_capacity(self.count);
+        let Self { n, words, count, spare, .. } = self;
+        drop(spare);
+        let mut edges = Vec::with_capacity(count);
         // Row `u` holds bits `start..end`.
-        let (mut u, mut start, mut end) = (0, 0, self.n.saturating_sub(1));
-        for (w, &word) in self.words.iter().enumerate() {
+        let (mut u, mut start, mut end) = (0, 0, n.saturating_sub(1));
+        for (w, &word) in words.iter().enumerate() {
             let mut rest = word;
             while rest != 0 {
                 let bit = w * 64 + rest.trailing_zeros() as usize;
@@ -573,7 +596,7 @@ impl EdgeSet for PairBitmap {
                 while bit >= end {
                     u += 1;
                     start = end;
-                    end += self.n - u - 1;
+                    end += n - u - 1;
                 }
                 edges.push((u as VertexId, (u + 1 + bit - start) as VertexId));
             }
@@ -582,33 +605,35 @@ impl EdgeSet for PairBitmap {
     }
 }
 
-/// The distinct edges as a sorted, unique prefix. Each shard collects its
-/// draws in a run of its own, which it sorts and dedups; the runs then
-/// merge into the prefix in shard order (see [`merge_fresh`]). The first
-/// round draws in one segment, and shard 0's run, sized for the whole
-/// round, becomes the prefix. Later rounds draw in segments of a quarter of
-/// the target, to bound the runs. A round costs a sort of its draws plus
-/// one pass over the prefix per run, not a sort of the whole list, and its
-/// merged set does not depend on where it is split.
+/// The distinct edges as a sorted, unique prefix. A segment's shards draw
+/// into disjoint slices of one scratch buffer, which is sorted on the pool
+/// (see [`par_sort`]), deduplicated and merged into the prefix once (see
+/// [`merge_fresh`]). The first round draws in one segment, straight into
+/// the buffer that becomes the prefix; later rounds draw in segments of a
+/// quarter of the target, to bound the scratch. A round costs a sort of
+/// its draws plus one pass over the prefix per segment, not a sort of the
+/// whole list, and its merged set does not depend on where it is split.
 struct SortedPrefix {
     edges: Vec<Edge>,
-    buffer: usize,
+    fresh: Vec<Edge>,
     chunk: usize,
 }
 
 impl SortedPrefix {
     /// A round starting `need` short adds at most `need + need / overdraw +
     /// 1` edges, so with a `buffer` of that size for `need = target` the
-    /// prefix, which is the first round's first run, never outgrows it and
-    /// merges never reallocate.
+    /// prefix, which is this buffer after the first merge, never outgrows
+    /// it and merges never reallocate.
     fn new(target: usize, buffer: usize) -> Self {
-        Self { edges: Vec::new(), buffer, chunk: (target / 4).max(1024) }
+        Self {
+            edges: Vec::new(),
+            fresh: Vec::with_capacity(buffer),
+            chunk: (target / 4).max(1024),
+        }
     }
 }
 
 impl EdgeSet for SortedPrefix {
-    type Part = Vec<Edge>;
-
     fn segment(&self) -> usize {
         if self.edges.is_empty() {
             usize::MAX
@@ -617,34 +642,43 @@ impl EdgeSet for SortedPrefix {
         }
     }
 
-    fn min_split(&self) -> usize {
-        0
+    fn shards(&self, _: usize, width: usize) -> usize {
+        width
     }
 
-    /// Each run is sized for its shard's pairs, except that shard 0's run
-    /// becomes the prefix while there is none, so it gets the prefix's
-    /// `buffer`.
-    fn take_parts(&mut self, shards: &[Range<usize>]) -> Vec<Vec<Edge>> {
-        let prefix = if self.edges.is_empty() { self.buffer } else { 0 };
-        let size =
-            |i: usize, r: &Range<usize>| if i == 0 { r.len().max(prefix) } else { r.len() };
-        shards.iter().enumerate().map(|(i, r)| Vec::with_capacity(size(i, r))).collect()
-    }
-
-    fn record(&self, part: &mut Vec<Edge>, edge: Edge) {
-        part.push(edge);
-    }
-
-    fn seal(&self, part: &mut Vec<Edge>) {
-        part.sort_unstable();
-        part.dedup();
-    }
-
-    fn absorb(&mut self, parts: Vec<Vec<Edge>>) {
-        // Each run is freed once merged.
-        for mut part in parts {
-            merge_fresh(&mut self.edges, &mut part);
+    fn add<F: Fn(&mut StdRng) -> VertexId + Sync>(
+        &mut self,
+        extra: Option<Edge>,
+        segment: &Segment<'_, F>,
+        pool: &SimPool,
+    ) -> Option<StdRng> {
+        let fresh = &mut self.fresh;
+        fresh.extend(extra);
+        let base = fresh.len();
+        fresh.resize(base + segment.pairs(), (0, 0));
+        let slots = cut(&mut fresh[base..], segment.shards.iter().map(Range::len));
+        let jobs: Vec<_> = segment.shards.iter().zip(slots).collect();
+        let mut shards = pool.map_items(&jobs, |(shard, slot)| {
+            let slot = &mut **slot.lock().expect("one job per slot");
+            let mut kept = 0;
+            let end = segment.draw(shard, |edge| {
+                slot[kept] = edge;
+                kept += 1;
+            });
+            (kept, end)
+        });
+        drop(jobs);
+        // Close the gaps that self-loops left at the shards' slice ends.
+        let mut end = base;
+        for (shard, &(kept, _)) in segment.shards.iter().zip(&shards) {
+            fresh.copy_within(base + shard.start..base + shard.start + kept, end);
+            end += kept;
         }
+        fresh.truncate(end);
+        par_sort(fresh, pool);
+        fresh.dedup();
+        merge_fresh(&mut self.edges, fresh);
+        shards.pop().map(|(_, rng)| rng)
     }
 
     fn len(&self) -> usize {
@@ -652,8 +686,49 @@ impl EdgeSet for SortedPrefix {
     }
 
     fn into_sorted(self) -> Vec<Edge> {
+        // The scratch buffer is dropped here, before the CSR build allocates.
         self.edges
     }
+}
+
+/// Cuts `items` into consecutive slices of the given lengths, each behind
+/// its own lock so that one [`SimPool::map_items`] job can take it.
+fn cut<T>(mut items: &mut [T], lens: impl IntoIterator<Item = usize>) -> Vec<Mutex<&mut [T]>> {
+    lens.into_iter()
+        .map(|len| {
+            let (head, tail) = std::mem::take(&mut items).split_at_mut(len);
+            items = tail;
+            Mutex::new(head)
+        })
+        .collect()
+}
+
+/// Sorts `edges` in place on `pool`, with no scratch memory. Rounds of
+/// `select_nth_unstable` split the slice at order statistics until there
+/// is one piece per worker, each piece's edges no larger than the next
+/// piece's; then the pieces sort side by side. A slice too small to be
+/// worth dispatching sorts inline.
+fn par_sort(edges: &mut [Edge], pool: &SimPool) {
+    let width =
+        if edges.len() >= pool.width() * MIN_ITEMS_PER_WORKER { pool.width() } else { 1 };
+    // Each piece's length and the workers it is still to be split among.
+    let mut pieces = vec![(edges.len(), width)];
+    while pieces.iter().any(|&(_, workers)| workers > 1) {
+        let jobs: Vec<_> =
+            pieces.iter().copied().zip(cut(edges, pieces.iter().map(|p| p.0))).collect();
+        pieces = pool
+            .map_items(&jobs, |&((len, workers), ref slot)| {
+                if workers == 1 {
+                    return vec![(len, 1)];
+                }
+                let (left, mid) = (workers / 2, len * (workers / 2) / workers);
+                slot.lock().expect("one job per piece").select_nth_unstable(mid);
+                vec![(mid, left), (len - mid, workers - left)]
+            })
+            .concat();
+    }
+    let slots = cut(edges, pieces.iter().map(|p| p.0));
+    pool.map_items(&slots, |slot| slot.lock().expect("one job per piece").sort_unstable());
 }
 
 /// Merges the sorted, unique `fresh` into the sorted, unique `edges`
@@ -700,7 +775,10 @@ fn truncate_to(n: usize, mut edges: Vec<Edge>, target: usize) -> CsrGraph {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
+    use crate::par::SimThreads;
 
     #[test]
     fn erdos_renyi_hits_edge_target() {
@@ -759,23 +837,89 @@ mod tests {
         assert_eq!(empty, [(0, 1), (1, 2)]);
     }
 
+    /// Adds `edge` to `set` alone, in a segment of no pairs.
+    fn insert(set: &mut impl EdgeSet, edge: Edge) {
+        let (start, endpoints) = (StdRng::seed_from_u64(0), uniform(2));
+        let segment = Segment { start: &start, endpoints: &endpoints, shards: Vec::new() };
+        assert!(set.add(Some(edge), &segment, &SimPool::serial()).is_none());
+    }
+
     #[test]
-    fn sorted_prefix_merges_overlapping_runs() {
-        let mut set = SortedPrefix::new(100, 134);
-        let shards = [0..3, 3..6];
-        for runs in
-            [[&[(4, 5), (0, 1), (0, 1)][..], &[(2, 3), (0, 1)]], [&[(1, 2), (2, 3)], &[]]]
-        {
-            let mut parts = set.take_parts(&shards);
-            for (part, run) in parts.iter_mut().zip(runs) {
-                run.iter().for_each(|&e| set.record(part, e));
-                set.seal(part);
+    fn sets_hold_every_pair_drawn_at_any_width() {
+        // 40 vertices give 780 edges, so the draws repeat edges within and
+        // across shards, and across segments.
+        let endpoints = uniform(40);
+        let segments = [3000, 2048, 700];
+        let all = 0..segments.iter().sum();
+        let start = StdRng::seed_from_u64(5);
+        let serial =
+            Segment { start: &start, endpoints: &endpoints, shards: vec![all.clone()] };
+        let mut expected = BTreeSet::from([(7, 9)]);
+        let end = serial.draw(&all, |edge| {
+            expected.insert(edge);
+        });
+        let expected: Vec<Edge> = expected.into_iter().collect();
+        for width in 1..=4 {
+            let pool = SimPool::new(SimThreads::Fixed(width));
+            let mut bitmap = PairBitmap::new(40, 600);
+            let mut sorted = SortedPrefix::new(600, 801);
+            let (mut a, mut b) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+            for (i, pairs) in segments.into_iter().enumerate() {
+                let extra = (i == 1).then_some((7, 9));
+                draw_segment(&mut bitmap, extra, pairs, &mut a, &endpoints, &pool);
+                draw_segment(&mut sorted, extra, pairs, &mut b, &endpoints, &pool);
             }
-            set.absorb(parts);
+            assert!(a == end && b == end, "width {width}: the RNG ends as serial");
+            assert_eq!(bitmap.len(), expected.len(), "width {width}");
+            assert_eq!(sorted.len(), expected.len(), "width {width}");
+            assert_eq!(bitmap.into_sorted(), expected, "width {width}");
+            assert_eq!(sorted.into_sorted(), expected, "width {width}");
         }
-        assert_eq!(set.len(), 4);
-        assert!(set.edges.capacity() >= 134, "the first run is sized for the prefix");
-        assert_eq!(set.into_sorted(), [(0, 1), (1, 2), (2, 3), (4, 5)]);
+    }
+
+    #[test]
+    fn sorted_prefix_draws_the_first_round_into_the_prefix() {
+        // No second full-size buffer: the shards fill slices of the
+        // scratch, which then becomes the prefix.
+        let mut set = SortedPrefix::new(3000, 4001);
+        let pool = SimPool::new(SimThreads::Fixed(3));
+        draw_segment(
+            &mut set,
+            None,
+            4001,
+            &mut StdRng::seed_from_u64(1),
+            &uniform(1000),
+            &pool,
+        );
+        assert_eq!((set.edges.capacity(), set.fresh.capacity()), (4001, 0));
+    }
+
+    #[test]
+    fn pair_bitmap_splits_where_it_pays_and_within_the_edge_list() {
+        // Reddit 0.01's bitmap: 42 359 words, so two shards from 21 179
+        // pairs.
+        let set = PairBitmap::new(2329, 1_145_000);
+        assert_eq!(set.words.len(), 42_359);
+        assert_eq!([set.shards(21_178, 2), set.shards(21_179, 2)], [1, 2]);
+        assert_eq!(set.shards(1_528_001, 64), set.max_shards);
+        // Reddit 0.1: two 34 MB spares fit within the 92 MB edge list and
+        // a third would not, so four workers get three shards.
+        let set = PairBitmap::new(23_297, 11_460_000);
+        assert_eq!(set.shards(15_280_000, 4), 3);
+    }
+
+    #[test]
+    fn par_sort_matches_a_serial_sort() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let edges: Vec<Edge> =
+            (0..5000).map(|_| (rng.random_range(0..30), rng.random_range(0..30))).collect();
+        let mut expected = edges.clone();
+        expected.sort_unstable();
+        for width in 1..=5 {
+            let mut sorted = edges.clone();
+            par_sort(&mut sorted, &SimPool::new(SimThreads::Fixed(width)));
+            assert_eq!(sorted, expected, "width {width}");
+        }
     }
 
     #[test]
@@ -787,7 +931,7 @@ mod tests {
                 all.push((u, v));
             }
         }
-        let mut set = PairBitmap::new(n as usize);
+        let mut set = PairBitmap::new(n as usize, all.len());
         // Every third pair, inserted backward and twice over.
         let picked: Vec<Edge> = all.iter().copied().step_by(3).collect();
         for &e in picked.iter().rev().chain(&picked) {
@@ -795,33 +939,10 @@ mod tests {
         }
         assert_eq!(set.len(), picked.len());
         assert_eq!(set.into_sorted(), picked);
-        let mut set = PairBitmap::new(n as usize);
+        let mut set = PairBitmap::new(n as usize, all.len());
         all.iter().for_each(|&e| insert(&mut set, e));
         assert_eq!(set.len(), all.len());
         assert_eq!(set.into_sorted(), all);
-    }
-
-    #[test]
-    fn pair_bitmap_counts_bits_merged_from_later_shards() {
-        let mut set = PairBitmap::new(20);
-        insert(&mut set, (0, 1));
-        let mut parts = set.take_parts(&[0..2, 2..4, 4..6]);
-        // The first shard repeats a held edge; the others overlap it and
-        // each other.
-        for (part, edges) in parts.iter_mut().zip([
-            &[(0, 1), (2, 3)][..],
-            &[(2, 3), (4, 19), (0, 1)],
-            &[(4, 19), (18, 19)],
-        ]) {
-            edges.iter().for_each(|&e| set.record(part, e));
-        }
-        set.absorb(parts);
-        assert_eq!(set.len(), 4);
-        assert!(
-            set.spare.iter().all(|words| words.iter().all(|&w| w == 0)),
-            "spares are zeroed"
-        );
-        assert_eq!(set.into_sorted(), [(0, 1), (2, 3), (4, 19), (18, 19)]);
     }
 
     #[test]

@@ -585,16 +585,18 @@ fn derived_scale(ds: &GraphDataset) -> f64 {
 /// wins over synthesis (exactly what `gnnie datasets` advertises). With
 /// `--graph`, `--dataset` selects the fallback feature profile for files
 /// that carry no recorded spec. Synthesis and text edge-list builds run
-/// on a pool sized by `--sim-threads`.
-fn resolve_run_dataset(flags: &HashMap<String, String>) -> Result<RunDataset, String> {
+/// on `pool`.
+fn resolve_run_dataset(
+    flags: &HashMap<String, String>,
+    pool: &SimPool,
+) -> Result<RunDataset, String> {
     let seed = parse_seed(flags)?;
     let registry = DatasetRegistry::from_env();
-    let pool = SimPool::new(parse_sim_threads(flags)?.unwrap_or_else(SimThreads::from_env));
     let Some(path) = flags.get("graph") else {
         let dataset = parse_dataset(flags)?;
         let scale = parse_scale(flags, dataset)?;
         let r = DataSource::named(dataset, scale, seed)
-            .resolve_on(&registry, Some(&pool))
+            .resolve_on(&registry, Some(pool))
             .map_err(|e| e.to_string())?;
         let scale = match r.provenance {
             Provenance::Synth => scale,
@@ -620,7 +622,7 @@ fn resolve_run_dataset(flags: &HashMap<String, String>) -> Result<RunDataset, St
         None => Dataset::Cora,
     };
     let r = DataSource::file(Path::new(path), fallback, seed)
-        .resolve_on(&registry, Some(&pool))
+        .resolve_on(&registry, Some(pool))
         .map_err(|e| e.to_string())?;
     if r.dataset().graph.num_vertices() == 0 {
         return Err(format!("--graph {path}: the graph has no vertices"));
@@ -656,7 +658,10 @@ fn resolve_run_dataset(flags: &HashMap<String, String>) -> Result<RunDataset, St
 
 fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
     let model = parse_model(flags)?;
-    let RunDataset { ds, label, scale } = resolve_run_dataset(flags)?;
+    // One pool, sized by `--sim-threads`, builds the graph and runs the
+    // simulation.
+    let pool = SimPool::new(parse_sim_threads(flags)?.unwrap_or_else(SimThreads::from_env));
+    let RunDataset { ds, label, scale } = resolve_run_dataset(flags, &pool)?;
     let dataset = ds.spec.dataset;
     let mut config = match parse_design(flags)? {
         Some(d) => AcceleratorConfig::with_design(
@@ -668,7 +673,6 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
     if let Some(kind) = parse_cache_policy(flags)? {
         config.cache_policy = kind;
     }
-    let sim_threads = parse_sim_threads(flags)?;
     config.chips = parse_chips(flags)?;
     let vertices = ds.graph.num_vertices();
     if config.chips > vertices {
@@ -700,11 +704,9 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
         ModelConfig::paper(model, &ds.spec)
     };
     let engine = Engine::new(config);
-    let report = engine.run_with(
-        &model_config,
-        &ds,
-        gnnie::core::engine::RunOptions { sim_threads, ..Default::default() },
-    );
+    let mut session = engine.begin_pooled(&model_config, &ds, Default::default(), &pool);
+    session.run_to_completion();
+    let report = session.finish();
     // With every observability flag off `obs` is `Obs::off()` — the
     // flagless report and stdout are unchanged.
     let obs_flags = ObsFlags::from_flags(flags);
@@ -1474,16 +1476,26 @@ mod tests {
 
     #[test]
     fn run_rejects_graph_conflicts_and_missing_files() {
-        let err =
-            resolve_run_dataset(&flags(&[("graph", "/nope"), ("scale", "0.5")])).unwrap_err();
+        let err = resolve_run_dataset(
+            &flags(&[("graph", "/nope"), ("scale", "0.5")]),
+            &SimPool::serial(),
+        )
+        .unwrap_err();
         assert!(err.contains("--scale"), "{err}");
         // A missing file surfaces the ingest error, not a panic.
-        let err = resolve_run_dataset(&flags(&[("graph", "/definitely/missing")])).unwrap_err();
+        let err = resolve_run_dataset(
+            &flags(&[("graph", "/definitely/missing")]),
+            &SimPool::serial(),
+        )
+        .unwrap_err();
         assert!(err.contains("missing"), "{err}");
         // --dataset alongside --graph is the fallback-profile selector and
         // must still validate its token.
-        let err = resolve_run_dataset(&flags(&[("graph", "/nope"), ("dataset", "imdb")]))
-            .unwrap_err();
+        let err = resolve_run_dataset(
+            &flags(&[("graph", "/nope"), ("dataset", "imdb")]),
+            &SimPool::serial(),
+        )
+        .unwrap_err();
         assert!(err.contains("imdb"), "{err}");
     }
 
