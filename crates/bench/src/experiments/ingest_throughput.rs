@@ -9,8 +9,8 @@
 //! * **parallel build speedup** — `build_csr_parallel` on `SimPool`s of
 //!   width 1/2/4/8 against `CsrGraph::try_from_pairs` (the sort-based
 //!   serial path), with bit-for-bit equality checked on every row;
-//! * **cache payoff** — reading back the binary CSR file and the
-//!   `.gnniecsr` snapshot vs re-parsing + rebuilding from text.
+//! * **cache payoff** — reading back the `.gnniecsr` snapshot vs
+//!   re-parsing + rebuilding from text.
 //!
 //! Timings are the best of several repetitions (minimum is the right
 //! statistic for cold-cache-free throughput claims on shared CI boxes).
@@ -22,8 +22,8 @@ use gnnie_graph::features::{generate_features, FeatureProfile};
 use gnnie_graph::{generate, CsrGraph, Dataset, GraphDataset, SimPool, SimThreads, VertexId};
 use gnnie_ingest::build::build_csr_parallel;
 use gnnie_ingest::chunked::build_csr_chunked;
-use gnnie_ingest::export::{export_edge_list, write_binary_csr};
-use gnnie_ingest::parse::{parse_edge_list, read_binary_csr, scan_edge_list};
+use gnnie_ingest::export::export_edge_list;
+use gnnie_ingest::parse::{parse_edge_list, scan_edge_list};
 use gnnie_ingest::snapshot::{decode_snapshot, open_snapshot, write_snapshot};
 use gnnie_ingest::EdgeListFormat;
 
@@ -64,7 +64,7 @@ pub struct IngestRow {
 /// One cached-format read measurement.
 #[derive(Debug, Clone)]
 pub struct CacheRow {
-    /// `"binary csr"` or `"gnniecsr snapshot"`.
+    /// `"gnniecsr snapshot"`.
     pub kind: &'static str,
     /// Read-back time, ms (best of repeats).
     pub read_ms: f64,
@@ -179,13 +179,7 @@ pub fn sweep(ctx: &Ctx) -> IngestSweep {
         std::fs::remove_file(&path).ok();
     }
 
-    // Cached formats: read-back vs the best text parse+build path.
-    let mut cache = Vec::new();
-    let bcsr = dir.join("bench.bcsr");
-    write_binary_csr(&bcsr, &ds.graph).expect("write bcsr");
-    let (bin_graph, bin_ms) = best_ms(3, || read_binary_csr(&bcsr).expect("read bcsr"));
-    assert_eq!(bin_graph, ds.graph);
-    cache.push(CacheRow { kind: "binary csr", read_ms: bin_ms, text_path_ms });
+    // Cached format: read-back vs the best text parse+build path.
     let snap = dir.join("bench.gnniecsr");
     write_snapshot(&snap, &ds, true).expect("write snapshot");
     let (reloaded, snap_ms) = best_ms(3, || {
@@ -194,27 +188,22 @@ pub fn sweep(ctx: &Ctx) -> IngestSweep {
     });
     assert_eq!(reloaded.graph, ds.graph);
     assert_eq!(reloaded.features, ds.features);
-    cache.push(CacheRow { kind: "gnniecsr snapshot", read_ms: snap_ms, text_path_ms });
+    let cache = vec![CacheRow { kind: "gnniecsr snapshot", read_ms: snap_ms, text_path_ms }];
 
     std::fs::remove_dir_all(&dir).ok();
     IngestSweep { rows, cache, outofcore: outofcore(ctx) }
 }
 
 /// Full-scale out-of-core workload: >10M input edges (GNNIE_SCALE
-/// shrinks it linearly; `GNNIE_OUTOFCORE_EDGES` overrides it outright).
+/// shrinks it linearly, down to a 30,000-edge floor).
 const BASE_OUTOFCORE_EDGES: usize = 10_500_000;
 
 /// Runs the out-of-core measurement: chunked external build vs the
 /// in-memory path on the same text file, then v3 snapshot load vs
 /// re-parse.
 pub fn outofcore(ctx: &Ctx) -> OutOfCoreRow {
-    let edges = std::env::var("GNNIE_OUTOFCORE_EDGES")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or_else(|| {
-            let scale = ctx.scale_for(Dataset::Pubmed).clamp(0.001, 1.0);
-            ((BASE_OUTOFCORE_EDGES as f64 * scale) as usize).max(30_000)
-        });
+    let scale = ctx.scale_for(Dataset::Pubmed).clamp(0.001, 1.0);
+    let edges = ((BASE_OUTOFCORE_EDGES as f64 * scale) as usize).max(30_000);
     let vertices = (edges / 10).max(1_024);
     // ~24 spill buckets at any size: the scatter stream is
     // 2 directions x 8 bytes per input pair.
@@ -435,7 +424,7 @@ mod tests {
             assert!(r.parse_ms >= 0.0 && r.build_ms >= 0.0);
             assert!(r.speedup.is_finite());
         }
-        assert_eq!(s.cache.len(), 2);
+        assert_eq!(s.cache.len(), 1);
         for c in &s.cache {
             assert!(c.read_ms > 0.0, "{} read not timed", c.kind);
         }
@@ -456,10 +445,9 @@ mod tests {
         // A small graph with a deliberately tiny spill budget so the
         // chunked builder exercises many buckets even under `cargo
         // test`; CI's release-mode bench run covers the >10M-edge
-        // regime via GNNIE_SCALE.
-        std::env::set_var("GNNIE_OUTOFCORE_EDGES", "30000");
-        let r = outofcore(&Ctx::with_scale(0.01));
-        std::env::remove_var("GNNIE_OUTOFCORE_EDGES");
+        // regime via GNNIE_SCALE. Scale 0.002 sizes 21,000 edges, which
+        // the floor raises to 30,000.
+        let r = outofcore(&Ctx::with_scale(0.002));
         assert_eq!(r.input_edges, 30_000);
         assert!(r.bit_identical, "chunked build diverged from the in-memory path");
         assert!(r.chunk_bytes >= 4_096);

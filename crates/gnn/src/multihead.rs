@@ -44,11 +44,6 @@ impl MultiHeadGat {
         Self { heads, combine }
     }
 
-    /// Number of heads `K`.
-    pub fn num_heads(&self) -> usize {
-        self.heads.len()
-    }
-
     /// The per-head layers.
     pub fn heads(&self) -> &[GatLayer] {
         &self.heads

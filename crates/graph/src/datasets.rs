@@ -235,9 +235,8 @@ impl DatasetSpec {
 /// the spec describing it.
 ///
 /// Instances are synthesized from a [`DatasetSpec`] or, through the
-/// `gnnie-ingest` crate, loaded from edge-list files, binary CSR files,
-/// and `.gnniecsr` snapshots — the engine consumes all of them
-/// identically.
+/// `gnnie-ingest` crate, loaded from edge-list files and `.gnniecsr`
+/// snapshots — the engine consumes all of them identically.
 #[derive(Debug, Clone)]
 pub struct GraphDataset {
     /// The statistics this dataset was generated to match (or the spec

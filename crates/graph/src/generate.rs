@@ -27,8 +27,9 @@
 //!
 //! The `_on` variants split each round's draws across a [`SimPool`]: every
 //! shard jumps a clone of the round's RNG straight to its first pair with
-//! [`StdRng::advance`] and draws into the one membership structure, by
-//! atomic bit test-and-set or into its own slice of one draw buffer. The
+//! [`StdRng::advance`] and draws on its own: into a zeroed spare bitmap,
+//! ORed back into the set in one serial pass (the first shard draws into
+//! the set's own words), or into its own slice of one draw buffer. The
 //! graph is identical at every pool width; the plain functions run on
 //! [`SimPool::serial`].
 

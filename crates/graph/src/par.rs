@@ -12,10 +12,10 @@
 //!   CSR builder's degree count (`gnnie-ingest::build`), the Weighting
 //!   block profile (`gnnie-core::weighting`), a cache walk's α
 //!   initialization and α histograms (`gnnie-mem::cache::CacheSim`);
-//! * [`SimPool::map_items`] runs a few coarse, independent jobs one per
-//!   task: the CSR builder's scatter shards and sort/dedup slabs, the
-//!   synthesizer's per-round draw shards (`generate`), and the engine's
-//!   distinct cache walks over one session graph.
+//! * [`SimPool::map_items`] runs a few coarse, independent jobs, each
+//!   whole on one thread: the CSR builder's scatter shards and sort/dedup
+//!   slabs, the synthesizer's per-round draw shards (`generate`), and the
+//!   engine's distinct cache walks over one session graph.
 //!
 //! The contract that makes this safe to enable by default is
 //! **determinism**: every sharded computation partitions the vertices
@@ -37,6 +37,7 @@
 //! relies on).
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 
 use serde::{Deserialize, Serialize};
@@ -215,9 +216,9 @@ impl Drop for WorkerSet {
 }
 
 /// Countdown latch: the submitting thread blocks until every queued
-/// shard of its parallel region has completed (or panicked).
+/// task of its parallel region has completed (or panicked).
 struct Latch {
-    state: Mutex<(usize, bool)>, // (shards remaining, any shard panicked)
+    state: Mutex<(usize, bool)>, // (tasks remaining, any shard panicked)
     done: Condvar,
 }
 
@@ -235,7 +236,8 @@ impl Latch {
         }
     }
 
-    /// Blocks until all shards complete; returns whether any panicked.
+    /// Blocks until all tasks complete; returns whether any shard
+    /// panicked.
     fn wait(&self) -> bool {
         let mut state = self.state.lock().expect("latch lock poisoned");
         while state.0 > 0 {
@@ -249,7 +251,8 @@ impl Latch {
 ///
 /// A `SimPool` of width > 1 owns a [`WorkerSet`] of `width` threads,
 /// started once by [`SimPool::new`] and fed shard tasks over its channel;
-/// the submitting thread runs the first shard of each region itself.
+/// the submitting thread runs the first shard of each region itself and
+/// then claims shards alongside the workers.
 /// Clones share the same workers; dropping the last clone drains the
 /// queue and joins them. `Engine::begin_with` builds one pool per
 /// `RunSession`, and the serving daemon shares one across every request
@@ -306,7 +309,7 @@ impl SimPool {
         let ranges = shard_ranges(n, self.width);
         match &self.workers {
             Some(workers) if ranges.len() > 1 && n >= self.width * MIN_ITEMS_PER_WORKER => {
-                Self::map_on_workers(workers, ranges, &f)
+                Self::map_on_workers(workers, self.width, ranges, &f)
             }
             _ => ranges.into_iter().map(f).collect(),
         }
@@ -317,8 +320,8 @@ impl SimPool {
     /// independent jobs (a session's cache walks), where
     /// [`map_ranges`](SimPool::map_ranges) would run inline below
     /// [`MIN_ITEMS_PER_WORKER`] items per worker. The calling thread runs
-    /// the first item while the workers take the rest. Width 1, and a
-    /// single item, run inline on the calling thread.
+    /// the first item, then claims the rest alongside the workers. Width
+    /// 1, and a single item, run inline on the calling thread.
     ///
     /// As with `map_ranges`, `f` must not call back into this pool: hand
     /// any nested sharded work [`SimPool::serial`]. A panicking item
@@ -332,59 +335,80 @@ impl SimPool {
         match &self.workers {
             Some(workers) if items.len() > 1 => {
                 let ranges = (0..items.len()).map(|i| i..i + 1).collect();
-                Self::map_on_workers(workers, ranges, &|r: Range<usize>| f(&items[r.start]))
+                let f = |r: Range<usize>| f(&items[r.start]);
+                Self::map_on_workers(workers, self.width, ranges, &f)
             }
             _ => items.iter().map(f).collect(),
         }
     }
 
-    /// Runs the first shard on the calling thread while the workers take
-    /// the rest, then blocks until all complete; results come back in
-    /// shard order. `ranges` holds at least two shards.
-    fn map_on_workers<R, F>(workers: &WorkerSet, ranges: Vec<Range<usize>>, f: &F) -> Vec<R>
+    /// Runs the first shard on the calling thread, then has the caller and
+    /// up to `width` worker tasks claim the other shards from one shared
+    /// counter, and blocks until every task has finished; results come
+    /// back in shard order. A worker that starts late finds its shards
+    /// already taken by the caller instead of holding the region up.
+    /// `ranges` holds at least two shards.
+    fn map_on_workers<R, F>(
+        workers: &WorkerSet,
+        width: usize,
+        ranges: Vec<Range<usize>>,
+        f: &F,
+    ) -> Vec<R>
     where
         R: Send,
         F: Fn(Range<usize>) -> R + Sync,
     {
         use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-        let mut ranges = ranges.into_iter();
-        let first = ranges.next().expect("a parallel region has shards");
-        let latch = Latch::new(ranges.len());
-        let mut slots: Vec<Option<R>> =
-            std::iter::repeat_with(|| None).take(ranges.len()).collect();
-        for (slot, range) in slots.iter_mut().zip(ranges) {
-            let latch = &latch;
-            let task: Box<dyn FnOnce() + Send + '_> =
-                Box::new(move || match catch_unwind(AssertUnwindSafe(|| f(range))) {
-                    Ok(value) => {
-                        *slot = Some(value);
-                        latch.complete(false);
-                    }
-                    Err(_) => latch.complete(true),
-                });
-            // SAFETY: the tasks borrow `f`, `slots`, and `latch` from this
-            // frame; `latch.wait()` below blocks until every task has run
-            // (each task counts down exactly once, panics included), and
-            // the caller's own shard cannot unwind past it (its panic is
-            // caught first), so the borrows outlive all task execution.
-            // The latch's mutex provides the release/acquire edge that
-            // makes the workers' slot writes visible here.
+        let slots: Vec<Mutex<Option<R>>> = ranges.iter().map(|_| Mutex::new(None)).collect();
+        // Hands out shard indices only (results travel through the slot
+        // mutexes), so `Relaxed` suffices.
+        let next = AtomicUsize::new(1);
+        // Runs unclaimed shards until none is left; true if one panicked.
+        let claim = || {
+            let mut panicked = false;
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(range) = ranges.get(i) else { return panicked };
+                match catch_unwind(AssertUnwindSafe(|| f(range.clone()))) {
+                    Ok(value) => *slots[i].lock().expect("one claim per shard") = Some(value),
+                    Err(_) => panicked = true,
+                }
+            }
+        };
+        let tasks = width.min(ranges.len() - 1);
+        let latch = Latch::new(tasks);
+        for _ in 0..tasks {
+            let (latch, claim) = (&latch, &claim);
+            let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || latch.complete(claim()));
+            // SAFETY: the tasks borrow `claim` (and through it `f`,
+            // `ranges`, `slots` and `next`) and `latch` from this frame;
+            // `latch.wait()` below blocks until every task has run (each
+            // counts down exactly once, since `claim` catches shard
+            // panics), and the caller's own shards cannot unwind past it
+            // (their panics are caught first), so the borrows outlive all
+            // task execution. The slot mutexes make the workers' results
+            // visible here.
             let task: Task =
                 unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Task>(task) };
             workers.submit(task);
         }
-        // The caller works too: a region of `width` shards keeps `width`
-        // threads busy, and the first shard's allocations stay with the
-        // calling thread.
-        let first = catch_unwind(AssertUnwindSafe(|| f(first)));
+        // The caller works too: it keeps the first shard, whose
+        // allocations stay with the calling thread, then claims shards
+        // alongside the workers.
+        let first = catch_unwind(AssertUnwindSafe(|| f(ranges[0].clone())));
+        let caller_panicked = claim();
         let worker_panicked = latch.wait();
         let first = first.unwrap_or_else(|payload| resume_unwind(payload));
-        if worker_panicked {
+        if caller_panicked || worker_panicked {
             panic!("simulation shard panicked");
         }
         std::iter::once(first)
-            .chain(slots.into_iter().map(|s| s.expect("completed shard has a result")))
+            .chain(slots.into_iter().skip(1).map(|slot| {
+                slot.into_inner()
+                    .expect("one claim per shard")
+                    .expect("completed shard has a result")
+            }))
             .collect()
     }
 
@@ -402,6 +426,9 @@ impl SimPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
+
+    const TEN_SECONDS: Duration = Duration::from_secs(10);
 
     #[test]
     fn shard_ranges_partition_contiguously() {
@@ -507,8 +534,8 @@ mod tests {
 
     #[test]
     fn persistent_pool_propagates_shard_panics() {
-        // Shard 0 runs on the caller, the others on the workers; a panic
-        // on either side must reach the submitter.
+        // Shard 0 runs on the caller, the others on whichever thread
+        // claims them; a panic on either side must reach the submitter.
         let pool = SimPool::new(SimThreads::Fixed(2));
         for caller_side in [true, false] {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -558,11 +585,90 @@ mod tests {
             let threads = pool.map_items(&[0u8, 1, 2], |_| std::thread::current().id());
             assert!(threads.iter().all(|&t| t == caller), "width 1 never leaves the caller");
         }
-        // Wider pools keep the first item and hand the rest to workers.
+        // Wider pools keep the first item on the caller, and the workers
+        // take the rest while it is busy: the first item waits (up to
+        // 10 s) until the other two have run.
         let pool = SimPool::new(SimThreads::Fixed(2));
-        let threads = pool.map_items(&[0u8, 1, 2], |_| std::thread::current().id());
+        let (ran_tx, ran_rx) = mpsc::channel();
+        let ran_rx = Mutex::new(ran_rx);
+        let threads = pool.map_items(&[0u8, 1, 2], |&i| {
+            if i == 0 {
+                let ran = ran_rx.lock().expect("one first item");
+                let deadline = Instant::now() + TEN_SECONDS;
+                for _ in 0..2 {
+                    ran.recv_timeout(deadline.saturating_duration_since(Instant::now())).ok();
+                }
+            } else {
+                ran_tx.send(()).expect("the receiver outlives the region");
+            }
+            std::thread::current().id()
+        });
         assert_eq!(threads[0], caller, "the caller runs the first item");
         assert!(threads[1..].iter().all(|&t| t != caller), "the rest run on the workers");
+    }
+
+    /// Holds every worker of `pool` in a blocking task, then runs
+    /// `region` with a channel each of its shards reports on. A watcher
+    /// releases the workers once `shards` shards have reported, or after
+    /// 10 s, so a region that waits on a held worker fails instead of
+    /// hanging.
+    fn with_workers_held<R>(
+        pool: &SimPool,
+        shards: usize,
+        region: impl FnOnce(&mpsc::Sender<()>) -> R,
+    ) -> R {
+        let workers = pool.workers.as_ref().expect("width > 1 has workers");
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let (held_tx, held_rx) = mpsc::channel();
+        for _ in 0..pool.width() {
+            let (gate, held_tx) = (Arc::clone(&gate), held_tx.clone());
+            workers.submit(Box::new(move || {
+                held_tx.send(()).expect("the test is waiting");
+                let (open, opened) = &*gate;
+                let mut open = open.lock().expect("gate lock");
+                while !*open {
+                    open = opened.wait(open).expect("gate lock");
+                }
+            }));
+        }
+        for _ in 0..pool.width() {
+            held_rx.recv().expect("every worker is held");
+        }
+        let (done_tx, done_rx) = mpsc::channel();
+        let (open, opened) = &*gate;
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let deadline = Instant::now() + TEN_SECONDS;
+                for _ in 0..shards {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if done_rx.recv_timeout(left).is_err() {
+                        break;
+                    }
+                }
+                *open.lock().expect("gate lock") = true;
+                opened.notify_all();
+            });
+            region(&done_tx)
+        })
+    }
+
+    #[test]
+    fn the_caller_takes_over_the_shards_of_held_workers() {
+        let pool = SimPool::new(SimThreads::Fixed(2));
+        let caller = std::thread::current().id();
+        let run = |done: &mpsc::Sender<()>| {
+            // The watcher stops listening after 10 s.
+            let _ = done.send(());
+            std::thread::current().id()
+        };
+        let n = 2 * pool.width() * MIN_ITEMS_PER_WORKER;
+        let ranges = with_workers_held(&pool, 2, |done| pool.map_ranges(n, |_| run(done)));
+        assert_eq!(ranges, [caller; 2], "map_ranges: every shard on the caller");
+        let items =
+            with_workers_held(&pool, 3, |done| pool.map_items(&[0u8, 1, 2], |_| run(done)));
+        assert_eq!(items, [caller; 3], "map_items: every item on the caller");
+        // The released workers serve the pool as before.
+        assert_eq!(pool.sum_ranges(4096, |r| r.len() as u64), 4096);
     }
 
     #[test]

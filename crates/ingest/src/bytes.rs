@@ -1,11 +1,11 @@
 //! Little-endian byte encoding helpers and the word-wise checksum used by
-//! the binary file formats (`.gnniecsr` snapshots and binary CSR files).
+//! the `.gnniecsr` snapshot format.
 
 use crate::error::IngestError;
 
 /// FNV-1a-style 64-bit checksum over 8-byte words (with a length mix and
-/// a byte-wise tail) — the integrity check appended to every binary file
-/// we write. Word-wise keeps multi-megabyte snapshot verification off
+/// a byte-wise tail) — the integrity check of every snapshot section
+/// and header. Word-wise keeps multi-megabyte snapshot verification off
 /// the critical path; it is not cryptographic — it catches truncation
 /// and bit rot, not adversaries.
 pub fn checksum64(bytes: &[u8]) -> u64 {
@@ -54,11 +54,6 @@ impl<'a> ByteReader<'a> {
     /// A reader over `buf`; `what` names the source in errors.
     pub fn new(buf: &'a [u8], what: &'a str) -> Self {
         Self { buf, pos: 0, what }
-    }
-
-    /// Current read offset.
-    pub fn pos(&self) -> usize {
-        self.pos
     }
 
     /// Bytes not yet consumed.

@@ -30,7 +30,7 @@ pub enum IngestError {
     },
     /// The file's format could not be determined or is unsupported.
     Format(String),
-    /// A `.gnniecsr` or binary-CSR file is truncated, corrupted, has a
+    /// A `.gnniecsr` snapshot is truncated, corrupted, has a
     /// checksum mismatch, or an unsupported version.
     Snapshot(String),
     /// The parsed edges do not form a valid graph.

@@ -1,5 +1,4 @@
-//! Exporters: text edge lists (with `gnnie` header directives) and
-//! binary CSR files.
+//! Exporter: text edge lists (with `gnnie` header directives).
 //!
 //! Exports exist for two reasons: CI generates on-disk fixtures with
 //! them, and the round-trip guarantee is stated through them — a Table
@@ -13,10 +12,9 @@ use std::path::Path;
 
 use gnnie_graph::CsrGraph;
 
-use crate::bytes::{checksum64, put_u32, put_u64};
 use crate::error::IngestError;
-use crate::format::{EdgeListFormat, BINARY_CSR_MAGIC};
-use crate::parse::{RecordedSpec, BINARY_CSR_VERSION};
+use crate::format::EdgeListFormat;
+use crate::parse::RecordedSpec;
 
 /// Writes `graph` as a text edge list at `path`.
 ///
@@ -89,34 +87,10 @@ pub fn spec_directive(rec: &RecordedSpec) -> String {
     )
 }
 
-/// Writes `graph` as a binary CSR file (layout documented at
-/// [`crate::parse::read_binary_csr`]).
-///
-/// # Errors
-///
-/// [`IngestError::Io`] on any write failure.
-pub fn write_binary_csr(path: &Path, graph: &CsrGraph) -> Result<(), IngestError> {
-    let mut buf =
-        Vec::with_capacity(28 + graph.offsets().len() * 8 + graph.neighbors_flat().len() * 4);
-    buf.extend_from_slice(&BINARY_CSR_MAGIC);
-    put_u32(&mut buf, BINARY_CSR_VERSION);
-    put_u64(&mut buf, graph.num_vertices() as u64);
-    put_u64(&mut buf, graph.num_edges() as u64);
-    for &o in graph.offsets() {
-        put_u64(&mut buf, o as u64);
-    }
-    for &n in graph.neighbors_flat() {
-        put_u32(&mut buf, n);
-    }
-    let sum = checksum64(&buf);
-    put_u64(&mut buf, sum);
-    std::fs::write(path, buf).map_err(|e| IngestError::io(path, e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::{parse_edge_list, read_binary_csr};
+    use crate::parse::parse_edge_list;
     use gnnie_graph::{Dataset, GraphDataset};
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -144,16 +118,6 @@ mod tests {
             assert_eq!(stats.duplicates, 0, "exports write each edge once");
             std::fs::remove_file(&path).ok();
         }
-    }
-
-    #[test]
-    fn binary_csr_roundtrips() {
-        let ds = GraphDataset::generate(Dataset::Citeseer, 0.03, 5);
-        let path = tmp("rt.bcsr");
-        write_binary_csr(&path, &ds.graph).unwrap();
-        let re = read_binary_csr(&path).unwrap();
-        assert_eq!(re, ds.graph);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

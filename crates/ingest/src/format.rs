@@ -1,16 +1,15 @@
 //! On-disk dataset formats and auto-detection.
 //!
-//! Three families are supported:
+//! Two families are supported:
 //!
 //! * **text edge lists** — one edge per line, whitespace-, comma-, or
 //!   tab-separated ([`EdgeListFormat`]), with `#`/`%`/`//` comments;
-//! * **binary CSR** — an ogbn-style packed offset/neighbor layout
-//!   ([`crate::parse::read_binary_csr`]), magic [`BINARY_CSR_MAGIC`];
 //! * **`.gnniecsr` snapshots** — the versioned, checksummed cache written
 //!   by [`crate::snapshot`], magic [`SNAPSHOT_MAGIC`].
 //!
-//! [`detect_file_format`] sniffs the leading bytes: magics win, otherwise
-//! the first data line's delimiter decides the text dialect.
+//! [`detect_file_format`] sniffs the leading bytes: the snapshot magic
+//! wins, otherwise the first data line's delimiter decides the text
+//! dialect.
 
 use std::fmt;
 use std::fs::File;
@@ -21,9 +20,6 @@ use crate::error::IngestError;
 
 /// Magic prefix of a `.gnniecsr` snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"GNNIECSR";
-
-/// Magic prefix of a binary CSR graph file.
-pub const BINARY_CSR_MAGIC: [u8; 8] = *b"GCSRBIN1";
 
 /// Delimiter dialect of a text edge list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,8 +94,6 @@ impl fmt::Display for EdgeListFormat {
 pub enum FileFormat {
     /// A `.gnniecsr` snapshot ([`crate::snapshot`]).
     Snapshot,
-    /// A binary CSR graph file ([`crate::parse::read_binary_csr`]).
-    BinaryCsr,
     /// A text edge list in the given dialect.
     EdgeList(EdgeListFormat),
 }
@@ -108,7 +102,6 @@ impl fmt::Display for FileFormat {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FileFormat::Snapshot => f.write_str("gnniecsr snapshot"),
-            FileFormat::BinaryCsr => f.write_str("binary csr"),
             FileFormat::EdgeList(el) => write!(f, "{el} edge list"),
         }
     }
@@ -166,12 +159,9 @@ pub fn detect_file_format(path: &Path) -> Result<FileFormat, IngestError> {
     if head.starts_with(&SNAPSHOT_MAGIC) {
         return Ok(FileFormat::Snapshot);
     }
-    if head.starts_with(&BINARY_CSR_MAGIC) {
-        return Ok(FileFormat::BinaryCsr);
-    }
     if head.contains(&0) {
         return Err(IngestError::Format(format!(
-            "{}: binary data with no known magic (expected GNNIECSR or GCSRBIN1)",
+            "{}: binary data with no known magic (expected GNNIECSR)",
             path.display()
         )));
     }
@@ -227,9 +217,14 @@ mod tests {
         let snap = dir.join("x.gnniecsr");
         std::fs::write(&snap, [&SNAPSHOT_MAGIC[..], &[1, 2, 3]].concat()).unwrap();
         assert_eq!(detect_file_format(&snap).unwrap(), FileFormat::Snapshot);
-        let bin = dir.join("x.bcsr");
-        std::fs::write(&bin, [&BINARY_CSR_MAGIC[..], &[0; 8]].concat()).unwrap();
-        assert_eq!(detect_file_format(&bin).unwrap(), FileFormat::BinaryCsr);
+        // The magic of a retired binary graph layout is now just binary
+        // data with no known magic.
+        let retired = dir.join("x.gcsr");
+        std::fs::write(&retired, [&b"GCSR"[..], b"BIN1", &[0; 8]].concat()).unwrap();
+        match detect_file_format(&retired) {
+            Err(IngestError::Format(msg)) => assert!(msg.contains("x.gcsr"), "{msg}"),
+            other => panic!("expected a format error naming the file, got {other:?}"),
+        }
         let txt = dir.join("x.edges");
         std::fs::write(&txt, "0 1\n1 2\n").unwrap();
         assert_eq!(

@@ -10,7 +10,7 @@
 //!
 //! * [`parse`] — streaming parsers for whitespace/CSV/TSV edge lists
 //!   (with line-numbered errors and self-describing `gnnie` header
-//!   directives) and an ogbn-style binary CSR layout;
+//!   directives);
 //! * [`mod@format`] — on-disk format auto-detection from leading bytes;
 //! * [`build`] — a COO→CSR builder on the workspace's one worker pool
 //!   ([`gnnie_graph::SimPool`]; per-shard degree counting + prefix-sum
@@ -21,8 +21,8 @@
 //!   reference reader ([`snapshot::decode_snapshot`]) and a zero-copy mmap loader
 //!   ([`open_snapshot`]); reloading reproduces byte-identical
 //!   `InferenceReport`s;
-//! * [`export`] — edge-list / binary-CSR writers (fixtures and the
-//!   round-trip guarantee);
+//! * [`export`] — the edge-list writer (fixtures and the round-trip
+//!   guarantee);
 //! * [`registry`] — [`DatasetRegistry`], resolving a dataset name or
 //!   path to file-backed data when present and falling back to the
 //!   synthesizer offline;
@@ -39,7 +39,7 @@
 //!
 //! // No data directory: names resolve to the Table II synthesizer.
 //! let reg = DatasetRegistry::new(None);
-//! let out = reg.load(Dataset::Cora, 0.02, 42, None).unwrap();
+//! let out = reg.load(Dataset::Cora, 0.02, 42, &SimPool::serial()).unwrap();
 //! assert!(out.dataset.graph.num_edges() > 0);
 //!
 //! // The parallel CSR builder matches the serial path bit-for-bit.
@@ -67,7 +67,7 @@ pub mod source;
 pub use build::build_csr_parallel;
 pub use chunked::build_csr_chunked;
 pub use error::IngestError;
-pub use export::{export_edge_list, render_edge_list, write_binary_csr};
+pub use export::{export_edge_list, render_edge_list};
 pub use format::{detect_file_format, EdgeListFormat, FileFormat};
 pub use parse::{
     parse_edge_list, scan_edge_list, scan_edge_list_reader, EdgeListMeta, ParsedEdgeList,

@@ -1,5 +1,4 @@
-//! Streaming parsers: text edge lists (with header directives) and the
-//! binary CSR layout.
+//! Streaming parsers for text edge lists (with header directives).
 //!
 //! Text parsing is line-oriented over a [`BufRead`] so multi-gigabyte
 //! edge lists never live in memory as text; every error carries the
@@ -12,15 +11,10 @@ use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 
-use gnnie_graph::{CsrGraph, DatasetSpec, VertexId};
+use gnnie_graph::{DatasetSpec, VertexId};
 
-use crate::bytes::{checksum64, ByteReader};
 use crate::error::IngestError;
 use crate::format::{is_comment, EdgeListFormat};
-use crate::format::{BINARY_CSR_MAGIC, SNAPSHOT_MAGIC};
-
-/// Version of the binary CSR layout this crate reads and writes.
-pub const BINARY_CSR_VERSION: u32 = 1;
 
 /// A [`DatasetSpec`] plus generation seed recovered from a `gnnie spec`
 /// header directive: enough to regenerate the input features bit-exactly.
@@ -364,76 +358,6 @@ fn parse_spec_directive<'a>(
     })
 }
 
-/// Reads a binary CSR graph file (magic `GCSRBIN1`).
-///
-/// Layout, all little-endian: magic (8 bytes) · version `u32` ·
-/// `n: u64` · `num_edges: u64` · offsets (`n + 1` × `u64`) · neighbors
-/// (`2·num_edges` × `u32`) · word-wise checksum64 over everything before it.
-///
-/// # Errors
-///
-/// [`IngestError::Snapshot`] on truncation, checksum mismatch, version
-/// skew, or structurally invalid CSR content.
-pub fn read_binary_csr(path: &Path) -> Result<CsrGraph, IngestError> {
-    let data = std::fs::read(path).map_err(|e| IngestError::io(path, e))?;
-    read_binary_csr_bytes(&data, &path.display().to_string())
-}
-
-/// [`read_binary_csr`] over an in-memory buffer; `what` names the source
-/// in errors.
-///
-/// # Errors
-///
-/// See [`read_binary_csr`].
-pub fn read_binary_csr_bytes(data: &[u8], what: &str) -> Result<CsrGraph, IngestError> {
-    let body = verify_checksummed(data, what)?;
-    let mut r = ByteReader::new(body, what);
-    let magic = r.bytes::<8>()?;
-    if magic != BINARY_CSR_MAGIC {
-        let which =
-            if magic == SNAPSHOT_MAGIC { " (this is a .gnniecsr snapshot)" } else { "" };
-        return Err(IngestError::Snapshot(format!("{what}: not a binary CSR file{which}")));
-    }
-    let version = r.u32()?;
-    if version != BINARY_CSR_VERSION {
-        return Err(IngestError::Snapshot(format!(
-            "{what}: binary CSR version {version}, this build reads {BINARY_CSR_VERSION}"
-        )));
-    }
-    let n = r.len(r.remaining() / 8)?;
-    let num_edges = r.len(r.remaining() / 4)?;
-    let offsets = r.usize_vec(n + 1)?;
-    let neighbors = r.u32_vec(2 * num_edges)?;
-    if r.remaining() != 0 {
-        return Err(IngestError::Snapshot(format!(
-            "{what}: {} trailing bytes after the neighbor array",
-            r.remaining()
-        )));
-    }
-    Ok(CsrGraph::from_raw_parts(offsets, neighbors, num_edges)?)
-}
-
-/// Splits a checksummed buffer into its body, verifying the trailing
-/// checksum64 (the binary CSR layout).
-fn verify_checksummed<'a>(data: &'a [u8], what: &str) -> Result<&'a [u8], IngestError> {
-    if data.len() < 8 {
-        return Err(IngestError::Snapshot(format!(
-            "{what}: {} bytes is too short to hold a checksum",
-            data.len()
-        )));
-    }
-    let (body, tail) = data.split_at(data.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-    let computed = checksum64(body);
-    if stored != computed {
-        return Err(IngestError::Snapshot(format!(
-            "{what}: checksum mismatch (stored {stored:#018x}, computed {computed:#018x}) — \
-             file is corrupted or was not fully written"
-        )));
-    }
-    Ok(body)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,16 +500,5 @@ mod tests {
         let p = parse_str("", EdgeListFormat::Whitespace).unwrap();
         assert!(p.pairs.is_empty());
         assert_eq!(p.meta.num_vertices(), 0);
-    }
-
-    #[test]
-    fn checksum_guard_catches_flips() {
-        let mut data = b"payload".to_vec();
-        let sum = checksum64(&data);
-        data.extend_from_slice(&sum.to_le_bytes());
-        assert!(verify_checksummed(&data, "t").is_ok());
-        data[0] ^= 1;
-        assert!(verify_checksummed(&data, "t").is_err());
-        assert!(verify_checksummed(&[1, 2, 3], "t").is_err());
     }
 }

@@ -4,29 +4,27 @@
 //!
 //! 1. a file in the data directory (`GNNIE_DATA_DIR` or an explicit
 //!    path), probed as `<stem>.<ext>` for stems `cora`/`cr` (etc.) and
-//!    extensions `.gnniecsr`, `.bcsr`, `.edges`, `.csv`, `.tsv` — in
+//!    extensions `.gnniecsr`, `.edges`, `.csv`, `.tsv` — in
 //!    that priority order (cache beats raw);
 //! 2. otherwise the existing Table II synthesizer — so everything keeps
 //!    working offline with no data directory at all.
 //!
 //! Explicit paths skip the probe: [`DatasetRegistry::load_path`] detects
 //! the format from the file's leading bytes and loads accordingly.
-//! Files without a recorded spec (foreign edge lists, binary CSR) get
-//! features synthesized from a fallback dataset's Table II statistics,
-//! sized to the actual graph.
+//! Files without a recorded spec (foreign edge lists) get features
+//! synthesized from a fallback dataset's Table II statistics, sized to
+//! the actual graph.
 
 use std::path::{Path, PathBuf};
 
 use gnnie_graph::features::generate_features;
-use gnnie_graph::{CsrBuildStats, Dataset, DatasetSpec, GraphDataset, SimPool, SimThreads};
+use gnnie_graph::{CsrBuildStats, Dataset, DatasetSpec, GraphDataset, SimPool};
 
 use crate::build::build_csr_parallel;
 use crate::chunked::build_csr_chunked;
 use crate::error::IngestError;
 use crate::format::{detect_file_format, FileFormat};
-use crate::parse::{
-    parse_edge_list, read_binary_csr, scan_edge_list, EdgeListMeta, RecordedSpec,
-};
+use crate::parse::{parse_edge_list, scan_edge_list, EdgeListMeta, RecordedSpec};
 use crate::snapshot::open_snapshot;
 use crate::source::{Provenance, Resolved};
 
@@ -53,7 +51,7 @@ fn stems(dataset: Dataset) -> [&'static str; 2] {
 }
 
 /// Extension probe order: the snapshot cache beats raw formats.
-const EXTENSIONS: [&str; 5] = ["gnniecsr", "bcsr", "edges", "csv", "tsv"];
+const EXTENSIONS: [&str; 4] = ["gnniecsr", "edges", "csv", "tsv"];
 
 impl DatasetRegistry {
     /// A registry over an explicit data directory (`None` = synthesis
@@ -86,7 +84,6 @@ impl DatasetRegistry {
                 if path.is_file() {
                     return match ext {
                         "gnniecsr" => Provenance::Snapshot { path, mmap: false },
-                        "bcsr" => Provenance::BinaryCsr(path),
                         _ => Provenance::EdgeList(path),
                     };
                 }
@@ -98,8 +95,7 @@ impl DatasetRegistry {
     /// Loads `dataset`: file-backed when a candidate file exists,
     /// otherwise synthesized at `scale` with `seed` (file-backed loads
     /// ignore `scale` — the file is what it is). Synthesis and edge-list
-    /// builds run on `pool`, or on a pool of [`SimThreads::from_env`]
-    /// workers when it is `None`.
+    /// builds run on `pool`.
     ///
     /// # Errors
     ///
@@ -114,7 +110,7 @@ impl DatasetRegistry {
         dataset: Dataset,
         scale: f64,
         seed: u64,
-        pool: Option<&SimPool>,
+        pool: &SimPool,
     ) -> Result<Resolved, IngestError> {
         let source = self.source_for(dataset);
         let Some(path) = source.path() else {
@@ -136,25 +132,15 @@ impl DatasetRegistry {
     /// Synthesizes `dataset` at `scale` with `seed`, bypassing any data
     /// directory — the canonical [`Resolved`] for the in-process
     /// synthesizer ([`crate::DataSource::Synth`] resolves through this).
-    /// The graph's draws run on `pool`, or on a pool of
-    /// [`SimThreads::from_env`] workers when it is `None`; the dataset is
-    /// the same either way.
+    /// The graph's draws run on `pool`; the dataset is the same at every
+    /// pool width.
     ///
     /// # Panics
     ///
     /// Panics unless `0 < scale <= 1`.
-    pub fn synthesize(
-        dataset: Dataset,
-        scale: f64,
-        seed: u64,
-        pool: Option<&SimPool>,
-    ) -> Resolved {
-        let dataset = match pool {
-            Some(pool) => GraphDataset::generate_on(dataset, scale, seed, pool),
-            None => GraphDataset::generate(dataset, scale, seed),
-        };
+    pub fn synthesize(dataset: Dataset, scale: f64, seed: u64, pool: &SimPool) -> Resolved {
         Resolved {
-            dataset,
+            dataset: GraphDataset::generate_on(dataset, scale, seed, pool),
             provenance: Provenance::Synth,
             stats: None,
             dropped_weights: None,
@@ -164,9 +150,7 @@ impl DatasetRegistry {
 
     /// Loads the dataset file at `path`, auto-detecting its format. Text
     /// edge lists are built into CSR on `pool` (`gnnie ingest
-    /// --sim-threads`); `None` builds a pool from
-    /// [`SimThreads::from_env`] for that build, as `Engine::begin_with`
-    /// does for a run. Foreign files (no recorded spec) synthesize
+    /// --sim-threads`). Foreign files (no recorded spec) synthesize
     /// features from `fallback`'s Table II statistics, sized to the
     /// actual graph, with `seed`.
     ///
@@ -179,7 +163,7 @@ impl DatasetRegistry {
         path: &Path,
         fallback: Dataset,
         seed: u64,
-        pool: Option<&SimPool>,
+        pool: &SimPool,
     ) -> Result<Resolved, IngestError> {
         match detect_file_format(path)? {
             FileFormat::Snapshot => {
@@ -195,24 +179,10 @@ impl DatasetRegistry {
                     recorded_spec: true,
                 })
             }
-            FileFormat::BinaryCsr => {
-                let graph = read_binary_csr(path)?;
-                let spec = spec_sized_to(fallback, graph.num_vertices(), graph.num_edges());
-                let features = regenerate_features(&spec, seed);
-                Ok(Resolved {
-                    dataset: GraphDataset::from_parts(spec, graph, features),
-                    provenance: Provenance::BinaryCsr(path.to_path_buf()),
-                    stats: None,
-                    dropped_weights: None,
-                    recorded_spec: false,
-                })
-            }
             FileFormat::EdgeList(format) => {
                 let parsed = parse_edge_list(path, format)?;
-                let pool =
-                    pool.cloned().unwrap_or_else(|| SimPool::new(SimThreads::from_env()));
                 let (graph, stats) =
-                    build_csr_parallel(parsed.meta.num_vertices(), &parsed.pairs, &pool)?;
+                    build_csr_parallel(parsed.meta.num_vertices(), &parsed.pairs, pool)?;
                 resolve_edge_list(path, graph, stats, &parsed.meta, fallback, seed)
             }
         }
@@ -225,8 +195,8 @@ impl DatasetRegistry {
     /// plus the final CSR — for graphs whose raw edge list does not fit
     /// in memory. The result is bit-identical to [`Self::load_path`].
     ///
-    /// Snapshot and binary-CSR files delegate to [`Self::load_path`]:
-    /// those layouts are already compact and loaded without a COO stage.
+    /// Snapshots delegate to [`Self::load_path`]: the layout is already
+    /// compact and loads without a COO stage, so it needs no pool.
     ///
     /// # Errors
     ///
@@ -241,7 +211,7 @@ impl DatasetRegistry {
     ) -> Result<Resolved, IngestError> {
         let format = match detect_file_format(path)? {
             FileFormat::EdgeList(f) => f,
-            _ => return self.load_path(path, fallback, seed, None),
+            _ => return self.load_path(path, fallback, seed, &SimPool::serial()),
         };
         // Metadata pass: directives and the vertex count, pairs discarded.
         let meta = scan_edge_list(path, format, |_, _| {})?;
@@ -310,7 +280,7 @@ fn regenerate_features(spec: &DatasetSpec, seed: u64) -> gnnie_tensor::CsrMatrix
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::{export_edge_list, write_binary_csr};
+    use crate::export::export_edge_list;
     use crate::format::EdgeListFormat;
     use crate::snapshot::write_snapshot;
 
@@ -325,7 +295,7 @@ mod tests {
     fn no_data_dir_means_synthetic() {
         let reg = DatasetRegistry::new(None);
         assert_eq!(reg.source_for(Dataset::Cora), Provenance::Synth);
-        let out = reg.load(Dataset::Cora, 0.02, 7, None).unwrap();
+        let out = reg.load(Dataset::Cora, 0.02, 7, &SimPool::serial()).unwrap();
         assert_eq!(out.provenance, Provenance::Synth);
         let direct = GraphDataset::generate(Dataset::Cora, 0.02, 7);
         assert_eq!(out.dataset.graph, direct.graph);
@@ -361,7 +331,8 @@ mod tests {
         export_edge_list(&dir.join("cs.csv"), &ds.graph, EdgeListFormat::Csv, Some(&rec))
             .unwrap();
         let reg = DatasetRegistry::new(Some(dir.clone()));
-        let out = reg.load(Dataset::Citeseer, 0.9, 1234, None).unwrap(); // scale/seed ignored
+        // The file ignores scale and seed.
+        let out = reg.load(Dataset::Citeseer, 0.9, 1234, &SimPool::serial()).unwrap();
         assert_eq!(out.dataset.graph, ds.graph);
         assert_eq!(out.dataset.features, ds.features);
         assert_eq!(out.dataset.spec, ds.spec);
@@ -376,7 +347,7 @@ mod tests {
         // A Cora snapshot masquerading under the Pubmed stem.
         write_snapshot(&dir.join("pubmed.gnniecsr"), &ds, false).unwrap();
         let reg = DatasetRegistry::new(Some(dir.clone()));
-        let err = reg.load(Dataset::Pubmed, 1.0, 7, None).unwrap_err();
+        let err = reg.load(Dataset::Pubmed, 1.0, 7, &SimPool::serial()).unwrap_err();
         assert!(err.to_string().contains("records dataset CR"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -387,21 +358,15 @@ mod tests {
         let path = dir.join("web.edges");
         std::fs::write(&path, "0 1\n1 2\n2 3\n0 3\n").unwrap();
         let reg = DatasetRegistry::new(None);
-        let out = reg.load_path(&path, Dataset::Cora, 99, None).unwrap();
+        let out = reg.load_path(&path, Dataset::Cora, 99, &SimPool::serial()).unwrap();
         assert_eq!(out.dataset.graph.num_vertices(), 4);
         assert_eq!(out.dataset.spec.dataset, Dataset::Cora);
         assert_eq!(out.dataset.spec.vertices, 4);
         assert_eq!(out.dataset.features.rows(), 4);
         assert_eq!(out.dataset.features.cols(), Dataset::Cora.spec().feature_len);
         // Deterministic in the seed.
-        let again = reg.load_path(&path, Dataset::Cora, 99, None).unwrap();
+        let again = reg.load_path(&path, Dataset::Cora, 99, &SimPool::serial()).unwrap();
         assert_eq!(again.dataset.features, out.dataset.features);
-        // Binary CSR takes the same fallback path.
-        let bin = dir.join("web.bcsr");
-        write_binary_csr(&bin, &out.dataset.graph).unwrap();
-        let from_bin = reg.load_path(&bin, Dataset::Cora, 99, None).unwrap();
-        assert_eq!(from_bin.dataset.graph, out.dataset.graph);
-        assert_eq!(from_bin.dataset.features, out.dataset.features);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -413,7 +378,7 @@ mod tests {
         let path = dir.join("cr.edges");
         export_edge_list(&path, &ds.graph, EdgeListFormat::Whitespace, Some(&rec)).unwrap();
         let reg = DatasetRegistry::new(None);
-        let whole = reg.load_path(&path, Dataset::Cora, 11, None).unwrap();
+        let whole = reg.load_path(&path, Dataset::Cora, 11, &SimPool::serial()).unwrap();
         // A deliberately tiny chunk budget forces many spill buckets.
         let chunked = reg.load_path_chunked(&path, Dataset::Cora, 11, 1024).unwrap();
         assert_eq!(chunked.dataset.graph, whole.dataset.graph);
@@ -442,7 +407,7 @@ mod tests {
         // The vertices directive (truthful) wins for graph size, so the
         // recorded spec disagrees and the load is rejected.
         let reg = DatasetRegistry::new(None);
-        let err = reg.load_path(&path, Dataset::Cora, 7, None).unwrap_err();
+        let err = reg.load_path(&path, Dataset::Cora, 7, &SimPool::serial()).unwrap_err();
         assert!(err.to_string().contains("recorded spec"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

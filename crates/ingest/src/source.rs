@@ -6,13 +6,13 @@
 //! (in-process synthesis). [`DataSource`] folds all three into one enum
 //! with a single [`DataSource::resolve`] entry point, and [`Resolved`]
 //! carries uniform [`Provenance`] so every consumer can report *where the
-//! bits actually came from* — synthesizer, edge list, binary CSR, or a
-//! snapshot (and whether the snapshot load was zero-copy via `mmap`).
+//! bits actually came from* — synthesizer, edge list, or a snapshot
+//! (and whether the snapshot load was zero-copy via `mmap`).
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use gnnie_graph::{CsrBuildStats, Dataset, GraphDataset, SimPool};
+use gnnie_graph::{CsrBuildStats, Dataset, GraphDataset, SimPool, SimThreads};
 
 use crate::error::IngestError;
 use crate::registry::DatasetRegistry;
@@ -84,12 +84,11 @@ impl DataSource {
     /// cannot fail (they panic on an out-of-range `scale`, exactly like
     /// [`GraphDataset::generate`]).
     pub fn resolve(&self, registry: &DatasetRegistry) -> Result<Resolved, IngestError> {
-        self.resolve_on(registry, None)
+        self.resolve_on(registry, &SimPool::new(SimThreads::from_env()))
     }
 
     /// [`DataSource::resolve`] with synthesis and text edge-list builds on
-    /// `pool` (`None`: a pool of `GNNIE_SIM_THREADS` workers). The dataset
-    /// is the same at every pool width.
+    /// `pool`. The dataset is the same at every pool width.
     ///
     /// # Errors
     ///
@@ -97,7 +96,7 @@ impl DataSource {
     pub fn resolve_on(
         &self,
         registry: &DatasetRegistry,
-        pool: Option<&SimPool>,
+        pool: &SimPool,
     ) -> Result<Resolved, IngestError> {
         match self {
             DataSource::Synth { dataset, scale, seed } => {
@@ -122,8 +121,7 @@ pub struct Resolved {
     /// Where the bits came from, in reportable form.
     pub provenance: Provenance,
     /// Parse/build accounting — present for edge-list loads, `None` for
-    /// synthesis, snapshots and binary CSR (nothing is dropped on those
-    /// paths).
+    /// synthesis and snapshots (nothing is dropped on those paths).
     pub stats: Option<CsrBuildStats>,
     /// `(count, first 1-based line)` of edge-list lines whose third
     /// (weight) column was dropped — GNNIE graphs are unweighted. The
@@ -132,8 +130,7 @@ pub struct Resolved {
     pub dropped_weights: Option<(usize, usize)>,
     /// `true` when `dataset.spec` is authoritative (synthesis, snapshot,
     /// or a recorded `gnnie spec` header); `false` when it was sized
-    /// from the fallback dataset's statistics (foreign edge list,
-    /// binary CSR).
+    /// from the fallback dataset's statistics (foreign edge list).
     pub recorded_spec: bool,
 }
 
@@ -152,17 +149,14 @@ impl Resolved {
 /// Where a resolved dataset's bits came from.
 ///
 /// The `Display` form is what `gnnie run`, `gnnie ingest` and `gnnie
-/// datasets` print: `synthetic`, `edge-list <path>`, `binary-csr
-/// <path>`, or `snapshot-v3 <path>` with an `(mmap)` marker when the
-/// load was zero-copy.
+/// datasets` print: `synthetic`, `edge-list <path>`, or `snapshot-v3
+/// <path>` with an `(mmap)` marker when the load was zero-copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Provenance {
     /// The offline Table II synthesizer.
     Synth,
     /// A parsed text edge list.
     EdgeList(PathBuf),
-    /// A binary CSR file.
-    BinaryCsr(PathBuf),
     /// A `.gnniecsr` snapshot.
     Snapshot {
         /// The snapshot file.
@@ -178,7 +172,7 @@ impl Provenance {
     pub fn path(&self) -> Option<&Path> {
         match self {
             Provenance::Synth => None,
-            Provenance::EdgeList(p) | Provenance::BinaryCsr(p) => Some(p),
+            Provenance::EdgeList(p) => Some(p),
             Provenance::Snapshot { path, .. } => Some(path),
         }
     }
@@ -189,7 +183,6 @@ impl fmt::Display for Provenance {
         match self {
             Provenance::Synth => f.write_str("synthetic"),
             Provenance::EdgeList(p) => write!(f, "edge-list {}", p.display()),
-            Provenance::BinaryCsr(p) => write!(f, "binary-csr {}", p.display()),
             Provenance::Snapshot { path, mmap } => {
                 write!(f, "snapshot-v{SNAPSHOT_VERSION}")?;
                 if *mmap {
@@ -204,6 +197,9 @@ impl fmt::Display for Provenance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::export::export_edge_list;
+    use crate::format::EdgeListFormat;
+    use crate::parse::RecordedSpec;
     use crate::snapshot::{mmap_supported, write_snapshot};
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -267,6 +263,43 @@ mod tests {
         let r = DataSource::file(&path, Dataset::Cora, 9).resolve(&reg).unwrap();
         assert_eq!(r.provenance, Provenance::EdgeList(path.clone()));
         assert!(r.provenance.to_string().contains("web.edges"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_source_resolves_the_same_on_every_pool() {
+        let dir = tmpdir("pools");
+        let ds = GraphDataset::generate(Dataset::Cora, 1.0, 3);
+        let rec = RecordedSpec { spec: ds.spec, seed: 3 };
+        let edges = dir.join("cora.edges");
+        export_edge_list(&edges, &ds.graph, EdgeListFormat::Whitespace, Some(&rec)).unwrap();
+        let snap = dir.join("frozen.gnniecsr");
+        write_snapshot(&snap, &ds, false).unwrap();
+        let reg = DatasetRegistry::new(Some(dir.clone()));
+        let sources = [
+            (DataSource::synth(Dataset::Reddit, 0.01, 5), Provenance::Synth),
+            (DataSource::named(Dataset::Cora, 0.5, 3), Provenance::EdgeList(edges)),
+            (
+                DataSource::file(&snap, Dataset::Cora, 3),
+                Provenance::Snapshot { path: snap.clone(), mmap: mmap_supported() },
+            ),
+        ];
+        for (source, provenance) in &sources {
+            let serial = source.resolve_on(&reg, &SimPool::serial()).unwrap();
+            assert_eq!(&serial.provenance, provenance);
+            for width in [2, 4] {
+                let pool = SimPool::new(SimThreads::Fixed(width));
+                let r = source.resolve_on(&reg, &pool).unwrap();
+                assert_eq!(r.provenance, serial.provenance, "{source:?} at width {width}");
+                assert_eq!(r.dataset.spec, serial.dataset.spec, "{source:?} at width {width}");
+                assert_eq!(
+                    r.dataset.graph, serial.dataset.graph,
+                    "{source:?} at width {width}"
+                );
+                assert_eq!(r.dataset.features, serial.dataset.features, "{source:?}");
+                assert_eq!(r.stats, serial.stats, "{source:?} at width {width}");
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

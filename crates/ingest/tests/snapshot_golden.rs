@@ -64,7 +64,7 @@ fn a_snapshot_with_partition_tables_loads_on_both_paths() {
             &fixture("ring.edges"),
             Dataset::Cora,
             42,
-            Some(&SimPool::new(SimThreads::Fixed(4))),
+            &SimPool::new(SimThreads::Fixed(4)),
         )
         .unwrap();
     assert_eq!(fresh.provenance, Provenance::EdgeList(fixture("ring.edges")));

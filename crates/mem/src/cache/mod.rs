@@ -276,7 +276,7 @@ pub fn simulate_id_order_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::par::SimPool;
+    use crate::SimPool;
     use gnnie_graph::generate;
     use gnnie_graph::reorder::Permutation;
 

@@ -32,8 +32,8 @@ use gnnie_graph::CsrGraph;
 use gnnie_tensor::stats::Histogram;
 
 use crate::dram::HbmModel;
-use crate::par::SimPool;
 use crate::tier::{MemoryHierarchy, VertexMemory};
+use crate::SimPool;
 
 use super::policy::{CachePolicy, PolicyCtx};
 use super::{CacheConfig, CacheSimResult, IterationStats};
@@ -713,7 +713,7 @@ mod tests {
 
     #[test]
     fn walk_results_are_identical_at_any_thread_count() {
-        use crate::par::SimThreads;
+        use crate::SimThreads;
         // 600 vertices: a width-2 pool shards the per-vertex scans on its
         // workers; wider pools run the same ranges inline. Each pool walks
         // every policy, so one set of workers serves many walks.

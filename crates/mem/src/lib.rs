@@ -34,8 +34,7 @@ pub use dram::{DramCounters, HbmModel};
 pub use energy::{Component, EnergyLedger};
 /// The workspace's one worker pool, defined in `gnnie-graph` so ingest
 /// can reach it too.
-pub use gnnie_graph::par;
-pub use par::{shard_ranges, SimPool, SimThreads, Task, WorkerSet};
+pub use gnnie_graph::par::{SimPool, SimThreads, WorkerSet};
 pub use psum::{PsumBuffer, PsumStats, RetentionPolicy};
 pub use sram::DoubleBuffer;
 pub use tier::{

@@ -25,7 +25,7 @@ use gnnie_graph::CsrGraph;
 
 use crate::cache::{build_edge_index, CacheConfig, CacheSim, PaperAlphaGamma};
 use crate::dram::HbmModel;
-use crate::par::SimPool;
+use crate::SimPool;
 
 /// Which psums the output buffer keeps when full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -237,18 +237,6 @@ impl OnlineReport {
         self.outcomes.iter().map(|o| o.request.id()).collect()
     }
 
-    /// Nearest-rank queue-wait (arrival → dispatch) percentile, in
-    /// simulated seconds, over requests that arrived in `sla`.
-    pub fn class_queue_wait_percentile(&self, sla: SlaClass, q: f64) -> f64 {
-        let waits: Vec<f64> = self
-            .outcomes
-            .iter()
-            .filter(|o| o.request.sla == sla)
-            .map(|o| o.dispatch.saturating_sub(o.request.arrival) as f64 / self.clock_hz)
-            .collect();
-        percentile_nearest_rank(&waits, q)
-    }
-
     /// Queue wait of one outcome in simulated seconds.
     fn queue_wait_s(&self, o: &OnlineOutcome) -> f64 {
         o.dispatch.saturating_sub(o.request.arrival) as f64 / self.clock_hz

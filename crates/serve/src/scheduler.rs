@@ -96,11 +96,6 @@ pub struct BatchPlan {
 }
 
 impl BatchPlan {
-    /// Total requests across all batches.
-    pub fn num_requests(&self) -> usize {
-        self.batches.iter().map(Batch::len).sum()
-    }
-
     /// All request ids in plan order (for drop/duplicate audits).
     pub fn request_ids(&self) -> Vec<u64> {
         self.batches.iter().flat_map(|b| b.requests.iter().map(|r| r.id)).collect()

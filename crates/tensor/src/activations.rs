@@ -53,13 +53,6 @@ pub fn softmax(xs: &[f32]) -> Vec<f32> {
     out
 }
 
-/// Element-wise ReLU over a slice, in place.
-pub fn relu_inplace(xs: &mut [f32]) {
-    for x in xs {
-        *x = relu(*x);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -65,11 +65,6 @@ impl RlcStream {
         self.pairs.len() * PAIR_BITS
     }
 
-    /// Size of the encoded stream in bytes, rounded up.
-    pub fn encoded_bytes(&self) -> usize {
-        self.encoded_bits().div_ceil(8)
-    }
-
     /// Compression ratio versus a dense 16-bit representation.
     ///
     /// Values `> 1` mean RLC is smaller than dense.

@@ -200,7 +200,7 @@ fn usage() {
          \x20          a text flamegraph, --metrics dumps the metrics registry)\n\
          \x20 ingest   <path> [--out <snapshot.gnniecsr>] [--sim-threads auto|N]\n\
          \x20          [--dataset <...>] [--seed N] [--force] [--chunk-mb N]\n\
-         \x20          parse an edge list / binary CSR and freeze a .gnniecsr snapshot\n\
+         \x20          parse an edge list and freeze a .gnniecsr snapshot\n\
          \x20          (--sim-threads sizes the pool the CSR build runs on; the\n\
          \x20          snapshot is byte-identical at any setting)\n\
          \x20          (--chunk-mb builds the CSR out-of-core: the edge list is streamed\n\
@@ -596,7 +596,7 @@ fn resolve_run_dataset(
         let dataset = parse_dataset(flags)?;
         let scale = parse_scale(flags, dataset)?;
         let r = DataSource::named(dataset, scale, seed)
-            .resolve_on(&registry, Some(pool))
+            .resolve_on(&registry, pool)
             .map_err(|e| e.to_string())?;
         let scale = match r.provenance {
             Provenance::Synth => scale,
@@ -622,7 +622,7 @@ fn resolve_run_dataset(
         None => Dataset::Cora,
     };
     let r = DataSource::file(Path::new(path), fallback, seed)
-        .resolve_on(&registry, Some(pool))
+        .resolve_on(&registry, pool)
         .map_err(|e| e.to_string())?;
     if r.dataset().graph.num_vertices() == 0 {
         return Err(format!("--graph {path}: the graph has no vertices"));
@@ -825,7 +825,7 @@ fn cmd_ingest(path: &str, flags: &HashMap<String, String>) -> Result<(), String>
     let t0 = Instant::now();
     let loaded = match chunk_mb {
         Some(bytes) => registry.load_path_chunked(input, fallback, seed, bytes),
-        None => registry.load_path(input, fallback, seed, Some(&SimPool::new(threads))),
+        None => registry.load_path(input, fallback, seed, &SimPool::new(threads)),
     }
     .map_err(|e| e.to_string())?;
     let load_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -1334,7 +1334,7 @@ fn cmd_datasets() -> Result<(), String> {
     match registry.data_dir() {
         Some(dir) => println!(
             "\nfile-backed datasets resolve from GNNIE_DATA_DIR={} for `gnnie run \
-             --dataset` (probe order: .gnniecsr, .bcsr, .edges, .csv, .tsv); \
+             --dataset` (probe order: .gnniecsr, .edges, .csv, .tsv); \
              snap `*` = zero-copy mmap load",
             dir.display()
         ),
